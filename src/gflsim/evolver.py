@@ -7,8 +7,11 @@ handoff initiations and cut connections; lower is better.
 
 Replay semantics: channel occupancy and every other terminal's behavior
 are frozen to what the live simulation recorded, so fitness isolates the
-candidate's own decisions.  ``ResimFitness`` offers the alternative
-full re-simulation semantics behind a config switch.
+candidate's own decisions.  ``ReplayFitness.batch`` is the one replay
+loop: it steps a whole population through the window together, and each
+decision site memoizes its threshold region per gene pattern.
+``ResimFitness`` offers the alternative full re-simulation semantics
+behind a config switch.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
 are cache-friendly and could run on parallel workers; the generational
@@ -46,7 +49,6 @@ __all__ = [
 Chromosome = tuple[int, ...]
 
 _GENE_LO, _GENE_HI = 1, 5
-_KEY_BASE = 6  # gene digits are 1..5; base 6 keeps projection keys injective
 
 
 class EmptyHistoryError(ValueError):
@@ -165,15 +167,21 @@ def mutate_random_reset(
 #   0: v < s_min    1: v == s_min    2: s_min < v < s_th    3: v >= s_th
 _BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH = 0, 1, 2, 3
 
+# A site's memo key reads the genes at its fired cells, each minus 1, as
+# base-5 digits; 27 cells (a 3x3x3 grid) is the most that stays exact in
+# int64, since 5**27 - 1 < 2**63.
+_DIGIT_BASE = _GENE_HI - _GENE_LO + 1
+_MAX_KEY_DIGITS = 27
+
 
 class _Site:
     """One (time unit, terminal, station) decision point.
 
     ``fired_idx``/``fired_w`` are the positively-firing grid cells and
     their weights, fixed by the recorded inputs; ``regions`` memoizes the
-    threshold region per gene projection.  Sites persist for as long as
-    their source record does, so the memo is shared by every window (and
-    every candidate grid) that touches the same time unit.
+    threshold region per integer key of the genes at those cells.  Sites
+    persist for as long as their source unit is in the window, so the memo
+    is shared by every window (and every candidate grid) that touches it.
     """
 
     __slots__ = ("fired_idx", "fired_w", "regions")
@@ -181,7 +189,7 @@ class _Site:
     def __init__(self, fired_idx: list[int], fired_w: list[float]) -> None:
         self.fired_idx = fired_idx
         self.fired_w = fired_w
-        self.regions: dict[tuple[int, ...], int] = {}
+        self.regions: dict[int, int] = {}
 
 
 class _WindowPrep:
@@ -214,56 +222,50 @@ class _WindowPrep:
 
         # Materialize every covered decision site: fuzzified inputs do not
         # depend on the candidate grid, only their gene mapping does.
-        self._sites: dict[tuple[int, int], _Site] = {}
-        self._site_lut = np.full((U, M * S), -1, dtype=np.int64)
-        sites_by_gid: list[_Site] = []
-        maxf = 1
+        # Units reused from the previous window keep their sites; the
+        # cache then holds this window's units only.
+        cache, fitness._site_cache = fitness._site_cache, {}
+        self.site_lut = np.full((U, M * S), -1, dtype=np.int64)
+        self.sites: list[_Site] = []
         for u, rec in enumerate(records):
-            for m in range(M):
-                v_deg = None
-                for s in range(S):
-                    if not self.covered[u, m, s]:
-                        continue
-                    cached = fitness._site_cache.get((rec.t, m, s))
-                    if cached is not None and cached[0] is rec:
-                        site = cached[1]
-                    else:
-                        if v_deg is None:
-                            v_deg = system.input_vars[0].fuzzify(rec.snapshots[m].velocity)
-                        degs = [v_deg, system.input_vars[1].fuzzify(float(self.dn[u, m, s]))]
-                        if fitness.uses_channels:
-                            degs.append(
-                                system.input_vars[2].fuzzify(float(self.chan[u, m, s]))
-                            )
-                        w = system.cell_weights(degs)
-                        fired = np.flatnonzero(w > 0.0)
-                        site = _Site([int(i) for i in fired], [float(v) for v in w[fired]])
-                        fitness._site_cache[(rec.t, m, s)] = (rec, site)
-                    self._sites[(u, m * S + s)] = site
-                    self._site_lut[u, m * S + s] = len(sites_by_gid)
-                    sites_by_gid.append(site)
-                    maxf = max(maxf, len(site.fired_idx))
-        self.sites_by_gid = sites_by_gid
-        self.max_fired = maxf
-        self.fast_keys = maxf <= 24  # base-6 projection keys fit in int64
-        if self.fast_keys:
-            self._powers = _KEY_BASE ** np.arange(maxf, dtype=np.int64)
-            self._site_stride = int(_KEY_BASE) ** maxf
-            pad = np.zeros((len(sites_by_gid), maxf), dtype=np.int64)
-            for gid, site in enumerate(sites_by_gid):
-                pad[gid, : len(site.fired_idx)] = site.fired_idx
-                pad[gid, len(site.fired_idx):] = site.fired_idx[0]
-            self._padded_idx = pad
-        # Transient first-level memo: combined (site, padded projection) key
-        # -> region, read through to the persistent per-site memos.
-        self.regions: dict[int, int] = {}
+            cached = cache.get(rec.t)
+            if cached is None or cached[0] is not rec:
+                cached = (rec, self._unit_sites(rec, u, fitness))
+            fitness._site_cache[rec.t] = cached
+            for col, site in cached[1].items():
+                self.site_lut[u, col] = len(self.sites)
+                self.sites.append(site)
+        # Fired cells per site, padded with the index of an extra gene
+        # column that contributes a zero digit (see ``ReplayFitness.batch``).
+        maxf = max((len(site.fired_idx) for site in self.sites), default=1)
+        self.padded_idx = np.full((len(self.sites), maxf), system.n_cells, dtype=np.int64)
+        for gid, site in enumerate(self.sites):
+            self.padded_idx[gid, : len(site.fired_idx)] = site.fired_idx
+        self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
         support: set[int] = set()
-        for site in sites_by_gid:
+        for site in self.sites:
             support.update(site.fired_idx)
         self.support = tuple(sorted(support))
 
-    def site(self, u: int, m: int, s: int) -> _Site:
-        return self._sites[(u, m * self.n_stations + s)]
+    def _unit_sites(self, rec, u: int, fitness: "ReplayFitness") -> dict[int, _Site]:
+        """Sites of one unit, keyed by flat (terminal, station) column."""
+        inputs = fitness.system.input_vars
+        S = self.n_stations
+        sites: dict[int, _Site] = {}
+        for m in range(self.n_mts):
+            v_deg = None
+            for s in range(S):
+                if not self.covered[u, m, s]:
+                    continue
+                if v_deg is None:
+                    v_deg = inputs[0].fuzzify(rec.snapshots[m].velocity)
+                degs = [v_deg, inputs[1].fuzzify(float(self.dn[u, m, s]))]
+                if fitness.uses_channels:
+                    degs.append(inputs[2].fuzzify(float(self.chan[u, m, s])))
+                w = fitness.system.cell_weights(degs)
+                fired = np.flatnonzero(w > 0.0)
+                sites[m * S + s] = _Site([int(i) for i in fired], [float(v) for v in w[fired]])
+        return sites
 
 
 def _window_records(window):
@@ -278,9 +280,9 @@ def _window_checkpoint(window):
 class ReplayFitness:
     """Weighted handoff + cut count from a frozen-window replay.
 
-    The scalar call is the reference implementation; :meth:`batch`
-    evaluates a whole population through the same cached decision path
-    and is bit-for-bit equivalent.
+    :meth:`batch` is the replay: it steps a whole population through the
+    window in lockstep.  Calling the instance scores one chromosome as a
+    population of one.
     """
 
     def __init__(
@@ -295,6 +297,9 @@ class ReplayFitness:
     ) -> None:
         if not 0 <= s_min < s_th <= 1:
             raise ValueError(f"need 0 <= s_min < s_th <= 1, got {s_min}, {s_th}")
+        if system.n_cells > _MAX_KEY_DIGITS:
+            raise ValueError(f"replay supports grids of at most {_MAX_KEY_DIGITS} cells, "
+                             f"got {system.n_cells}")
         self.system = system
         self.s_min = float(s_min)
         self.s_th = float(s_th)
@@ -306,22 +311,17 @@ class ReplayFitness:
         )
         self._sup_lo = tuple(t.support[0] for t in system.output_var.terms)
         self._sup_hi = tuple(t.support[1] for t in system.output_var.terms)
-        self._preps: dict[int, tuple[tuple, _WindowPrep]] = {}
-        # (time unit, terminal, station) -> (source record, site); keyed by
-        # absolute unit so consecutive overlapping windows share the sites,
-        # with the record identity guarding against unrelated windows that
-        # happen to reuse unit numbers.
-        self._site_cache: dict[tuple[int, int, int], tuple] = {}
+        self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
+        # Unit t -> (source record, that unit's sites) for the units of the
+        # last prepared window, so consecutive overlapping windows share
+        # the sites; the record identity guards against unrelated windows
+        # that reuse unit numbers.
+        self._site_cache: dict[int, tuple] = {}
 
     def _prep(self, records: tuple) -> _WindowPrep:
-        cached = self._preps.get(id(records))
-        if cached is not None and cached[0] is records:
-            return cached[1]
-        prep = _WindowPrep(records, self)
-        if len(self._preps) >= 4:
-            self._preps.pop(next(iter(self._preps)))
-        self._preps[id(records)] = (records, prep)
-        return prep
+        if self._last_prep is None or self._last_prep[0] is not records:
+            self._last_prep = (records, _WindowPrep(records, self))
+        return self._last_prep[1]
 
     def window_support(self, window) -> tuple[int, ...]:
         """Grid cells that can fire anywhere in the window.
@@ -334,14 +334,15 @@ class ReplayFitness:
             raise EmptyHistoryError("history window is empty")
         return self._prep(records).support
 
-    def _resolve_digits(self, site: _Site, digits: tuple[int, ...]) -> int:
-        """Threshold region of one site under the genes at its fired cells."""
-        region = site.regions.get(digits)
+    def _site_region(self, site: _Site, key: int) -> int:
+        """Threshold region of one site under the genes its key encodes."""
+        region = site.regions.get(key)
         if region is not None:
             return region
         s5 = [0.0] * self.system.n_output_terms
-        for w, d in zip(site.fired_w, digits):
-            t = d - 1
+        digits = key
+        for w in site.fired_w:
+            digits, t = divmod(digits, _DIGIT_BASE)
             if w > s5[t]:
                 s5[t] = w
         # The centroid lies strictly inside the activated support hull, so
@@ -362,87 +363,27 @@ class ReplayFitness:
                 region = _MID
             else:
                 region = _ABOVE_TH
-        site.regions[digits] = region
+        site.regions[key] = region
         return region
 
-    def _resolve(self, site: _Site, genes: Sequence[int]) -> int:
-        return self._resolve_digits(site, tuple(genes[i] for i in site.fired_idx))
-
-    def _select_target(self, prep: _WindowPrep, u: int, m: int, exclude: int) -> int:
-        """Recorded-snapshot mirror of live target selection (free channel
-        required, deepest coverage wins, lowest id on ties)."""
-        best = -1
-        best_dn = 0.0
-        for s in range(prep.n_stations):
-            if s == exclude:
-                continue
-            if not prep.covered[u, m, s]:
-                continue
-            if prep.chan[u, m, s] <= 0.0:
-                continue
-            dn = prep.dn[u, m, s]
-            if dn > best_dn:
-                best, best_dn = s, dn
-        return best
-
     def __call__(self, genes: Sequence[int], window) -> float:
-        records = _window_records(window)
-        if not records:
-            raise EmptyHistoryError("history window is empty")
-        genes = tuple(genes)
-        prep = self._prep(records)
-        ho = 0
-        cuts = 0
-        for m in range(prep.n_mts):
-            st = int(prep.init_state[m])
-            sv = int(prep.init_serving[m])
-            tg = int(prep.init_target[m])
-            dw = int(prep.init_dwell[m])
-            for u in range(prep.n_units):
-                if st != State.DISCONNECT and prep.ratio[u, m, sv] <= 0.0:
-                    cuts += 1
-                    st, sv, tg, dw = State.DISCONNECT, -1, -1, 0
-                    continue
-                if st == State.CONNECT:
-                    region = self._resolve(prep.site(u, m, sv), genes)
-                    if region == _BELOW_MIN:
-                        cuts += 1
-                        st, sv = State.DISCONNECT, -1
-                    elif region != _ABOVE_TH:
-                        tsel = self._select_target(prep, u, m, exclude=sv)
-                        if tsel >= 0:
-                            ho += 1
-                            tg, st, dw = tsel, State.HANDOVER, self.dwell
-                    continue
-                if st == State.HANDOVER:
-                    dw -= 1
-                    if dw == 0:
-                        sv, tg, st = tg, -1, State.CONNECT
-                    continue
-                cand = int(prep.cand[u, m])
-                if cand >= 0:
-                    region = self._resolve(prep.site(u, m, cand), genes)
-                    if region >= _MID and prep.chan[u, m, cand] > 0.0:
-                        sv, st = cand, State.CONNECT
-        return self.weight_handoff * ho + self.weight_cut * cuts
+        return float(self.batch([genes], window)[0])
 
     def batch(self, population: Sequence[Sequence[int]], window) -> np.ndarray:
         """Fitness of every chromosome, replayed in lockstep across the
-        population with vectorized transitions.  Decisions resolve through
-        the same region memo as the scalar path, so results are identical.
-        """
+        population with vectorized transitions; each decision resolves
+        through its site's region memo."""
         records = _window_records(window)
         if not records:
             raise EmptyHistoryError("history window is empty")
-        pop = [tuple(g) for g in population]
-        P = len(pop)
+        P = len(population)
         if P == 0:
             return np.zeros(0)
         prep = self._prep(records)
-        if not prep.fast_keys:
-            return np.array([self(g, window) for g in pop])
         M, S = prep.n_mts, prep.n_stations
-        G = np.array(pop, dtype=np.int64)
+        # Gene digits (gene - 1) plus a zero column for padded fired slots.
+        digits = np.zeros((P, self.system.n_cells + 1), dtype=np.int64)
+        digits[:, :-1] = np.asarray(population, dtype=np.int64) - _GENE_LO
         st = np.broadcast_to(prep.init_state, (P, M)).copy()
         sv = np.broadcast_to(prep.init_serving, (P, M)).copy()
         tg = np.broadcast_to(prep.init_target, (P, M)).copy()
@@ -472,7 +413,7 @@ class ReplayFitness:
             is_conn = (st == State.CONNECT) & ~forced
             is_disc = (st == State.DISCONNECT) & ~forced & (cand_u >= 0)[None, :]
             reg = self._regions_for(
-                prep, u, is_conn | is_disc, np.where(is_conn, sv, cand_u[None, :]), G
+                prep, u, is_conn | is_disc, np.where(is_conn, sv, cand_u[None, :]), digits
             )
 
             do_cut = is_conn & (reg == _BELOW_MIN)
@@ -515,35 +456,20 @@ class ReplayFitness:
         u: int,
         mask: np.ndarray,
         station: np.ndarray,
-        G: np.ndarray,
+        digits: np.ndarray,
     ) -> np.ndarray:
         """Region codes for every masked (chromosome, terminal) pair at its
         per-pair station; -1 where the mask is off."""
-        P, M = mask.shape
-        out = np.full((P, M), -1, dtype=np.int64)
+        out = np.full(mask.shape, -1, dtype=np.int64)
         if not mask.any():
             return out
         p_idx, m_idx = np.nonzero(mask)
-        s_idx = station[p_idx, m_idx]
-        gids = prep._site_lut[u, m_idx * prep.n_stations + s_idx]
-        digits = G[p_idx[:, None], prep._padded_idx[gids]]
-        keys = gids * prep._site_stride + digits[:, ::-1] @ prep._powers
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        regions = np.empty(len(uniq), dtype=np.int64)
-        prep_memo = prep.regions
-        for j, key in enumerate(uniq):
-            key = int(key)
-            region = prep_memo.get(key)
-            if region is None:
-                k = int(first[j])
-                site = prep.sites_by_gid[int(gids[k])]
-                row = G[p_idx[k]]
-                region = self._resolve_digits(
-                    site, tuple(int(row[i]) for i in site.fired_idx)
-                )
-                prep_memo[key] = region
-            regions[j] = region
-        out[p_idx, m_idx] = regions[inverse]
+        gids = prep.site_lut[u, m_idx * prep.n_stations + station[p_idx, m_idx]]
+        keys = digits[p_idx[:, None], prep.padded_idx[gids]] @ prep.powers
+        sites, region = prep.sites, self._site_region
+        out[p_idx, m_idx] = [
+            region(sites[g], k) for g, k in zip(gids.tolist(), keys.tolist())
+        ]
         return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -104,19 +105,34 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _expect(mapping: dict, key: str, kind, path: str):
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float:
+        return _number(value, f"{path}.{key}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
     return value
 
 
 def _parse_pair(raw, path: str) -> tuple[float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError(f"{path}: expected a [low, high] pair")
-    lo, hi = float(raw[0]), float(raw[1])
+    lo, hi = _number(raw[0], f"{path}[0]"), _number(raw[1], f"{path}[1]")
     if hi < lo:
         raise ConfigError(f"{path}: low must not exceed high")
     return lo, hi
@@ -133,13 +149,14 @@ def _parse_stations(raw, path: str) -> tuple[StationSpec, ...]:
         center = entry.get("center")
         if not isinstance(center, (list, tuple)) or len(center) != 2:
             raise ConfigError(f"{p}.center: expected [x, y]")
-        radius = float(entry.get("radius", 0))
+        x, y = _number(center[0], f"{p}.center[0]"), _number(center[1], f"{p}.center[1]")
+        radius = _number(entry.get("radius", 0), f"{p}.radius")
         capacity = entry.get("capacity")
         if radius <= 0:
             raise ConfigError(f"{p}.radius: must be > 0")
         if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
             raise ConfigError(f"{p}.capacity: must be an integer >= 1")
-        out.append(StationSpec(float(center[0]), float(center[1]), radius, capacity))
+        out.append(StationSpec(x, y, radius, capacity))
     return tuple(out)
 
 
@@ -157,14 +174,21 @@ def _parse_terminals(raw, path: str) -> tuple[TerminalSpec, ...]:
         kind = entry.get("kind", "steady")
         if kind not in ("steady", "accelerated"):
             raise ConfigError(f"{p}.kind: expected 'steady' or 'accelerated'")
-        out.append(TerminalSpec(
-            x=float(pos[0]), y=float(pos[1]),
-            heading=float(entry.get("heading", 0.0)),
+        spec = TerminalSpec(
+            x=_number(pos[0], f"{p}.position[0]"), y=_number(pos[1], f"{p}.position[1]"),
+            heading=_number(entry.get("heading", 0.0), f"{p}.heading"),
             kind=kind,
-            speed=float(entry.get("speed", 10.0)),
-            distance=float(entry.get("distance", 3000.0)),
-            duration=float(entry.get("duration", 75.0)),
-        ))
+            speed=_number(entry.get("speed", 10.0), f"{p}.speed"),
+            distance=_number(entry.get("distance", 3000.0), f"{p}.distance"),
+            duration=_number(entry.get("duration", 75.0), f"{p}.duration"),
+        )
+        if spec.speed < 0:
+            raise ConfigError(f"{p}.speed: must be >= 0")
+        if spec.distance <= 0:
+            raise ConfigError(f"{p}.distance: must be > 0")
+        if spec.duration <= 0:
+            raise ConfigError(f"{p}.duration: must be > 0")
+        out.append(spec)
     return tuple(out)
 
 
@@ -178,17 +202,21 @@ def _parse_variable(raw, path: str, default: LinguisticVariable) -> LinguisticVa
     if terms_raw is None:
         terms = default.terms
     else:
-        if not isinstance(terms_raw, list) or not terms_raw:
-            raise ConfigError(f"{path}.terms: expected a non-empty list")
+        # The consequent grid is 3x3x3 over five output terms.
+        if not isinstance(terms_raw, list) or len(terms_raw) != len(default.terms):
+            raise ConfigError(f"{path}.terms: expected a list of exactly "
+                              f"{len(default.terms)} terms")
         terms = []
         for i, entry in enumerate(terms_raw):
             p = f"{path}.terms[{i}]"
-            if not isinstance(entry, dict) or "label" not in entry or "points" not in entry:
+            if (not isinstance(entry, dict) or "label" not in entry
+                    or not isinstance(entry.get("points"), list)):
                 raise ConfigError(f"{p}: expected {{label, points}}")
+            points = tuple(_number(v, f"{p}.points[{j}]")
+                           for j, v in enumerate(entry["points"]))
             try:
-                terms.append(MembershipFunction(str(entry["label"]),
-                                                tuple(float(v) for v in entry["points"])))
-            except (TypeError, ValueError, FuzzyDefinitionError) as exc:
+                terms.append(MembershipFunction(str(entry["label"]), points))
+            except FuzzyDefinitionError as exc:
                 raise ConfigError(f"{p}: {exc}") from exc
         terms = tuple(terms)
     try:
@@ -314,10 +342,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    world = _parse_world(raw.get("world", {}) or {})
-    evolver = _parse_evolver(raw.get("evolver", {}) or {})
+    world = _parse_world(_section(raw, "world"))
+    evolver = _parse_evolver(_section(raw, "evolver"))
 
-    fz_raw = raw.get("fuzzy", {}) or {}
+    fz_raw = _section(raw, "fuzzy")
     resolution = fz_raw.get("resolution", DEFAULT_RESOLUTION)
     if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 1:
         raise ConfigError("fuzzy.resolution: must be a positive integer")

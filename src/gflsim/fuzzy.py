@@ -354,8 +354,6 @@ class FuzzySystem:
         self.n_cells = math.prod(self.levels)
         self.n_output_terms = len(output_var.terms)
         self._xs, self._table, self._spans = _output_grid(output_var, self.resolution)
-        self._sup_lo = np.array([t.support[0] for t in output_var.terms])
-        self._sup_hi = np.array([t.support[1] for t in output_var.terms])
         self._value_cache: dict[tuple, float] = {}
         self._onehot_cache: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -392,16 +390,6 @@ class FuzzySystem:
         """Max firing weight per output term under the given consequent map."""
         m = self._onehot(consequents)
         return np.max(np.where(m, weights[:, None], 0.0), axis=0)
-
-    def activation_bounds(self, strengths: np.ndarray) -> tuple[float, float]:
-        """Hull of the supports of the activated output terms.
-
-        The centroid of any non-empty composite lies strictly inside this
-        interval, which lets callers classify a value against thresholds
-        without computing it.
-        """
-        fired = strengths > 0.0
-        return float(self._sup_lo[fired].min()), float(self._sup_hi[fired].max())
 
     def crisp_from_strengths(self, strengths) -> float:
         s5 = strengths.tolist() if isinstance(strengths, np.ndarray) else list(strengths)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_snapshot, make_window, random_window
+from conftest import FixedPolicy, make_snapshot, make_window, random_window
 from gflsim.evolver import (
     EmptyHistoryError,
     EvolverConfig,
@@ -19,13 +19,18 @@ from gflsim.evolver import (
 )
 from gflsim.fuzzy import (
     DEFAULT_CONSEQUENTS,
+    FuzzySystem,
+    LinguisticVariable,
     RuleBase,
+    default_distance,
     default_output,
     default_system,
+    default_velocity,
     defuzzify_centroid,
     evaluate_rules,
+    triangle,
 )
-from gflsim.world import FrozenWindow, State
+from gflsim.world import FrozenWindow, HistoryWindow, State, World, WorldConfig
 
 # Table I of the shipped grid, printed row by row (velocity-major, then
 # distance, then channels) with very-low..very-high encoded 1..5.
@@ -192,15 +197,40 @@ def window_single_gene_fix() -> FrozenWindow:
     return make_window([[snap] for _ in range(4)])
 
 
-def reference_replay(genes, window, s_min=S_MIN, s_th=S_TH, dwell=2):
-    """Step-by-step window re-simulation using only the public fuzzy ops."""
-    rb = RuleBase(levels=(3, 3, 3), consequents=tuple(genes))
-    vel, dist, chan = default_system().input_vars
-    out = default_output()
+def flah_system() -> FuzzySystem:
+    """The two-input (velocity, distance) system of the FLAH policies."""
+    return FuzzySystem((default_velocity(), default_distance()), default_output())
+
+
+def wide_system() -> FuzzySystem:
+    """Three-input system whose three triangles per input all overlap the
+    whole universe, so every one of the 27 cells fires at every site."""
+    def wide(name, lo, hi):
+        pad = hi - lo
+        return LinguisticVariable(name, lo, hi, (
+            triangle("low", lo - pad, lo, hi + pad),
+            triangle("mid", lo - pad, 0.5 * (lo + hi), hi + pad),
+            triangle("high", lo - pad, hi, hi + pad),
+        ))
+    return FuzzySystem(
+        (wide("velocity", 0.0, 30.0), wide("distance", 0.0, 1.0), wide("channels", 0.0, 1.0)),
+        default_output(),
+    )
+
+
+def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2):
+    """Step-by-step window re-simulation using only the public fuzzy ops.
+
+    A two-input ``system`` ignores the channel input, as FLAH does.
+    """
+    system = system or default_system()
+    rb = RuleBase(levels=system.levels, consequents=tuple(genes),
+                  n_output_terms=system.n_output_terms)
 
     def value(v, dn, cn):
-        act = evaluate_rules(rb, vel.fuzzify(v), dist.fuzzify(dn), chan.fuzzify(cn))
-        return defuzzify_centroid(act, out, 1001)
+        degs = [var.fuzzify(x) for var, x in zip(system.input_vars, (v, dn, cn))]
+        act = evaluate_rules(rb, *degs)
+        return defuzzify_centroid(act, system.output_var, system.resolution)
 
     records = window.records
     n_stations = len(records[0].snapshots[0].dist_ratio)
@@ -284,12 +314,40 @@ class TestFitness:
         ref = sorted(range(8), key=lambda i: (reference_replay(chroms[i], wnd), i))
         assert ours == ref
 
-    def test_batch_equals_scalar(self, rng):
+    def test_batch_matches_reference_replay(self, rng):
+        for system in (default_system(), flah_system(), wide_system()):
+            fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
+            for _ in range(6):
+                wnd = random_window(rng)
+                pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
+                assert list(fit.batch(pop, wnd)) == [
+                    reference_replay(g, wnd, system) for g in pop]
+                assert fit(pop[0], wnd) == reference_replay(pop[0], wnd, system)
+        # The wide grid fires all 27 cells, the most one memo key holds.
+        assert fit.window_support(wnd) == tuple(range(27))
+
+    def test_grids_beyond_27_cells_rejected(self):
+        four = LinguisticVariable("velocity", 0.0, 30.0, (
+            triangle("a", 0.0, 0.0, 10.0), triangle("b", 0.0, 10.0, 20.0),
+            triangle("c", 10.0, 20.0, 30.0), triangle("d", 20.0, 30.0, 30.0),
+        ))
+        system = FuzzySystem((four,) + default_system().input_vars[1:], default_output())
+        with pytest.raises(ValueError, match="27 cells"):
+            ReplayFitness(system, S_MIN, S_TH)
+
+    def test_site_cache_holds_at_most_one_window(self):
+        world = World.build(WorldConfig(mt_count=3, total_time=2000),
+                            np.random.default_rng(3))
         fit = make_fitness()
-        for _ in range(6):
-            wnd = random_window(rng)
-            pop = [random_chromosome(27, rng) for _ in range(20)]
-            assert list(fit.batch(pop, wnd)) == [fit(g, wnd) for g in pop]
+        window = HistoryWindow(4)
+        policy = FixedPolicy(0.3)
+        largest = 0
+        for _ in range(2000):
+            window.push(world.step(policy))
+            if window.warm:
+                fit.window_support(window.freeze())
+                largest = max(largest, len(fit._site_cache))
+        assert largest == window.length
 
     def test_window_support_covers_mutation_sensitivity(self, rng):
         # genes outside the support provably cannot change fitness

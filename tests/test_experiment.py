@@ -108,20 +108,23 @@ class TestLoadConfig:
         path.write_text(json.dumps({"fuzzy": {"velocity": {
             "range": [0, 20],
             "terms": [{"label": "slow", "points": [0, 0, 12]},
+                      {"label": "medium", "points": [4, 10, 16, 18]},
                       {"label": "fast", "points": [8, 20, 20]}],
         }}}))
         cfg = load_config(path)
         assert cfg.fuzzy.velocity.hi == 20.0
-        assert len(cfg.fuzzy.velocity.terms) == 2
+        assert [t.shape for t in cfg.fuzzy.velocity.terms] == [
+            "triangular", "trapezoidal", "triangular"]
 
     def test_uncovered_terms_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"fuzzy": {"velocity": {
             "range": [0, 30],
             "terms": [{"label": "slow", "points": [0, 0, 5]},
+                      {"label": "medium", "points": [5, 10, 15]},
                       {"label": "fast", "points": [25, 30, 30]}],
         }}}))
-        with pytest.raises(ConfigError, match="fuzzy.velocity"):
+        with pytest.raises(ConfigError, match="fuzzy.velocity: .*no term covers"):
             load_config(path)
 
 
@@ -303,6 +306,35 @@ class TestCli:
         path.write_text(json.dumps({"world": {"s_min": 0.9}}))
         assert cli_main(["--config", str(path)]) == 2
         assert "s_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"world": {"stations": [{"center": ["a", 1], "radius": 500, "capacity": 3}]}}',
+         "world.stations[0].center[0]"),
+        ('{"world": {"terminals": [{"position": [0, 1], "speed": "fast"}]}}',
+         "world.terminals[0].speed"),
+        ('{"world": {"terminals": [{"position": [0, 1], "speed": -5}]}}',
+         "world.terminals[0].speed"),
+        ('{"world": {"terminals": [{"position": [0, 1], "duration": 0}]}}',
+         "world.terminals[0].duration"),
+        ('{"world": []}', "world:"),
+        ('{"evolver": "fast"}', "evolver:"),
+        ('{"world": {"steady_speed": [0, 1e999]}}', "world.steady_speed[1]"),
+        ('{"world": {"epsilon": NaN}}', "world.epsilon"),
+        ('{"fuzzy": {"distance": {"terms": [{"label": "a", "points": [0, "0", 0.4]},'
+         ' {"label": "b", "points": [0.2, 0.5, 0.8]}, {"label": "c", "points": [0.6, 1, 1]}]}}}',
+         "fuzzy.distance.terms[0].points[1]"),
+        ('{"fuzzy": {"velocity": {"terms": [{"label": "a", "points": [0, 0, 10]},'
+         ' {"label": "b", "points": [0, 10, 20]}, {"label": "c", "points": [10, 20, 30]},'
+         ' {"label": "d", "points": [20, 30, 30]}]}}}', "fuzzy.velocity.terms"),
+        ('{"fuzzy": {"output": {"terms": [{"label": "a", "points": [0, 0, 0.4]},'
+         ' {"label": "b", "points": [0, 0.4, 0.6]}, {"label": "c", "points": [0.4, 0.6, 1]},'
+         ' {"label": "d", "points": [0.6, 1, 1]}]}}}', "fuzzy.output.terms"),
+    ])
+    def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli_main(["--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_format_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
