@@ -9,7 +9,11 @@ Replay semantics: channel occupancy and every other terminal's behavior
 are frozen to what the live simulation recorded, so fitness isolates the
 candidate's own decisions.  ``ReplayFitness.batch`` is the one replay
 loop: it steps a whole population through the window together, and each
-decision site memoizes its threshold region per gene pattern.
+decision site memoizes its threshold region per gene pattern.  Memo
+misses are settled together per time unit from a closed-form centroid
+estimate (``FuzzySystem.centroid_estimates``); only an estimate that
+lands within ``_ESTIMATE_TOL`` of a threshold is defuzzified exactly, so
+every region equals the one the live decision path would give.
 ``ResimFitness`` offers the alternative full re-simulation semantics
 behind a config switch.
 
@@ -173,15 +177,23 @@ _BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH = 0, 1, 2, 3
 _DIGIT_BASE = _GENE_HI - _GENE_LO + 1
 _MAX_KEY_DIGITS = 27
 
+# A centroid estimate closer than this (times the largest of 1 and the
+# output universe's end magnitudes) to s_min or s_th is settled by the
+# exact centroid.  The estimate's own error is bounded by about
+# 2 * (overlapping term subsets) * resolution * 2**-53 of that scale:
+# under 7e-12 for five output terms at the default resolution.
+_ESTIMATE_TOL = 1e-9
+
 
 class _Site:
     """One (time unit, terminal, station) decision point.
 
     ``fired_idx``/``fired_w`` are the positively-firing grid cells and
     their weights, fixed by the recorded inputs; ``regions`` memoizes the
-    threshold region per integer key of the genes at those cells.  Sites
-    persist for as long as their source unit is in the window, so the memo
-    is shared by every window (and every candidate grid) that touches it.
+    threshold region per integer key of the genes at those cells (filled
+    by ``ReplayFitness._settle``).  Sites persist for as long as their
+    source unit is in the window, so the memo is shared by every window
+    (and every candidate grid) that touches it.
     """
 
     __slots__ = ("fired_idx", "fired_w", "regions")
@@ -235,12 +247,15 @@ class _WindowPrep:
             for col, site in cached[1].items():
                 self.site_lut[u, col] = len(self.sites)
                 self.sites.append(site)
-        # Fired cells per site, padded with the index of an extra gene
-        # column that contributes a zero digit (see ``ReplayFitness.batch``).
+        # Fired cells and weights per site, padded with the index of an
+        # extra gene column that contributes a zero digit (see
+        # ``ReplayFitness.batch``) and a zero weight.
         maxf = max((len(site.fired_idx) for site in self.sites), default=1)
         self.padded_idx = np.full((len(self.sites), maxf), system.n_cells, dtype=np.int64)
+        self.padded_w = np.zeros((len(self.sites), maxf))
         for gid, site in enumerate(self.sites):
             self.padded_idx[gid, : len(site.fired_idx)] = site.fired_idx
+            self.padded_w[gid, : len(site.fired_w)] = site.fired_w
         self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
         support: set[int] = set()
         for site in self.sites:
@@ -282,7 +297,8 @@ class ReplayFitness:
 
     :meth:`batch` is the replay: it steps a whole population through the
     window in lockstep.  Calling the instance scores one chromosome as a
-    population of one.
+    population of one.  Each decision reads its site's region memo;
+    the misses of one time unit are settled together by :meth:`_settle`.
     """
 
     def __init__(
@@ -309,8 +325,8 @@ class ReplayFitness:
         self.uses_channels = (
             len(system.input_vars) >= 3 if uses_channels is None else uses_channels
         )
-        self._sup_lo = tuple(t.support[0] for t in system.output_var.terms)
-        self._sup_hi = tuple(t.support[1] for t in system.output_var.terms)
+        out = system.output_var
+        self._tol = _ESTIMATE_TOL * max(1.0, abs(out.lo), abs(out.hi))
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
         # Unit t -> (source record, that unit's sites) for the units of the
         # last prepared window, so consecutive overlapping windows share
@@ -333,38 +349,6 @@ class ReplayFitness:
         if not records:
             raise EmptyHistoryError("history window is empty")
         return self._prep(records).support
-
-    def _site_region(self, site: _Site, key: int) -> int:
-        """Threshold region of one site under the genes its key encodes."""
-        region = site.regions.get(key)
-        if region is not None:
-            return region
-        s5 = [0.0] * self.system.n_output_terms
-        digits = key
-        for w in site.fired_w:
-            digits, t = divmod(digits, _DIGIT_BASE)
-            if w > s5[t]:
-                s5[t] = w
-        # The centroid lies strictly inside the activated support hull, so
-        # these bounds settle most threshold comparisons without defuzzifying.
-        lo = min(l for l, v in zip(self._sup_lo, s5) if v > 0.0)
-        hi = max(h for h, v in zip(self._sup_hi, s5) if v > 0.0)
-        if hi <= self.s_min:
-            region = _BELOW_MIN
-        elif lo >= self.s_th:
-            region = _ABOVE_TH
-        else:
-            v = self.system.crisp_from_strengths(s5)
-            if v < self.s_min:
-                region = _BELOW_MIN
-            elif v == self.s_min:
-                region = _AT_MIN
-            elif v < self.s_th:
-                region = _MID
-            else:
-                region = _ABOVE_TH
-        site.regions[key] = region
-        return region
 
     def __call__(self, genes: Sequence[int], window) -> float:
         return float(self.batch([genes], window)[0])
@@ -465,12 +449,57 @@ class ReplayFitness:
             return out
         p_idx, m_idx = np.nonzero(mask)
         gids = prep.site_lut[u, m_idx * prep.n_stations + station[p_idx, m_idx]]
-        keys = digits[p_idx[:, None], prep.padded_idx[gids]] @ prep.powers
-        sites, region = prep.sites, self._site_region
-        out[p_idx, m_idx] = [
-            region(sites[g], k) for g, k in zip(gids.tolist(), keys.tolist())
-        ]
+        # Gene digits at each pair's fired cells: the cells' output terms.
+        terms = digits[p_idx[:, None], prep.padded_idx[gids]]
+        keys = terms @ prep.powers
+        sites = prep.sites
+        reg = np.array([sites[g].regions.get(k, -1)
+                        for g, k in zip(gids.tolist(), keys.tolist())])
+        miss = np.flatnonzero(reg < 0)
+        if len(miss):
+            reg[miss] = self._settle(prep, gids[miss], keys[miss], terms[miss])
+        out[p_idx, m_idx] = reg
         return out
+
+    def _settle(
+        self,
+        prep: _WindowPrep,
+        gids: np.ndarray,
+        keys: np.ndarray,
+        terms: np.ndarray,
+    ) -> np.ndarray:
+        """Regions of memo-missing (site, key) pairs, stored in the sites'
+        memos.  ``terms`` holds each pair's output term per padded fired
+        cell; the regions are returned in the pairs' order."""
+        # Distinct pairs: sort by (site, key) and keep the first of each run.
+        order = np.lexsort((keys, gids))
+        g_s, k_s = gids[order], keys[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (g_s[1:] != g_s[:-1]) | (k_s[1:] != k_s[:-1])
+        first = order[new]
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(new) - 1
+
+        # Strength rows: the max fired weight per output term.
+        system = self.system
+        weights = prep.padded_w[gids[first]]
+        cell_terms = terms[first]
+        rows = np.zeros((len(first), system.n_output_terms))
+        for t in range(system.n_output_terms):
+            rows[:, t] = np.where(cell_terms == t, weights, 0.0).max(axis=1)
+
+        values = system.centroid_estimates(rows)
+        near = ~np.isfinite(values) | (np.abs(values - self.s_min) <= self._tol) | (
+            np.abs(values - self.s_th) <= self._tol)
+        for i in np.flatnonzero(near).tolist():
+            values[i] = system.crisp_from_strengths(rows[i].tolist())
+        regions = np.select(
+            [values < self.s_min, values == self.s_min, values < self.s_th],
+            [_BELOW_MIN, _AT_MIN, _MID], _ABOVE_TH)
+        sites = prep.sites
+        for g, k, r in zip(gids[first].tolist(), keys[first].tolist(), regions.tolist()):
+            sites[g].regions[k] = r
+        return regions[inverse]
 
 
 class _StaticDecider:

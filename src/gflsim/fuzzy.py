@@ -280,6 +280,57 @@ def _output_grid(var: LinguisticVariable, resolution: int):
     return xs, table, tuple(spans)
 
 
+@lru_cache(maxsize=64)
+def _overlap_sums(var: LinguisticVariable, resolution: int):
+    """Tables for the closed-form midpoint sums of a clipped composite.
+
+    By inclusion-exclusion, max_t min(s_t, T_t,i) is the signed sum over
+    non-empty term subsets S of min(m_S, V_S,i), where m_S is the least
+    strength in S and V_S the elementwise min of its term rows.  Summed
+    over the samples, min(m, V_S,i) is the sum of the V_S values below m
+    plus m times the count of the rest (and likewise weighted by x), so
+    each subset keeps its nonzero V_S values in ascending order with
+    prefix sums of V and V*x and suffix sums of x.  Subsets whose rows
+    never overlap contribute nothing and are left out, as are all their
+    supersets.
+
+    Returns, one row per kept subset: its term indices (padded by repeats
+    to the longest), its sign (+1 for odd sizes), its sorted values v,
+    len(v), and tables whose entry [j, k] is the sum of the first k
+    values of v, the same for v * x, and the sum of x from the k-th value
+    on, all read-only.
+    """
+    xs, table, _ = _output_grid(var, resolution)
+    subsets, vs, sums = [], [], []
+    frontier = [((t,), table[t]) for t in range(len(table))]
+    while frontier:
+        grown = []
+        for terms, row in frontier:
+            nz = np.flatnonzero(row)
+            if not len(nz):
+                continue
+            order = nz[np.argsort(row[nz], kind="stable")]
+            v, x = row[order], xs[order]
+            subsets.append(terms)
+            vs.append(v)
+            sums.append((np.cumsum(v), np.cumsum(v * x), np.cumsum(x[::-1])[::-1]))
+            grown.extend((terms + (t,), np.minimum(row, table[t]))
+                         for t in range(terms[-1] + 1, len(table)))
+        frontier = grown
+    widest = max(len(t) for t in subsets)
+    width = max(len(v) for v in vs) + 1
+    cum_v, cum_vx, tail_x = (np.zeros((len(subsets), width)) for _ in range(3))
+    for j, (cv, cvx, tx) in enumerate(sums):
+        n = len(cv)
+        cum_v[j, 1:n + 1], cum_vx[j, 1:n + 1], tail_x[j, :n] = cv, cvx, tx
+    terms = np.array([t + t[-1:] * (widest - len(t)) for t in subsets])
+    sign = np.array([1.0 if len(t) % 2 else -1.0 for t in subsets])
+    count = np.array([len(v) for v in vs])
+    for a in (terms, sign, count, *vs, cum_v, cum_vx, tail_x):
+        a.setflags(write=False)
+    return terms, sign, tuple(vs), count, cum_v, cum_vx, tail_x
+
+
 def _centroid_row(
     strengths: Sequence[float],
     xs: np.ndarray,
@@ -330,13 +381,20 @@ def defuzzify_centroid(
     return _centroid_row(np.asarray(activation.strengths, dtype=float), xs, table, spans)
 
 
+# Entries each of FuzzySystem's caches holds before it is cleared.
+_CACHE_LIMIT = 1 << 15
+
+
 class FuzzySystem:
     """Fixed input/output variables plus the full inference pipeline.
 
-    Crisp values are cached per activation pattern, which makes repeated
-    evaluation of the exact same firing strengths (the common case during
-    evolutionary replays) nearly free while keeping a single arithmetic
-    path, bit-identical everywhere.
+    Crisp values are cached per activation pattern, so live decisions
+    that repeat the exact same firing strengths skip the defuzzification
+    while every value still comes from the one arithmetic path.  The value
+    and one-hot caches are each cleared when they reach ``_CACHE_LIMIT``
+    entries, which bounds them over any horizon.  Replays do not fill the
+    value cache: :meth:`centroid_estimates` settles most of their
+    threshold comparisons without defuzzifying.
     """
 
     def __init__(
@@ -383,6 +441,8 @@ class FuzzySystem:
         if m is None:
             g = np.asarray(consequents)
             m = g[:, None] == np.arange(1, self.n_output_terms + 1)
+            if len(self._onehot_cache) >= _CACHE_LIMIT:
+                self._onehot_cache.clear()
             self._onehot_cache[consequents] = m
         return m
 
@@ -397,8 +457,31 @@ class FuzzySystem:
         v = self._value_cache.get(key)
         if v is None:
             v = _centroid_row(s5, self._xs, self._table, self._spans)
+            if len(self._value_cache) >= _CACHE_LIMIT:
+                self._value_cache.clear()
             self._value_cache[key] = v
         return v
+
+    def centroid_estimates(self, strengths: np.ndarray) -> np.ndarray:
+        """Closed-form centroid per row of a (rows, output terms) strength
+        array, NaN where no sample is activated.
+
+        The value is the midpoint centroid of :meth:`crisp_from_strengths`
+        summed in another order, so it can differ from it in the last few
+        ulps; callers that compare against a threshold fall back to the
+        exact value near it.  The tables are built on first use.
+        """
+        terms, sign, vs, count, cum_v, cum_vx, tail_x = _overlap_sums(
+            self.output_var, self.resolution)
+        m = strengths[:, terms].min(axis=2)
+        k = np.empty(m.shape, dtype=np.int64)
+        for j, v in enumerate(vs):
+            k[:, j] = np.searchsorted(v, m[:, j])
+        sub = np.arange(len(vs))
+        den = (cum_v[sub, k] + m * (count - k)) @ sign
+        num = (cum_vx[sub, k] + m * tail_x[sub, k]) @ sign
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
 
     def compute(self, consequents: tuple[int, ...], inputs: Sequence[float]) -> float:
         """Full fuzzify -> fire -> defuzzify pipeline for one input vector."""

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FixedPolicy, make_snapshot, make_window, random_window
 from gflsim.evolver import (
+    _AT_MIN,
     EmptyHistoryError,
     EvolverConfig,
     ReplayFitness,
@@ -30,7 +32,17 @@ from gflsim.fuzzy import (
     evaluate_rules,
     triangle,
 )
-from gflsim.world import FrozenWindow, HistoryWindow, State, World, WorldConfig
+from gflsim.policies import make_policy
+from gflsim.world import (
+    CONNECTION_CUT,
+    HANDOFF_INITIATED,
+    FrozenWindow,
+    HistoryWindow,
+    State,
+    StationSpec,
+    World,
+    WorldConfig,
+)
 
 # Table I of the shipped grid, printed row by row (velocity-major, then
 # distance, then channels) with very-low..very-high encoded 1..5.
@@ -326,6 +338,28 @@ class TestFitness:
         # The wide grid fires all 27 cells, the most one memo key holds.
         assert fit.window_support(wnd) == tuple(range(27))
 
+    def test_threshold_at_an_exact_centroid_matches_reference(self, rng):
+        # With s_min at a decision's exact centroid the estimate lands on the
+        # threshold, so the region (v == s_min) comes from the exact value.
+        system = default_system()
+        windows = [(window_single_gene_fix(), SEED_GENES)]
+        while len(windows) < 8:
+            wnd = random_window(rng)
+            if any(s.state == State.CONNECT for s in wnd.records[0].snapshots):
+                windows.append((wnd, random_chromosome(27, rng)))
+        at_min = 0
+        for wnd, genes in windows:
+            snap = next(s for s in wnd.records[0].snapshots if s.state == State.CONNECT)
+            sv = snap.serving
+            dn = min(max(snap.dist_ratio[sv], 0.0), 1.0)
+            s_min = system.compute(genes, (snap.velocity, dn, snap.chan_norm[sv]))
+            s_th = 0.5 * (s_min + 1.0)
+            fit = ReplayFitness(system, s_min, s_th, dwell=2)
+            assert fit(genes, wnd) == reference_replay(genes, wnd, system, s_min, s_th)
+            memos = [site.regions for site in fit._last_prep[1].sites]
+            at_min += sum(r == _AT_MIN for memo in memos for r in memo.values())
+        assert at_min >= len(windows)
+
     def test_grids_beyond_27_cells_rejected(self):
         four = LinguisticVariable("velocity", 0.0, 30.0, (
             triangle("a", 0.0, 0.0, 10.0), triangle("b", 0.0, 10.0, 20.0),
@@ -361,6 +395,48 @@ class TestFitness:
                 mutated = list(genes)
                 mutated[i] = g
                 assert fit(tuple(mutated), wnd) == base
+
+
+@st.composite
+def live_scenarios(draw):
+    """A small world with random stations, thresholds and dwell."""
+    stations = tuple(
+        StationSpec(draw(st.floats(0.0, 2000.0)), draw(st.floats(0.0, 2000.0)),
+                    draw(st.floats(300.0, 1400.0)), draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    s_min = draw(st.floats(0.0, 0.9))
+    s_th = min(1.0, s_min + draw(st.floats(0.01, 1.0)))
+    return WorldConfig(
+        arena_width=2000.0, arena_height=2000.0, stations=stations,
+        mt_count=draw(st.integers(1, 8)), total_time=20,
+        s_min=s_min, s_th=s_th, dwell=draw(st.integers(1, 4)),
+    )
+
+
+class TestReplayMatchesLive:
+    """Replay of the live grid counts exactly the handoffs and cuts the
+    live world logged in every window, for any scenario."""
+
+    @pytest.mark.parametrize("kind", ["fls", "flah"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cfg=live_scenarios(), seed=st.integers(0, 2**32 - 1),
+           length=st.integers(1, 6))
+    def test_fitness_equals_live_event_count(self, kind, cfg, seed, length):
+        policy = make_policy(kind)
+        fitness = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell,
+                                uses_channels=policy.kind.uses_channels)
+        world = World.build(cfg, np.random.default_rng(seed))
+        window = HistoryWindow(length)
+        for _ in range(cfg.total_time):
+            window.push(world.step(policy))
+            if not window.warm:
+                continue
+            frozen = window.freeze()
+            t0, t1 = frozen.records[0].t, frozen.records[-1].t
+            live = sum(1 for e in world.events if t0 <= e.t <= t1
+                       and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
+            assert fitness.batch([policy.genes], frozen)[0] == live
 
 
 class TestEvolve:

@@ -14,6 +14,7 @@ from gflsim.experiment import (
     ExperimentConfig,
     Summary,
     compare,
+    config_from_dict,
     default_config,
     export_events,
     export_report,
@@ -35,6 +36,56 @@ def small_config(**kw) -> ExperimentConfig:
                     workers=1)
     defaults.update(kw)
     return dataclasses.replace(base, **defaults)
+
+
+class _RecordingDict(dict):
+    """A dict that notes the path of every key looked up in it."""
+
+    def __init__(self, items, path: str, read: set) -> None:
+        super().__init__(items)
+        self._path, self._read = path, read
+
+    def _note(self, key) -> None:
+        self._read.add(f"{self._path}.{key}" if self._path else key)
+
+    def get(self, key, default=None):
+        self._note(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._note(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key) -> bool:
+        self._note(key)
+        return super().__contains__(key)
+
+
+def _recording(value, path: str, read: set):
+    if isinstance(value, dict):
+        return _RecordingDict(
+            {k: _recording(v, f"{path}.{k}" if path else k, read) for k, v in value.items()},
+            path, read)
+    if isinstance(value, list):
+        return [_recording(v, f"{path}[]", read) for v in value]
+    return value
+
+
+def _schema_keys(node: dict, schema: dict, path: str) -> set[str]:
+    """Dotted paths of every property the schema declares ("[]" for items)."""
+    props = dict(node.get("properties", {}))
+    if "$ref" in node:
+        base = schema["$defs"][node["$ref"].rsplit("/", 1)[-1]]
+        base_props = base["properties"]
+        props = {k: {**base_props.get(k, {}), **props.get(k, {})}
+                 for k in base_props.keys() | props.keys()}
+    keys = set()
+    for key, sub in props.items():
+        p = f"{path}.{key}" if path else key
+        keys |= {p} | _schema_keys(sub, schema, p)
+    if "items" in node:
+        keys |= _schema_keys(node["items"], schema, f"{path}[]")
+    return keys
 
 
 class TestLoadConfig:
@@ -115,6 +166,17 @@ class TestLoadConfig:
         assert cfg.fuzzy.velocity.hi == 20.0
         assert [t.shape for t in cfg.fuzzy.velocity.terms] == [
             "triangular", "trapezoidal", "triangular"]
+
+    def test_schema_keys_match_parsed_keys(self):
+        schema = json.loads((REPO / "docs" / "config.schema.json").read_text())
+        raw = json.loads((REPO / "configs" / "default.json").read_text())
+        raw["world"]["accel_duration"] = 60
+        raw["world"]["terminals"] = [{"position": [10, 20], "heading": 0.5, "kind": "steady",
+                                      "speed": 5, "distance": 100, "duration": 10}]
+        raw.update(seeds=list(range(raw["runs"])), workers=1)
+        read: set[str] = set()
+        config_from_dict(_recording(raw, "", read))
+        assert read == _schema_keys(schema, schema, "")
 
     def test_uncovered_terms_named(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import gflsim.fuzzy as fuzzy
 from gflsim.fuzzy import (
     Activation,
     DEFAULT_CONSEQUENTS,
     FuzzyDefinitionError,
+    FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     NoActivationError,
@@ -25,6 +27,8 @@ from gflsim.fuzzy import (
     trapezoid,
     triangle,
 )
+from gflsim.policies import make_policy
+from gflsim.world import World, WorldConfig
 
 # Frozen from a 10^6-sample midpoint Riemann reference computed ahead of the
 # implementation (independent numpy sum over the full output universe).
@@ -240,8 +244,7 @@ class TestDefuzzify:
             assert abs(v - oracle) < 1e-3
 
     def test_centroid_stays_inside_universe(self, rng):
-        # Replay fitness classifies against the thresholds from this hull of
-        # the activated supports, so the centroid must lie strictly inside.
+        # The centroid lies strictly inside the hull of the activated supports.
         system = default_system()
         terms = system.output_var.terms
         for _ in range(10_000):
@@ -285,3 +288,91 @@ class TestPipeline:
         system = default_system()
         with pytest.raises(FuzzyDefinitionError):
             system.check_rule_base(RuleBase(levels=(3, 3), consequents=(1,) * 9))
+
+
+def trapezoid_output() -> LinguisticVariable:
+    return LinguisticVariable("out", 0.0, 1.0, (
+        trapezoid("a", 0.0, 0.0, 0.1, 0.3), trapezoid("b", 0.1, 0.25, 0.35, 0.5),
+        trapezoid("c", 0.3, 0.45, 0.55, 0.7), trapezoid("d", 0.5, 0.65, 0.75, 0.9),
+        trapezoid("e", 0.7, 0.9, 1.0, 1.0),
+    ))
+
+
+def three_way_output() -> LinguisticVariable:
+    """Wide triangles: every subset of the five terms overlaps somewhere."""
+    return LinguisticVariable("out", 0.0, 1.0, (
+        triangle("a", 0.0, 0.0, 0.6), triangle("b", 0.0, 0.25, 0.7),
+        triangle("c", 0.1, 0.5, 0.9), triangle("d", 0.3, 0.75, 1.0),
+        triangle("e", 0.4, 1.0, 1.0),
+    ))
+
+
+def shifted_output() -> LinguisticVariable:
+    return LinguisticVariable("out", -50.0, 150.0, (
+        triangle("a", -50.0, -50.0, 0.0), triangle("b", -50.0, 0.0, 50.0),
+        triangle("c", 0.0, 50.0, 100.0), triangle("d", 50.0, 100.0, 150.0),
+        triangle("e", 100.0, 150.0, 150.0),
+    ))
+
+
+class TestCentroidEstimate:
+    @pytest.mark.parametrize("output", [default_output, trapezoid_output,
+                                        three_way_output, shifted_output])
+    def test_matches_exact_centroid(self, output, rng):
+        system = FuzzySystem((default_velocity(),), output())
+        rows = rng.random((10_000, 5)) * (rng.random((10_000, 5)) < 0.6)
+        rows[~rows.any(axis=1), 2] = 0.5
+        rows[:50] = rng.integers(0, 3, size=(50, 5)) / 2  # ties and full strengths
+        rows[:50][~rows[:50].any(axis=1), 0] = 1.0
+        est = system.centroid_estimates(rows)
+        exact = np.array([
+            fuzzy._centroid_row(r, system._xs, system._table, system._spans)
+            for r in rows.tolist()
+        ])
+        var = system.output_var
+        bound = 1e-12 * max(1.0, abs(var.lo), abs(var.hi))
+        assert np.abs(est - exact).max() <= bound
+
+    def test_three_way_output_keeps_every_overlap(self):
+        var = three_way_output()
+        assert len(fuzzy._overlap_sums(var, 1001)[0]) == 31
+        assert len(fuzzy._overlap_sums(default_output(), 1001)[0]) == 9
+
+    def test_no_activation_estimates_nan(self):
+        system = default_system()
+        est = system.centroid_estimates(np.zeros((2, 5)))
+        assert np.isnan(est).all()
+        with pytest.raises(NoActivationError):
+            system.crisp_from_strengths([0.0] * 5)
+
+
+class TestCaches:
+    def test_caches_stay_bounded_over_a_long_run(self, monkeypatch):
+        cap = 64
+        cfg = WorldConfig(mt_count=10, total_time=150)
+        reference, unbounded = World.build(cfg, np.random.default_rng(8)), make_policy("fls")
+        for _ in range(cfg.total_time):
+            reference.step(unbounded)
+        monkeypatch.setattr(fuzzy, "_CACHE_LIMIT", cap)
+        policy = make_policy("fls")
+        world = World.build(cfg, np.random.default_rng(8))
+        largest = 0
+        for _ in range(cfg.total_time):
+            world.step(policy)
+            largest = max(largest, len(policy.system._value_cache))
+        assert largest == cap
+        assert world.events == reference.events
+
+    def test_capped_system_computes_the_same_values(self, monkeypatch, rng):
+        fresh = default_system()
+        monkeypatch.setattr(fuzzy, "_CACHE_LIMIT", 8)
+        capped = default_system()
+        for _ in range(300):
+            genes = tuple(int(g) for g in rng.integers(1, 6, size=27))
+            inputs = (rng.uniform(0, 30), rng.uniform(0, 1), rng.uniform(0, 1))
+            w = capped.cell_weights(capped.fuzzify(inputs))
+            s = capped.strengths(w, genes)
+            assert capped.compute(genes, inputs) == fuzzy._centroid_row(
+                s.tolist(), fresh._xs, fresh._table, fresh._spans)
+            assert len(capped._value_cache) <= 8
+            assert len(capped._onehot_cache) <= 8
