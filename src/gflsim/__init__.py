@@ -35,19 +35,13 @@ from .experiment import (
     run,
 )
 from .fuzzy import (
-    Activation,
     DEFAULT_CONSEQUENTS,
     FuzzyDefinitionError,
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     NoActivationError,
-    RuleBase,
-    compute_rss_threshold,
-    default_rule_base,
     default_system,
-    defuzzify_centroid,
-    evaluate_rules,
     trapezoid,
     triangle,
 )
@@ -71,9 +65,7 @@ from .world import (
     audit_energy,
     audit_motion,
     distance_to_boundary,
-    free_channels_norm,
     select_target_bs,
-    steady_position,
 )
 
 __version__ = "0.1.0"

@@ -59,6 +59,8 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace,
     if args.seed is not None and args.runs is not None:
         raise ConfigError("--seed and --runs are mutually exclusive")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be a non-negative integer")
         config = dataclasses.replace(config, seeds=(args.seed,))
     elif args.runs is not None:
         if args.runs < 1:

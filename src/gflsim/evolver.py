@@ -265,6 +265,7 @@ class _WindowPrep:
     def _unit_sites(self, rec, u: int, fitness: "ReplayFitness") -> dict[int, _Site]:
         """Sites of one unit, keyed by flat (terminal, station) column."""
         inputs = fitness.system.input_vars
+        uses_channels = len(inputs) >= 3
         S = self.n_stations
         sites: dict[int, _Site] = {}
         for m in range(self.n_mts):
@@ -275,21 +276,12 @@ class _WindowPrep:
                 if v_deg is None:
                     v_deg = inputs[0].fuzzify(rec.snapshots[m].velocity)
                 degs = [v_deg, inputs[1].fuzzify(float(self.dn[u, m, s]))]
-                if fitness.uses_channels:
+                if uses_channels:
                     degs.append(inputs[2].fuzzify(float(self.chan[u, m, s])))
                 w = fitness.system.cell_weights(degs)
                 fired = np.flatnonzero(w > 0.0)
                 sites[m * S + s] = _Site([int(i) for i in fired], [float(v) for v in w[fired]])
         return sites
-
-
-def _window_records(window):
-    recs = getattr(window, "records", window)
-    return tuple(recs)
-
-
-def _window_checkpoint(window):
-    return getattr(window, "checkpoint", None)
 
 
 class ReplayFitness:
@@ -309,7 +301,6 @@ class ReplayFitness:
         dwell: int = 2,
         weight_handoff: float = 1.0,
         weight_cut: float = 1.0,
-        uses_channels: Optional[bool] = None,
     ) -> None:
         if not 0 <= s_min < s_th <= 1:
             raise ValueError(f"need 0 <= s_min < s_th <= 1, got {s_min}, {s_th}")
@@ -322,9 +313,6 @@ class ReplayFitness:
         self.dwell = int(dwell)
         self.weight_handoff = float(weight_handoff)
         self.weight_cut = float(weight_cut)
-        self.uses_channels = (
-            len(system.input_vars) >= 3 if uses_channels is None else uses_channels
-        )
         out = system.output_var
         self._tol = _ESTIMATE_TOL * max(1.0, abs(out.lo), abs(out.hi))
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
@@ -345,7 +333,7 @@ class ReplayFitness:
         Genes outside this set cannot influence fitness, so populations may
         be deduplicated on this projection.
         """
-        records = _window_records(window)
+        records = window.records
         if not records:
             raise EmptyHistoryError("history window is empty")
         return self._prep(records).support
@@ -357,7 +345,7 @@ class ReplayFitness:
         """Fitness of every chromosome, replayed in lockstep across the
         population with vectorized transitions; each decision resolves
         through its site's region memo."""
-        records = _window_records(window)
+        records = window.records
         if not records:
             raise EmptyHistoryError("history window is empty")
         P = len(population)
@@ -503,15 +491,16 @@ class ReplayFitness:
 
 
 class _StaticDecider:
-    """Decide-only adapter binding a consequent vector to a fuzzy system."""
+    """Decide-only adapter binding a consequent vector to a fuzzy system;
+    a two-input system ignores the channel input."""
 
-    def __init__(self, system: FuzzySystem, genes: Chromosome, uses_channels: bool) -> None:
+    def __init__(self, system: FuzzySystem, genes: Chromosome) -> None:
         self.system = system
         self.genes = genes
-        self.uses_channels = uses_channels
+        self.n_inputs = len(system.input_vars)
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
-        inputs = (velocity, dist_norm, chan_norm) if self.uses_channels else (velocity, dist_norm)
+        inputs = (velocity, dist_norm, chan_norm)[: self.n_inputs]
         return self.system.compute(self.genes, inputs)
 
 
@@ -525,24 +514,20 @@ class ResimFitness:
         system: FuzzySystem,
         weight_handoff: float = 1.0,
         weight_cut: float = 1.0,
-        uses_channels: Optional[bool] = None,
     ) -> None:
         self.system = system
         self.weight_handoff = float(weight_handoff)
         self.weight_cut = float(weight_cut)
-        self.uses_channels = (
-            len(system.input_vars) >= 3 if uses_channels is None else uses_channels
-        )
 
     def __call__(self, genes: Sequence[int], window) -> float:
-        records = _window_records(window)
+        records = window.records
         if not records:
             raise EmptyHistoryError("history window is empty")
-        checkpoint = _window_checkpoint(window)
+        checkpoint = window.checkpoint
         if checkpoint is None:
             raise EmptyHistoryError("full re-simulation needs a recorded checkpoint")
         world = checkpoint.clone_state()
-        probe = _StaticDecider(self.system, tuple(genes), self.uses_channels)
+        probe = _StaticDecider(self.system, tuple(genes))
         for _ in records:
             world.step(probe)
         ho = sum(1 for e in world.events if e.kind == "HandoffInitiated")
@@ -565,7 +550,7 @@ def evolve(
     -> mutate; the incumbent best replaces the first offspring unchanged,
     which makes the per-generation best fitness non-increasing.
     """
-    records = _window_records(window)
+    records = window.records
     if not records:
         raise EmptyHistoryError("history window is empty")
     size = cfg.population_size

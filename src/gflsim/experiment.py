@@ -382,6 +382,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if (not isinstance(seeds_raw, list) or not seeds_raw
                 or any(not isinstance(s, int) or isinstance(s, bool) for s in seeds_raw)):
             raise ConfigError("seeds: expected a non-empty list of integers")
+        for i, s in enumerate(seeds_raw):
+            if s < 0:
+                raise ConfigError(f"seeds[{i}]: must be a non-negative integer, got {s}")
         seeds = tuple(seeds_raw)
         if runs_raw is not None and runs_raw != len(seeds):
             raise ConfigError(f"runs: {runs_raw} does not match the {len(seeds)} listed seeds")

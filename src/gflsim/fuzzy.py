@@ -12,7 +12,6 @@ simulation loop and parallel fitness replays.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,18 +26,12 @@ __all__ = [
     "triangle",
     "trapezoid",
     "LinguisticVariable",
-    "RuleBase",
-    "Activation",
     "FuzzySystem",
-    "evaluate_rules",
-    "defuzzify_centroid",
-    "compute_rss_threshold",
     "DEFAULT_CONSEQUENTS",
     "default_velocity",
     "default_distance",
     "default_channels",
     "default_output",
-    "default_rule_base",
     "default_system",
 ]
 
@@ -46,7 +39,7 @@ DEFAULT_RESOLUTION = 1001
 
 
 class FuzzyDefinitionError(ValueError):
-    """A membership function, variable, or rule grid is malformed."""
+    """A membership function, variable, or fuzzy system is malformed."""
 
 
 class NoActivationError(ValueError):
@@ -178,10 +171,6 @@ class LinguisticVariable:
                     f"variable {self.name!r}: no term covers x={x}"
                 )
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(t.label for t in self.terms)
-
     def clamp(self, x: float) -> float:
         return min(max(float(x), self.lo), self.hi)
 
@@ -189,78 +178,6 @@ class LinguisticVariable:
         """Degree per term for ``x``; values outside the universe are clamped."""
         xc = self.clamp(x)
         return tuple(t.degree(xc) for t in self.terms)
-
-
-@dataclass(frozen=True)
-class RuleBase:
-    """Complete antecedent grid mapping level combinations to output terms.
-
-    ``consequents`` is laid out row-major over ``levels`` (first input is
-    the slowest axis) and holds 1-based output-term indices.
-    """
-
-    levels: tuple[int, ...]
-    consequents: tuple[int, ...]
-    n_output_terms: int = 5
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
-        object.__setattr__(self, "consequents", tuple(int(g) for g in self.consequents))
-        expected = math.prod(self.levels)
-        if len(self.consequents) != expected:
-            raise FuzzyDefinitionError(
-                f"rule grid needs {expected} consequents, got {len(self.consequents)}"
-            )
-        bad = [g for g in self.consequents if not 1 <= g <= self.n_output_terms]
-        if bad:
-            raise FuzzyDefinitionError(f"consequent indices out of 1..{self.n_output_terms}: {bad}")
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.consequents)
-
-    def consequent(self, *level_idx: int) -> int:
-        flat = 0
-        for n, i in zip(self.levels, level_idx):
-            flat = flat * n + i
-        return self.consequents[flat]
-
-
-@dataclass(frozen=True)
-class Activation:
-    """Per-output-term firing strengths after rule aggregation."""
-
-    strengths: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        s = tuple(float(v) for v in self.strengths)
-        object.__setattr__(self, "strengths", s)
-        if any(not 0.0 <= v <= 1.0 for v in s):
-            raise FuzzyDefinitionError(f"strengths outside [0,1]: {s}")
-
-    def any_fired(self) -> bool:
-        return any(v > 0.0 for v in self.strengths)
-
-
-def evaluate_rules(rules: RuleBase, *degree_vectors: Sequence[float]) -> Activation:
-    """Fire the whole grid: min-AND per cell, max aggregation per output term.
-
-    The result does not depend on cell iteration order.
-    """
-    if len(degree_vectors) != len(rules.levels):
-        raise FuzzyDefinitionError(
-            f"expected {len(rules.levels)} degree vectors, got {len(degree_vectors)}"
-        )
-    for n, degs in zip(rules.levels, degree_vectors):
-        if len(degs) != n:
-            raise FuzzyDefinitionError(f"degree vector length {len(degs)} != {n} levels")
-    strengths = [0.0] * rules.n_output_terms
-    for flat, combo in enumerate(itertools.product(*(range(n) for n in rules.levels))):
-        w = min(degree_vectors[axis][idx] for axis, idx in enumerate(combo))
-        term = rules.consequents[flat] - 1
-        if w > strengths[term]:
-            strengths[term] = w
-    return Activation(tuple(strengths))
 
 
 @lru_cache(maxsize=64)
@@ -365,22 +282,6 @@ def _centroid_row(
     return float(np.dot(comp, xs[i0:i1]) / denom)
 
 
-def defuzzify_centroid(
-    activation: Activation,
-    out_var: LinguisticVariable,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> float:
-    """Center-of-area defuzzification by midpoint rule with uniform samples."""
-    if len(activation.strengths) != len(out_var.terms):
-        raise FuzzyDefinitionError(
-            f"{len(activation.strengths)} strengths for {len(out_var.terms)} output terms"
-        )
-    if not activation.any_fired():
-        raise NoActivationError("all firing strengths are zero")
-    xs, table, spans = _output_grid(out_var, resolution)
-    return _centroid_row(np.asarray(activation.strengths, dtype=float), xs, table, spans)
-
-
 # Entries each of FuzzySystem's caches holds before it is cleared.
 _CACHE_LIMIT = 1 << 15
 
@@ -414,13 +315,6 @@ class FuzzySystem:
         self._xs, self._table, self._spans = _output_grid(output_var, self.resolution)
         self._value_cache: dict[tuple, float] = {}
         self._onehot_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def check_rule_base(self, rules: RuleBase) -> None:
-        if rules.levels != self.levels or rules.n_output_terms != self.n_output_terms:
-            raise FuzzyDefinitionError(
-                f"rule grid {rules.levels}->{rules.n_output_terms} does not match "
-                f"system {self.levels}->{self.n_output_terms}"
-            )
 
     def fuzzify(self, inputs: Sequence[float]) -> tuple[tuple[float, ...], ...]:
         if len(inputs) != len(self.input_vars):
@@ -491,22 +385,6 @@ class FuzzySystem:
         return self.crisp_from_strengths(s)
 
 
-def compute_rss_threshold(
-    rules: RuleBase,
-    system: FuzzySystem,
-    velocity: float,
-    dist_norm: float,
-    chan_norm: float,
-) -> float:
-    """Crisp handoff signal in [0, 1] for one (velocity, distance, channel) triple.
-
-    ``dist_norm`` and ``chan_norm`` are expected pre-normalized to [0, 1];
-    out-of-universe values are clamped rather than rejected.
-    """
-    system.check_rule_base(rules)
-    return system.compute(rules.consequents, (velocity, dist_norm, chan_norm))
-
-
 # Consequents for the shipped 3x3x3 grid, velocity-major then distance then
 # channels, encoded 1 (very low) .. 5 (very high).  This is also the seed
 # chromosome for consequent evolution.
@@ -549,10 +427,6 @@ def default_output(name: str = "rss_threshold") -> LinguisticVariable:
         triangle("high", 0.5, 0.75, 1.0),
         triangle("very_high", 0.75, 1.0, 1.0),
     ))
-
-
-def default_rule_base() -> RuleBase:
-    return RuleBase(levels=(3, 3, 3), consequents=DEFAULT_CONSEQUENTS)
 
 
 def default_system(resolution: int = DEFAULT_RESOLUTION) -> FuzzySystem:

@@ -95,16 +95,14 @@ class HandoffPolicy:
             return
         if now - self.last_evolved < self.evolver.cfg.invocation_period:
             return
-        if not getattr(window, "warm", True):
+        if not window.warm:
             return
         best_fit: list[float] = []
         best = self.evolver.evolve(
-            window.freeze() if hasattr(window, "freeze") else window,
-            on_generation=lambda gen, fit: best_fit.append(fit),
-        )
+            window.freeze(), on_generation=lambda gen, fit: best_fit.append(fit))
         self.genes = tuple(best)
         self.last_evolved = now
-        self.evolution_log.append((now, best_fit[-1] if best_fit else float("nan"), self.genes))
+        self.evolution_log.append((now, best_fit[-1], self.genes))
 
 
 def make_policy(
@@ -141,11 +139,9 @@ def make_policy(
         if rng is None:
             raise ValueError(f"{kind.value} needs a random generator stream")
         if cfg.full_resim:
-            fitness = ResimFitness(system, cfg.weight_handoff, cfg.weight_cut,
-                                   uses_channels=kind.uses_channels)
+            fitness = ResimFitness(system, cfg.weight_handoff, cfg.weight_cut)
         else:
             fitness = ReplayFitness(system, s_min, s_th, dwell,
-                                    cfg.weight_handoff, cfg.weight_cut,
-                                    uses_channels=kind.uses_channels)
+                                    cfg.weight_handoff, cfg.weight_cut)
         evolver = RuleEvolver(genes, cfg, fitness, rng)
     return HandoffPolicy(kind, system, genes, evolver)

@@ -41,12 +41,10 @@ __all__ = [
     "World",
     "acceleration_for",
     "accelerated_state",
-    "steady_position",
     "advance_mt",
     "distance_to_boundary",
     "boundary_ratio",
     "distance_norm",
-    "free_channels_norm",
     "select_target_bs",
     "audit_channels",
     "audit_energy",
@@ -284,12 +282,6 @@ def accelerated_state(a: float, t_i: float, verbatim: bool = False) -> tuple[flo
     return x_i, v_i
 
 
-def steady_position(v: float, t_i: float) -> float:
-    if v < 0 or t_i < 0:
-        raise DomainError("steady motion requires v >= 0 and t >= 0")
-    return v * t_i
-
-
 def _fold(p: float, lo: float, hi: float) -> tuple[float, float]:
     """Reflect a coordinate into [lo, hi]; returns (position, direction sign)."""
     span = hi - lo
@@ -341,10 +333,6 @@ def boundary_ratio(mt_x: float, mt_y: float, bs: BaseStation) -> float:
 def distance_norm(ratio: float) -> float:
     """Fuzzy distance input: the boundary ratio clamped to [0, 1]."""
     return min(max(ratio, 0.0), 1.0)
-
-
-def free_channels_norm(bs: BaseStation) -> float:
-    return bs.free_norm()
 
 
 def select_target_bs(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,20 @@ class FixedPolicy:
 
     def decide(self, velocity, dist_norm, chan_norm) -> float:
         return self.value
+
+
+def reference_strengths(consequents, degree_vectors, n_terms: int = 5) -> tuple[float, ...]:
+    """Independent min-max firing of a complete rule grid: min-AND per cell,
+    cells row-major over the degree vectors (first input slowest), and max
+    aggregation per 1-based output term."""
+    strengths = [0.0] * n_terms
+    cells = itertools.product(*(range(len(degs)) for degs in degree_vectors))
+    for flat, combo in enumerate(cells):
+        w = min(degree_vectors[axis][idx] for axis, idx in enumerate(combo))
+        term = consequents[flat] - 1
+        if w > strengths[term]:
+            strengths[term] = w
+    return tuple(float(v) for v in strengths)
 
 
 def make_snapshot(

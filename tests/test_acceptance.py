@@ -22,13 +22,7 @@ from gflsim.evolver import (
     validate_chromosome,
 )
 from gflsim.experiment import compare, default_config
-from gflsim.fuzzy import (
-    Activation,
-    DEFAULT_CONSEQUENTS,
-    default_output,
-    default_system,
-    defuzzify_centroid,
-)
+from gflsim.fuzzy import DEFAULT_CONSEQUENTS, default_system
 from gflsim.policies import make_policy
 from gflsim.world import (
     BLOCKED,
@@ -156,7 +150,8 @@ def _grouped_riemann_centroid(out_var, strengths, n):
 
 
 def test_criterion_1_defuzzification_oracle():
-    out_var = default_output()
+    system = default_system()
+    out_var = system.output_var
     rng = np.random.default_rng(314159)
     S = rng.random((1000, 5))
 
@@ -174,7 +169,7 @@ def test_criterion_1_defuzzification_oracle():
     worst = 0.0
     for row in S:
         oracle = _grouped_riemann_centroid(out_var, tuple(row), n)
-        got = defuzzify_centroid(Activation(tuple(row)), out_var, 1001)
+        got = system.crisp_from_strengths(row)
         worst = max(worst, abs(got - oracle))
     elapsed = time.perf_counter() - t0
 

@@ -1,0 +1,21 @@
+"""Public API surface: every exported name resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import gflsim
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(gflsim.__path__, "gflsim."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    # A stale ``__all__`` entry does not fail at import, only at
+    # ``from module import *`` or on first use.
+    module = importlib.import_module(name)
+    exported = module.__all__
+    assert len(set(exported)) == len(exported), "duplicate __all__ entries"
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined attributes: {missing}"

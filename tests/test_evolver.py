@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FixedPolicy, make_snapshot, make_window, random_window
+from conftest import FixedPolicy, make_snapshot, make_window, random_window, reference_strengths
 from gflsim.evolver import (
     _AT_MIN,
     EmptyHistoryError,
@@ -23,13 +23,10 @@ from gflsim.fuzzy import (
     DEFAULT_CONSEQUENTS,
     FuzzySystem,
     LinguisticVariable,
-    RuleBase,
     default_distance,
     default_output,
     default_system,
     default_velocity,
-    defuzzify_centroid,
-    evaluate_rules,
     triangle,
 )
 from gflsim.policies import make_policy
@@ -231,18 +228,18 @@ def wide_system() -> FuzzySystem:
 
 
 def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2):
-    """Step-by-step window re-simulation using only the public fuzzy ops.
+    """Step-by-step window re-simulation: per-variable fuzzification, the
+    independent min-max firing of ``reference_strengths`` and the exact
+    centroid of ``FuzzySystem.crisp_from_strengths``.
 
     A two-input ``system`` ignores the channel input, as FLAH does.
     """
     system = system or default_system()
-    rb = RuleBase(levels=system.levels, consequents=tuple(genes),
-                  n_output_terms=system.n_output_terms)
 
     def value(v, dn, cn):
         degs = [var.fuzzify(x) for var, x in zip(system.input_vars, (v, dn, cn))]
-        act = evaluate_rules(rb, *degs)
-        return defuzzify_centroid(act, system.output_var, system.resolution)
+        return system.crisp_from_strengths(
+            reference_strengths(genes, degs, system.n_output_terms))
 
     records = window.records
     n_stations = len(records[0].snapshots[0].dist_ratio)
@@ -424,8 +421,7 @@ class TestReplayMatchesLive:
            length=st.integers(1, 6))
     def test_fitness_equals_live_event_count(self, kind, cfg, seed, length):
         policy = make_policy(kind)
-        fitness = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell,
-                                uses_channels=policy.kind.uses_channels)
+        fitness = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell)
         world = World.build(cfg, np.random.default_rng(seed))
         window = HistoryWindow(length)
         for _ in range(cfg.total_time):
@@ -437,6 +433,39 @@ class TestReplayMatchesLive:
             live = sum(1 for e in world.events if t0 <= e.t <= t1
                        and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
             assert fitness.batch([policy.genes], frozen)[0] == live
+
+    @pytest.mark.parametrize("kind", ["gfls", "gflah"])
+    def test_fitness_equals_live_event_count_under_evolved_grids(self, kind):
+        # A small GA retunes the live grid every 3 units; every window whose
+        # units all ran under one grid must replay to the live count.  The
+        # GA's other grids are scored first, so they fill the site memos
+        # that the live grid's replay then reads.
+        ga = EvolverConfig(population_size=10, tournament_size=3, generations=2,
+                           invocation_period=3, window_length=4)
+        checked = evolved = 0
+        for seed in range(3):
+            cfg = WorldConfig(mt_count=30, total_time=40)
+            policy = make_policy(kind, evolver_cfg=ga, rng=np.random.default_rng(seed))
+            fitness = policy.evolver.fitness
+            world = World.build(cfg, np.random.default_rng(100 + seed))
+            window = HistoryWindow(ga.window_length)
+            grids = []
+            for t in range(1, cfg.total_time + 1):
+                grids.append(policy.genes)
+                window.push(world.step(policy))
+                if window.warm and len(set(grids[-ga.window_length:])) == 1:
+                    frozen = window.freeze()
+                    t0, t1 = frozen.records[0].t, frozen.records[-1].t
+                    live = sum(1 for e in world.events if t0 <= e.t <= t1
+                               and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
+                    fitness.batch([g for g in policy.evolver.population if g != grids[-1]],
+                                  frozen)
+                    assert fitness.batch([grids[-1]], frozen)[0] == live, (seed, t)
+                    checked += 1
+                    evolved += grids[-1] != grids[0]
+                policy.on_epoch(window, t)
+        assert checked >= 60
+        assert evolved >= 30
 
 
 class TestEvolve:

@@ -5,10 +5,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gflsim.cli import main as cli_main
-from gflsim.evolver import EvolverConfig
+from gflsim.evolver import EvolverConfig, ResimFitness
 from gflsim.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from gflsim.experiment import (
     load_report,
     run,
 )
+from gflsim.policies import make_policy
 from gflsim.world import StationSpec, TerminalSpec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -256,6 +258,25 @@ class TestRun:
             assert len(genes) == 27
             assert all(1 <= g <= 5 for g in genes)
 
+    @pytest.mark.parametrize("kind, n_inputs", [("gfls", 3), ("gflah", 2)])
+    def test_full_resim_end_to_end(self, kind, n_inputs):
+        cfg = config_from_dict({
+            "world": {"mt_count": 6, "total_time": 12},
+            "evolver": {"population_size": 6, "tournament_size": 3, "generations": 2,
+                        "invocation_period": 3, "window_length": 4, "full_resim": True},
+            "policies": [kind], "seeds": [5], "workers": 1,
+        })
+        fitness = make_policy(kind, evolver_cfg=cfg.evolver,
+                              rng=np.random.default_rng(0)).evolver.fitness
+        assert isinstance(fitness, ResimFitness)
+        assert len(fitness.system.input_vars) == n_inputs
+        res = run(cfg, kind, 5)
+        # Due epochs: the period has elapsed since the last retune and the
+        # 4-unit window is warm, i.e. t = 4, 7, 10.
+        assert [t for t, _, _ in res.evolution] == [4, 7, 10]
+        assert all(len(genes) == 3 ** n_inputs for _, _, genes in res.evolution)
+        assert run(cfg, kind, 5) == res
+
     def test_eq2_verbatim_changes_speeds(self):
         cfg = small_config()
         world_v = dataclasses.replace(cfg.world, eq2_verbatim=True)
@@ -391,6 +412,8 @@ class TestCli:
         ('{"fuzzy": {"output": {"terms": [{"label": "a", "points": [0, 0, 0.4]},'
          ' {"label": "b", "points": [0, 0.4, 0.6]}, {"label": "c", "points": [0.4, 0.6, 1]},'
          ' {"label": "d", "points": [0.6, 1, 1]}]}}}', "fuzzy.output.terms"),
+        ('{"seeds": [-1]}', "seeds[0]"),
+        ('{"seeds": [0, 4, -3]}', "seeds[2]"),
     ])
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.json"
@@ -424,6 +447,10 @@ class TestCli:
         cfg.write_text(json.dumps(raw))
         assert cli_main(["--config", str(cfg), "--runs", "5"]) == 2
         assert "seeds" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert cli_main(["--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_seed_and_runs_mutually_exclusive(self, tmp_path, capsys):
         cfg = self.write_small_config(tmp_path)

@@ -6,24 +6,21 @@ import numpy as np
 import pytest
 
 import gflsim.fuzzy as fuzzy
+from conftest import reference_strengths
+from gflsim.evolver import validate_chromosome
+from gflsim.experiment import ConfigError, config_from_dict
 from gflsim.fuzzy import (
-    Activation,
     DEFAULT_CONSEQUENTS,
     FuzzyDefinitionError,
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     NoActivationError,
-    RuleBase,
-    compute_rss_threshold,
     default_channels,
     default_distance,
     default_output,
-    default_rule_base,
     default_system,
     default_velocity,
-    defuzzify_centroid,
-    evaluate_rules,
     trapezoid,
     triangle,
 )
@@ -129,50 +126,60 @@ class TestLinguisticVariable:
 
 
 class TestRuleBase:
+    """The shipped 3x3x3 grid, laid out row-major over the input levels."""
+
     def test_default_grid_shape(self):
-        rb = default_rule_base()
-        assert rb.levels == (3, 3, 3)
-        assert len(rb.consequents) == 27
-        assert all(1 <= g <= 5 for g in rb.consequents)
+        system = default_system()
+        assert system.levels == (3, 3, 3)
+        assert system.n_cells == len(DEFAULT_CONSEQUENTS) == 27
+        assert all(1 <= g <= 5 for g in DEFAULT_CONSEQUENTS)
 
     def test_consequent_lookup_is_row_major(self):
-        rb = default_rule_base()
-        assert rb.consequent(0, 0, 0) == DEFAULT_CONSEQUENTS[0]
-        assert rb.consequent(1, 2, 1) == DEFAULT_CONSEQUENTS[(1 * 3 + 2) * 3 + 1]
+        # One crisp level per input fires exactly the cell at
+        # (velocity * 3 + distance) * 3 + channels.
+        system = default_system()
+        for v, d, c in ((0, 0, 0), (1, 2, 1), (2, 0, 2)):
+            degs = [tuple(float(i == lvl) for i in range(3)) for lvl in (v, d, c)]
+            fired = np.flatnonzero(system.cell_weights(degs))
+            assert fired.tolist() == [(v * 3 + d) * 3 + c]
 
     def test_distance_monotonicity(self):
         # For fixed velocity and channel levels the consequent index does
         # not decrease as the distance level rises.
-        rb = default_rule_base()
         for v in range(3):
             for c in range(3):
-                row = [rb.consequent(v, d, c) for d in range(3)]
+                row = [DEFAULT_CONSEQUENTS[(v * 3 + d) * 3 + c] for d in range(3)]
                 assert row == sorted(row), (v, c, row)
 
     def test_validation(self):
-        with pytest.raises(FuzzyDefinitionError):
-            RuleBase(levels=(3, 3, 3), consequents=(1,) * 26)
-        with pytest.raises(FuzzyDefinitionError):
-            RuleBase(levels=(2, 2), consequents=(1, 2, 3, 6))
+        # Grids enter through the config and the GA; both reject a wrong
+        # cell count and a consequent outside 1..5.
+        for bad in ([1] * 26, [6] + [1] * 26):
+            with pytest.raises(ConfigError, match="fuzzy.consequents"):
+                config_from_dict({"fuzzy": {"consequents": bad}})
+            with pytest.raises(ValueError):
+                validate_chromosome(bad, 27)
+
+
+def fire(degs, consequents=DEFAULT_CONSEQUENTS):
+    """Output-term strengths of the default system for raw degree vectors."""
+    system = default_system()
+    return tuple(system.strengths(system.cell_weights(degs), tuple(consequents)).tolist())
 
 
 class TestEvaluateRules:
     def test_single_cell_fires(self):
-        act = evaluate_rules(default_rule_base(), (1, 0, 0), (1, 0, 0), (1, 0, 0))
-        assert act.strengths == (0.0, 1.0, 0.0, 0.0, 0.0)
+        assert fire([(1, 0, 0), (1, 0, 0), (1, 0, 0)]) == (0.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_all_zero_degrees(self):
-        act = evaluate_rules(default_rule_base(), (0, 0, 0), (0, 0, 0), (0, 0, 0))
-        assert act.strengths == (0.0,) * 5
+        assert fire([(0, 0, 0), (0, 0, 0), (0, 0, 0)]) == (0.0,) * 5
 
     def test_two_cells_aggregate(self):
-        act = evaluate_rules(default_rule_base(), (0.5, 0.5, 0), (1, 0, 0), (1, 0, 0))
-        assert act.strengths == (0.5, 0.5, 0.0, 0.0, 0.0)
+        assert fire([(0.5, 0.5, 0), (1, 0, 0), (1, 0, 0)]) == (0.5, 0.5, 0.0, 0.0, 0.0)
 
     def test_iteration_order_invariance(self, rng):
         # shuffled-order reference evaluation
         import itertools
-        rb = default_rule_base()
         for _ in range(50):
             degs = [tuple(rng.random(3)) for _ in range(3)]
             cells = list(enumerate(itertools.product(range(3), range(3), range(3))))
@@ -180,41 +187,39 @@ class TestEvaluateRules:
             ref = [0.0] * 5
             for flat, (i, j, k) in cells:
                 w = min(degs[0][i], degs[1][j], degs[2][k])
-                term = rb.consequents[flat] - 1
+                term = DEFAULT_CONSEQUENTS[flat] - 1
                 ref[term] = max(ref[term], w)
-            assert evaluate_rules(rb, *degs).strengths == tuple(ref)
+            assert fire(degs) == tuple(ref)
+            assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == tuple(ref)
 
     def test_arity_checked(self):
         with pytest.raises(FuzzyDefinitionError):
-            evaluate_rules(default_rule_base(), (1, 0, 0), (1, 0, 0))
-
-    def test_activation_validates_range(self):
-        with pytest.raises(FuzzyDefinitionError):
-            Activation((0.5, 1.2, 0, 0, 0))
+            default_system().compute(DEFAULT_CONSEQUENTS, (10.0, 0.5))
 
 
 class TestDefuzzify:
     def test_symmetric_triangle(self):
-        v = defuzzify_centroid(Activation((0, 1, 0, 0, 0)), default_output(), 1001)
+        v = default_system().crisp_from_strengths((0, 1, 0, 0, 0))
         assert abs(v - 0.25) < 1e-3
 
     def test_clipping_preserves_symmetry(self):
-        v = defuzzify_centroid(Activation((0, 0.5, 0, 0, 0)), default_output(), 1001)
+        v = default_system().crisp_from_strengths((0, 0.5, 0, 0, 0))
         assert abs(v - 0.25) < 1e-3
 
     def test_mixed_activation_against_frozen_oracle(self):
-        v = defuzzify_centroid(Activation((0.5, 0.5, 0, 0, 0)), default_output(), 1001)
+        v = default_system().crisp_from_strengths((0.5, 0.5, 0, 0, 0))
         assert 0.083 < v < 0.25
         assert abs(v - ORACLE_MIXED_VL_L) < 1e-3
 
     def test_no_activation_raises(self):
         with pytest.raises(NoActivationError):
-            defuzzify_centroid(Activation((0.0,) * 5), default_output(), 1001)
+            default_system().crisp_from_strengths((0.0,) * 5)
 
     def test_matched_resolution_agrees_with_independent_sum(self, rng):
         # independent reference: scalar degrees, math.fsum accumulation
-        out = default_output()
-        res = 1001
+        system = default_system()
+        out = system.output_var
+        res = system.resolution
         for _ in range(40):
             s = rng.random(5)
             s[rng.integers(0, 5)] = 0.0
@@ -229,18 +234,18 @@ class TestDefuzzify:
                 num_terms.append(x * comp)
                 den_terms.append(comp)
             ref = math.fsum(num_terms) / math.fsum(den_terms)
-            v = defuzzify_centroid(Activation(tuple(s)), out, res)
+            v = system.crisp_from_strengths(s)
             assert abs(v - ref) < 1e-12
 
     def test_high_resolution_oracle_spot_checks(self, rng):
-        out = default_output()
+        system = default_system()
         xs = (np.arange(1_000_000) + 0.5) / 1_000_000
-        table = np.stack([t.degrees(xs) for t in out.terms])
+        table = np.stack([t.degrees(xs) for t in system.output_var.terms])
         for _ in range(5):
             s = rng.random(5)
             comp = np.maximum.reduce(np.minimum(s[:, None], table), axis=0)
             oracle = float(np.sum(comp * xs) / np.sum(comp))
-            v = defuzzify_centroid(Activation(tuple(s)), out, 1001)
+            v = system.crisp_from_strengths(s)
             assert abs(v - oracle) < 1e-3
 
     def test_centroid_stays_inside_universe(self, rng):
@@ -260,34 +265,27 @@ class TestDefuzzify:
 
 class TestPipeline:
     def test_slow_far_high_scores_high(self):
-        v = compute_rss_threshold(default_rule_base(), default_system(), 0.0, 1.0, 1.0)
+        v = default_system().compute(DEFAULT_CONSEQUENTS, (0.0, 1.0, 1.0))
         assert v > 0.75
 
     def test_fast_near_low_scores_low(self):
-        v = compute_rss_threshold(default_rule_base(), default_system(), 30.0, 0.0, 0.0)
+        v = default_system().compute(DEFAULT_CONSEQUENTS, (30.0, 0.0, 0.0))
         assert v < 0.25
 
     def test_deterministic_bits(self):
         system = default_system()
-        rb = default_rule_base()
-        a = compute_rss_threshold(rb, system, 0.0, 0.0, 0.0)
-        b = compute_rss_threshold(rb, system, 0.0, 0.0, 0.0)
+        a = system.compute(DEFAULT_CONSEQUENTS, (0.0, 0.0, 0.0))
+        b = system.compute(DEFAULT_CONSEQUENTS, (0.0, 0.0, 0.0))
         assert a == b
 
     def test_fast_strengths_match_reference(self, rng):
         system = default_system()
-        rb = default_rule_base()
         for _ in range(300):
             inputs = (rng.uniform(-5, 40), rng.uniform(-0.2, 1.2), rng.uniform(0, 1))
             degs = system.fuzzify(inputs)
             w = system.cell_weights(degs)
-            fast = tuple(system.strengths(w, rb.consequents))
-            assert fast == evaluate_rules(rb, *degs).strengths
-
-    def test_mismatched_rule_grid_rejected(self):
-        system = default_system()
-        with pytest.raises(FuzzyDefinitionError):
-            system.check_rule_base(RuleBase(levels=(3, 3), consequents=(1,) * 9))
+            fast = tuple(system.strengths(w, DEFAULT_CONSEQUENTS))
+            assert fast == reference_strengths(DEFAULT_CONSEQUENTS, degs)
 
 
 def trapezoid_output() -> LinguisticVariable:

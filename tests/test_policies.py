@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gflsim.evolver import EvolverConfig, ReplayFitness, mutate_random_reset, one_point_crossover
-from gflsim.fuzzy import DEFAULT_CONSEQUENTS, compute_rss_threshold, default_rule_base, default_system
+from gflsim.fuzzy import DEFAULT_CONSEQUENTS, default_system
 from gflsim.policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
 from gflsim.world import HistoryWindow, World, WorldConfig
 
@@ -53,10 +53,9 @@ class TestDecide:
     def test_fls_delegates_to_full_pipeline(self, rng):
         policy = make_policy("fls")
         system = default_system()
-        rb = default_rule_base()
         for _ in range(200):
             v, d, c = rng.uniform(0, 30), rng.random(), rng.random()
-            assert policy.decide(v, d, c) == compute_rss_threshold(rb, system, v, d, c)
+            assert policy.decide(v, d, c) == system.compute(DEFAULT_CONSEQUENTS, (v, d, c))
 
     def test_flah_ignores_channel_input(self, rng):
         policy = make_policy("flah")

@@ -31,9 +31,7 @@ from gflsim.world import (
     audit_motion,
     distance_to_boundary,
     distance_norm,
-    free_channels_norm,
     select_target_bs,
-    steady_position,
 )
 
 
@@ -66,9 +64,13 @@ class TestKinematics:
             accelerated_state(1.6, -1)
 
     def test_steady_position(self):
-        assert steady_position(20, 10) == 200
-        assert steady_position(20, 0) == 0
-        assert steady_position(0, 50) == 0
+        # Steady motion covers speed * t along the heading.
+        mt = MobileTerminal(0, 0.0, 3000.0, 0.0, MotionPlan.steady(20.0))
+        for t in range(1, 11):
+            advance_mt(mt, t, (6000.0, 6000.0))
+        assert (mt.x, mt.odometer) == (200.0, 200.0)
+        with pytest.raises(DomainError):
+            MotionPlan.steady(-1.0)
 
 
 class TestAdvance:
@@ -119,9 +121,9 @@ class TestGeometry:
         assert distance_norm(-1.0) == 0.0
 
     def test_free_channels_norm(self):
-        assert free_channels_norm(BaseStation(0, 0, 0, 1, 6, occupied=0)) == 1.0
-        assert free_channels_norm(BaseStation(0, 0, 0, 1, 2, occupied=2)) == 0.0
-        assert free_channels_norm(BaseStation(0, 0, 0, 1, 5, occupied=2)) == 0.6
+        assert BaseStation(0, 0, 0, 1, 6, occupied=0).free_norm() == 1.0
+        assert BaseStation(0, 0, 0, 1, 2, occupied=2).free_norm() == 0.0
+        assert BaseStation(0, 0, 0, 1, 5, occupied=2).free_norm() == 0.6
 
 
 def default_stations():
