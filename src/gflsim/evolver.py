@@ -8,12 +8,14 @@ handoff initiations and cut connections; lower is better.
 Replay semantics: channel occupancy and every other terminal's behavior
 are frozen to what the live simulation recorded, so fitness isolates the
 candidate's own decisions.  ``ReplayFitness.batch`` is the one replay
-loop: it steps a whole population through the window together, and each
-decision site memoizes its threshold region per gene pattern.  Memo
-misses are settled together per time unit from a closed-form centroid
-estimate (``FuzzySystem.centroid_estimates``); only an estimate that
-lands within ``_ESTIMATE_TOL`` of a threshold is defuzzified exactly, so
-every region equals the one the live decision path would give.
+loop: it steps a whole population through the window together, reading
+the threshold region of each (chromosome, decision site) pair from one
+vectorized pass over bounded per-unit region tables (direct-mapped, each
+slot tagged with its site and gene key).  A batch's misses are settled
+in one go from a closed-form centroid estimate
+(``FuzzySystem.centroid_estimates``); only an estimate within
+``_ESTIMATE_TOL`` of a threshold is defuzzified exactly, so every region
+equals the one the live decision path would give.
 ``ResimFitness`` offers the alternative full re-simulation semantics
 behind a config switch.
 
@@ -31,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import FuzzySystem
+from .fuzzy import FuzzySystem, NoActivationError
 from .world import State
 
 __all__ = [
@@ -131,10 +133,9 @@ def tournament_select(
     if k > n:
         raise ValueError(f"tournament size {k} > population {n}")
     # Floyd's sampling: uniform over k-subsets, one bulk draw.
-    us = rng.random(k)
     sampled: set[int] = set()
-    for i, j in enumerate(range(n - k, n)):
-        t = int(us[i] * (j + 1))
+    for u, j in zip(rng.random(k).tolist(), range(n - k, n)):
+        t = int(u * (j + 1))
         sampled.add(t if t not in sampled else j)
     best = min(sampled, key=lambda i: (fitnesses[i], i))
     return population[best]
@@ -159,17 +160,21 @@ def mutate_random_reset(
     rng: np.random.Generator,
 ) -> Chromosome:
     """Each gene independently redrawn uniformly (possibly unchanged) w.p. pm."""
-    mask = rng.random(len(genes)) < pm
-    if not mask.any():
+    hits = (rng.random(len(genes)) < pm).nonzero()[0]
+    if not len(hits):
         return tuple(genes)
-    arr = np.array(genes, dtype=np.int64)
-    arr[mask] = rng.integers(_GENE_LO, _GENE_HI + 1, size=int(mask.sum()))
-    return tuple(arr.tolist())
+    out = list(genes)
+    draws = rng.integers(_GENE_LO, _GENE_HI + 1, size=len(hits)).tolist()
+    for i, g in zip(hits.tolist(), draws):
+        out[i] = g
+    return tuple(out)
 
 
 # Replay region codes for a crisp value v against (s_min, s_th):
 #   0: v < s_min    1: v == s_min    2: s_min < v < s_th    3: v >= s_th
-_BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH = 0, 1, 2, 3
+# and -2 for a strength pattern whose exact centroid activates no sample,
+# which raises only when a decision reads it.
+_BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH, _NO_ACTIVATION = 0, 1, 2, 3, -2
 
 # A site's memo key reads the genes at its fired cells, each minus 1, as
 # base-5 digits; 27 cells (a 3x3x3 grid) is the most that stays exact in
@@ -184,28 +189,32 @@ _MAX_KEY_DIGITS = 27
 # under 7e-12 for five output terms at the default resolution.
 _ESTIMATE_TOL = 1e-9
 
+# Rows estimated per ``centroid_estimates`` call, which bounds its temporaries.
+_SETTLE_ROWS = 512
 
-class _Site:
-    """One (time unit, terminal, station) decision point.
+# Each unit's region table has a power-of-two size of at least this many
+# slots per site.  A slot is picked by bits 32 and up of a multiplicative
+# hash of (site, key) in uint64, where wrap-around is defined.
+_SLOTS_PER_SITE = 64
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_SITE_MUL = np.uint64(0xC2B2AE3D27D4EB4F)
 
-    ``fired_idx``/``fired_w`` are the positively-firing grid cells and
-    their weights, fixed by the recorded inputs; ``regions`` memoizes the
-    threshold region per integer key of the genes at those cells (filled
-    by ``ReplayFitness._settle``).  Sites persist for as long as their
-    source unit is in the window, so the memo is shared by every window
-    (and every candidate grid) that touches it.
-    """
+# Plain-int states: numpy compares arrays with them faster than with IntEnums.
+_CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(State.DISCONNECT)
 
-    __slots__ = ("fired_idx", "fired_w", "regions")
 
-    def __init__(self, fired_idx: list[int], fired_w: list[float]) -> None:
-        self.fired_idx = fired_idx
-        self.fired_w = fired_w
-        self.regions: dict[int, int] = {}
+def _region_table(n_sites: int) -> np.ndarray:
+    """Empty direct-mapped region memo of one unit: a (gene key, site index
+    in the unit, region) row per slot; site -1 marks an empty slot."""
+    size = 1 << max(n_sites * _SLOTS_PER_SITE - 1, 0).bit_length()
+    return np.tile(np.array([0, -1, 0], dtype=np.int64), (size, 1))
 
 
 class _WindowPrep:
-    """Per-window replay arrays plus the decision sites of each unit."""
+    """Per-window replay arrays, the decision sites of each unit, and the
+    window's region table (its units' tables end to end).  A site is one
+    (time unit, terminal, station) decision point: its positively-firing
+    grid cells and their weights, fixed by the recorded inputs."""
 
     def __init__(self, records, fitness: "ReplayFitness") -> None:
         system = fitness.system
@@ -213,19 +222,22 @@ class _WindowPrep:
         self.n_mts = len(records[0].snapshots)
         self.n_stations = len(records[0].snapshots[0].dist_ratio)
         U, M, S = self.n_units, self.n_mts, self.n_stations
-        self.ratio = np.array(
-            [[snap.dist_ratio for snap in rec.snapshots] for rec in records]
-        )
-        self.chan = np.array(
-            [[snap.chan_norm for snap in rec.snapshots] for rec in records]
-        )
+        self.ratio = np.array([[snap.dist_ratio for snap in rec.snapshots] for rec in records])
+        self.chan = np.array([[snap.chan_norm for snap in rec.snapshots] for rec in records])
         self.covered = self.ratio > 0.0
         self.dn = np.clip(self.ratio, 0.0, 1.0)
-        # Deepest covering station per (unit, terminal), channels ignored;
-        # argmax takes the first maximum, i.e. the lowest station id on ties.
+        # Deepest covering station per (unit, terminal), channels ignored,
+        # and whether it has a free channel; argmax takes the first
+        # maximum, i.e. the lowest station id on ties.
         scores = np.where(self.covered, self.dn, -1.0)
         cand = scores.argmax(axis=2)
         self.cand = np.where(scores.max(axis=2) > 0.0, cand, -1)
+        self.cand_free = np.take_along_axis(self.chan, cand[..., None], 2)[..., 0] > 0.0
+        # Handoff target per (unit, terminal, serving station): the deepest
+        # other covering station with a free channel, -1 if there is none.
+        scores = np.where(self.covered & (self.chan > 0.0), self.dn, -1.0)
+        scores = np.where(np.eye(S, dtype=bool), -1.0, scores[:, :, None, :])
+        self.target = np.where(scores.max(axis=3) > 0.0, scores.argmax(axis=3), -1)
         first = records[0].snapshots
         self.init_state = np.array([int(s.state) for s in first])
         self.init_serving = np.array([s.serving for s in first])
@@ -234,40 +246,52 @@ class _WindowPrep:
 
         # Materialize every covered decision site: fuzzified inputs do not
         # depend on the candidate grid, only their gene mapping does.
-        # Units reused from the previous window keep their sites; the
-        # cache then holds this window's units only.
+        # Units reused from the previous window keep their sites and region
+        # table; the cache then holds this window's units only.
         cache, fitness._site_cache = fitness._site_cache, {}
         self.site_lut = np.full((U, M * S), -1, dtype=np.int64)
-        self.sites: list[_Site] = []
+        self.sites: list[tuple[list[int], list[float]]] = []
+        units = []
         for u, rec in enumerate(records):
             cached = cache.get(rec.t)
             if cached is None or cached[0] is not rec:
-                cached = (rec, self._unit_sites(rec, u, fitness))
-            fitness._site_cache[rec.t] = cached
+                sites = self._unit_sites(rec, u, fitness)
+                cached = (rec, sites, _region_table(len(sites)))
+            units.append(cached)
             for col, site in cached[1].items():
                 self.site_lut[u, col] = len(self.sites)
                 self.sites.append(site)
+        # Each unit keeps its slice of the window's table, so the regions a
+        # batch stores stay with the unit.
+        self.table = np.concatenate([table for _, _, table in units])
+        counts = [len(sites) for _, sites, _ in units]
+        sizes = np.array([len(table) for _, _, table in units])
+        ends = np.cumsum(sizes)
+        for (rec, sites, _), lo, hi in zip(units, ends - sizes, ends):
+            fitness._site_cache[rec.t] = (rec, sites, self.table[lo:hi])
+        # Per site: its index in its unit, that index's hash salt, and the
+        # first slot and slot mask of its unit's table.
+        self.local = np.concatenate([np.arange(n) for n in counts])
+        self.salt = self.local.astype(np.uint64) * _SITE_MUL
+        self.slot_base = np.repeat(ends - sizes, counts)
+        self.slot_mask = np.repeat(sizes - 1, counts).astype(np.uint64)
         # Fired cells and weights per site, padded with the index of an
         # extra gene column that contributes a zero digit (see
         # ``ReplayFitness.batch``) and a zero weight.
-        maxf = max((len(site.fired_idx) for site in self.sites), default=1)
+        maxf = max((len(idx) for idx, _ in self.sites), default=1)
         self.padded_idx = np.full((len(self.sites), maxf), system.n_cells, dtype=np.int64)
         self.padded_w = np.zeros((len(self.sites), maxf))
-        for gid, site in enumerate(self.sites):
-            self.padded_idx[gid, : len(site.fired_idx)] = site.fired_idx
-            self.padded_w[gid, : len(site.fired_w)] = site.fired_w
+        for gid, (idx, w) in enumerate(self.sites):
+            self.padded_idx[gid, : len(idx)] = idx
+            self.padded_w[gid, : len(w)] = w
         self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
-        support: set[int] = set()
-        for site in self.sites:
-            support.update(site.fired_idx)
-        self.support = tuple(sorted(support))
+        self.support = tuple(sorted({i for idx, _ in self.sites for i in idx}))
 
-    def _unit_sites(self, rec, u: int, fitness: "ReplayFitness") -> dict[int, _Site]:
+    def _unit_sites(self, rec, u: int, fitness: "ReplayFitness") -> dict[int, tuple]:
         """Sites of one unit, keyed by flat (terminal, station) column."""
         inputs = fitness.system.input_vars
-        uses_channels = len(inputs) >= 3
         S = self.n_stations
-        sites: dict[int, _Site] = {}
+        sites: dict[int, tuple] = {}
         for m in range(self.n_mts):
             v_deg = None
             for s in range(S):
@@ -275,12 +299,12 @@ class _WindowPrep:
                     continue
                 if v_deg is None:
                     v_deg = inputs[0].fuzzify(rec.snapshots[m].velocity)
-                degs = [v_deg, inputs[1].fuzzify(float(self.dn[u, m, s]))]
-                if uses_channels:
-                    degs.append(inputs[2].fuzzify(float(self.chan[u, m, s])))
+                # A two-input system ignores the channel input.
+                degs = [v_deg] + [var.fuzzify(float(x)) for var, x in
+                                  zip(inputs[1:], (self.dn[u, m, s], self.chan[u, m, s]))]
                 w = fitness.system.cell_weights(degs)
                 fired = np.flatnonzero(w > 0.0)
-                sites[m * S + s] = _Site([int(i) for i in fired], [float(v) for v in w[fired]])
+                sites[m * S + s] = ([int(i) for i in fired], [float(v) for v in w[fired]])
         return sites
 
 
@@ -289,8 +313,9 @@ class ReplayFitness:
 
     :meth:`batch` is the replay: it steps a whole population through the
     window in lockstep.  Calling the instance scores one chromosome as a
-    population of one.  Each decision reads its site's region memo;
-    the misses of one time unit are settled together by :meth:`_settle`.
+    population of one.  Before the steps, one pass finds the region of
+    every (chromosome, site) pair in the window's region table; the
+    misses are settled together by :meth:`_settle`.
     """
 
     def __init__(
@@ -316,10 +341,10 @@ class ReplayFitness:
         out = system.output_var
         self._tol = _ESTIMATE_TOL * max(1.0, abs(out.lo), abs(out.hi))
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
-        # Unit t -> (source record, that unit's sites) for the units of the
-        # last prepared window, so consecutive overlapping windows share
-        # the sites; the record identity guards against unrelated windows
-        # that reuse unit numbers.
+        # Unit t -> (source record, that unit's sites, their region table)
+        # for the units of the last prepared window, so consecutive
+        # overlapping windows share them; the record identity guards
+        # against unrelated windows that reuse unit numbers.
         self._site_cache: dict[int, tuple] = {}
 
     def _prep(self, records: tuple) -> _WindowPrep:
@@ -343,8 +368,8 @@ class ReplayFitness:
 
     def batch(self, population: Sequence[Sequence[int]], window) -> np.ndarray:
         """Fitness of every chromosome, replayed in lockstep across the
-        population with vectorized transitions; each decision resolves
-        through its site's region memo."""
+        population with vectorized transitions; each decision reads the
+        region of its (chromosome, site) pair, all found before the steps."""
         records = window.records
         if not records:
             raise EmptyHistoryError("history window is empty")
@@ -356,6 +381,8 @@ class ReplayFitness:
         # Gene digits (gene - 1) plus a zero column for padded fired slots.
         digits = np.zeros((P, self.system.n_cells + 1), dtype=np.int64)
         digits[:, :-1] = np.asarray(population, dtype=np.int64) - _GENE_LO
+        reg_all = self._window_regions(prep, digits)
+        unsettled = bool((reg_all == _NO_ACTIVATION).any())
         st = np.broadcast_to(prep.init_state, (P, M)).copy()
         sv = np.broadcast_to(prep.init_serving, (P, M)).copy()
         tg = np.broadcast_to(prep.init_target, (P, M)).copy()
@@ -363,131 +390,112 @@ class ReplayFitness:
         ho = np.zeros(P, dtype=np.int64)
         cuts = np.zeros(P, dtype=np.int64)
         m_grid = np.broadcast_to(np.arange(M), (P, M))
-        s_range = np.arange(S)
+        m_off = m_grid * S
+        p_col = np.arange(P)[:, None]
         for u in range(prep.n_units):
-            ratio_u = prep.ratio[u]
-            chan_u = prep.chan[u]
-            dn_u = prep.dn[u]
-            covered_u = prep.covered[u]
             cand_u = prep.cand[u]
-            connectedish = st != State.DISCONNECT
-            r_sv = ratio_u[m_grid, np.where(sv >= 0, sv, 0)]
-            forced = connectedish & (r_sv <= 0.0)
+            r_sv = prep.ratio[u][m_grid, np.where(sv >= 0, sv, 0)]
+            forced = (st != _DISCONNECT) & (r_sv <= 0.0)
             if forced.any():
                 cuts += forced.sum(axis=1)
-                st = np.where(forced, State.DISCONNECT, st)
+                st = np.where(forced, _DISCONNECT, st)
                 sv = np.where(forced, -1, sv)
                 tg = np.where(forced, -1, tg)
                 dw = np.where(forced, 0, dw)
 
             # Branch membership is fixed by the state at unit start, so one
-            # joint region lookup serves both value-driven branches.
-            is_conn = (st == State.CONNECT) & ~forced
-            is_disc = (st == State.DISCONNECT) & ~forced & (cand_u >= 0)[None, :]
-            reg = self._regions_for(
-                prep, u, is_conn | is_disc, np.where(is_conn, sv, cand_u[None, :]), digits
-            )
+            # region gather serves both value-driven branches; pairs in
+            # neither branch read an arbitrary column.
+            is_conn = (st == _CONNECT) & ~forced
+            is_disc = (st == _DISCONNECT) & ~forced & (cand_u >= 0)[None, :]
+            station = np.where(is_conn, sv, cand_u[None, :])
+            reg = reg_all[p_col, prep.site_lut[u][m_off + station]]
+            if unsettled and (reg[is_conn | is_disc] == _NO_ACTIVATION).any():
+                raise NoActivationError("a replayed decision activates no output sample")
 
             do_cut = is_conn & (reg == _BELOW_MIN)
             if do_cut.any():
                 cuts += do_cut.sum(axis=1)
-                st = np.where(do_cut, State.DISCONNECT, st)
+                st = np.where(do_cut, _DISCONNECT, st)
                 sv = np.where(do_cut, -1, sv)
             mid = is_conn & (reg >= _AT_MIN) & (reg <= _MID)
             if mid.any():
-                eligible = (covered_u & (chan_u > 0.0))[None, :, :] & (
-                    s_range[None, None, :] != sv[:, :, None]
-                )
-                scores = np.where(eligible, dn_u[None, :, :], -1.0)
-                tsel = scores.argmax(axis=2)
-                found = np.take_along_axis(scores, tsel[..., None], 2)[..., 0] > 0.0
-                do_ho = mid & found
+                tsel = prep.target[u][m_grid, sv]
+                do_ho = mid & (tsel >= 0)
                 ho += do_ho.sum(axis=1)
                 tg = np.where(do_ho, tsel, tg)
-                st = np.where(do_ho, State.HANDOVER, st)
+                st = np.where(do_ho, _HANDOVER, st)
                 dw = np.where(do_ho, self.dwell, dw)
 
-            is_ho = (st == State.HANDOVER) & ~forced & ~is_conn
+            is_ho = (st == _HANDOVER) & ~forced & ~is_conn
             if is_ho.any():
                 dw = np.where(is_ho, dw - 1, dw)
                 done = is_ho & (dw == 0)
                 sv = np.where(done, tg, sv)
                 tg = np.where(done, -1, tg)
-                st = np.where(done, State.CONNECT, st)
+                st = np.where(done, _CONNECT, st)
 
             if is_disc.any():
-                chan_ok = chan_u[np.arange(M), np.where(cand_u >= 0, cand_u, 0)] > 0.0
-                do_conn = is_disc & (reg >= _MID) & chan_ok[None, :]
+                do_conn = is_disc & (reg >= _MID) & prep.cand_free[u][None, :]
                 sv = np.where(do_conn, cand_u[None, :], sv)
-                st = np.where(do_conn, State.CONNECT, st)
+                st = np.where(do_conn, _CONNECT, st)
         return self.weight_handoff * ho + self.weight_cut * cuts
 
-    def _regions_for(
-        self,
-        prep: _WindowPrep,
-        u: int,
-        mask: np.ndarray,
-        station: np.ndarray,
-        digits: np.ndarray,
-    ) -> np.ndarray:
-        """Region codes for every masked (chromosome, terminal) pair at its
-        per-pair station; -1 where the mask is off."""
-        out = np.full(mask.shape, -1, dtype=np.int64)
-        if not mask.any():
-            return out
-        p_idx, m_idx = np.nonzero(mask)
-        gids = prep.site_lut[u, m_idx * prep.n_stations + station[p_idx, m_idx]]
-        # Gene digits at each pair's fired cells: the cells' output terms.
-        terms = digits[p_idx[:, None], prep.padded_idx[gids]]
-        keys = terms @ prep.powers
-        sites = prep.sites
-        reg = np.array([sites[g].regions.get(k, -1)
-                        for g, k in zip(gids.tolist(), keys.tolist())])
-        miss = np.flatnonzero(reg < 0)
-        if len(miss):
-            reg[miss] = self._settle(prep, gids[miss], keys[miss], terms[miss])
-        out[p_idx, m_idx] = reg
+    def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
+        """Region of every (chromosome, site) pair, plus a last column of -1
+        for the uncovered (-1) entries of ``site_lut``.  Table misses are
+        settled in one :meth:`_settle` call and stored with one scatter."""
+        P, G = len(digits), len(prep.sites)
+        keys = digits[:, prep.padded_idx] @ prep.powers
+        mixed = (keys.view(np.uint64) + prep.salt) * _HASH_MUL
+        slot = prep.slot_base + ((mixed >> np.uint64(32)) & prep.slot_mask).astype(np.int64)
+        held = prep.table[slot]
+        hit = (held[..., 1] == prep.local) & (held[..., 0] == keys)
+        out = np.full((P, G + 1), -1, dtype=np.int8)
+        out[:, :G] = held[..., 2]
+        p_miss, g_miss = np.nonzero(~hit)
+        if len(p_miss):
+            # Misses in one slot are one pair when they match the slot's
+            # first miss in site and key; the others collide with it, so
+            # they are settled apart and not stored.
+            s_miss, k_miss = slot[p_miss, g_miss], keys[p_miss, g_miss]
+            slots, first, inv = np.unique(s_miss, return_index=True, return_inverse=True)
+            apart = np.flatnonzero((g_miss != g_miss[first][inv]) | (k_miss != k_miss[first][inv]))
+            todo = np.concatenate([first, apart])
+            terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
+            regions = self._settle(prep.padded_w[g_miss[todo]], terms)
+            got = regions[inv]
+            got[apart] = regions[len(first):]
+            out[p_miss, g_miss] = got
+            prep.table[slots] = np.stack(
+                [k_miss[first], prep.local[g_miss[first]], regions[: len(first)]], axis=1)
         return out
 
-    def _settle(
-        self,
-        prep: _WindowPrep,
-        gids: np.ndarray,
-        keys: np.ndarray,
-        terms: np.ndarray,
-    ) -> np.ndarray:
-        """Regions of memo-missing (site, key) pairs, stored in the sites'
-        memos.  ``terms`` holds each pair's output term per padded fired
-        cell; the regions are returned in the pairs' order."""
-        # Distinct pairs: sort by (site, key) and keep the first of each run.
-        order = np.lexsort((keys, gids))
-        g_s, k_s = gids[order], keys[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (g_s[1:] != g_s[:-1]) | (k_s[1:] != k_s[:-1])
-        first = order[new]
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.cumsum(new) - 1
-
-        # Strength rows: the max fired weight per output term.
+    def _settle(self, weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Region per row of padded fired-cell weights and the output terms
+        the chromosome gives those cells; ``_NO_ACTIVATION`` where the exact
+        centroid activates no output sample."""
         system = self.system
-        weights = prep.padded_w[gids[first]]
-        cell_terms = terms[first]
-        rows = np.zeros((len(first), system.n_output_terms))
-        for t in range(system.n_output_terms):
-            rows[:, t] = np.where(cell_terms == t, weights, 0.0).max(axis=1)
-
-        values = system.centroid_estimates(rows)
+        rows = np.zeros((len(terms), system.n_output_terms))
+        values = np.empty(len(terms))
+        for lo in range(0, len(terms), _SETTLE_ROWS):
+            block = slice(lo, lo + _SETTLE_ROWS)
+            rows[block] = np.where(terms[block, :, None] == np.arange(system.n_output_terms),
+                                   weights[block, :, None], 0.0).max(axis=1)
+            values[block] = system.centroid_estimates(rows[block])
         near = ~np.isfinite(values) | (np.abs(values - self.s_min) <= self._tol) | (
             np.abs(values - self.s_th) <= self._tol)
+        empty = []
         for i in np.flatnonzero(near).tolist():
-            values[i] = system.crisp_from_strengths(rows[i].tolist())
+            try:
+                values[i] = system.crisp_from_strengths(rows[i].tolist())
+            except NoActivationError:
+                empty.append(i)
         regions = np.select(
             [values < self.s_min, values == self.s_min, values < self.s_th],
             [_BELOW_MIN, _AT_MIN, _MID], _ABOVE_TH)
-        sites = prep.sites
-        for g, k, r in zip(gids[first].tolist(), keys[first].tolist(), regions.tolist()):
-            sites[g].regions[k] = r
-        return regions[inverse]
+        regions[empty] = _NO_ACTIVATION
+        return regions
 
 
 class _StaticDecider:

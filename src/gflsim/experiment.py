@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -103,6 +104,11 @@ class ExperimentConfig:
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
+
+
+def _check_seed(seed, path: str) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"{path}: must be a non-negative integer, got {seed!r}")
 
 
 def _number(value, path: str) -> float:
@@ -383,8 +389,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 or any(not isinstance(s, int) or isinstance(s, bool) for s in seeds_raw)):
             raise ConfigError("seeds: expected a non-empty list of integers")
         for i, s in enumerate(seeds_raw):
-            if s < 0:
-                raise ConfigError(f"seeds[{i}]: must be a non-negative integer, got {s}")
+            _check_seed(s, f"seeds[{i}]")
         seeds = tuple(seeds_raw)
         if runs_raw is not None and runs_raw != len(seeds):
             raise ConfigError(f"runs: {runs_raw} does not match the {len(seeds)} listed seeds")
@@ -453,6 +458,7 @@ def _build_policy(config: ExperimentConfig, kind: PolicyKind,
 def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> RunResult:
     """One seeded end-to-end simulation under one policy."""
     kind = PolicyKind(policy_kind)
+    _check_seed(seed, "seed")
     world_ss, ga_ss = np.random.SeedSequence(seed).spawn(2)
     world = World.build(config.world, np.random.default_rng(world_ss))
     policy = _build_policy(config, kind,
@@ -527,6 +533,8 @@ def compare(config: ExperimentConfig,
     ``results_out`` to also receive every :class:`RunResult` keyed by
     (policy, seed).
     """
+    for i, seed in enumerate(config.seeds):
+        _check_seed(seed, f"seeds[{i}]")
     tasks = [(config, kind, seed) for kind in config.policies for seed in config.seeds]
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tasks)))

@@ -73,6 +73,10 @@ class HandoffPolicy:
     ) -> None:
         if kind.evolving != (evolver is not None):
             raise ValueError(f"{kind.value}: evolver attached iff the policy evolves")
+        n_inputs = 3 if kind.uses_channels else 2
+        if len(system.input_vars) != n_inputs:
+            raise ValueError(f"{kind.value} reads {n_inputs} inputs, but the fuzzy system "
+                             f"has {len(system.input_vars)}")
         self.kind = kind
         self.system = system
         self.genes = tuple(genes)

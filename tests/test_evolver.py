@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FixedPolicy, make_snapshot, make_window, random_window, reference_strengths
+from gflsim import evolver
 from gflsim.evolver import (
     _AT_MIN,
+    _SLOTS_PER_SITE,
     EmptyHistoryError,
     EvolverConfig,
     ReplayFitness,
@@ -23,6 +25,8 @@ from gflsim.fuzzy import (
     DEFAULT_CONSEQUENTS,
     FuzzySystem,
     LinguisticVariable,
+    NoActivationError,
+    default_channels,
     default_distance,
     default_output,
     default_system,
@@ -95,6 +99,27 @@ class TestPopulation:
             validate_chromosome((0,) + (1,) * 26, 27)
 
 
+def tournament_reference(population, fitnesses, k, rng):
+    """The array-indexing form of ``tournament_select``, kept as its oracle."""
+    n = len(population)
+    us = rng.random(k)
+    sampled = set()
+    for i, j in enumerate(range(n - k, n)):
+        t = int(us[i] * (j + 1))
+        sampled.add(t if t not in sampled else j)
+    return population[min(sampled, key=lambda i: (fitnesses[i], i))]
+
+
+def mutate_reference(genes, pm, rng):
+    """The ndarray round-trip form of ``mutate_random_reset``, kept as its oracle."""
+    mask = rng.random(len(genes)) < pm
+    if not mask.any():
+        return tuple(genes)
+    arr = np.array(genes, dtype=np.int64)
+    arr[mask] = rng.integers(1, 6, size=int(mask.sum()))
+    return tuple(arr.tolist())
+
+
 class TestTournament:
     def test_tie_breaks_to_lowest_index(self, rng):
         pop = [(i,) * 27 for i in range(50)]
@@ -123,6 +148,16 @@ class TestTournament:
     def test_oversized_tournament_rejected(self, rng):
         with pytest.raises(ValueError):
             tournament_select([(1,) * 27] * 5, [0.0] * 5, 6, rng)
+
+    def test_matches_reference_draw_for_draw(self):
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        pop = [(i % 5 + 1,) * 27 for i in range(50)]
+        fits = [float(ours.integers(0, 8)) for _ in range(50)]
+        ref.integers(0, 8, size=50)
+        for i in range(3000):
+            k = 1 + i % 50
+            assert tournament_select(pop, fits, k, ours) == tournament_reference(pop, fits, k, ref)
+        assert ours.random() == ref.random()
 
 
 class TestCrossover:
@@ -166,6 +201,18 @@ class TestMutation:
             changed += sum(a != b for a, b in zip(genes, out))
         mean = changed / trials
         assert abs(mean - 27 * 0.1 * 0.8) <= 0.05
+
+    def test_matches_reference_draw_for_draw(self):
+        # Same draws in the same order, so seeded GA runs stay byte-identical.
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        genes = SEED_GENES
+        for i in range(4000):
+            pm = (0.0, 0.02, 0.1, 0.5, 1.0)[i % 5]
+            out = mutate_random_reset(genes, pm, ours)
+            assert out == mutate_reference(genes, pm, ref)
+            assert all(type(g) is int for g in out)
+            genes = out
+        assert ours.random() == ref.random()
 
     def test_operators_preserve_validity(self, rng):
         for _ in range(10_000):
@@ -335,6 +382,51 @@ class TestFitness:
         # The wide grid fires all 27 cells, the most one memo key holds.
         assert fit.window_support(wnd) == tuple(range(27))
 
+    def test_batch_matches_reference_when_every_lookup_collides(self, rng, monkeypatch):
+        # One slot per unit: nearly every (chromosome, site) pair misses or
+        # collides in the region table, and none may read another's region.
+        # Small settle blocks make each batch's misses span several blocks.
+        monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", 0)
+        monkeypatch.setattr(evolver, "_SETTLE_ROWS", 7)
+        for system in (default_system(), flah_system(), wide_system()):
+            fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
+            for _ in range(3):
+                wnd = random_window(rng)
+                pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
+                expected = [reference_replay(g, wnd, system) for g in pop]
+                for _ in range(2):  # the second pass reads what the first stored
+                    assert list(fit.batch(pop, wnd)) == expected
+                assert len(fit._last_prep[1].table) == len(wnd.records)
+
+    def test_unsettleable_region_raises_only_when_read(self):
+        # The "narrow" output term lies between two samples of the 10-sample
+        # output grid, so a strength row on it alone has no centroid.
+        out = LinguisticVariable("rss_threshold", 0.0, 1.0, (
+            triangle("very_low", 0.0, 0.0, 0.5),
+            triangle("low", 0.0, 0.25, 0.6),
+            triangle("narrow", 0.51, 0.52, 0.53),
+            triangle("high", 0.45, 0.75, 1.0),
+            triangle("very_high", 0.75, 1.0, 1.0),
+        ))
+        system = FuzzySystem((default_velocity(), default_distance(), default_channels()),
+                             out, resolution=10)
+        with pytest.raises(NoActivationError):
+            system.crisp_from_strengths([0.0, 0.0, 1.0, 0.0, 0.0])
+        # Serving station 0 is near (cell slow/near/high = 2); station 1 is
+        # covered but far (cell slow/far/high = 8) and never read.
+        snap = make_snapshot(velocity=0.0, dist_ratio=(0.1, 0.9), chan_norm=(1.0, 1.0),
+                             state=State.CONNECT, serving=0)
+        wnd = make_window([[snap]])
+        fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
+        unread = [1] * 27
+        unread[8] = 3
+        assert fit.batch([tuple(unread)], wnd)[0] == 1.0  # very low -> cut
+        assert fit(tuple(unread), wnd) == 1.0  # also when the table holds it
+        read = list(unread)
+        read[2] = 3
+        with pytest.raises(NoActivationError):
+            fit.batch([tuple(unread), tuple(read)], wnd)
+
     def test_threshold_at_an_exact_centroid_matches_reference(self, rng):
         # With s_min at a decision's exact centroid the estimate lands on the
         # threshold, so the region (v == s_min) comes from the exact value.
@@ -353,8 +445,8 @@ class TestFitness:
             s_th = 0.5 * (s_min + 1.0)
             fit = ReplayFitness(system, s_min, s_th, dwell=2)
             assert fit(genes, wnd) == reference_replay(genes, wnd, system, s_min, s_th)
-            memos = [site.regions for site in fit._last_prep[1].sites]
-            at_min += sum(r == _AT_MIN for memo in memos for r in memo.values())
+            table = fit._last_prep[1].table
+            at_min += int(np.sum(table[table[:, 1] >= 0, 2] == _AT_MIN))
         assert at_min >= len(windows)
 
     def test_grids_beyond_27_cells_rejected(self):
@@ -373,12 +465,22 @@ class TestFitness:
         window = HistoryWindow(4)
         policy = FixedPolicy(0.3)
         largest = 0
+        most_slots = 0
         for _ in range(2000):
             window.push(world.step(policy))
             if window.warm:
                 fit.window_support(window.freeze())
                 largest = max(largest, len(fit._site_cache))
+                # Each unit's table has under twice _SLOTS_PER_SITE slots per
+                # site (at least one), and the window's table is just theirs.
+                n_sites = len(fit._last_prep[1].sites)
+                n_slots = sum(len(table) for _, _, table in fit._site_cache.values())
+                assert n_slots == len(fit._last_prep[1].table)
+                assert n_slots <= 2 * _SLOTS_PER_SITE * n_sites + window.length
+                most_slots = max(most_slots, n_slots)
         assert largest == window.length
+        n_stations = len(world.stations)
+        assert most_slots <= 2 * _SLOTS_PER_SITE * window.length * 3 * n_stations
 
     def test_window_support_covers_mutation_sensitivity(self, rng):
         # genes outside the support provably cannot change fitness

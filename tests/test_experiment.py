@@ -201,6 +201,11 @@ class TestRun:
         assert a.events == b.events
         assert a.records == b.records
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ConfigError, match="^seed: must be a non-negative integer"):
+            run(small_config(), "fls", seed)
+
     def test_uncovered_world_is_all_zero(self):
         cfg = small_config()
         world = dataclasses.replace(
@@ -291,6 +296,16 @@ class TestRun:
 
 
 class TestCompareAndExport:
+    def test_negative_seed_named_before_any_worker_starts(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("gflsim.experiment.ProcessPoolExecutor", no_pool)
+        cfg = small_config(seeds=(0, 4, -1), workers=2, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=r"^seeds\[2\]: must be a non-negative"):
+            compare(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_single_seed_collapses_summary(self, tmp_path):
         cfg = small_config(policies=("fls", "flah"), output_dir=str(tmp_path))
         report = compare(cfg)

@@ -28,6 +28,13 @@ class TestPolicyKind:
         with pytest.raises(ValueError):
             HandoffPolicy(PolicyKind.GFLS, default_system(), DEFAULT_CONSEQUENTS, None)
 
+    def test_input_count_must_match_the_kind(self):
+        flah = make_policy("flah")
+        with pytest.raises(ValueError, match="fls reads 3 inputs.*has 2"):
+            HandoffPolicy(PolicyKind.FLS, flah.system, flah.genes)
+        with pytest.raises(ValueError, match="flah reads 2 inputs.*has 3"):
+            HandoffPolicy(PolicyKind.FLAH, default_system(), DEFAULT_CONSEQUENTS)
+
 
 class TestFlahProjection:
     def test_medians_per_pair(self):
