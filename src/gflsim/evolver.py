@@ -10,23 +10,31 @@ are frozen to what the live simulation recorded, so fitness isolates the
 candidate's own decisions.  ``ReplayFitness.batch`` is the one replay
 loop: it steps a whole population through the window together, reading
 the threshold region of each (chromosome, decision site) pair from one
-vectorized pass over bounded per-unit region tables (direct-mapped, each
-slot tagged with its site and gene key).  A batch's misses are settled
-in one go from a closed-form centroid estimate
+vectorized pass over bounded per-unit region tables (two probe slots per
+pair, each slot tagged with its site and gene key).  A batch's misses are
+settled in one go from a closed-form centroid estimate
 (``FuzzySystem.centroid_estimates``); only an estimate within
 ``_ESTIMATE_TOL`` of a threshold is defuzzified exactly, so every region
 equals the one the live decision path would give.
 ``ResimFitness`` offers the alternative full re-simulation semantics
-behind a config switch.
+behind a config switch.  Both offer ``batch`` and ``window_support``,
+which is all ``evolve`` asks of a fitness.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
 are cache-friendly and could run on parallel workers; the generational
 loop itself is a sequential barrier and all random draws come from one
-caller-supplied generator stream.
+caller-supplied generator stream.  The order of a generation's draws is
+the contract: the one the per-call operators ``tournament_select``,
+``one_point_crossover`` and ``mutate_random_reset`` make, a pair of
+offspring at a time.  The operators are the reference; on a PCG64
+``Generator``, ``evolve`` reads the same draws from one block of raw
+words and hands the stream back where the operators would leave it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -193,9 +201,12 @@ _ESTIMATE_TOL = 1e-9
 _SETTLE_ROWS = 512
 
 # Each unit's region table has a power-of-two size of at least this many
-# slots per site.  A slot is picked by bits 32 and up of a multiplicative
-# hash of (site, key) in uint64, where wrap-around is defined.
-_SLOTS_PER_SITE = 64
+# slots per site.  A pair's 32-bit hash is bits 32 and up of a
+# multiplicative hash of (site, key) in uint64, where wrap-around is
+# defined.  Its low bits pick its first slot in the table's lower half and
+# its high bits a second slot in the upper half (one slot serves both in a
+# table of one slot).
+_SLOTS_PER_SITE = 128
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 _SITE_MUL = np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -204,8 +215,8 @@ _CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(
 
 
 def _region_table(n_sites: int) -> np.ndarray:
-    """Empty direct-mapped region memo of one unit: a (gene key, site index
-    in the unit, region) row per slot; site -1 marks an empty slot."""
+    """Empty two-probe region memo of one unit: a (gene key, site index in
+    the unit, region) row per slot; site -1 marks an empty slot."""
     size = 1 << max(n_sites * _SLOTS_PER_SITE - 1, 0).bit_length()
     return np.tile(np.array([0, -1, 0], dtype=np.int64), (size, 1))
 
@@ -269,12 +280,16 @@ class _WindowPrep:
         ends = np.cumsum(sizes)
         for (rec, sites, _), lo, hi in zip(units, ends - sizes, ends):
             fitness._site_cache[rec.t] = (rec, sites, self.table[lo:hi])
-        # Per site: its index in its unit, that index's hash salt, and the
-        # first slot and slot mask of its unit's table.
+        # Per site: its index in its unit, that index's hash salt, and where
+        # the two halves of its unit's table start, the hash bits (mask and
+        # shift) that pick a slot in each.
         self.local = np.concatenate([np.arange(n) for n in counts])
         self.salt = self.local.astype(np.uint64) * _SITE_MUL
+        half = np.maximum(sizes // 2, 1)
         self.slot_base = np.repeat(ends - sizes, counts)
-        self.slot_mask = np.repeat(sizes - 1, counts).astype(np.uint64)
+        self.slot_mask = np.repeat(half - 1, counts).astype(np.uint64)
+        self.alt_base = np.repeat(ends - half, counts)
+        self.alt_shift = np.repeat(32 - np.log2(half).astype(np.int64), counts).astype(np.uint64)
         # Fired cells and weights per site, padded with the index of an
         # extra gene column that contributes a zero digit (see
         # ``ReplayFitness.batch``) and a zero weight.
@@ -443,32 +458,51 @@ class ReplayFitness:
 
     def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
         """Region of every (chromosome, site) pair, plus a last column of -1
-        for the uncovered (-1) entries of ``site_lut``.  Table misses are
-        settled in one :meth:`_settle` call and stored with one scatter."""
+        for the uncovered (-1) entries of ``site_lut``.  Pairs missing from
+        both their table slots are settled in one :meth:`_settle` call and
+        stored with one scatter."""
         P, G = len(digits), len(prep.sites)
         keys = digits[:, prep.padded_idx] @ prep.powers
-        mixed = (keys.view(np.uint64) + prep.salt) * _HASH_MUL
-        slot = prep.slot_base + ((mixed >> np.uint64(32)) & prep.slot_mask).astype(np.int64)
+        hashes = ((keys.view(np.uint64) + prep.salt) * _HASH_MUL) >> np.uint64(32)
+        slot = prep.slot_base + (hashes & prep.slot_mask).astype(np.int64)
         held = prep.table[slot]
         hit = (held[..., 1] == prep.local) & (held[..., 0] == keys)
         out = np.full((P, G + 1), -1, dtype=np.int8)
         out[:, :G] = held[..., 2]
         p_miss, g_miss = np.nonzero(~hit)
-        if len(p_miss):
-            # Misses in one slot are one pair when they match the slot's
-            # first miss in site and key; the others collide with it, so
-            # they are settled apart and not stored.
-            s_miss, k_miss = slot[p_miss, g_miss], keys[p_miss, g_miss]
-            slots, first, inv = np.unique(s_miss, return_index=True, return_inverse=True)
-            apart = np.flatnonzero((g_miss != g_miss[first][inv]) | (k_miss != k_miss[first][inv]))
-            todo = np.concatenate([first, apart])
-            terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
-            regions = self._settle(prep.padded_w[g_miss[todo]], terms)
-            got = regions[inv]
-            got[apart] = regions[len(first):]
-            out[p_miss, g_miss] = got
-            prep.table[slots] = np.stack(
-                [k_miss[first], prep.local[g_miss[first]], regions[: len(first)]], axis=1)
+        if not len(p_miss):
+            return out
+        k_miss = keys[p_miss, g_miss]
+        alt = prep.alt_base[g_miss] + (
+            hashes[p_miss, g_miss] >> prep.alt_shift[g_miss]).astype(np.int64)
+        held = prep.table[alt]
+        found = (held[:, 1] == prep.local[g_miss]) & (held[:, 0] == k_miss)
+        out[p_miss[found], g_miss[found]] = held[found, 2]
+        lost = ~found
+        if not lost.any():
+            return out
+        p_miss, g_miss, k_miss, alt = p_miss[lost], g_miss[lost], k_miss[lost], alt[lost]
+        # The first pair in a slot claims it, with the later ones that match
+        # it in site and key.  A pair that loses its first slot to another
+        # pair tries its second; one that loses both is settled alone and
+        # not stored.  (The halves of a table are disjoint, except in a table
+        # of one slot, where a pair's two slots are one.)
+        target = slot[p_miss, g_miss]
+        for second in (False, True):
+            taken, first, inv = np.unique(target, return_index=True, return_inverse=True)
+            other = (g_miss != g_miss[first][inv]) | (k_miss != k_miss[first][inv])
+            if second or not other.any():
+                break
+            target = np.where(other, alt, target)
+        alone = np.flatnonzero(other)
+        todo = np.concatenate([first, alone])
+        terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
+        regions = self._settle(prep.padded_w[g_miss[todo]], terms)
+        got = regions[inv]
+        got[alone] = regions[len(first):]
+        out[p_miss, g_miss] = got
+        prep.table[taken] = np.stack(
+            [k_miss[first], prep.local[g_miss[first]], regions[: len(first)]], axis=1)
         return out
 
     def _settle(self, weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -527,6 +561,14 @@ class ResimFitness:
         self.weight_handoff = float(weight_handoff)
         self.weight_cut = float(weight_cut)
 
+    def window_support(self, window) -> tuple[int, ...]:
+        """Every grid cell: a re-simulated terminal may reach any input."""
+        return tuple(range(self.system.n_cells))
+
+    def batch(self, population: Sequence[Sequence[int]], window) -> np.ndarray:
+        """Fitness of every chromosome, one re-simulation each."""
+        return np.array([self(genes, window) for genes in population], dtype=float)
+
     def __call__(self, genes: Sequence[int], window) -> float:
         records = window.records
         if not records:
@@ -543,10 +585,133 @@ class ResimFitness:
         return self.weight_handoff * ho + self.weight_cut * cuts
 
 
+def _offspring_per_call(population, fits, cfg: EvolverConfig, rng) -> list[Chromosome]:
+    """One generation's offspring from the operators, a pair at a time: two
+    tournaments, a crossover, and a mutation of each child that is kept."""
+    offspring: list[Chromosome] = []
+    while len(offspring) < len(population):
+        a = tournament_select(population, fits, cfg.tournament_size, rng)
+        b = tournament_select(population, fits, cfg.tournament_size, rng)
+        for child in one_point_crossover(a, b, cfg.crossover_prob, rng):
+            if len(offspring) < len(population):
+                offspring.append(mutate_random_reset(child, cfg.mutation_prob, rng))
+    return offspring
+
+
+def _offspring(population, fits, cfg: EvolverConfig, rng, genes: Optional[np.ndarray]):
+    """:func:`_offspring_per_call`'s offspring and final ``rng`` state, read
+    on a PCG64 ``Generator`` from one block of raw words.  Other generators,
+    empty chromosomes and NaN fitnesses (whose tournament ties follow set
+    order) take the operators.  ``genes`` may hold the population as an
+    (n, L) array; the offspring come with theirs, or with None from the
+    operators."""
+    bitgen = getattr(rng, "bit_generator", None)
+    if (type(rng) is not np.random.Generator or type(bitgen) is not np.random.PCG64
+            or not population[0] or any(map(math.isnan, fits))):
+        return _offspring_per_call(population, fits, cfg, rng), None
+    state = bitgen.state
+    # A pair draws at most 2k + 1 + 2L doubles and 1 + 2L 32-bit values.
+    size = (len(population) + 1) // 2 * (2 * cfg.tournament_size + 2 + 4 * len(population[0]))
+    built = _offspring_from_block(population, fits, cfg, bitgen.random_raw(size),
+                                  state["has_uint32"], state["uinteger"], genes)
+    bitgen.state = state
+    if built is None:
+        return _offspring_per_call(population, fits, cfg, rng), None
+    offspring, genes, used, pending, uinteger = built
+    bitgen.advance(used)
+    bitgen.state = {**bitgen.state, "has_uint32": pending, "uinteger": uinteger}
+    return offspring, genes
+
+
+def _offspring_from_block(population, fits, cfg: EvolverConfig, block: np.ndarray,
+                          pending: int, uinteger: int, genes: Optional[np.ndarray]):
+    """:func:`_offspring_per_call` on a generator whose next raw words are
+    ``block`` and whose pending 32-bit half is ``uinteger`` if ``pending``:
+    the offspring as tuples and as an array, the words used, and the pending
+    flag and last half after them; or None if Lemire's method rejects a cut
+    or gene draw.
+
+    numpy's Generator reads a PCG64 double from the top 53 bits of one word;
+    a 32-bit draw takes the pending half if there is one, else the low half
+    of a fresh word, whose high half becomes the pending one.
+    """
+    n, k, L = len(population), cfg.tournament_size, len(population[0])
+    pairs = (n + 1) // 2
+    u = (block >> np.uint64(11)) * 2.0**-53
+    crossing, mutating = u < cfg.crossover_prob, u < cfg.mutation_prob
+    # hits[a]: mutation hits among words a .. a + L - 1.  Memoryviews read
+    # single values as Python ints and bools, much faster than numpy.
+    hits = np.cumsum(mutating)
+    hits = hits[L - 1:] - np.concatenate(([0], hits[:-L]))
+    hits_at, crossing_at = memoryview(hits), memoryview(crossing)
+
+    # Offset scan, one step per pair: the word that each pair and each
+    # mutation mask starts at, and the index in ``halves`` of every cut and
+    # gene draw (a pending half first, then the halves of fresh words).
+    starts, masks, cut_at, gene_at = [], [], [], []
+    at, last = 0, -1
+    for j in range(pairs):
+        starts.append(at)
+        at += 2 * k + 1
+        if L >= 3 and crossing_at[at - 1]:
+            if pending:
+                cut_at.append(last)
+            else:
+                cut_at.append(2 * at)
+                at += 1
+                last = 2 * at - 1
+            pending ^= 1
+        for _ in range(2 if 2 * j + 1 < n else 1):
+            masks.append(at)
+            count = hits_at[at]
+            at += L
+            if count:
+                gene_at += [last] * pending + list(range(2 * at, 2 * at + count - pending))
+                fresh = (count - pending + 1) >> 1
+                at += fresh
+                last = 2 * at - 1 if fresh else last
+                pending ^= count & 1
+
+    # Lemire's method: cuts come from integers(1, L), genes from integers(1, 6).
+    halves = np.append(block.astype("<u8").view("<u4"), np.uint32(uinteger))
+    bound = np.repeat(np.array([max(L - 1, 1), _DIGIT_BASE], dtype=np.uint64),
+                      [len(cut_at), len(gene_at)])
+    scaled = halves[np.array(cut_at + gene_at, dtype=np.int64)] * bound
+    if ((scaled & np.uint64(0xFFFFFFFF)) < np.uint64(1 << 32) % bound).any():
+        return None
+    drawn = (scaled >> np.uint64(32)).astype(np.int64) + 1
+    starts = np.array(starts)
+    crossed = crossing[starts + 2 * k] & (L >= 2)
+    cut = np.where(crossed, 1, L)
+    cut[crossed & (L >= 3)] = drawn[: len(cut_at)]
+
+    # Floyd's sampling for every tournament at once, one step per slot;
+    # each winner is its members' lowest (fitness, index) rank.
+    rows = 2 * pairs
+    base = np.arange(rows) * n
+    draws = u[np.add.outer(starts, np.arange(2 * k))].reshape(rows, k)
+    slots = (draws * np.arange(n - k + 1, n + 1)).astype(np.int64).T + base
+    member = np.zeros(rows * n, dtype=bool)
+    for t, top in zip(slots, np.add.outer(np.arange(n - k, n), base)):
+        t = np.where(member[t], top, t)
+        member[t] = True
+    rank = np.argsort(np.argsort(fits, kind="stable"))
+    winners = np.where(member.reshape(rows, n), rank, n).argmin(axis=1)
+
+    if genes is None:
+        genes = np.fromiter(itertools.chain.from_iterable(population), dtype=np.int64,
+                            count=n * L).reshape(n, L)
+    parents = genes[winners].reshape(pairs, 2, L)
+    left = (np.arange(L) < cut[:, None])[:, None, :]
+    kids = np.where(left, parents, parents[:, ::-1]).reshape(rows, L)[:n]
+    kids[mutating[np.add.outer(masks, np.arange(L))]] = drawn[len(cut_at):]
+    return list(map(tuple, kids.tolist())), kids, at, pending, int(halves[last])
+
+
 def evolve(
     population: list[Chromosome],
     window,
-    fitness: Callable[[Sequence[int], object], float],
+    fitness: ReplayFitness | ResimFitness,
     cfg: EvolverConfig,
     rng: np.random.Generator,
     on_generation: Optional[Callable[[int, float], None]] = None,
@@ -565,47 +730,37 @@ def evolve(
     if len(population) != size:
         raise ValueError(f"population size {len(population)} != configured {size}")
 
-    project = None
-    supp_fn = getattr(fitness, "window_support", None)
-    if supp_fn is not None:
-        support = supp_fn(window)
-        if len(support) >= 2:
-            project = operator.itemgetter(*support)
-    batch_fn = getattr(fitness, "batch", None)
+    support = fitness.window_support(window)
+    project = operator.itemgetter(*support) if len(support) >= 2 else None
     memo: dict[Chromosome, float] = {}
 
     def evaluate(pop: Sequence[Chromosome]) -> list[float]:
-        keys = [project(g) if project is not None else g for g in pop]
+        keys = list(map(project, pop)) if project is not None else list(pop)
         pending: dict[Chromosome, Chromosome] = {}
         for key, genes in zip(keys, pop):
             if key not in memo and key not in pending:
                 pending[key] = genes
         if pending:
             reps = list(pending.values())
-            vals = batch_fn(reps, window) if batch_fn else [fitness(g, window) for g in reps]
-            for key, val in zip(pending.keys(), vals):
+            for key, val in zip(pending.keys(), fitness.batch(reps, window)):
                 memo[key] = float(val)
         return [memo[key] for key in keys]
 
     fits = evaluate(population)
-    best_i = min(range(size), key=lambda i: (fits[i], i))
+    best_i = min(range(size), key=fits.__getitem__)
     best, best_fit = population[best_i], fits[best_i]
     if on_generation is not None:
         on_generation(0, best_fit)
 
+    gene_array = None
     for gen in range(cfg.generations):
-        offspring: list[Chromosome] = []
-        while len(offspring) < size:
-            a = tournament_select(population, fits, cfg.tournament_size, rng)
-            b = tournament_select(population, fits, cfg.tournament_size, rng)
-            c1, c2 = one_point_crossover(a, b, cfg.crossover_prob, rng)
-            offspring.append(mutate_random_reset(c1, cfg.mutation_prob, rng))
-            if len(offspring) < size:
-                offspring.append(mutate_random_reset(c2, cfg.mutation_prob, rng))
+        offspring, gene_array = _offspring(population, fits, cfg, rng, gene_array)
         offspring[0] = best
+        if gene_array is not None:
+            gene_array[0] = best
         population[:] = offspring
         fits = evaluate(population)
-        gen_i = min(range(size), key=lambda i: (fits[i], i))
+        gen_i = min(range(size), key=fits.__getitem__)
         if fits[gen_i] < best_fit:
             best, best_fit = population[gen_i], fits[gen_i]
         if on_generation is not None:
@@ -620,7 +775,7 @@ class RuleEvolver:
         self,
         seed_chromosome: Sequence[int],
         cfg: EvolverConfig,
-        fitness: Callable[[Sequence[int], object], float],
+        fitness: ReplayFitness | ResimFitness,
         rng: np.random.Generator,
     ) -> None:
         self.cfg = cfg

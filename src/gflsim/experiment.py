@@ -325,7 +325,12 @@ def _parse_evolver(raw: dict) -> EvolverConfig:
 
 def read_config_dict(path: str | Path) -> dict:
     """Raw JSON object from a config file; a blank file means {}."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot be read as UTF-8 text ({exc})") from exc
     if not text.strip():
         return {}
     try:
@@ -342,7 +347,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     A blank file means "all defaults".  Raises :class:`FileNotFoundError`
     for a missing file and :class:`ConfigError` (naming the offending key)
-    for invariant violations.
+    for invariant violations, or naming the path for a file that cannot be
+    read as UTF-8 text.
     """
     return config_from_dict(read_config_dict(path))
 

@@ -1,8 +1,10 @@
 """Genetic operators, replay fitness, and the generational loop."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FixedPolicy, make_snapshot, make_window, random_window, reference_strengths
 from gflsim import evolver
@@ -482,6 +484,43 @@ class TestFitness:
         n_stations = len(world.stations)
         assert most_slots <= 2 * _SLOTS_PER_SITE * window.length * 3 * n_stations
 
+    def test_repeated_batch_on_evolve_long_windows_settles_almost_nothing(self):
+        # Windows and populations of gfls runs at the evolve_long sizes (20
+        # terminals, window 6, the GA every 2 units for 5 generations).  A
+        # pair that collides in its first table slot is stored in its
+        # second, so a repeated batch reads nearly every region from the
+        # table; only a pair whose two slots both went to other pairs of the
+        # first batch is settled again.
+        ga = EvolverConfig(invocation_period=2, window_length=6, generations=5)
+        cfg = WorldConfig(mt_count=20, total_time=40)
+        rows = {"first": 0, "again": 0}
+        second_slots = 0
+        for seed in range(2):
+            policy = make_policy("gfls", evolver_cfg=ga, rng=np.random.default_rng(seed))
+            world = World.build(cfg, np.random.default_rng(seed))
+            window = HistoryWindow(ga.window_length)
+            for t in range(1, cfg.total_time + 1):
+                window.push(world.step(policy))
+                if window.warm and t % 2 == 0:
+                    frozen = window.freeze()
+                    fit = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell)
+                    settle = fit._settle
+                    for batch in ("first", "again"):
+                        def counted(weights, terms, batch=batch):
+                            rows[batch] += len(terms)
+                            return settle(weights, terms)
+                        fit._settle = counted
+                        fits = fit.batch(policy.evolver.population, frozen)
+                        if batch == "first":
+                            expected = list(fits)
+                    assert list(fits) == expected
+                    second_slots += sum(int((table[len(table) // 2:, 1] >= 0).sum())
+                                        for _, _, table in fit._site_cache.values())
+                policy.on_epoch(window, t)
+        assert second_slots > 0
+        assert rows["first"] > 10_000
+        assert rows["again"] * 100 <= rows["first"], rows
+
     def test_window_support_covers_mutation_sensitivity(self, rng):
         # genes outside the support provably cannot change fitness
         fit = make_fitness()
@@ -642,6 +681,117 @@ class TestEvolve:
             evolve(pop, FrozenWindow((), None), make_fitness(), cfg, rng)
 
 
+class GeneSumFitness:
+    """Fitness double for any chromosome length, with few distinct values
+    so that tournaments meet ties."""
+
+    def __init__(self, n_cells, nan_mod=None):
+        self.n_cells = n_cells
+        self.nan_mod = nan_mod
+
+    def window_support(self, window):
+        return tuple(range(self.n_cells))
+
+    def batch(self, population, window):
+        fits = np.array([float(sum(g) % 4) for g in population])
+        fits[fits == self.nan_mod] = np.nan
+        return fits
+
+
+def stream_state(rng):
+    """The bit generator's whole state, stale 32-bit half included, as text."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+def evolve_trace(make_rng, fitness, length, cfg, seed):
+    """Every generation's population, the best and the final stream state."""
+    rng = make_rng(seed)
+    pop = init_population(random_chromosome(length, rng), cfg, rng)
+    trace = []
+    best = evolve(pop, window_no_events(), fitness, cfg, rng,
+                  on_generation=lambda g, f: trace.append(list(pop)))
+    return trace, best, stream_state(rng)
+
+
+class TestGenerationFromRawDraws:
+    """``evolve`` reads a generation's draws from one block of raw PCG64
+    words.  It must give what the operators give from the same stream, and
+    leave the stream as they do; numpy does not promise its stream layout
+    across releases, so this also guards an upgrade."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(size=st.integers(1, 40), length=st.sampled_from([1, 2, 3, 9, 27]),
+           k_frac=st.floats(0.0, 1.0), pc=st.sampled_from([0.0, 1.0, 0.9, 0.37]),
+           pm=st.sampled_from([0.0, 1.0, 0.1, 0.5]))
+    @example(size=50, length=27, k_frac=0.2, pc=0.9, pm=0.1)  # the shipped GA
+    @example(size=7, length=9, k_frac=1.0, pc=1.0, pm=1.0)
+    @example(size=8, length=1, k_frac=1.0, pc=1.0, pm=0.0)
+    @example(size=9, length=2, k_frac=0.5, pc=1.0, pm=1.0)
+    @example(size=6, length=27, k_frac=1.0, pc=0.0, pm=0.0)
+    def test_evolve_matches_the_operators(self, size, length, k_frac, pc, pm):
+        k = max(1, round(k_frac * size))
+        cfg = EvolverConfig(population_size=size, tournament_size=k, crossover_prob=pc,
+                            mutation_prob=pm, generations=5)
+        fitness = GeneSumFitness(length)
+        built = []
+        real = evolver._offspring_from_block
+        with pytest.MonkeyPatch.context() as mp:
+            for seed in range(6):
+                mp.setattr(evolver, "_offspring_from_block",
+                           lambda *a: built.append(real(*a)) or built[-1])
+                fast = evolve_trace(np.random.default_rng, fitness, length, cfg, seed)
+                mp.setattr(evolver, "_offspring_from_block", lambda *a: None)
+                assert fast == evolve_trace(np.random.default_rng, fitness, length, cfg, seed)
+                mp.undo()
+        assert len(built) == 6 * cfg.generations and None not in built
+
+    def test_rejected_draw_takes_the_operators(self, monkeypatch):
+        # Zero low halves make every fresh 32-bit draw fall in Lemire's
+        # rejection zone for the gene range 1..5.
+        cfg = EvolverConfig(population_size=11, tournament_size=4, mutation_prob=0.5,
+                            generations=4)
+        fitness = GeneSumFitness(9)
+        expected = [evolve_trace(np.random.default_rng, fitness, 9, cfg, seed)
+                    for seed in range(4)]
+        built = []
+        real = evolver._offspring_from_block
+        monkeypatch.setattr(
+            evolver, "_offspring_from_block",
+            lambda pop, fits, cfg, block, *a: built.append(
+                real(pop, fits, cfg, block & np.uint64(0xFFFFFFFF00000000), *a)) or built[-1])
+        got = [evolve_trace(np.random.default_rng, fitness, 9, cfg, seed) for seed in range(4)]
+        assert got == expected
+        assert len(built) == 4 * cfg.generations and all(b is None for b in built)
+
+    def test_other_bit_generator_takes_the_operators(self, monkeypatch):
+        cfg = EvolverConfig(population_size=10, tournament_size=3, mutation_prob=0.3,
+                            generations=4)
+        fitness = GeneSumFitness(9)
+        mt = lambda seed: np.random.Generator(np.random.MT19937(seed))  # noqa: E731
+        calls = []
+        monkeypatch.setattr(evolver, "_offspring_from_block", lambda *a: calls.append(a))
+        got = [evolve_trace(mt, fitness, 9, cfg, seed) for seed in range(4)]
+        monkeypatch.setattr(evolver, "_offspring_from_block", lambda *a: None)
+        assert got == [evolve_trace(mt, fitness, 9, cfg, seed) for seed in range(4)]
+        assert calls == []
+
+    def test_nan_fitness_takes_the_operators(self, monkeypatch):
+        # Ties between NaN fitnesses follow the tournament's set order.
+        cfg = EvolverConfig(population_size=10, tournament_size=3, mutation_prob=0.3,
+                            generations=4)
+        fitness = GeneSumFitness(9, nan_mod=3)
+        seen = []
+        real = evolver._offspring_from_block
+        monkeypatch.setattr(evolver, "_offspring_from_block",
+                            lambda pop, fits, *a: seen.append(fits) or real(pop, fits, *a))
+        got = [evolve_trace(np.random.default_rng, fitness, 9, cfg, seed) for seed in range(4)]
+        monkeypatch.setattr(evolver, "_offspring_from_block", lambda *a: None)
+        assert got == [evolve_trace(np.random.default_rng, fitness, 9, cfg, seed)
+                       for seed in range(4)]
+        assert len(seen) < 4 * cfg.generations
+        assert not np.isnan(seen).any()
+
+
 class TestEvolverConfig:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -691,3 +841,6 @@ class TestResimFitness:
         live = sum(1 for e in world.events
                    if e.t > 8 and e.kind in ("HandoffInitiated", "ConnectionCut"))
         assert fit(SEED_GENES, frozen) == live
+        other = (3,) * 27
+        assert list(fit.batch([SEED_GENES, other], frozen)) == [live, fit(other, frozen)]
+        assert fit.window_support(frozen) == tuple(range(27))

@@ -405,6 +405,18 @@ class TestCli:
         assert cli_main(["--config", str(path)]) == 2
         assert "s_min" in capsys.readouterr().err
 
+    def test_config_directory_exits_2_naming_path(self, tmp_path, capsys):
+        assert cli_main(["--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(tmp_path) in err
+
+    def test_config_not_utf8_exits_2_naming_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"seeds": [0], "output_dir": "caf\u00e9"}'.encode("latin-1"))
+        assert cli_main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "UTF-8 text" in err and str(path) in err
+
     @pytest.mark.parametrize("text, key", [
         ('{"world": {"stations": [{"center": ["a", 1], "radius": 500, "capacity": 3}]}}',
          "world.stations[0].center[0]"),
