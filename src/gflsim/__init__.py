@@ -60,12 +60,9 @@ from .world import (
     WorldConfig,
     acceleration_for,
     accelerated_state,
-    advance_mt,
     audit_channels,
     audit_energy,
     audit_motion,
-    distance_to_boundary,
-    select_target_bs,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fuzzy import FuzzySystem, NoActivationError
-from .world import State
+from .world import _CONNECT, _DISCONNECT, _HANDOVER
 
 __all__ = [
     "EmptyHistoryError",
@@ -210,9 +210,6 @@ _SLOTS_PER_SITE = 128
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 _SITE_MUL = np.uint64(0xC2B2AE3D27D4EB4F)
 
-# Plain-int states: numpy compares arrays with them faster than with IntEnums.
-_CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(State.DISCONNECT)
-
 
 def _region_table(n_sites: int) -> np.ndarray:
     """Empty two-probe region memo of one unit: a (gene key, site index in
@@ -230,11 +227,10 @@ class _WindowPrep:
     def __init__(self, records, fitness: "ReplayFitness") -> None:
         system = fitness.system
         self.n_units = len(records)
-        self.n_mts = len(records[0].snapshots)
-        self.n_stations = len(records[0].snapshots[0].dist_ratio)
+        self.n_mts, self.n_stations = records[0].ratio.shape
         U, M, S = self.n_units, self.n_mts, self.n_stations
-        self.ratio = np.array([[snap.dist_ratio for snap in rec.snapshots] for rec in records])
-        self.chan = np.array([[snap.chan_norm for snap in rec.snapshots] for rec in records])
+        self.ratio = np.stack([rec.ratio for rec in records])
+        self.chan = np.stack([rec.chan for rec in records])
         self.covered = self.ratio > 0.0
         self.dn = np.clip(self.ratio, 0.0, 1.0)
         # Deepest covering station per (unit, terminal), channels ignored,
@@ -249,11 +245,9 @@ class _WindowPrep:
         scores = np.where(self.covered & (self.chan > 0.0), self.dn, -1.0)
         scores = np.where(np.eye(S, dtype=bool), -1.0, scores[:, :, None, :])
         self.target = np.where(scores.max(axis=3) > 0.0, scores.argmax(axis=3), -1)
-        first = records[0].snapshots
-        self.init_state = np.array([int(s.state) for s in first])
-        self.init_serving = np.array([s.serving for s in first])
-        self.init_target = np.array([s.target for s in first])
-        self.init_dwell = np.array([s.dwell for s in first])
+        first = records[0]
+        self.init_state, self.init_serving = first.state, first.serving
+        self.init_target, self.init_dwell = first.target, first.dwell
 
         # Materialize every covered decision site: fuzzified inputs do not
         # depend on the candidate grid, only their gene mapping does.
@@ -307,13 +301,14 @@ class _WindowPrep:
         inputs = fitness.system.input_vars
         S = self.n_stations
         sites: dict[int, tuple] = {}
+        velocity = rec.velocity.tolist()
         for m in range(self.n_mts):
             v_deg = None
             for s in range(S):
                 if not self.covered[u, m, s]:
                     continue
                 if v_deg is None:
-                    v_deg = inputs[0].fuzzify(rec.snapshots[m].velocity)
+                    v_deg = inputs[0].fuzzify(velocity[m])
                 # A two-input system ignores the channel input.
                 degs = [v_deg] + [var.fuzzify(float(x)) for var, x in
                                   zip(inputs[1:], (self.dn[u, m, s], self.chan[u, m, s]))]

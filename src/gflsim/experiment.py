@@ -296,6 +296,8 @@ def _validate_world(cfg: WorldConfig) -> None:
         raise ConfigError("world.steady_speed: speeds must be >= 0")
     if cfg.accel_distance_range[0] <= 0:
         raise ConfigError("world.accel_distance: distances must be > 0")
+    if cfg.accel_duration is not None and cfg.accel_duration <= 0:
+        raise ConfigError("world.accel_duration: must be > 0")
 
 
 def _parse_evolver(raw: dict) -> EvolverConfig:
@@ -481,17 +483,18 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     world.verify_channels()
 
     handoffs = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)
-    mt_units = len(world.mts) * config.world.total_time
+    final = tuple(world.mts)
+    mt_units = len(final) * config.world.total_time
     connection_pct = 100.0 * world.connected_units / mt_units if mt_units else 0.0
     e0 = config.world.initial_energy
-    wastage = [100.0 * (e0 - mt.energy) / e0 for mt in world.mts]
+    wastage = [100.0 * (e0 - mt.energy) / e0 for mt in final]
     energy_pct = float(np.mean(wastage)) if wastage else 0.0
     metrics = RunMetrics(handoffs, connection_pct, energy_pct)
     return RunResult(
         policy=kind.value, seed=seed, metrics=metrics,
         events=tuple(world.events), records=tuple(records),
         evolution=tuple(policy.evolution_log),
-        terminals_final=tuple(world.mts), sim_time=world.t,
+        terminals_final=final, sim_time=world.t,
     )
 
 

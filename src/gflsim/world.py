@@ -1,11 +1,12 @@
 """Discrete-time world model: station geometry, terminal kinematics,
 energy accounting, and the connect/handover/disconnect state machine.
 
-One world instance is stepped sequentially (terminal update order is part
-of determinism).  Distinct instances are independent and can run in
-parallel.  Each step emits an immutable per-unit record that doubles as
-the replay substrate for consequent evolution and for the audit helpers
-at the bottom of this module.
+A world keeps its terminals as arrays.  A step moves them and measures
+every terminal-station distance at once, runs the state machine terminal
+by terminal (update order is part of determinism), then charges energy.
+Distinct instances are independent and can run in parallel.  Each step
+emits an immutable record of arrays, the replay substrate for consequent
+evolution and for the audit helpers at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import copy
 import math
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,18 +36,13 @@ __all__ = [
     "MotionPlan",
     "MobileTerminal",
     "WorldConfig",
-    "MtSnapshot",
     "UnitRecord",
     "HistoryWindow",
     "FrozenWindow",
     "World",
     "acceleration_for",
     "accelerated_state",
-    "advance_mt",
-    "distance_to_boundary",
-    "boundary_ratio",
     "distance_norm",
-    "select_target_bs",
     "audit_channels",
     "audit_energy",
     "audit_motion",
@@ -120,13 +117,6 @@ class BaseStation:
     capacity: int
     occupied: int = 0
 
-    def free_norm(self) -> float:
-        """Free-channel fraction in [0, 1]."""
-        return (self.capacity - self.occupied) / self.capacity
-
-    def has_free_channel(self) -> bool:
-        return self.occupied < self.capacity
-
 
 @dataclass(frozen=True)
 class MotionPlan:
@@ -187,34 +177,51 @@ class WorldConfig:
     terminals: Optional[tuple[TerminalSpec, ...]] = None
 
 
-@dataclass(frozen=True)
-class MtSnapshot:
-    """One terminal at one time unit, captured at its decision point.
+_INT_FIELDS = frozenset({"state", "serving", "target", "dwell", "station_occupied"})
 
-    ``dist_ratio`` holds the signed boundary distance divided by the
-    station radius (negative outside coverage) and ``chan_norm`` the
-    free-channel fraction per station, both as seen by this terminal just
-    before its own transition.  ``state``/``serving``/``target``/``dwell``
-    are the pre-transition values.
+
+@dataclass(frozen=True, eq=False)
+class UnitRecord:
+    """One time unit of M terminals and S stations, in read-only arrays.
+
+    Per terminal (M,), at its decision point: ``velocity``, the moved
+    position ``x``/``y``, and the pre-transition ``state``, ``serving``
+    and ``target`` (-1 when unset) and ``dwell``.  Per pair (M, S):
+    ``ratio``, the signed boundary distance over the radius (negative
+    outside coverage), and ``chan``, the free-channel fraction the terminal
+    saw just before its own transition.  Post-unit: ``station_occupied``
+    (S,) and ``energies`` (M,).  Windows, replay caches and run results
+    share records, so the arrays are copied in and cannot be written.
     """
 
-    velocity: float
-    x: float
-    y: float
-    dist_ratio: tuple[float, ...]
-    chan_norm: tuple[float, ...]
-    state: State
-    serving: int  # -1 when unset
-    target: int   # -1 when unset
-    dwell: int
-
-
-@dataclass(frozen=True)
-class UnitRecord:
     t: int
-    snapshots: tuple[MtSnapshot, ...]
-    station_occupied: tuple[int, ...]  # post-unit
-    energies: tuple[float, ...]        # post-unit
+    velocity: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ratio: np.ndarray
+    chan: np.ndarray
+    state: np.ndarray
+    serving: np.ndarray
+    target: np.ndarray
+    dwell: np.ndarray
+    station_occupied: np.ndarray
+    energies: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self)[1:]:
+            a = np.array(getattr(self, f.name), dtype=np.int64 if f.name in _INT_FIELDS else float)
+            a.setflags(write=False)
+            object.__setattr__(self, f.name, a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnitRecord):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def __reduce__(self):
+        # Through the constructor, so unpickled arrays are read-only too.
+        return UnitRecord, tuple(getattr(self, f.name) for f in fields(self))
 
 
 class FrozenWindow(NamedTuple):
@@ -291,43 +298,11 @@ def _fold(p: float, lo: float, hi: float) -> tuple[float, float]:
     return lo + (2.0 * span - q), -1.0
 
 
-def advance_mt(
-    mt: MobileTerminal,
-    t_now: int,
-    arena: tuple[float, float],
-    dt: float = 1.0,
-    eq2_verbatim: bool = False,
-) -> None:
-    """Move one terminal by one step, reflecting specularly off arena walls."""
-    if mt.plan.kind == "steady":
-        step = mt.plan.speed * dt
-        mt.speed = mt.plan.speed
-    else:
-        a = mt.plan.accel
-        x1, v = accelerated_state(a, t_now, verbatim=eq2_verbatim)
-        x0, _ = accelerated_state(a, t_now - dt)
-        step = x1 - x0
-        mt.speed = v
-    if step == 0.0:
-        return
-    cos_h = math.cos(mt.heading)
-    sin_h = math.sin(mt.heading)
-    nx, sx = _fold(mt.x + step * cos_h, 0.0, arena[0])
-    ny, sy = _fold(mt.y + step * sin_h, 0.0, arena[1])
-    mt.x, mt.y = nx, ny
-    mt.odometer += step
-    if sx < 0 or sy < 0:
-        mt.heading = math.atan2(sy * sin_h, sx * cos_h)
-
-
-def distance_to_boundary(mt_x: float, mt_y: float, bs: BaseStation) -> float:
-    """Signed distance to the coverage edge: positive inside, negative outside."""
-    return bs.radius - math.hypot(mt_x - bs.x, mt_y - bs.y)
-
-
-def boundary_ratio(mt_x: float, mt_y: float, bs: BaseStation) -> float:
-    """Signed boundary distance scaled by the station radius."""
-    return distance_to_boundary(mt_x, mt_y, bs) / bs.radius
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise.  ``np.hypot`` rounds about 0.6% of
+    arena-scale pairs differently, which would change event logs."""
+    pairs = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(pairs, float, x.size).reshape(x.shape)
 
 
 def distance_norm(ratio: float) -> float:
@@ -335,57 +310,76 @@ def distance_norm(ratio: float) -> float:
     return min(max(ratio, 0.0), 1.0)
 
 
-def select_target_bs(
-    mt_x: float,
-    mt_y: float,
-    stations: Sequence[BaseStation],
-    exclude: Optional[int] = None,
-    require_channel: bool = True,
-) -> Optional[BaseStation]:
-    """Covering station with the deepest normalized coverage.
+# Plain-int states: lists and numpy arrays compare with them faster than with IntEnums.
+_CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(State.DISCONNECT)
+# Terminal fields a World keeps as float arrays and as int lists (-1 for None).
+_FLOAT_COLUMNS = ("x", "y", "heading", "speed", "energy", "odometer")
+_INT_COLUMNS = ("state", "serving", "target", "dwell")
 
-    Only stations with strictly positive boundary distance qualify;
-    ``require_channel`` additionally demands a free channel (the handoff
-    case).  Ties resolve to the lowest station id.
-    """
-    best = None
-    best_dn = 0.0
-    for bs in stations:
-        if bs.ident == exclude:
-            continue
-        d = distance_to_boundary(mt_x, mt_y, bs)
-        if d <= 0.0:
-            continue
-        if require_channel and not bs.has_free_channel():
-            continue
-        dn = distance_norm(d / bs.radius)
-        if dn > best_dn:
-            best, best_dn = bs, dn
-    return best
+
+class _Terminals(Sequence):
+    """Read-only view of a world's terminals: ``len`` builds nothing and
+    item ``m`` is ``World.terminal(m)``."""
+
+    __slots__ = ("_world",)
+
+    def __init__(self, world: "World") -> None:
+        self._world = world
+
+    def __len__(self) -> int:
+        return len(self._world._ids)
+
+    def __getitem__(self, m: int) -> MobileTerminal:
+        return self._world.terminal(range(len(self))[m])
 
 
 class World:
-    """Mutable simulation state stepped one time unit at a time."""
+    """Mutable simulation state stepped one time unit at a time.  Terminal
+    ``m`` is column ``m`` of float arrays (position, heading with its cached
+    cosine and sine, speed, energy, odometer) and of the int lists the state
+    machine walks (state, serving, target, dwell); ``mts`` views them."""
 
-    def __init__(
-        self,
-        cfg: WorldConfig,
-        stations: Sequence[BaseStation],
-        terminals: Sequence[MobileTerminal],
-    ) -> None:
+    def __init__(self, cfg: WorldConfig, stations: Sequence[BaseStation],
+                 terminals: Sequence[MobileTerminal]) -> None:
+        if not stations:
+            raise DomainError("a world needs at least one station")
         self.cfg = cfg
         self.stations = list(stations)
-        self.mts = list(terminals)
         self.t = 0
         self.events: list[Event] = []
         self.connected_units = 0  # MT-units spent connected or in handover
+        self._ids = [mt.ident for mt in terminals]
+        self._plans = [mt.plan for mt in terminals]
+        for name in _FLOAT_COLUMNS:
+            setattr(self, "_" + name, np.array([getattr(mt, name) for mt in terminals], float))
+        for name in _INT_COLUMNS:
+            setattr(self, "_" + name, [-1 if getattr(mt, name) is None else int(getattr(mt, name))
+                                       for mt in terminals])
+        self._cos = np.array([math.cos(h) for h in self._heading.tolist()])
+        self._sin = np.array([math.sin(h) for h in self._heading.tolist()])
+        self._accelerated = np.array([p.kind != "steady" for p in self._plans], bool)
+        self._accel = np.array([p.accel if p.kind != "steady" else 0.0 for p in self._plans])
+        self._plan_speed = np.array([p.speed for p in self._plans], float)
+        self._bx, self._by, self._radius = (
+            np.array([getattr(bs, k) for bs in self.stations], float) for k in ("x", "y", "radius"))
+
+    @property
+    def mts(self) -> Sequence[MobileTerminal]:
+        return _Terminals(self)
+
+    def terminal(self, m: int) -> MobileTerminal:
+        """A detached copy of terminal ``m`` as it stands."""
+        sv, tg = self._serving[m], self._target[m]
+        return MobileTerminal(
+            self._ids[m], float(self._x[m]), float(self._y[m]), float(self._heading[m]),
+            self._plans[m], float(self._speed[m]), float(self._energy[m]),
+            State(self._state[m]), None if sv < 0 else sv, None if tg < 0 else tg,
+            self._dwell[m], float(self._odometer[m]))
 
     @classmethod
     def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
-        stations = [
-            BaseStation(i, s.x, s.y, s.radius, s.capacity)
-            for i, s in enumerate(cfg.stations)
-        ]
+        stations = [BaseStation(i, s.x, s.y, s.radius, s.capacity)
+                    for i, s in enumerate(cfg.stations)]
         if cfg.terminals is not None:
             terminals = [cls._terminal_from_spec(i, spec, cfg)
                          for i, spec in enumerate(cfg.terminals)]
@@ -393,17 +387,13 @@ class World:
             if rng is None:
                 raise DomainError("randomized terminal placement needs an rng")
             terminals = [cls._random_terminal(i, cfg, rng) for i in range(cfg.mt_count)]
-        for mt in terminals:
-            mt.energy = cfg.initial_energy
         return cls(cfg, stations, terminals)
 
     @staticmethod
     def _terminal_from_spec(ident: int, spec: TerminalSpec, cfg: WorldConfig) -> MobileTerminal:
-        if spec.kind == "steady":
-            plan = MotionPlan.steady(spec.speed)
-        else:
-            plan = MotionPlan.accelerated(spec.distance, spec.duration)
-        return MobileTerminal(ident, spec.x, spec.y, spec.heading, plan)
+        plan = (MotionPlan.steady(spec.speed) if spec.kind == "steady"
+                else MotionPlan.accelerated(spec.distance, spec.duration))
+        return MobileTerminal(ident, spec.x, spec.y, spec.heading, plan, energy=cfg.initial_energy)
 
     @staticmethod
     def _random_terminal(ident: int, cfg: WorldConfig, rng: np.random.Generator) -> MobileTerminal:
@@ -412,215 +402,201 @@ class World:
         heading = rng.uniform(0.0, 2.0 * math.pi)
         if rng.random() < cfg.accelerated_fraction:
             dx = rng.uniform(*cfg.accel_distance_range)
-            plan = MotionPlan.accelerated(dx, cfg.accel_duration or cfg.total_time)
+            duration = cfg.total_time if cfg.accel_duration is None else cfg.accel_duration
+            plan = MotionPlan.accelerated(dx, duration)
         else:
             plan = MotionPlan.steady(rng.uniform(*cfg.steady_speed_range))
-        return MobileTerminal(ident, x, y, heading, plan)
+        return MobileTerminal(ident, x, y, heading, plan, energy=cfg.initial_energy)
 
     def clone_state(self) -> "World":
         """Independent copy with a fresh event log (for replay checkpoints)."""
-        w = World(self.cfg,
-                  [copy.copy(bs) for bs in self.stations],
-                  [copy.copy(mt) for mt in self.mts])
-        w.t = self.t
-        w.connected_units = self.connected_units
+        w = copy.copy(self)
+        w.stations = [copy.copy(bs) for bs in self.stations]
+        w.events = []
+        for name in _FLOAT_COLUMNS + _INT_COLUMNS + ("cos", "sin"):
+            setattr(w, "_" + name, copy.copy(getattr(self, "_" + name)))
         return w
+
+    def _move(self, t: int) -> None:
+        """Move every terminal one step along its plan, reflecting
+        specularly off the arena walls."""
+        a, acc = self._accel, self._accelerated
+        self._speed = np.where(acc, np.sqrt(2.0 * a * t) if self.cfg.eq2_verbatim else a * t,
+                               self._plan_speed)
+        step = np.where(acc, 0.5 * a * t * t - 0.5 * a * (t - 1.0) * (t - 1.0), self._plan_speed)
+        moving = step != 0.0
+        px = self._x + step * self._cos
+        py = self._y + step * self._sin
+        width, height = self.cfg.arena_width, self.cfg.arena_height
+        # Inside the arena, _fold(p, 0.0, extent) is (0.0 + p, 1.0).
+        self._x = np.where(moving, px + 0.0, self._x)
+        self._y = np.where(moving, py + 0.0, self._y)
+        self._odometer = np.where(moving, self._odometer + step, self._odometer)
+        out = moving & ~((px >= 0.0) & (px <= width) & (py >= 0.0) & (py <= height))
+        for m in np.flatnonzero(out).tolist():
+            self._x[m], sx = _fold(float(px[m]), 0.0, width)
+            self._y[m], sy = _fold(float(py[m]), 0.0, height)
+            if sx < 0 or sy < 0:
+                h = math.atan2(sy * float(self._sin[m]), sx * float(self._cos[m]))
+                self._heading[m], self._cos[m], self._sin[m] = h, math.cos(h), math.sin(h)
 
     def step(self, policy) -> UnitRecord:
         """Advance one time unit under ``policy`` (anything with .decide)."""
         self.t += 1
-        t = self.t
-        cfg = self.cfg
-        arena = (cfg.arena_width, cfg.arena_height)
-        snaps = []
-        for mt in self.mts:
-            advance_mt(mt, t, arena, eq2_verbatim=cfg.eq2_verbatim)
-            ratios = tuple(boundary_ratio(mt.x, mt.y, bs) for bs in self.stations)
-            chans = tuple(bs.free_norm() for bs in self.stations)
-            snaps.append(MtSnapshot(
-                velocity=mt.speed, x=mt.x, y=mt.y,
-                dist_ratio=ratios, chan_norm=chans,
-                state=mt.state,
-                serving=-1 if mt.serving is None else mt.serving,
-                target=-1 if mt.target is None else mt.target,
-                dwell=mt.dwell,
-            ))
-            self._apply_rules(mt, policy, ratios, chans, t)
-            self._energy_step(mt)
-            if mt.state != State.DISCONNECT:
-                self.connected_units += 1
-        return UnitRecord(
-            t=t,
-            snapshots=tuple(snaps),
-            station_occupied=tuple(bs.occupied for bs in self.stations),
-            energies=tuple(mt.energy for mt in self.mts),
-        )
+        t, cfg = self.t, self.cfg
+        self._move(t)
+        dist = _hypot(self._x[:, None] - self._bx, self._y[:, None] - self._by)
+        ratio = (self._radius - dist) / self._radius
+        # Coverage depth (-1 outside) and the deepest covering station (lowest id on ties).
+        score = np.where(ratio > 0.0, np.minimum(ratio, 1.0), -1.0)
+        cand = np.where(score.max(axis=1) > 0.0, score.argmax(axis=1), -1)
+        state, serving, target, dwell = self._state, self._serving, self._target, self._dwell
+        before = [np.array(col, dtype=np.int64) for col in (state, serving, target, dwell)]
+        # A terminal reads its own row only: the ratio of its serving station
+        # (held since the unit began) or of its candidate.
+        rows = np.arange(len(serving))
+        own, near = ratio[rows, before[1]].tolist(), ratio[rows, cand].tolist()
+        cand, speeds = cand.tolist(), self._speed.tolist()
+        occupied = [bs.occupied for bs in self.stations]
+        capacity = [bs.capacity for bs in self.stations]
+        held = np.array(occupied, dtype=np.int64)
+        changes: list[tuple[int, int, int]] = []  # (terminal, station, +1 or -1)
+        ids, events, decide = self._ids, self.events, policy.decide
 
-    def _apply_rules(
-        self,
-        mt: MobileTerminal,
-        policy,
-        ratios: tuple[float, ...],
-        chans: tuple[float, ...],
-        t: int,
-    ) -> None:
-        cfg = self.cfg
-        if mt.state != State.DISCONNECT:
-            # Out of the serving cell: forced cut, whatever the fuzzy value.
-            if ratios[mt.serving] <= 0.0:
-                self._cut(mt, t)
-                return
+        def hold(m: int, s: int, d: int) -> None:
+            occupied[s] += d
+            changes.append((m, s, d))
 
-        if mt.state == State.CONNECT:
-            sv = mt.serving
-            value = policy.decide(mt.speed, distance_norm(ratios[sv]), chans[sv])
-            if value < cfg.s_min:
-                self._cut(mt, t)
-            elif value < cfg.s_th:
-                tgt = select_target_bs(mt.x, mt.y, self.stations,
-                                       exclude=sv, require_channel=True)
-                if tgt is not None:
-                    tgt.occupied += 1
-                    mt.target = tgt.ident
-                    mt.state = State.HANDOVER
-                    mt.dwell = cfg.dwell
-                    self.events.append(Event(t, mt.ident, HANDOFF_INITIATED, sv, tgt.ident))
-            return
+        def cut(m: int) -> None:
+            sv, tg = serving[m], target[m]
+            hold(m, sv, -1)
+            if tg >= 0:
+                hold(m, tg, -1)
+            events.append(Event(t, ids[m], CONNECTION_CUT, sv, None if tg < 0 else tg))
+            state[m], serving[m], target[m], dwell[m] = _DISCONNECT, -1, -1, 0
 
-        if mt.state == State.HANDOVER:
-            mt.dwell -= 1
-            if mt.dwell == 0:
-                old = mt.serving
-                self.stations[old].occupied -= 1
-                mt.serving = mt.target
-                mt.target = None
-                mt.state = State.CONNECT
-                self.events.append(Event(t, mt.ident, HANDOFF_COMPLETED, old, mt.serving))
-            return
+        for m in range(len(ids)):
+            st, sv = state[m], serving[m]
+            if st != _DISCONNECT and own[m] <= 0.0:
+                # Out of the serving cell: forced cut, whatever the fuzzy value.
+                cut(m)
+            elif st == _CONNECT:
+                value = decide(speeds[m], distance_norm(own[m]),
+                               (capacity[sv] - occupied[sv]) / capacity[sv])
+                if value < cfg.s_min:
+                    cut(m)
+                elif value < cfg.s_th:
+                    # Target: the deepest other covering station with a free channel.
+                    depth = score[m].tolist()
+                    free = [s for s, d in enumerate(depth)
+                            if d > 0.0 and s != sv and occupied[s] < capacity[s]]
+                    tg = max(free, key=depth.__getitem__, default=-1)
+                    if tg >= 0:
+                        hold(m, tg, 1)
+                        state[m], target[m], dwell[m] = _HANDOVER, tg, cfg.dwell
+                        events.append(Event(t, ids[m], HANDOFF_INITIATED, sv, tg))
+            elif st == _HANDOVER:
+                dwell[m] -= 1
+                if dwell[m] == 0:
+                    hold(m, sv, -1)
+                    state[m], serving[m], target[m] = _CONNECT, target[m], -1
+                    events.append(Event(t, ids[m], HANDOFF_COMPLETED, sv, serving[m]))
+            elif cand[m] >= 0:
+                # Disconnected: try the deepest covering station, channels or
+                # not; a qualifying value with no free channel is a blocked attempt.
+                c = cand[m]
+                value = decide(speeds[m], distance_norm(near[m]),
+                               (capacity[c] - occupied[c]) / capacity[c])
+                if value > cfg.s_min and occupied[c] < capacity[c]:
+                    hold(m, c, 1)
+                    state[m], serving[m] = _CONNECT, c
+                    events.append(Event(t, ids[m], CONNECTED, None, c))
+                elif value > cfg.s_min:
+                    events.append(Event(t, ids[m], BLOCKED, None, c))
+        for bs, n in zip(self.stations, occupied):
+            bs.occupied = n
 
-        # Disconnected: try the deepest covering station, channels or not;
-        # a qualifying value with no free channel is a blocked attempt.
-        cand = select_target_bs(mt.x, mt.y, self.stations, require_channel=False)
-        if cand is None:
-            return
-        value = policy.decide(mt.speed, distance_norm(ratios[cand.ident]), chans[cand.ident])
-        if value > cfg.s_min:
-            if cand.has_free_channel():
-                cand.occupied += 1
-                mt.serving = cand.ident
-                mt.state = State.CONNECT
-                self.events.append(Event(t, mt.ident, CONNECTED, None, cand.ident))
-            else:
-                self.events.append(Event(t, mt.ident, BLOCKED, None, cand.ident))
+        # Channels each terminal saw: the start plus the changes made before its turn.
+        delta = np.zeros(ratio.shape, dtype=np.int64)
+        if changes:
+            np.add.at(delta, tuple(zip(*changes))[:2], [d for _, _, d in changes])
+        cap = np.array(capacity, dtype=np.int64)
+        chan = (cap - (held + np.cumsum(delta, axis=0) - delta)) / cap
 
-    def _cut(self, mt: MobileTerminal, t: int) -> None:
-        self.stations[mt.serving].occupied -= 1
-        tgt = mt.target
-        if tgt is not None:
-            self.stations[tgt].occupied -= 1
-        self.events.append(Event(t, mt.ident, CONNECTION_CUT, mt.serving, tgt))
-        mt.serving = None
-        mt.target = None
-        mt.dwell = 0
-        mt.state = State.DISCONNECT
-
-    def _energy_step(self, mt: MobileTerminal) -> None:
-        if mt.state == State.DISCONNECT:
-            return
-        eps = self.cfg.epsilon
-        bs = self.stations[mt.serving]
-        ew = math.hypot(mt.x - bs.x, mt.y - bs.y) / bs.radius + eps
-        if mt.state == State.HANDOVER:
-            bt = self.stations[mt.target]
-            ew += math.hypot(mt.x - bt.x, mt.y - bt.y) / bt.radius + eps
-        mt.energy = max(0.0, mt.energy - ew)
+        # Energy: d/r + epsilon per held station, floored at zero.
+        st, sv, tg = (np.array(col, dtype=np.int64) for col in (state, serving, target))
+        spent = dist[rows, sv] / self._radius[sv] + cfg.epsilon
+        spent = np.where(st == _HANDOVER,
+                         spent + (dist[rows, tg] / self._radius[tg] + cfg.epsilon), spent)
+        left = self._energy - spent
+        self._energy = np.where(st == _DISCONNECT, self._energy, np.where(left > 0.0, left, 0.0))
+        self.connected_units += int(np.count_nonzero(st != _DISCONNECT))
+        return UnitRecord(t, self._speed, self._x, self._y, ratio, chan, *before,
+                          occupied, self._energy)
 
     def verify_channels(self) -> None:
         """Raise if occupied counts drift from the serving/target census."""
-        counts = [0] * len(self.stations)
-        for mt in self.mts:
-            if mt.serving is not None:
-                counts[mt.serving] += 1
-            if mt.target is not None:
-                counts[mt.target] += 1
-        for bs in self.stations:
-            if bs.occupied != counts[bs.ident] or not 0 <= bs.occupied <= bs.capacity:
-                raise RuntimeError(
-                    f"channel accounting broken at station {bs.ident}: "
-                    f"occupied={bs.occupied}, census={counts[bs.ident]}"
-                )
+        census = np.bincount([s for s in self._serving + self._target if s >= 0],
+                             minlength=len(self.stations)).tolist()
+        for bs, n in zip(self.stations, census):
+            if bs.occupied != n or not 0 <= bs.occupied <= bs.capacity:
+                raise RuntimeError(f"channel accounting broken at station {bs.ident}: "
+                                   f"occupied={bs.occupied}, census={n}")
 
 
-def _serving_sets_by_unit(
-    events: Iterable[Event],
-    n_mts: int,
-    n_units: int,
-) -> list[list[tuple[int, ...]]]:
-    """Post-unit (serving, target) station sets per terminal, from events alone."""
-    holding: list[tuple[Optional[int], Optional[int]]] = [(None, None)] * n_mts
-    by_unit: dict[int, list[Event]] = {}
+def _serving_sets_by_unit(events: Iterable[Event], n_mts: int,
+                          n_units: int) -> list[list[tuple[int, ...]]]:
+    """Post-unit held stations (serving, then target) per terminal, from events alone."""
+    holding: list[tuple[int, ...]] = [()] * n_mts
+    by_unit: list[list[Event]] = [[] for _ in range(n_units + 1)]
     for ev in events:
-        by_unit.setdefault(ev.t, []).append(ev)
+        by_unit[ev.t].append(ev)
     out = []
-    for t in range(1, n_units + 1):
-        for ev in by_unit.get(t, ()):
-            sv, tg = holding[ev.mt_id]
-            if ev.kind == CONNECTED:
-                holding[ev.mt_id] = (ev.new_bs, None)
-            elif ev.kind == HANDOFF_INITIATED:
+    for unit in by_unit[1:]:
+        for ev in unit:
+            if ev.kind == HANDOFF_INITIATED:
                 holding[ev.mt_id] = (ev.old_bs, ev.new_bs)
-            elif ev.kind == HANDOFF_COMPLETED:
-                holding[ev.mt_id] = (ev.new_bs, None)
+            elif ev.kind in (CONNECTED, HANDOFF_COMPLETED):
+                holding[ev.mt_id] = (ev.new_bs,)
             elif ev.kind == CONNECTION_CUT:
-                holding[ev.mt_id] = (None, None)
-        out.append([tuple(s for s in pair if s is not None) for pair in holding])
+                holding[ev.mt_id] = ()
+        out.append(list(holding))
     return out
 
 
 def audit_channels(records: Sequence[UnitRecord], events: Sequence[Event],
                    stations: Sequence[BaseStation | StationSpec]) -> None:
     """Cross-check recorded occupancy against an event-log reconstruction."""
-    caps = [s.capacity for s in stations]
-    sets = _serving_sets_by_unit(events, len(records[0].snapshots), len(records))
+    caps = np.array([s.capacity for s in stations])
+    sets = _serving_sets_by_unit(events, len(records[0].x), len(records))
     for rec, per_mt in zip(records, sets):
-        counts = [0] * len(caps)
-        for pair in per_mt:
-            for s in pair:
-                counts[s] += 1
-        for s, (occ, n, cap) in enumerate(zip(rec.station_occupied, counts, caps)):
-            if occ != n:
-                raise AssertionError(
-                    f"t={rec.t} station {s}: recorded occupied {occ} != log census {n}"
-                )
-            if not 0 <= occ <= cap:
-                raise AssertionError(f"t={rec.t} station {s}: occupied {occ} not in [0,{cap}]")
+        census = np.bincount([s for held in per_mt for s in held], minlength=len(caps))
+        occ = rec.station_occupied
+        for s in np.flatnonzero((occ != census) | (occ < 0) | (occ > caps)).tolist():
+            raise AssertionError(f"t={rec.t} station {s}: recorded occupied {occ[s]}, "
+                                 f"log census {census[s]}, capacity {caps[s]}")
 
 
 def audit_energy(records: Sequence[UnitRecord], events: Sequence[Event],
-                 stations: Sequence[BaseStation | StationSpec],
-                 epsilon: float, initial: float = 100.0,
-                 tol: float = 1e-9) -> None:
+                 stations: Sequence[BaseStation | StationSpec], epsilon: float,
+                 initial: float = 100.0, tol: float = 1e-9) -> None:
     """Recompute every energy trajectory from events plus recorded positions."""
-    n_mts = len(records[0].snapshots)
-    sets = _serving_sets_by_unit(events, n_mts, len(records))
-    energy = [initial] * n_mts
-    prev = [initial] * n_mts
-    for rec, per_mt in zip(records, sets):
+    n_mts = len(records[0].x)
+    energy, prev = [initial] * n_mts, [initial] * n_mts
+    for rec, per_mt in zip(records, _serving_sets_by_unit(events, n_mts, len(records))):
+        xs, ys, recorded = rec.x.tolist(), rec.y.tolist(), rec.energies.tolist()
         for m in range(n_mts):
-            snap = rec.snapshots[m]
             ew = 0.0
             for s in per_mt[m]:
                 st = stations[s]
-                ew += math.hypot(snap.x - st.x, snap.y - st.y) / st.radius + epsilon
+                ew += math.hypot(xs[m] - st.x, ys[m] - st.y) / st.radius + epsilon
             energy[m] = max(0.0, energy[m] - ew)
-            if rec.energies[m] > prev[m]:
+            if recorded[m] > prev[m]:
                 raise AssertionError(f"t={rec.t} mt={m}: energy increased")
-            if abs(energy[m] - rec.energies[m]) > tol:
-                raise AssertionError(
-                    f"t={rec.t} mt={m}: recomputed energy {energy[m]} != "
-                    f"recorded {rec.energies[m]}"
-                )
-        prev = list(rec.energies)
+            if abs(energy[m] - recorded[m]) > tol:
+                raise AssertionError(f"t={rec.t} mt={m}: recomputed energy {energy[m]} "
+                                     f"!= recorded {recorded[m]}")
+        prev = recorded
 
 
 def audit_motion(terminals: Sequence[MobileTerminal], t: int,
@@ -638,6 +614,4 @@ def audit_motion(terminals: Sequence[MobileTerminal], t: int,
         if t == mt.plan.duration:
             expected = mt.plan.distance
         if abs(mt.odometer - expected) > rel_tol * max(expected, 1.0):
-            raise AssertionError(
-                f"mt={mt.ident}: traversed {mt.odometer}, expected {expected}"
-            )
+            raise AssertionError(f"mt={mt.ident}: traversed {mt.odometer}, expected {expected}")

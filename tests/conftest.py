@@ -1,17 +1,32 @@
-"""Shared builders for synthetic history windows and mini worlds."""
+"""Shared builders for synthetic history windows and mini worlds, and the
+scalar reference world step."""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from gflsim.world import (
+    BLOCKED,
+    CONNECTED,
+    CONNECTION_CUT,
+    HANDOFF_COMPLETED,
+    HANDOFF_INITIATED,
+    BaseStation,
+    Event,
     FrozenWindow,
-    MtSnapshot,
+    MobileTerminal,
     State,
     UnitRecord,
+    World,
+    _fold,
+    accelerated_state,
+    distance_norm,
 )
 
 
@@ -23,6 +38,17 @@ class FixedPolicy:
 
     def decide(self, velocity, dist_norm, chan_norm) -> float:
         return self.value
+
+
+def pose(world: World, m: int, **columns) -> None:
+    """Set terminal ``m``'s columns in place (x, y, energy, state, serving,
+    target, dwell; None for no station), to start a world mid-story."""
+    for name, value in columns.items():
+        if name not in ("x", "y", "energy", "state", "serving", "target", "dwell"):
+            raise AttributeError(f"cannot pose terminal attribute {name!r}")
+        if name in ("state", "serving", "target", "dwell"):
+            value = -1 if value is None else int(value)
+        getattr(world, "_" + name)[m] = value
 
 
 def reference_strengths(consequents, degree_vectors, n_terms: int = 5) -> tuple[float, ...]:
@@ -39,6 +65,40 @@ def reference_strengths(consequents, degree_vectors, n_terms: int = 5) -> tuple[
     return tuple(float(v) for v in strengths)
 
 
+class Snapshot(NamedTuple):
+    """One terminal at one time unit, captured at its decision point."""
+
+    velocity: float
+    x: float
+    y: float
+    dist_ratio: tuple[float, ...]
+    chan_norm: tuple[float, ...]
+    state: State
+    serving: int  # -1 when unset
+    target: int   # -1 when unset
+    dwell: int
+
+
+def make_record(t: int, snaps, station_occupied, energies) -> UnitRecord:
+    """A record from one snapshot per terminal."""
+    cols = {name: [getattr(s, name) for s in snaps] for name in Snapshot._fields}
+    return UnitRecord(
+        t=t, velocity=cols["velocity"], x=cols["x"], y=cols["y"],
+        ratio=cols["dist_ratio"], chan=cols["chan_norm"], state=cols["state"],
+        serving=cols["serving"], target=cols["target"], dwell=cols["dwell"],
+        station_occupied=station_occupied, energies=energies,
+    )
+
+
+def snapshots(rec: UnitRecord) -> list[Snapshot]:
+    """The record's terminals one at a time, in Python scalars."""
+    cols = (rec.velocity.tolist(), rec.x.tolist(), rec.y.tolist(),
+            map(tuple, rec.ratio.tolist()), map(tuple, rec.chan.tolist()),
+            map(State, rec.state.tolist()), rec.serving.tolist(), rec.target.tolist(),
+            rec.dwell.tolist())
+    return [Snapshot(*row) for row in zip(*cols)]
+
+
 def make_snapshot(
     *,
     velocity: float = 10.0,
@@ -50,8 +110,8 @@ def make_snapshot(
     serving: int = -1,
     target: int = -1,
     dwell: int = 0,
-) -> MtSnapshot:
-    return MtSnapshot(
+) -> Snapshot:
+    return Snapshot(
         velocity=velocity, x=x, y=y,
         dist_ratio=tuple(dist_ratio), chan_norm=tuple(chan_norm),
         state=state, serving=serving, target=target, dwell=dwell,
@@ -60,15 +120,9 @@ def make_snapshot(
 
 def make_window(per_unit_snapshots, start_t: int = 1) -> FrozenWindow:
     """Freeze a window from a list (units) of lists (terminals) of snapshots."""
-    records = []
-    for u, snaps in enumerate(per_unit_snapshots):
-        n_stations = len(snaps[0].dist_ratio)
-        records.append(UnitRecord(
-            t=start_t + u,
-            snapshots=tuple(snaps),
-            station_occupied=(0,) * n_stations,
-            energies=(100.0,) * len(snaps),
-        ))
+    records = [make_record(start_t + u, snaps, (0,) * len(snaps[0].dist_ratio),
+                           (100.0,) * len(snaps))
+               for u, snaps in enumerate(per_unit_snapshots)]
     return FrozenWindow(tuple(records), None)
 
 
@@ -113,6 +167,139 @@ def random_window(rng: np.random.Generator, n_units: int = 4, n_mts: int = 4,
             ))
         units.append(snaps)
     return make_window(units)
+
+
+class ReferenceWorld:
+    """The scalar world step: one terminal at a time, each moved, measured
+    with ``math.hypot``, sent through the state machine and charged for
+    energy before the next one moves.  Starts from a copy of a World."""
+
+    def __init__(self, world: World) -> None:
+        self.cfg = world.cfg
+        self.stations = [copy.copy(bs) for bs in world.stations]
+        self.mts = list(world.mts)
+        self.t = world.t
+        self.events: list[Event] = []
+        self.connected_units = world.connected_units
+
+    def step(self, policy) -> UnitRecord:
+        self.t += 1
+        t, cfg = self.t, self.cfg
+        snaps = []
+        for mt in self.mts:
+            reference_advance(mt, t, (cfg.arena_width, cfg.arena_height), cfg.eq2_verbatim)
+            ratios = tuple(reference_ratio(mt.x, mt.y, bs) for bs in self.stations)
+            chans = tuple((bs.capacity - bs.occupied) / bs.capacity for bs in self.stations)
+            snaps.append(Snapshot(
+                mt.speed, mt.x, mt.y, ratios, chans, mt.state,
+                -1 if mt.serving is None else mt.serving,
+                -1 if mt.target is None else mt.target, mt.dwell))
+            self._apply_rules(mt, policy, ratios, chans, t)
+            self._energy_step(mt)
+            if mt.state != State.DISCONNECT:
+                self.connected_units += 1
+        return make_record(t, snaps, [bs.occupied for bs in self.stations],
+                           [mt.energy for mt in self.mts])
+
+    def _apply_rules(self, mt, policy, ratios, chans, t) -> None:
+        cfg = self.cfg
+        if mt.state != State.DISCONNECT and ratios[mt.serving] <= 0.0:
+            self._cut(mt, t)
+            return
+        if mt.state == State.CONNECT:
+            sv = mt.serving
+            value = policy.decide(mt.speed, distance_norm(ratios[sv]), chans[sv])
+            if value < cfg.s_min:
+                self._cut(mt, t)
+            elif value < cfg.s_th:
+                tgt = reference_target(mt.x, mt.y, self.stations, exclude=sv)
+                if tgt is not None:
+                    tgt.occupied += 1
+                    mt.target, mt.state, mt.dwell = tgt.ident, State.HANDOVER, cfg.dwell
+                    self.events.append(Event(t, mt.ident, HANDOFF_INITIATED, sv, tgt.ident))
+            return
+        if mt.state == State.HANDOVER:
+            mt.dwell -= 1
+            if mt.dwell == 0:
+                old = mt.serving
+                self.stations[old].occupied -= 1
+                mt.serving, mt.target, mt.state = mt.target, None, State.CONNECT
+                self.events.append(Event(t, mt.ident, HANDOFF_COMPLETED, old, mt.serving))
+            return
+        cand = reference_target(mt.x, mt.y, self.stations, require_channel=False)
+        if cand is None:
+            return
+        value = policy.decide(mt.speed, distance_norm(ratios[cand.ident]), chans[cand.ident])
+        if value > cfg.s_min:
+            if cand.occupied < cand.capacity:
+                cand.occupied += 1
+                mt.serving, mt.state = cand.ident, State.CONNECT
+                self.events.append(Event(t, mt.ident, CONNECTED, None, cand.ident))
+            else:
+                self.events.append(Event(t, mt.ident, BLOCKED, None, cand.ident))
+
+    def _cut(self, mt: MobileTerminal, t: int) -> None:
+        self.stations[mt.serving].occupied -= 1
+        if mt.target is not None:
+            self.stations[mt.target].occupied -= 1
+        self.events.append(Event(t, mt.ident, CONNECTION_CUT, mt.serving, mt.target))
+        mt.serving, mt.target, mt.dwell, mt.state = None, None, 0, State.DISCONNECT
+
+    def _energy_step(self, mt: MobileTerminal) -> None:
+        if mt.state == State.DISCONNECT:
+            return
+        eps = self.cfg.epsilon
+        bs = self.stations[mt.serving]
+        ew = math.hypot(mt.x - bs.x, mt.y - bs.y) / bs.radius + eps
+        if mt.state == State.HANDOVER:
+            bt = self.stations[mt.target]
+            ew += math.hypot(mt.x - bt.x, mt.y - bt.y) / bt.radius + eps
+        mt.energy = max(0.0, mt.energy - ew)
+
+
+def reference_advance(mt: MobileTerminal, t_now: int, arena: tuple[float, float],
+                      eq2_verbatim: bool = False) -> None:
+    """Move one terminal by one unit, reflecting specularly off arena walls."""
+    if mt.plan.kind == "steady":
+        step = mt.plan.speed * 1.0
+        mt.speed = mt.plan.speed
+    else:
+        a = mt.plan.accel
+        x1, v = accelerated_state(a, t_now, verbatim=eq2_verbatim)
+        x0, _ = accelerated_state(a, t_now - 1.0)
+        step = x1 - x0
+        mt.speed = v
+    if step == 0.0:
+        return
+    cos_h, sin_h = math.cos(mt.heading), math.sin(mt.heading)
+    nx, sx = _fold(mt.x + step * cos_h, 0.0, arena[0])
+    ny, sy = _fold(mt.y + step * sin_h, 0.0, arena[1])
+    mt.x, mt.y = nx, ny
+    mt.odometer += step
+    if sx < 0 or sy < 0:
+        mt.heading = math.atan2(sy * sin_h, sx * cos_h)
+
+
+def reference_ratio(x: float, y: float, bs: BaseStation) -> float:
+    """Signed boundary distance over the radius: positive inside coverage."""
+    return (bs.radius - math.hypot(x - bs.x, y - bs.y)) / bs.radius
+
+
+def reference_target(x: float, y: float, stations, exclude: Optional[int] = None,
+                     require_channel: bool = True) -> Optional[BaseStation]:
+    """Covering station with the deepest normalized coverage, optionally
+    with a free channel; ties resolve to the lowest station id."""
+    best, best_dn = None, 0.0
+    for bs in stations:
+        if bs.ident == exclude:
+            continue
+        d = bs.radius - math.hypot(x - bs.x, y - bs.y)
+        if d <= 0.0 or (require_channel and bs.occupied >= bs.capacity):
+            continue
+        dn = distance_norm(d / bs.radius)
+        if dn > best_dn:
+            best, best_dn = bs, dn
+    return best
 
 
 @pytest.fixture

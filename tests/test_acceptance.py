@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FixedPolicy, random_window
+from conftest import FixedPolicy, pose, random_window
 from gflsim.evolver import (
     EvolverConfig,
     ReplayFitness,
@@ -193,16 +193,13 @@ def _micro_world(state, with_target, with_channel, covered=True):
         total_time=10,
     )
     w = World.build(cfg)
-    mt = w.mts[0]
     if not covered:
-        mt.x, mt.y = 3900.0, 3900.0
+        pose(w, 0, x=3900.0, y=3900.0)
     if state != State.DISCONNECT:
-        mt.state = state
-        mt.serving = 0
+        pose(w, 0, state=state, serving=0)
         w.stations[0].occupied += 1
         if state == State.HANDOVER:
-            mt.target = 1
-            mt.dwell = 2
+            pose(w, 0, target=1, dwell=2)
             w.stations[1].occupied += 1
     if state != State.HANDOVER and not with_target:
         w.stations[1].occupied = w.stations[1].capacity

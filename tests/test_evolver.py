@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FixedPolicy, make_snapshot, make_window, random_window, reference_strengths
+from conftest import (
+    FixedPolicy,
+    make_snapshot,
+    make_window,
+    random_window,
+    reference_strengths,
+    snapshots,
+)
 from gflsim import evolver
 from gflsim.evolver import (
     _AT_MIN,
@@ -291,12 +298,13 @@ def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2
             reference_strengths(genes, degs, system.n_output_terms))
 
     records = window.records
-    n_stations = len(records[0].snapshots[0].dist_ratio)
+    n_stations = records[0].ratio.shape[1]
     events = 0
-    for m, first in enumerate(records[0].snapshots):
+    units = [snapshots(rec) for rec in records]
+    for m, first in enumerate(units[0]):
         state, sv, tg, dw = first.state, first.serving, first.target, first.dwell
-        for rec in records:
-            snap = rec.snapshots[m]
+        for unit in units:
+            snap = unit[m]
             dn = [min(max(r, 0.0), 1.0) for r in snap.dist_ratio]
             if state != State.DISCONNECT and snap.dist_ratio[sv] <= 0.0:
                 events += 1  # forced cut
@@ -436,11 +444,11 @@ class TestFitness:
         windows = [(window_single_gene_fix(), SEED_GENES)]
         while len(windows) < 8:
             wnd = random_window(rng)
-            if any(s.state == State.CONNECT for s in wnd.records[0].snapshots):
+            if any(s.state == State.CONNECT for s in snapshots(wnd.records[0])):
                 windows.append((wnd, random_chromosome(27, rng)))
         at_min = 0
         for wnd, genes in windows:
-            snap = next(s for s in wnd.records[0].snapshots if s.state == State.CONNECT)
+            snap = next(s for s in snapshots(wnd.records[0]) if s.state == State.CONNECT)
             sv = snap.serving
             dn = min(max(snap.dist_ratio[sv], 0.0), 1.0)
             s_min = system.compute(genes, (snap.velocity, dn, snap.chan_norm[sv]))

@@ -1,11 +1,15 @@
 """Kinematics, geometry, energy, and the terminal state machine."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import FixedPolicy
+from conftest import FixedPolicy, ReferenceWorld, pose
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -13,26 +17,29 @@ from gflsim.world import (
     DEFAULT_STATIONS,
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
-    BaseStation,
     DomainError,
     HistoryWindow,
-    MobileTerminal,
     MotionPlan,
     State,
     StationSpec,
     TerminalSpec,
+    UnitRecord,
     World,
     WorldConfig,
     acceleration_for,
     accelerated_state,
-    advance_mt,
     audit_channels,
     audit_energy,
     audit_motion,
-    distance_to_boundary,
     distance_norm,
-    select_target_bs,
 )
+
+
+def lone_terminal(x: float, y: float, heading: float = 0.0, speed: float = 0.0,
+                  stations=(StationSpec(866.0, 500.0, 1000.0, 4),), **spec_kw) -> World:
+    """A world of one terminal in a 6000 x 6000 arena."""
+    terminal = TerminalSpec(x=x, y=y, heading=heading, speed=speed, **spec_kw)
+    return World.build(WorldConfig(stations=tuple(stations), terminals=(terminal,)))
 
 
 class TestKinematics:
@@ -65,94 +72,113 @@ class TestKinematics:
 
     def test_steady_position(self):
         # Steady motion covers speed * t along the heading.
-        mt = MobileTerminal(0, 0.0, 3000.0, 0.0, MotionPlan.steady(20.0))
-        for t in range(1, 11):
-            advance_mt(mt, t, (6000.0, 6000.0))
-        assert (mt.x, mt.odometer) == (200.0, 200.0)
+        w = lone_terminal(0.0, 3000.0, speed=20.0)
+        for _ in range(10):
+            w.step(FixedPolicy(0.0))
+        assert (w.mts[0].x, w.mts[0].odometer) == (200.0, 200.0)
         with pytest.raises(DomainError):
             MotionPlan.steady(-1.0)
 
 
 class TestAdvance:
-    ARENA = (6000.0, 6000.0)
-
     def test_axis_aligned_step(self):
-        mt = MobileTerminal(0, 0.0, 3000.0, 0.0, MotionPlan.steady(100.0))
-        advance_mt(mt, 1, self.ARENA)
-        assert (mt.x, mt.y) == (100.0, 3000.0)
+        w = lone_terminal(0.0, 3000.0, speed=100.0)
+        rec = w.step(FixedPolicy(0.0))
+        assert (w.mts[0].x, w.mts[0].y) == (100.0, 3000.0)
+        assert (rec.x[0], rec.y[0], rec.velocity[0]) == (100.0, 3000.0, 100.0)
 
     def test_wall_reflection(self):
-        mt = MobileTerminal(0, 5950.0, 3000.0, 0.0, MotionPlan.steady(100.0))
-        advance_mt(mt, 1, self.ARENA)
-        assert (mt.x, mt.y) == (5950.0, 3000.0)
-        assert mt.heading == math.pi
+        w = lone_terminal(5950.0, 3000.0, speed=100.0)
+        w.step(FixedPolicy(0.0))
+        assert (w.mts[0].x, w.mts[0].y) == (5950.0, 3000.0)
+        assert w.mts[0].heading == math.pi
+        w.step(FixedPolicy(0.0))  # the reflected heading moves it back
+        assert w.mts[0].x == 5850.0
 
     def test_zero_speed_is_identity(self):
-        mt = MobileTerminal(0, 10.0, 20.0, 1.0, MotionPlan.steady(0.0))
-        advance_mt(mt, 1, self.ARENA)
-        assert (mt.x, mt.y) == (10.0, 20.0)
+        w = lone_terminal(10.0, 20.0, heading=1.0)
+        w.step(FixedPolicy(0.0))
+        assert (w.mts[0].x, w.mts[0].y, w.mts[0].odometer) == (10.0, 20.0, 0.0)
 
     def test_heading_stable_without_reflection(self):
-        mt = MobileTerminal(0, 3000.0, 3000.0, 1.2345, MotionPlan.steady(10.0))
-        advance_mt(mt, 1, self.ARENA)
-        assert mt.heading == 1.2345
+        w = lone_terminal(3000.0, 3000.0, heading=1.2345, speed=10.0)
+        w.step(FixedPolicy(0.0))
+        assert w.mts[0].heading == 1.2345
 
     def test_accelerated_steps_telescope(self):
-        plan = MotionPlan.accelerated(4500.0, 75.0)
-        mt = MobileTerminal(0, 0.0, 3000.0, 0.0, plan)
-        for t in range(1, 76):
-            advance_mt(mt, t, self.ARENA)
-        assert mt.odometer == pytest.approx(4500.0, rel=1e-12)
-        assert mt.speed == pytest.approx(1.6 * 75)
+        w = lone_terminal(0.0, 3000.0, kind="accelerated", distance=4500.0, duration=75.0)
+        for _ in range(75):
+            w.step(FixedPolicy(0.0))
+        assert w.mts[0].odometer == pytest.approx(4500.0, rel=1e-12)
+        assert w.mts[0].speed == pytest.approx(1.6 * 75)
 
 
 class TestGeometry:
-    BS = BaseStation(1, 866.0, 500.0, 1000.0, 4)
+    # Boundary ratio of the one station (866, 500), radius 1000, as recorded.
+    def ratio_at(self, x: float, y: float) -> float:
+        return lone_terminal(x, y).step(FixedPolicy(0.0)).ratio[0, 0]
 
     def test_distance_at_center(self):
-        assert distance_to_boundary(866.0, 500.0, self.BS) == 1000.0
-        assert distance_norm(1000.0 / self.BS.radius) == 1.0
+        assert self.ratio_at(866.0, 500.0) == 1.0
+        assert distance_norm(1.0) == 1.0
 
     def test_distance_on_circle(self):
-        assert distance_to_boundary(1866.0, 500.0, self.BS) == 0.0
+        assert self.ratio_at(1866.0, 500.0) == 0.0
 
     def test_distance_outside(self):
-        assert distance_to_boundary(2866.0, 500.0, self.BS) == -1000.0
+        assert self.ratio_at(2866.0, 500.0) == -1.0
         assert distance_norm(-1.0) == 0.0
 
     def test_free_channels_norm(self):
-        assert BaseStation(0, 0, 0, 1, 6, occupied=0).free_norm() == 1.0
-        assert BaseStation(0, 0, 0, 1, 2, occupied=2).free_norm() == 0.0
-        assert BaseStation(0, 0, 0, 1, 5, occupied=2).free_norm() == 0.6
-
-
-def default_stations():
-    return [BaseStation(i, s.x, s.y, s.radius, s.capacity)
-            for i, s in enumerate(DEFAULT_STATIONS)]
+        # Recorded free-channel fraction: (capacity - occupied) / capacity.
+        for capacity, occupied, free in ((6, 0, 1.0), (2, 2, 0.0), (5, 2, 0.6)):
+            w = lone_terminal(866.0, 500.0, stations=(StationSpec(866.0, 500.0, 1000.0, capacity),))
+            w.stations[0].occupied = occupied
+            assert w.step(FixedPolicy(0.0)).chan[0, 0] == free
 
 
 class TestSelectTarget:
+    """A disconnected terminal tries its deepest covering station, free
+    channel or not; a handoff goes to the deepest other covering station
+    with a free channel."""
+
+    def attempt(self, x: float, y: float, stations) -> list:
+        w = lone_terminal(x, y, stations=stations)
+        w.step(FixedPolicy(0.5))
+        return [(e.kind, e.new_bs) for e in w.events]
+
+    def handoff(self, stations, serving: int, full: int = -1) -> list:
+        w = lone_terminal(0.0, 0.0, stations=stations)
+        connect(w, 0, serving)
+        if full >= 0:
+            w.stations[full].occupied = w.stations[full].capacity
+        w.step(FixedPolicy(0.3))
+        return [(e.kind, e.new_bs) for e in w.events]
+
     def test_deepest_covering_station_wins(self):
-        tgt = select_target_bs(1732.0, 2000.0, default_stations())
-        assert tgt is not None and tgt.ident == 3
+        assert self.attempt(1732.0, 2000.0, DEFAULT_STATIONS) == [(CONNECTED, 3)]
 
     def test_no_coverage_returns_none(self):
-        assert select_target_bs(5900.0, 5900.0, default_stations()) is None
+        assert self.attempt(5900.0, 5900.0, DEFAULT_STATIONS) == []
 
     def test_tie_breaks_to_lowest_id(self):
-        twins = [BaseStation(0, 0.0, 0.0, 100.0, 2), BaseStation(1, 0.0, 0.0, 100.0, 2)]
-        tgt = select_target_bs(0.0, 0.0, twins)
-        assert tgt.ident == 0
+        twins = [StationSpec(0.0, 0.0, 100.0, 2), StationSpec(0.0, 0.0, 100.0, 2)]
+        assert self.attempt(0.0, 0.0, twins) == [(CONNECTED, 0)]
+        assert self.handoff(twins + [StationSpec(0.0, 0.0, 50.0, 2)], 2) == [
+            (HANDOFF_INITIATED, 0)]
 
     def test_channel_filter(self):
-        twins = [BaseStation(0, 0.0, 0.0, 100.0, 1, occupied=1),
-                 BaseStation(1, 0.0, 10.0, 100.0, 1)]
-        assert select_target_bs(0.0, 0.0, twins).ident == 1
-        assert select_target_bs(0.0, 0.0, twins, require_channel=False).ident == 0
+        twins = [StationSpec(0.0, 0.0, 100.0, 1), StationSpec(0.0, 10.0, 100.0, 1),
+                 StationSpec(0.0, 0.0, 50.0, 1)]
+        assert self.handoff(twins, 2, full=0) == [(HANDOFF_INITIATED, 1)]
+        w = lone_terminal(0.0, 0.0, stations=twins)
+        w.stations[0].occupied = 1
+        w.step(FixedPolicy(0.5))
+        assert [(e.kind, e.new_bs) for e in w.events] == [(BLOCKED, 0)]
 
     def test_exclusion(self):
-        twins = [BaseStation(0, 0.0, 0.0, 100.0, 2), BaseStation(1, 0.0, 0.0, 90.0, 2)]
-        assert select_target_bs(0.0, 0.0, twins, exclude=0).ident == 1
+        twins = [StationSpec(0.0, 0.0, 100.0, 2), StationSpec(0.0, 0.0, 90.0, 2)]
+        assert self.handoff(twins, 0) == [(HANDOFF_INITIATED, 1)]
 
 
 def two_station_world(**world_kw) -> World:
@@ -169,9 +195,7 @@ def two_station_world(**world_kw) -> World:
 
 
 def connect(world: World, mt_idx: int, station: int) -> None:
-    mt = world.mts[mt_idx]
-    mt.state = State.CONNECT
-    mt.serving = station
+    pose(world, mt_idx, state=State.CONNECT, serving=station)
     world.stations[station].occupied += 1
 
 
@@ -242,14 +266,14 @@ class TestStateMachine:
 
     def test_uncovered_terminal_is_silent(self):
         w = two_station_world()
-        w.mts[0].x, w.mts[0].y = 3900.0, 3900.0
+        pose(w, 0, x=3900.0, y=3900.0)
         w.step(FixedPolicy(0.9))
         assert w.events == []
 
     def test_forced_cut_outside_serving_coverage(self):
         w = two_station_world()
         connect(w, 0, 0)
-        w.mts[0].x = 2300.0  # inside station 1 only
+        pose(w, 0, x=2300.0)  # inside station 1 only
         w.step(FixedPolicy(0.9))
         assert w.mts[0].state == State.DISCONNECT
         assert [e.kind for e in w.events] == [CONNECTION_CUT]
@@ -258,14 +282,11 @@ class TestStateMachine:
     def test_forced_cut_during_handover_releases_both(self):
         w = two_station_world()
         connect(w, 0, 0)
-        mt = w.mts[0]
-        mt.state = State.HANDOVER
-        mt.target = 1
-        mt.dwell = 2
+        pose(w, 0, state=State.HANDOVER, target=1, dwell=2)
         w.stations[1].occupied += 1
-        mt.x, mt.y = 3900.0, 3900.0  # off both cells
+        pose(w, 0, x=3900.0, y=3900.0)  # off both cells
         w.step(FixedPolicy(0.9))
-        assert mt.state == State.DISCONNECT
+        assert w.mts[0].state == State.DISCONNECT
         assert w.stations[0].occupied == 0 and w.stations[1].occupied == 0
         cut = [e for e in w.events if e.kind == CONNECTION_CUT]
         assert len(cut) == 1 and cut[0].old_bs == 0 and cut[0].new_bs == 1
@@ -293,14 +314,11 @@ class TestEnergy:
     def test_handover_charges_both_stations(self):
         w = two_station_world()
         connect(w, 0, 0)
-        mt = w.mts[0]
-        mt.state = State.HANDOVER
-        mt.target = 1
-        mt.dwell = 2
+        pose(w, 0, state=State.HANDOVER, target=1, dwell=2)
         w.stations[1].occupied += 1
         w.step(FixedPolicy(0.9))
         ew = (300.0 / 800.0 + 0.1) + (300.0 / 800.0 + 0.1)
-        assert mt.energy == pytest.approx(100.0 - ew)
+        assert w.mts[0].energy == pytest.approx(100.0 - ew)
 
     def test_disconnected_wastes_nothing(self):
         w = two_station_world()
@@ -310,7 +328,7 @@ class TestEnergy:
     def test_energy_floors_at_zero(self):
         w = two_station_world()
         connect(w, 0, 0)
-        w.mts[0].energy = 0.3
+        pose(w, 0, energy=0.3)
         w.step(FixedPolicy(0.9))
         assert w.mts[0].energy == 0.0
 
@@ -395,6 +413,13 @@ class TestWorldBuild:
         assert [(mt.x, mt.y, mt.heading, mt.plan) for mt in a.mts] == \
                [(mt.x, mt.y, mt.heading, mt.plan) for mt in b.mts]
 
+    def test_needs_a_station_and_steps_without_terminals(self):
+        with pytest.raises(DomainError, match="station"):
+            World.build(WorldConfig(stations=()), np.random.default_rng(0))
+        w = World.build(WorldConfig(terminals=()))
+        rec = w.step(FixedPolicy(0.5))
+        assert rec.ratio.shape == (0, len(DEFAULT_STATIONS)) and w.events == []
+
     def test_requires_rng_without_explicit_terminals(self):
         with pytest.raises(DomainError):
             World.build(WorldConfig())
@@ -404,3 +429,104 @@ class TestWorldBuild:
             MotionPlan.steady(-1.0)
         with pytest.raises(DomainError):
             MotionPlan.accelerated(0.0, 10.0)
+
+
+@st.composite
+def scenarios(draw):
+    """A small world with crowded, sometimes twin, capacity-starved stations
+    and fast terminals near the walls, plus a number of units to step."""
+    coord = st.floats(0.0, 2000.0, allow_nan=False)
+    stations = draw(st.lists(st.builds(
+        StationSpec, coord, coord, st.floats(100.0, 1500.0), st.integers(1, 3)),
+        min_size=1, max_size=4))
+    if draw(st.booleans()):
+        stations.append(stations[0])  # a twin: ties go to the lower id
+    near_wall = st.sampled_from([0.0, 1e-9, 5.0, 1995.0, 2000.0 - 1e-9, 2000.0])
+    spot = st.one_of(coord, near_wall)
+    heading = st.floats(-10.0, 10.0, allow_nan=False)
+    steady = st.builds(TerminalSpec, spot, spot, heading, st.just("steady"),
+                       st.sampled_from([0.0, 3.5, 40.0, 950.0, 4100.0]))
+    accelerated = st.builds(TerminalSpec, spot, spot, heading, st.just("accelerated"),
+                            distance=st.floats(10.0, 9000.0), duration=st.floats(1.0, 40.0))
+    terminals = draw(st.lists(st.one_of(steady, accelerated), min_size=1, max_size=8))
+    cfg = WorldConfig(arena_width=2000.0, arena_height=2000.0, stations=tuple(stations),
+                      terminals=tuple(terminals), eq2_verbatim=draw(st.booleans()),
+                      dwell=draw(st.integers(1, 3)), epsilon=draw(st.sampled_from([0.0, 0.1])),
+                      initial_energy=draw(st.sampled_from([3.0, 100.0])))
+    return cfg, draw(st.integers(1, 25)), draw(st.integers(0, 2 ** 16))
+
+
+class SignalPolicy:
+    """A value that depends on every decide input, hitting s_min and s_th
+    exactly at some of them; logs the inputs it was given."""
+
+    def __init__(self, cfg: WorldConfig, salt: int) -> None:
+        self.values = (cfg.s_min, 0.05, cfg.s_th, 0.3, 0.9)
+        self.salt = salt
+        self.calls: list[tuple] = []
+
+    def decide(self, velocity, dist_norm, chan_norm) -> float:
+        self.calls.append((velocity, dist_norm, chan_norm))
+        key = hash((velocity, dist_norm, chan_norm, self.salt))
+        return self.values[key % len(self.values)]
+
+
+class TestArrayStepMatchesReference:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(scenarios())
+    def test_units_and_final_state_equal_the_scalar_step(self, scenario):
+        cfg, units, salt = scenario
+        world = World.build(cfg)
+        ref = ReferenceWorld(world)
+        live, scalar = SignalPolicy(cfg, salt), SignalPolicy(cfg, salt)
+        for _ in range(units):
+            rec = world.step(live)
+            want = ref.step(scalar)
+            assert world.events == ref.events
+            for f in dataclasses.fields(UnitRecord):
+                a, b = getattr(rec, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) and np.shape(a) == np.shape(b), (rec.t, f.name)
+        assert live.calls == scalar.calls
+        assert all(type(v) is float for call in live.calls for v in call)
+        assert world.connected_units == ref.connected_units
+        assert [bs.occupied for bs in world.stations] == [bs.occupied for bs in ref.stations]
+        assert list(world.mts) == ref.mts
+        world.verify_channels()
+
+    def test_decide_value_at_s_min_takes_the_handover_branch(self):
+        # Connected: s_min is not below s_min, so the value starts a handover.
+        w = two_station_world()
+        connect(w, 0, 0)
+        w.step(FixedPolicy(w.cfg.s_min))
+        assert [e.kind for e in w.events] == [HANDOFF_INITIATED]
+        # Disconnected: s_min is not above s_min, so no attempt is made.
+        w = two_station_world()
+        w.step(FixedPolicy(w.cfg.s_min))
+        assert w.events == [] and w.mts[0].state == State.DISCONNECT
+
+
+class TestRecords:
+    def test_record_arrays_are_read_only(self):
+        _, records = TestFullRuns().run_world(0.3)
+        rec = records[-1]
+        for f in dataclasses.fields(UnitRecord)[1:]:
+            with pytest.raises(ValueError):
+                getattr(rec, f.name)[0] = 0
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec
+        for f in dataclasses.fields(UnitRecord)[1:]:
+            with pytest.raises(ValueError):
+                getattr(back, f.name)[0] = 0
+
+    def test_records_do_not_follow_the_world(self):
+        w = two_station_world()
+        rec = w.step(FixedPolicy(0.9))
+        kept = copy.deepcopy(rec)
+        pose(w, 0, x=10.0, energy=1.0)
+        w.step(FixedPolicy(0.9))
+        assert rec == kept and rec.x[0] == 1300.0
+
+    def test_terminal_count_builds_no_terminal(self, monkeypatch):
+        w = two_station_world()
+        monkeypatch.setattr(World, "terminal", None)
+        assert len(w.mts) == 1
