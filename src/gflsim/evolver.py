@@ -12,12 +12,11 @@ loop: it steps a whole population through the window together, reading
 the threshold region of each (chromosome, decision site) pair from one
 vectorized pass over bounded per-unit region tables (two probe slots per
 pair, each slot tagged with its site and gene key).  A batch's misses are
-settled in one go from a closed-form centroid estimate
-(``FuzzySystem.centroid_estimates``); only an estimate within
-``_ESTIMATE_TOL`` of a threshold is defuzzified exactly, so every region
-equals the one the live decision path would give.
-``ResimFitness`` offers the alternative full re-simulation semantics
-behind a config switch.  Both offer ``batch`` and ``window_support``,
+settled in one ``FuzzySystem.settle`` call, as the live world step settles
+its decisions: by a closed-form centroid estimate, and the exact centroid
+only near a threshold, so every region equals the one the live decision
+path gives.  ``ResimFitness`` offers the alternative full re-simulation
+semantics behind a config switch.  Both offer ``batch`` and ``window_support``,
 which is all ``evolve`` asks of a fitness.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
@@ -41,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import FuzzySystem, NoActivationError
+from .fuzzy import _AT_MIN, _BELOW_MIN, _MID, _NO_ACTIVATION, FuzzySystem, NoActivationError
 from .world import _CONNECT, _DISCONNECT, _HANDOVER
 
 __all__ = [
@@ -178,27 +177,11 @@ def mutate_random_reset(
     return tuple(out)
 
 
-# Replay region codes for a crisp value v against (s_min, s_th):
-#   0: v < s_min    1: v == s_min    2: s_min < v < s_th    3: v >= s_th
-# and -2 for a strength pattern whose exact centroid activates no sample,
-# which raises only when a decision reads it.
-_BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH, _NO_ACTIVATION = 0, 1, 2, 3, -2
-
 # A site's memo key reads the genes at its fired cells, each minus 1, as
 # base-5 digits; 27 cells (a 3x3x3 grid) is the most that stays exact in
 # int64, since 5**27 - 1 < 2**63.
 _DIGIT_BASE = _GENE_HI - _GENE_LO + 1
 _MAX_KEY_DIGITS = 27
-
-# A centroid estimate closer than this (times the largest of 1 and the
-# output universe's end magnitudes) to s_min or s_th is settled by the
-# exact centroid.  The estimate's own error is bounded by about
-# 2 * (overlapping term subsets) * resolution * 2**-53 of that scale:
-# under 7e-12 for five output terms at the default resolution.
-_ESTIMATE_TOL = 1e-9
-
-# Rows estimated per ``centroid_estimates`` call, which bounds its temporaries.
-_SETTLE_ROWS = 512
 
 # Each unit's region table has a power-of-two size of at least this many
 # slots per site.  A pair's 32-bit hash is bits 32 and up of a
@@ -297,25 +280,16 @@ class _WindowPrep:
         self.support = tuple(sorted({i for idx, _ in self.sites for i in idx}))
 
     def _unit_sites(self, rec, u: int, fitness: "ReplayFitness") -> dict[int, tuple]:
-        """Sites of one unit, keyed by flat (terminal, station) column."""
-        inputs = fitness.system.input_vars
-        S = self.n_stations
-        sites: dict[int, tuple] = {}
-        velocity = rec.velocity.tolist()
-        for m in range(self.n_mts):
-            v_deg = None
-            for s in range(S):
-                if not self.covered[u, m, s]:
-                    continue
-                if v_deg is None:
-                    v_deg = inputs[0].fuzzify(velocity[m])
-                # A two-input system ignores the channel input.
-                degs = [v_deg] + [var.fuzzify(float(x)) for var, x in
-                                  zip(inputs[1:], (self.dn[u, m, s], self.chan[u, m, s]))]
-                w = fitness.system.cell_weights(degs)
-                fired = np.flatnonzero(w > 0.0)
-                sites[m * S + s] = ([int(i) for i in fired], [float(v) for v in w[fired]])
-        return sites
+        """Sites of one unit, keyed by flat (terminal, station) column in
+        terminal-major order; every covered pair fires in one array pass (a
+        two-input system ignores the channel input)."""
+        m, s = np.nonzero(self.covered[u])
+        w = fitness.system.fire((rec.velocity[m], self.dn[u, m, s], self.chan[u, m, s]))
+        pair, cell = np.nonzero(w > 0.0)
+        cells, weights = cell.tolist(), w[pair, cell].tolist()
+        ends = np.cumsum(np.bincount(pair, minlength=len(m))).tolist()
+        return {col: (cells[lo:hi], weights[lo:hi])
+                for col, lo, hi in zip((m * self.n_stations + s).tolist(), [0] + ends, ends)}
 
 
 class ReplayFitness:
@@ -325,7 +299,7 @@ class ReplayFitness:
     window in lockstep.  Calling the instance scores one chromosome as a
     population of one.  Before the steps, one pass finds the region of
     every (chromosome, site) pair in the window's region table; the
-    misses are settled together by :meth:`_settle`.
+    misses are settled together by ``FuzzySystem.settle``.
     """
 
     def __init__(
@@ -348,8 +322,6 @@ class ReplayFitness:
         self.dwell = int(dwell)
         self.weight_handoff = float(weight_handoff)
         self.weight_cut = float(weight_cut)
-        out = system.output_var
-        self._tol = _ESTIMATE_TOL * max(1.0, abs(out.lo), abs(out.hi))
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
         # Unit t -> (source record, that unit's sites, their region table)
         # for the units of the last prepared window, so consecutive
@@ -454,8 +426,8 @@ class ReplayFitness:
     def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
         """Region of every (chromosome, site) pair, plus a last column of -1
         for the uncovered (-1) entries of ``site_lut``.  Pairs missing from
-        both their table slots are settled in one :meth:`_settle` call and
-        stored with one scatter."""
+        both their table slots are settled in one ``FuzzySystem.settle`` call
+        and stored with one scatter."""
         P, G = len(digits), len(prep.sites)
         keys = digits[:, prep.padded_idx] @ prep.powers
         hashes = ((keys.view(np.uint64) + prep.salt) * _HASH_MUL) >> np.uint64(32)
@@ -491,8 +463,12 @@ class ReplayFitness:
             target = np.where(other, alt, target)
         alone = np.flatnonzero(other)
         todo = np.concatenate([first, alone])
+        # Strength rows: the largest fired weight per output term.
         terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
-        regions = self._settle(prep.padded_w[g_miss[todo]], terms)
+        rows, at = np.zeros((len(todo), self.system.n_output_terms)), np.arange(len(todo))
+        for w, k in zip(prep.padded_w[g_miss[todo]].T, terms.T):
+            rows[at, k] = np.maximum(rows[at, k], w)
+        regions = self.system.settle(rows, self.s_min, self.s_th)
         got = regions[inv]
         got[alone] = regions[len(first):]
         out[p_miss, g_miss] = got
@@ -500,45 +476,21 @@ class ReplayFitness:
             [k_miss[first], prep.local[g_miss[first]], regions[: len(first)]], axis=1)
         return out
 
-    def _settle(self, weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """Region per row of padded fired-cell weights and the output terms
-        the chromosome gives those cells; ``_NO_ACTIVATION`` where the exact
-        centroid activates no output sample."""
-        system = self.system
-        rows = np.zeros((len(terms), system.n_output_terms))
-        values = np.empty(len(terms))
-        for lo in range(0, len(terms), _SETTLE_ROWS):
-            block = slice(lo, lo + _SETTLE_ROWS)
-            rows[block] = np.where(terms[block, :, None] == np.arange(system.n_output_terms),
-                                   weights[block, :, None], 0.0).max(axis=1)
-            values[block] = system.centroid_estimates(rows[block])
-        near = ~np.isfinite(values) | (np.abs(values - self.s_min) <= self._tol) | (
-            np.abs(values - self.s_th) <= self._tol)
-        empty = []
-        for i in np.flatnonzero(near).tolist():
-            try:
-                values[i] = system.crisp_from_strengths(rows[i].tolist())
-            except NoActivationError:
-                empty.append(i)
-        regions = np.select(
-            [values < self.s_min, values == self.s_min, values < self.s_th],
-            [_BELOW_MIN, _AT_MIN, _MID], _ABOVE_TH)
-        regions[empty] = _NO_ACTIVATION
-        return regions
-
 
 class _StaticDecider:
-    """Decide-only adapter binding a consequent vector to a fuzzy system;
-    a two-input system ignores the channel input."""
+    """A consequent vector bound to a fuzzy system: the world step's
+    decision hook, shared by full re-simulation and ``HandoffPolicy``."""
 
-    def __init__(self, system: FuzzySystem, genes: Chromosome) -> None:
-        self.system = system
-        self.genes = genes
-        self.n_inputs = len(system.input_vars)
+    def __init__(self, system: FuzzySystem, genes: Sequence[int]) -> None:
+        self.system, self.genes = system, tuple(genes)
 
-    def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
-        inputs = (velocity, dist_norm, chan_norm)[: self.n_inputs]
-        return self.system.compute(self.genes, inputs)
+    def regions(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
+                s_min: float, s_th: float) -> np.ndarray:
+        """Region code of the decision value per row of inputs at each of its
+        channel inputs in ``chan_norm``; a two-input system ignores those."""
+        inputs = (velocity[:, None], dist_norm[:, None], chan_norm)[: len(self.system.input_vars)]
+        return np.broadcast_to(self.system.regions(self.genes, inputs, s_min, s_th),
+                               chan_norm.shape)
 
 
 class ResimFitness:

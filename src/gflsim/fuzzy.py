@@ -179,6 +179,11 @@ class LinguisticVariable:
         xc = self.clamp(x)
         return tuple(t.degree(xc) for t in self.terms)
 
+    def degrees(self, xs) -> np.ndarray:
+        """Vectorized :meth:`fuzzify` (same arithmetic), terms on a new last axis."""
+        xc = np.minimum(np.maximum(np.asarray(xs, dtype=float), self.lo), self.hi)
+        return np.stack([t.degrees(xc) for t in self.terms], axis=-1)
+
 
 @lru_cache(maxsize=64)
 def _output_grid(var: LinguisticVariable, resolution: int):
@@ -285,6 +290,26 @@ def _centroid_row(
 # Entries each of FuzzySystem's caches holds before it is cleared.
 _CACHE_LIMIT = 1 << 15
 
+# Threshold region codes of a crisp value v against (s_min, s_th):
+#   0: v < s_min    1: v == s_min    2: s_min < v < s_th    3: v >= s_th
+# and -2 for strengths with no centroid, which raise only when a decision reads them.
+_BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH, _NO_ACTIVATION = 0, 1, 2, 3, -2
+
+# A centroid estimate closer than this (times the largest of 1 and the output
+# universe's end magnitudes) to s_min or s_th is settled by the exact centroid.
+# The estimate's error is about 2 * (overlapping term subsets) * resolution *
+# 2**-53 of that scale at most: under 7e-12 for five terms at the default resolution.
+_ESTIMATE_TOL = 1e-9
+
+# Rows estimated per ``centroid_estimates`` call, which bounds its temporaries.
+_SETTLE_ROWS = 512
+
+
+def region_codes(values: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
+    """Threshold region code of every crisp value."""
+    return np.select([values < s_min, values == s_min, values < s_th],
+                     [_BELOW_MIN, _AT_MIN, _MID], _ABOVE_TH)
+
 
 class FuzzySystem:
     """Fixed input/output variables plus the full inference pipeline.
@@ -293,9 +318,9 @@ class FuzzySystem:
     that repeat the exact same firing strengths skip the defuzzification
     while every value still comes from the one arithmetic path.  The value
     and one-hot caches are each cleared when they reach ``_CACHE_LIMIT``
-    entries, which bounds them over any horizon.  Replays do not fill the
-    value cache: :meth:`centroid_estimates` settles most of their
-    threshold comparisons without defuzzifying.
+    entries, which bounds them over any horizon.  Live steps and replays
+    hardly fill the value cache: they ask for threshold regions, which
+    :meth:`centroid_estimates` settles mostly without defuzzifying.
     """
 
     def __init__(
@@ -322,6 +347,15 @@ class FuzzySystem:
                 f"expected {len(self.input_vars)} inputs, got {len(inputs)}"
             )
         return tuple(v.fuzzify(x) for v, x in zip(self.input_vars, inputs))
+
+    def fire(self, inputs: Sequence) -> np.ndarray:
+        """:meth:`cell_weights` over broadcast arrays of crisp values of the
+        leading ``len(inputs)`` variables, the cells on a new last axis."""
+        w = np.ones(1)
+        for var, x in zip(self.input_vars, inputs):
+            w = np.minimum(w[..., :, None], var.degrees(x)[..., None, :])
+            w = w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],))
+        return w
 
     def cell_weights(self, degree_vectors: Sequence[Sequence[float]]) -> np.ndarray:
         """Flat min-AND firing weight per grid cell, row-major over levels."""
@@ -376,6 +410,39 @@ class FuzzySystem:
         num = (cum_vx[sub, k] + m * tail_x[sub, k]) @ sign
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
+
+    def settle(self, strengths: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
+        """Region code per (rows, output terms) strength row: the estimate's, or where it
+        is not finite or near a threshold the exact centroid's (or ``_NO_ACTIVATION``)."""
+        values = np.empty(len(strengths))
+        for lo in range(0, len(strengths), _SETTLE_ROWS):
+            values[lo:lo + _SETTLE_ROWS] = self.centroid_estimates(strengths[lo:lo + _SETTLE_ROWS])
+        tol = _ESTIMATE_TOL * max(1.0, abs(self.output_var.lo), abs(self.output_var.hi))
+        near = ~np.isfinite(values) | (np.abs(values - s_min) <= tol) | (
+            np.abs(values - s_th) <= tol)
+        empty = []
+        for i in np.flatnonzero(near).tolist():
+            try:
+                values[i] = self.crisp_from_strengths(strengths[i].tolist())
+            except NoActivationError:
+                empty.append(i)
+        codes = region_codes(values, s_min, s_th)
+        codes[empty] = _NO_ACTIVATION
+        return codes
+
+    def regions(self, consequents: tuple[int, ...], inputs: Sequence, s_min: float,
+                s_th: float) -> np.ndarray:
+        """Region code of :meth:`compute`'s value at each element of the broadcast
+        input arrays.  Term k's strength is max_q min(d_q, A_qk), d_q the last
+        input's degree in level q and A_qk the largest weight the leading inputs
+        (fired once, at their own shape) give a cell of level q and consequent k:
+        min and max only select.  A NaN input fires nothing and is not settled."""
+        cells = self._onehot(tuple(consequents)).reshape(-1, self.levels[-1], self.n_output_terms)
+        lead = np.where(cells, self.fire(inputs[:-1])[..., :, None, None], 0.0).max(axis=-3)
+        s = np.minimum(self.input_vars[-1].degrees(inputs[-1])[..., None], lead).max(axis=-2)
+        codes, live = np.full(s.shape[:-1], _NO_ACTIVATION), s.any(axis=-1)
+        codes[live] = self.settle(s[live], s_min, s_th)
+        return codes
 
     def compute(self, consequents: tuple[int, ...], inputs: Sequence[float]) -> float:
         """Full fuzzify -> fire -> defuzzify pipeline for one input vector."""

@@ -1,10 +1,10 @@
 """Handoff decision policies.
 
-Four policies share one decision hook: FLS evaluates the full three-input
-grid with fixed consequents, FLAH a two-input (velocity, distance)
-projection of it, and GFLS/GFLAH attach an evolver that periodically
-re-tunes the live consequent vector from recent history.  A freshly
-evolved grid takes effect at the start of the next time unit.
+Four policies share one decision hook, ``regions``: FLS evaluates the full
+three-input grid with fixed consequents, FLAH a two-input (velocity,
+distance) projection of it, and GFLS/GFLAH attach an evolver that
+periodically re-tunes the live consequent vector from recent history.  A
+freshly evolved grid takes effect at the start of the next time unit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evolver import EvolverConfig, ReplayFitness, ResimFitness, RuleEvolver
+from .evolver import EvolverConfig, ReplayFitness, ResimFitness, RuleEvolver, _StaticDecider
 from .fuzzy import (
     DEFAULT_CONSEQUENTS,
     FuzzySystem,
@@ -61,7 +61,7 @@ def derive_flah_consequents(consequents27: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class HandoffPolicy:
+class HandoffPolicy(_StaticDecider):
     """A fuzzy rule grid bound to the simulator's decision hook."""
 
     def __init__(
@@ -77,19 +77,15 @@ class HandoffPolicy:
         if len(system.input_vars) != n_inputs:
             raise ValueError(f"{kind.value} reads {n_inputs} inputs, but the fuzzy system "
                              f"has {len(system.input_vars)}")
+        super().__init__(system, genes)
         self.kind = kind
-        self.system = system
-        self.genes = tuple(genes)
         self.evolver = evolver
         self.last_evolved = 0
         self.evolution_log: list[tuple[int, float, tuple[int, ...]]] = []
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
-        """Crisp signal in [0, 1]; FLAH-family grids ignore the channel input."""
-        if self.kind.uses_channels:
-            inputs = (velocity, dist_norm, chan_norm)
-        else:
-            inputs = (velocity, dist_norm)
+        """Crisp signal in [0, 1]; a two-input (FLAH) system ignores channels."""
+        inputs = (velocity, dist_norm, chan_norm)[: len(self.system.input_vars)]
         return self.system.compute(self.genes, inputs)
 
     def on_epoch(self, window, now: int) -> None:

@@ -21,6 +21,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from .fuzzy import _ABOVE_TH, _BELOW_MIN, _MID, _NO_ACTIVATION, NoActivationError
+
 __all__ = [
     "DomainError",
     "State",
@@ -42,7 +44,6 @@ __all__ = [
     "World",
     "acceleration_for",
     "accelerated_state",
-    "distance_norm",
     "audit_channels",
     "audit_energy",
     "audit_motion",
@@ -305,11 +306,9 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fromiter(pairs, float, x.size).reshape(x.shape)
 
 
-def distance_norm(ratio: float) -> float:
-    """Fuzzy distance input: the boundary ratio clamped to [0, 1]."""
-    return min(max(ratio, 0.0), 1.0)
-
-
+# A decision table row holds every occupancy of a station of capacity under this,
+# else a window of this many around the occupancy at the start of the unit.
+_LEVELS = 16
 # Plain-int states: lists and numpy arrays compare with them faster than with IntEnums.
 _CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(State.DISCONNECT)
 # Terminal fields a World keeps as float arrays and as int lists (-1 for None).
@@ -441,7 +440,9 @@ class World:
                 self._heading[m], self._cos[m], self._sin[m] = h, math.cos(h), math.sin(h)
 
     def step(self, policy) -> UnitRecord:
-        """Advance one time unit under ``policy`` (anything with .decide)."""
+        """Advance one time unit under ``policy``: anything whose ``regions(velocity,
+        dist_norm, chan_norm, s_min, s_th)`` gives the region codes (``fuzzy.region_codes``)
+        of its value per row at each channel input (NaN above the row's capacity)."""
         self.t += 1
         t, cfg = self.t, self.cfg
         self._move(t)
@@ -455,17 +456,43 @@ class World:
         # A terminal reads its own row only: the ratio of its serving station
         # (held since the unit began) or of its candidate.
         rows = np.arange(len(serving))
-        own, near = ratio[rows, before[1]].tolist(), ratio[rows, cand].tolist()
-        cand, speeds = cand.tolist(), self._speed.tolist()
+        own = ratio[rows, before[1]]
         occupied = [bs.occupied for bs in self.stations]
         capacity = [bs.capacity for bs in self.stations]
-        held = np.array(occupied, dtype=np.int64)
+        held, cap = np.array(occupied, dtype=np.int64), np.array(capacity, dtype=np.int64)
+        # Deciding terminals (connected in cell, or disconnected under a
+        # candidate) have fixed inputs but for the channel one, which follows
+        # the occupancy at their turn: a table row holds its levels (_LEVELS).
+        conn = (before[0] == _CONNECT) & (own > 0.0)
+        deciding = np.flatnonzero(conn | ((before[0] == _DISCONNECT) & (cand >= 0)))
+        at = np.where(conn, before[1], cand)[deciding]
+        room, width = cap[at, None], min(max(capacity) + 1, _LEVELS)
+        base = np.clip(held[at, None] - width // 2, 0, np.maximum(room + 1 - width, 0))
+        level = base + np.arange(width)
+        chan_in = np.where(level <= room, (room - level) / room, np.nan)
+        speed = self._speed[deciding]
+        dn = np.minimum(np.maximum(np.where(conn, own, ratio[rows, cand]), 0.0), 1.0)[deciding]
+        table = iter(zip(policy.regions(speed, dn, chan_in, cfg.s_min, cfg.s_th).tolist(),
+                         base[:, 0].tolist(), range(len(deciding))))
+        own, cand = own.tolist(), cand.tolist()
         changes: list[tuple[int, int, int]] = []  # (terminal, station, +1 or -1)
-        ids, events, decide = self._ids, self.events, policy.decide
+        ids, events = self._ids, self.events
 
         def hold(m: int, s: int, d: int) -> None:
             occupied[s] += d
             changes.append((m, s, d))
+
+        def region(s: int) -> int:
+            o, (row, lo, r) = occupied[s], next(table)
+            if not 0 <= o <= capacity[s]:
+                raise RuntimeError(f"channel accounting broken at station {s}: "
+                                   f"occupied={o}, capacity={capacity[s]}")
+            if not lo <= o < lo + len(row):  # outside the row's window: ask for this level
+                row, lo = policy.regions(speed[r:r + 1], dn[r:r + 1], np.array(
+                    [[(capacity[s] - o) / capacity[s]]]), cfg.s_min, cfg.s_th).tolist()[0], o
+            if row[o - lo] == _NO_ACTIVATION:
+                raise NoActivationError("a decision activates no output sample")
+            return row[o - lo]
 
         def cut(m: int) -> None:
             sv, tg = serving[m], target[m]
@@ -481,11 +508,10 @@ class World:
                 # Out of the serving cell: forced cut, whatever the fuzzy value.
                 cut(m)
             elif st == _CONNECT:
-                value = decide(speeds[m], distance_norm(own[m]),
-                               (capacity[sv] - occupied[sv]) / capacity[sv])
-                if value < cfg.s_min:
+                r = region(sv)
+                if r == _BELOW_MIN:
                     cut(m)
-                elif value < cfg.s_th:
+                elif r != _ABOVE_TH:
                     # Target: the deepest other covering station with a free channel.
                     depth = score[m].tolist()
                     free = [s for s, d in enumerate(depth)
@@ -501,17 +527,15 @@ class World:
                     hold(m, sv, -1)
                     state[m], serving[m], target[m] = _CONNECT, target[m], -1
                     events.append(Event(t, ids[m], HANDOFF_COMPLETED, sv, serving[m]))
-            elif cand[m] >= 0:
-                # Disconnected: try the deepest covering station, channels or
-                # not; a qualifying value with no free channel is a blocked attempt.
+            elif cand[m] >= 0 and region(cand[m]) >= _MID:
+                # Disconnected, a value above s_min for the deepest covering
+                # station: connect, or without a free channel, a blocked attempt.
                 c = cand[m]
-                value = decide(speeds[m], distance_norm(near[m]),
-                               (capacity[c] - occupied[c]) / capacity[c])
-                if value > cfg.s_min and occupied[c] < capacity[c]:
+                if occupied[c] < capacity[c]:
                     hold(m, c, 1)
                     state[m], serving[m] = _CONNECT, c
                     events.append(Event(t, ids[m], CONNECTED, None, c))
-                elif value > cfg.s_min:
+                else:
                     events.append(Event(t, ids[m], BLOCKED, None, c))
         for bs, n in zip(self.stations, occupied):
             bs.occupied = n
@@ -520,7 +544,6 @@ class World:
         delta = np.zeros(ratio.shape, dtype=np.int64)
         if changes:
             np.add.at(delta, tuple(zip(*changes))[:2], [d for _, _, d in changes])
-        cap = np.array(capacity, dtype=np.int64)
         chan = (cap - (held + np.cumsum(delta, axis=0) - delta)) / cap
 
         # Energy: d/r + epsilon per held station, floored at zero.

@@ -11,6 +11,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
+from gflsim.fuzzy import region_codes
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -26,18 +27,22 @@ from gflsim.world import (
     World,
     _fold,
     accelerated_state,
-    distance_norm,
 )
 
 
 class FixedPolicy:
-    """Decision hook returning a constant crisp value."""
+    """Decision hook whose value is a constant crisp value."""
 
     def __init__(self, value: float) -> None:
         self.value = value
 
-    def decide(self, velocity, dist_norm, chan_norm) -> float:
-        return self.value
+    def regions(self, velocity, dist_norm, chan_norm, s_min, s_th) -> np.ndarray:
+        return region_codes(np.full(chan_norm.shape, self.value), s_min, s_th)
+
+
+def distance_norm(ratio: float) -> float:
+    """Fuzzy distance input: the boundary ratio clamped to [0, 1]."""
+    return min(max(ratio, 0.0), 1.0)
 
 
 def pose(world: World, m: int, **columns) -> None:

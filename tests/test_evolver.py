@@ -14,9 +14,8 @@ from conftest import (
     reference_strengths,
     snapshots,
 )
-from gflsim import evolver
+from gflsim import evolver, fuzzy
 from gflsim.evolver import (
-    _AT_MIN,
     _SLOTS_PER_SITE,
     EmptyHistoryError,
     EvolverConfig,
@@ -40,6 +39,7 @@ from gflsim.fuzzy import (
     default_output,
     default_system,
     default_velocity,
+    region_codes,
     triangle,
 )
 from gflsim.policies import make_policy
@@ -397,7 +397,7 @@ class TestFitness:
         # collides in the region table, and none may read another's region.
         # Small settle blocks make each batch's misses span several blocks.
         monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", 0)
-        monkeypatch.setattr(evolver, "_SETTLE_ROWS", 7)
+        monkeypatch.setattr(fuzzy, "_SETTLE_ROWS", 7)
         for system in (default_system(), flah_system(), wide_system()):
             fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
             for _ in range(3):
@@ -456,7 +456,7 @@ class TestFitness:
             fit = ReplayFitness(system, s_min, s_th, dwell=2)
             assert fit(genes, wnd) == reference_replay(genes, wnd, system, s_min, s_th)
             table = fit._last_prep[1].table
-            at_min += int(np.sum(table[table[:, 1] >= 0, 2] == _AT_MIN))
+            at_min += int(np.sum(table[table[:, 1] >= 0, 2] == fuzzy._AT_MIN))
         assert at_min >= len(windows)
 
     def test_grids_beyond_27_cells_rejected(self):
@@ -467,6 +467,26 @@ class TestFitness:
         system = FuzzySystem((four,) + default_system().input_vars[1:], default_output())
         with pytest.raises(ValueError, match="27 cells"):
             ReplayFitness(system, S_MIN, S_TH)
+
+    def test_sites_match_scalar_fuzzification(self, rng):
+        # Each unit's sites, fired in one array pass, equal a per-site scalar
+        # fuzzify -> cell_weights: same columns in the same (terminal-major)
+        # order, same fired cells and the same weights.
+        for system in (default_system(), flah_system(), wide_system()):
+            fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
+            wnd = random_window(rng, n_units=3, n_mts=6, n_stations=4)
+            fit.window_support(wnd)
+            for rec in wnd.records:
+                want = {}
+                for m, snap in enumerate(snapshots(rec)):
+                    for s, (r, c) in enumerate(zip(snap.dist_ratio, snap.chan_norm)):
+                        if r > 0.0:
+                            inputs = (snap.velocity, min(r, 1.0), c)[: len(system.input_vars)]
+                            w = system.cell_weights(system.fuzzify(inputs))
+                            fired = np.flatnonzero(w > 0.0)
+                            want[m * 4 + s] = (fired.tolist(), w[fired].tolist())
+                got = fit._site_cache[rec.t][1]
+                assert list(got.items()) == list(want.items())
 
     def test_site_cache_holds_at_most_one_window(self):
         world = World.build(WorldConfig(mt_count=3, total_time=2000),
@@ -512,15 +532,16 @@ class TestFitness:
                 if window.warm and t % 2 == 0:
                     frozen = window.freeze()
                     fit = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell)
-                    settle = fit._settle
+                    settle = fit.system.settle
                     for batch in ("first", "again"):
-                        def counted(weights, terms, batch=batch):
-                            rows[batch] += len(terms)
-                            return settle(weights, terms)
-                        fit._settle = counted
+                        def counted(strengths, s_min, s_th, batch=batch):
+                            rows[batch] += len(strengths)
+                            return settle(strengths, s_min, s_th)
+                        fit.system.settle = counted
                         fits = fit.batch(policy.evolver.population, frozen)
                         if batch == "first":
                             expected = list(fits)
+                    del fit.system.settle  # the live step settles uncounted
                     assert list(fits) == expected
                     second_slots += sum(int((table[len(table) // 2:, 1] >= 0).sum())
                                         for _, _, table in fit._site_cache.values())
@@ -834,11 +855,16 @@ class TestResimFitness:
         window = HistoryWindow(4, keep_checkpoints=True)
 
         class SeedPolicy:
+            # The seed grid's value at every level, through the scalar pipeline.
             def __init__(self):
                 self.system = default_system()
 
-            def decide(self, v, dn, cn):
-                return self.system.compute(SEED_GENES, (v, dn, cn))
+            def regions(self, velocity, dist_norm, chan_norm, s_min, s_th):
+                values = np.full(chan_norm.shape, np.nan)
+                for r, c in zip(*np.nonzero(~np.isnan(chan_norm))):
+                    values[r, c] = self.system.compute(
+                        SEED_GENES, (velocity[r], dist_norm[r], chan_norm[r, c]))
+                return region_codes(values, s_min, s_th)
 
         policy = SeedPolicy()
         for _ in range(12):

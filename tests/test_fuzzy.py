@@ -346,6 +346,9 @@ class TestCentroidEstimate:
 
 class TestCaches:
     def test_caches_stay_bounded_over_a_long_run(self, monkeypatch):
+        # Live steps settle threshold regions and hardly ever defuzzify, so
+        # the value cache is filled through compute: once per covered
+        # (terminal, station) input of every unit of a long run.
         cap = 64
         cfg = WorldConfig(mt_count=10, total_time=150)
         reference, unbounded = World.build(cfg, np.random.default_rng(8)), make_policy("fls")
@@ -356,8 +359,14 @@ class TestCaches:
         world = World.build(cfg, np.random.default_rng(8))
         largest = 0
         for _ in range(cfg.total_time):
-            world.step(policy)
-            largest = max(largest, len(policy.system._value_cache))
+            rec = world.step(policy)
+            for v, ratios, chans in zip(rec.velocity.tolist(), rec.ratio.tolist(),
+                                        rec.chan.tolist()):
+                for r, c in zip(ratios, chans):
+                    if r > 0.0:
+                        value = policy.decide(v, r, c)
+                        assert value == unbounded.decide(v, r, c)
+                        largest = max(largest, len(policy.system._value_cache))
         assert largest == cap
         assert world.events == reference.events
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gflsim import fuzzy
 from gflsim.evolver import EvolverConfig, ReplayFitness, mutate_random_reset, one_point_crossover
 from gflsim.fuzzy import DEFAULT_CONSEQUENTS, default_system
 from gflsim.policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
@@ -84,6 +86,76 @@ class TestDecide:
             for _ in range(200):
                 out = policy.decide(rng.uniform(-10, 50), rng.uniform(-1, 2), rng.random())
                 assert 0.0 <= out <= 1.0
+
+
+def channel_levels(capacity) -> np.ndarray:
+    """The world step's channel inputs: (capacity - occupancy) / capacity at
+    occupancy 0..max capacity per row, NaN above the row's capacity."""
+    cap = np.asarray(capacity, dtype=np.int64)[:, None]
+    level = np.arange(cap.max(initial=0) + 1)
+    return np.where(level <= cap, (cap - level) / cap, np.nan)
+
+
+@st.composite
+def decision_batches(draw):
+    """A policy over random consequents, rows of decision inputs (breakpoints
+    of the default terms among them) and thresholds, half of the time set
+    exactly to decision values of the batch."""
+    kind = draw(st.sampled_from(["fls", "flah"]))
+    genes = draw(st.lists(st.integers(1, 5), min_size=27, max_size=27))
+    n = draw(st.integers(0, 6))
+    rows = st.lists(st.tuples(
+        st.one_of(st.floats(-5.0, 40.0), st.sampled_from([0.0, 5.0, 15.0, 25.0, 30.0])),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])),
+        st.integers(1, 6)), min_size=n, max_size=n)
+    return kind, genes, draw(rows), draw(st.booleans()), draw(st.integers(0, 2 ** 16))
+
+
+class TestRegions:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(decision_batches())
+    def test_batched_regions_equal_scalar_decide_at_every_level(self, batch):
+        kind, genes, rows, exact, pick = batch
+        policy = make_policy(kind, consequents=genes)
+        velocity, dist, cap = (np.array([r[i] for r in rows], dtype=float if i < 2 else int)
+                               for i in range(3))
+        chan = channel_levels(cap)
+        values = {(r, o): policy.decide(velocity[r], dist[r], chan[r, o])
+                  for r in range(len(rows)) for o in range(cap[r] + 1)}
+        s_min, s_th = 0.2, 0.45
+        if exact and values:
+            # Thresholds on computed crisp values: the estimate lands within
+            # the tolerance, so the exact centroid settles those entries.
+            ordered = sorted(set(values.values()))
+            s_min = ordered[pick % len(ordered)]
+            s_th = next((v for v in ordered if v > s_min), s_min + 0.25)
+        got = policy.regions(velocity, dist, chan, s_min, s_th)
+        assert got.shape == chan.shape
+        for (r, o), v in values.items():
+            want = (fuzzy._BELOW_MIN if v < s_min else fuzzy._AT_MIN if v == s_min
+                    else fuzzy._MID if v < s_th else fuzzy._ABOVE_TH)
+            assert got[r, o] == want, (r, o, v, s_min, s_th)
+        if kind == "fls":  # occupancies above capacity are never settled
+            assert (got[np.isnan(chan)] == fuzzy._NO_ACTIVATION).all()
+        if exact and values:
+            assert (got == fuzzy._AT_MIN).any()
+
+    def test_only_levels_up_to_capacity_are_settled(self):
+        # FLS settles one row per level up to each capacity; FLAH, which
+        # ignores channels, one row per terminal.
+        chan = channel_levels([1, 6])
+        for kind, want in (("fls", 2 + 7), ("flah", 2)):
+            policy = make_policy(kind)
+            settle, settled = policy.system.settle, []
+            policy.system.settle = lambda rows, *th: settled.append(len(rows)) or settle(rows, *th)
+            got = policy.regions(np.array([3.0, 20.0]), np.array([0.3, 0.9]), chan, 0.2, 0.45)
+            assert sum(settled) == want and got.shape == (2, 7)
+
+    def test_empty_batch(self):
+        for kind in ("fls", "flah"):
+            got = make_policy(kind).regions(np.zeros(0), np.zeros(0), channel_levels([]),
+                                            0.2, 0.45)
+            assert got.shape == (0, 1)
 
 
 class TestOnEpoch:

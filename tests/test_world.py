@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FixedPolicy, ReferenceWorld, pose
+from conftest import FixedPolicy, ReferenceWorld, distance_norm, pose
+from gflsim.fuzzy import LinguisticVariable, NoActivationError, region_codes, triangle
+from gflsim.policies import make_policy
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -26,12 +28,12 @@ from gflsim.world import (
     UnitRecord,
     World,
     WorldConfig,
+    _LEVELS,
     acceleration_for,
     accelerated_state,
     audit_channels,
     audit_energy,
     audit_motion,
-    distance_norm,
 )
 
 
@@ -419,6 +421,8 @@ class TestWorldBuild:
         w = World.build(WorldConfig(terminals=()))
         rec = w.step(FixedPolicy(0.5))
         assert rec.ratio.shape == (0, len(DEFAULT_STATIONS)) and w.events == []
+        for kind in ("fls", "flah"):
+            assert w.step(make_policy(kind)).t == w.t and w.events == []
 
     def test_requires_rng_without_explicit_terminals(self):
         with pytest.raises(DomainError):
@@ -458,17 +462,32 @@ def scenarios(draw):
 
 class SignalPolicy:
     """A value that depends on every decide input, hitting s_min and s_th
-    exactly at some of them; logs the inputs it was given."""
+    exactly at some of them.  As the scalar step's hook it logs each decide
+    call; as the array step's hook it logs each row of inputs with its
+    channel levels and classifies the same values with ``region_codes``."""
 
     def __init__(self, cfg: WorldConfig, salt: int) -> None:
         self.values = (cfg.s_min, 0.05, cfg.s_th, 0.3, 0.9)
         self.salt = salt
         self.calls: list[tuple] = []
 
-    def decide(self, velocity, dist_norm, chan_norm) -> float:
-        self.calls.append((velocity, dist_norm, chan_norm))
+    def value(self, velocity, dist_norm, chan_norm) -> float:
         key = hash((velocity, dist_norm, chan_norm, self.salt))
         return self.values[key % len(self.values)]
+
+    def decide(self, velocity, dist_norm, chan_norm) -> float:
+        self.calls.append((velocity, dist_norm, chan_norm))
+        return self.value(velocity, dist_norm, chan_norm)
+
+    def regions(self, velocity, dist_norm, chan_norm, s_min, s_th) -> np.ndarray:
+        assert all(a.dtype == float for a in (velocity, dist_norm, chan_norm))
+        values = np.full(chan_norm.shape, np.nan)
+        for r, (v, d, levels) in enumerate(zip(velocity.tolist(), dist_norm.tolist(),
+                                               chan_norm.tolist())):
+            levels = tuple(c for c in levels if not math.isnan(c))  # NaN above capacity
+            self.calls.append((v, d, levels))
+            values[r, :len(levels)] = [self.value(v, d, c) for c in levels]
+        return region_codes(values, s_min, s_th)
 
 
 class TestArrayStepMatchesReference:
@@ -486,8 +505,11 @@ class TestArrayStepMatchesReference:
             for f in dataclasses.fields(UnitRecord):
                 a, b = getattr(rec, f.name), getattr(want, f.name)
                 assert np.array_equal(a, b) and np.shape(a) == np.shape(b), (rec.t, f.name)
-        assert live.calls == scalar.calls
-        assert all(type(v) is float for call in live.calls for v in call)
+        # One row per scalar decide call, in the same order, with the
+        # channel input the scalar step saw among the row's levels.
+        assert len(live.calls) == len(scalar.calls)
+        for (v, d, levels), call in zip(live.calls, scalar.calls):
+            assert (v, d) == call[:2] and call[2] in levels
         assert world.connected_units == ref.connected_units
         assert [bs.occupied for bs in world.stations] == [bs.occupied for bs in ref.stations]
         assert list(world.mts) == ref.mts
@@ -503,6 +525,77 @@ class TestArrayStepMatchesReference:
         w = two_station_world()
         w.step(FixedPolicy(w.cfg.s_min))
         assert w.events == [] and w.mts[0].state == State.DISCONNECT
+
+
+class TestDecisionTable:
+    """The step reads each deciding terminal's region at its station's
+    occupancy from one table per unit."""
+
+    def test_unit_without_deciding_terminals(self):
+        # Uncovered, in handover, and connected out of coverage (a forced cut):
+        # the table has no rows.
+        for kind in ("fls", "flah"):
+            w = lone_terminal(5000.0, 5000.0)
+            w.step(make_policy(kind))
+            assert w.events == []
+            w = two_station_world()
+            connect(w, 0, 0)
+            pose(w, 0, state=State.HANDOVER, target=1, dwell=2)
+            w.stations[1].occupied += 1
+            w.step(make_policy(kind))
+            assert w.events == []
+            pose(w, 0, x=3900.0)
+            w.step(make_policy(kind))
+            assert [e.kind for e in w.events] == [CONNECTION_CUT]
+
+    def test_large_station_rows_hold_a_window_and_ask_outside_it(self):
+        # A capacity above _LEVELS gives rows a window of occupancies, and a
+        # turn outside it asks the policy for that one level.  The 30
+        # terminals start disconnected under the one station, so its
+        # occupancy climbs past the first window within the first unit.
+        terminals = tuple(TerminalSpec(1000.0 + 10.0 * i, 1000.0, 0.0, speed=5.0)
+                          for i in range(30))
+        cfg = WorldConfig(arena_width=2000.0, arena_height=2000.0, terminals=terminals,
+                          stations=(StationSpec(1000.0, 1000.0, 900.0, 2 * _LEVELS + 5),))
+        world = World.build(cfg)
+        ref = ReferenceWorld(world)
+        live, scalar = SignalPolicy(cfg, 3), SignalPolicy(cfg, 3)
+        for _ in range(8):
+            rec = world.step(live)
+            assert rec == ref.step(scalar) and world.events == ref.events
+        widths = {len(levels) for _, _, levels in live.calls}
+        assert widths == {1, _LEVELS} and world.stations[0].occupied > _LEVELS
+
+    @pytest.mark.parametrize("occupied", [-1, 3])
+    def test_occupancy_outside_capacity_raises_naming_the_station(self, occupied):
+        w = two_station_world()
+        connect(w, 0, 1)
+        w.stations[1].occupied = occupied
+        with pytest.raises(RuntimeError, match="station 1: occupied=" + str(occupied)):
+            w.step(FixedPolicy(0.9))
+
+    def test_no_activation_raises_only_when_read(self):
+        # The "narrow" output term lies between two samples of the 10-sample
+        # output grid.  Cells whose channel level is low (the table's row at
+        # a full station) give only it, and every other cell very low.
+        out = LinguisticVariable("rss_threshold", 0.0, 1.0, (
+            triangle("very_low", 0.0, 0.0, 0.5),
+            triangle("low", 0.0, 0.25, 0.6),
+            triangle("narrow", 0.51, 0.52, 0.53),
+            triangle("high", 0.45, 0.75, 1.0),
+            triangle("very_high", 0.75, 1.0, 1.0),
+        ))
+        genes = [3 if cell % 3 == 0 else 1 for cell in range(27)]
+        policy = make_policy("fls", output_var=out, resolution=10, consequents=genes)
+        w = two_station_world()
+        connect(w, 0, 0)  # one of two channels held: the full-station row is unread
+        w.step(policy)
+        assert [e.kind for e in w.events] == [CONNECTION_CUT]
+        w = two_station_world()
+        connect(w, 0, 0)
+        w.stations[0].occupied += 1  # a full station: that row is read
+        with pytest.raises(NoActivationError):
+            w.step(policy)
 
 
 class TestRecords:
