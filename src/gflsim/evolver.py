@@ -7,17 +7,20 @@ handoff initiations and cut connections; lower is better.
 
 Replay semantics: channel occupancy and every other terminal's behavior
 are frozen to what the live simulation recorded, so fitness isolates the
-candidate's own decisions.  ``ReplayFitness.batch`` is the one replay
-loop: it steps a whole population through the window together, reading
-the threshold region of each (chromosome, decision site) pair from one
-vectorized pass over bounded per-unit region tables (two probe slots per
-pair, each slot tagged with its site and gene key).  A batch's misses are
-settled in one ``FuzzySystem.settle`` call, as the live world step settles
-its decisions: by a closed-form centroid estimate, and the exact centroid
-only near a threshold, so every region equals the one the live decision
-path gives.  ``ResimFitness`` offers the alternative full re-simulation
-semantics behind a config switch.  Both offer ``batch`` and ``window_support``,
-which is all ``evolve`` asks of a fitness.
+candidate's own decisions and each terminal runs on its own.
+``ReplayFitness.batch`` is the one replay loop.  It reads the threshold
+region of each (chromosome, decision site) pair from one vectorized pass
+over bounded per-unit region tables (two probe slots per pair, each slot
+tagged with its site and gene key), and settles a batch's misses in one
+``FuzzySystem.settle`` call, as the live world step settles its
+decisions.  Then it steps the population through per-unit transition
+tables, built once per unit and cached with its sites for the next,
+overlapping window: a terminal's state is one code (disconnected,
+connected to s, handing over s -> t with d units of dwell left, or an
+absorbing error code for a decision with no centroid), and per (terminal,
+code, region) the tables give the site to read, the next code and the
+cost.  ``ResimFitness`` offers full re-simulation behind a config switch.
+Both offer ``batch`` and ``window_support``, all ``evolve`` asks of a fitness.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
 are cache-friendly and could run on parallel workers; the generational
@@ -32,16 +35,16 @@ words and hands the stream back where the operators would leave it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import _AT_MIN, _BELOW_MIN, _MID, _NO_ACTIVATION, FuzzySystem, NoActivationError
-from .world import _CONNECT, _DISCONNECT, _HANDOVER
+from .fuzzy import FuzzySystem, NoActivationError
+from .world import _CONNECT, _HANDOVER
 
 __all__ = [
     "EmptyHistoryError",
@@ -201,62 +204,132 @@ def _region_table(n_sites: int) -> np.ndarray:
     return np.tile(np.array([0, -1, 0], dtype=np.int64), (size, 1))
 
 
+# Layout of a unit's transition tables (int32): each terminal has a row of
+# W = 1 + S*S*dwell + 6*(S + 1) slots, and a code's value indexes them:
+#   - slot 0 for the error code (terminal 0's only, so its value is 1);
+#   - one slot per handover code, which decides nothing: its value is its
+#     slot + 1 and its site is the padding column, whose region is -1;
+#   - six slots each for disconnected and connected to s, one per region
+#     -2..3, whose value is their region-0 slot.
+# In a unit, a terminal at value c reads region r from column ``site[c]``
+# and moves to ``next[c + r]``, counting ``cost[c + r]``: a handoff in the
+# bits from ``_HANDOFF_SHIFT`` up and a cut in those below.
+_ERROR, _HANDOFF_SHIFT = 1, 30
+_CUT, _HANDOFF = 1, 1 << _HANDOFF_SHIFT
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(n_mts: int, n_stations: int, dwell: int):
+    """Code values (disconnected (M,), connected to s (M, S), handing over
+    s -> t with d units left at [m, s, t, d - 1]) and the next and cost tables
+    of a unit where all stations cover all terminals, with no free channel."""
+    S, n_hand = n_stations, n_stations * n_stations * dwell
+    width = n_hand + 6 * S + 7
+    rows = np.arange(n_mts, dtype=np.int32) * width
+    hand = rows[:, None, None, None] + 2 + np.arange(n_hand, dtype=np.int32).reshape(S, S, dwell)
+    disc = rows + n_hand + 3
+    conn = disc[:, None] + 6 * np.arange(1, S + 1, dtype=np.int32)
+    nxt = np.full(n_mts * width, _ERROR, dtype=np.int32)
+    cost = np.zeros(n_mts * width, dtype=np.int32)
+    # Per region -2..3: disconnected stays; connected is cut below s_min (or
+    # when forced, region -1) and stays from s_min up.  A handover loses a
+    # unit of dwell, and connects to t after its last.
+    nxt[disc[:, None] + np.arange(-1, 4)] = disc[:, None]
+    nxt[conn[..., None] + np.arange(-1, 4)] = np.stack(
+        np.broadcast_arrays(disc[:, None], disc[:, None], conn, conn, conn), axis=-1)
+    cost[conn[..., None] + np.arange(-1, 1)] = _CUT
+    after = hand - 1
+    after[..., 0] = conn[:, None, :]
+    nxt[hand - 1] = after
+    for shared in (disc, conn, hand, nxt, cost):  # every caller gets these arrays
+        shared.setflags(write=False)
+    return width, disc, conn, hand, nxt, cost
+
+
+def _unit_steps(rec, cols: list[int], dwell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site, next and cost tables of one unit whose sites, in order, sit at
+    the flat (terminal, station) columns ``cols``."""
+    M, S = rec.ratio.shape
+    width, disc, conn, hand, nxt, cost = _layout(M, S, dwell)
+    nxt, cost = nxt.copy(), cost.copy()  # the cached ones are shared
+    local = np.full((M, S), -1, dtype=np.int32)
+    local.flat[cols] = np.arange(len(cols))
+    covered = rec.ratio > 0.0
+    # Deepest covering station, channels ignored, and per serving station
+    # the deepest other covering one with a free channel; argmax takes the
+    # first maximum, i.e. the lowest station id.
+    scores = np.where(covered, np.minimum(rec.ratio, 1.0), -1.0)
+    cand = scores.argmax(axis=1)
+    m = np.flatnonzero(scores.max(axis=1) > 0.0)
+    site = np.full(M * width, -1, dtype=np.int32)
+    site[disc[m]] = local[m, cand[m]]
+    site[conn] = local  # -1 outside coverage: a forced cut reads no region
+    # Disconnected connects from region 2 up if its candidate has a channel.
+    m = m[rec.chan[m, cand[m]] > 0.0]
+    nxt[disc[m, None] + np.arange(2, 4)] = conn[m, cand[m], None]
+    # Connected to s hands off at regions 1 and 2 if s has a target.
+    scores = np.where(rec.chan > 0.0, scores, -1.0)
+    scores = np.where(np.eye(S, dtype=bool), -1.0, scores[:, None, :])
+    m, s = np.nonzero(scores.max(axis=2) > 0.0)
+    at = conn[m, s, None] + np.arange(1, 3)
+    nxt[at] = hand[m, s, scores[m, s].argmax(axis=1), -1, None]
+    cost[at] = _HANDOFF
+    # A handover is cut when s stops covering.
+    m, s = np.nonzero(~covered)
+    nxt[hand[m, s] - 1] = disc[m, None, None]
+    cost[hand[m, s] - 1] = _CUT
+    return site, nxt, cost
+
+
 class _WindowPrep:
-    """Per-window replay arrays, the decision sites of each unit, and the
-    window's region table (its units' tables end to end).  A site is one
-    (time unit, terminal, station) decision point: its positively-firing
-    grid cells and their weights, fixed by the recorded inputs."""
+    """Per-window replay arrays: the decision sites of each unit, the
+    window's region table (its units' tables end to end) and each unit's
+    transition tables, whose sites are the window's site indices.  A site
+    is one (time unit, terminal, station) decision point: its
+    positively-firing grid cells and their weights, fixed by the recorded
+    inputs."""
 
     def __init__(self, records, fitness: "ReplayFitness") -> None:
-        system = fitness.system
-        self.n_units = len(records)
-        self.n_mts, self.n_stations = records[0].ratio.shape
-        U, M, S = self.n_units, self.n_mts, self.n_stations
-        self.ratio = np.stack([rec.ratio for rec in records])
-        self.chan = np.stack([rec.chan for rec in records])
-        self.covered = self.ratio > 0.0
-        self.dn = np.clip(self.ratio, 0.0, 1.0)
-        # Deepest covering station per (unit, terminal), channels ignored,
-        # and whether it has a free channel; argmax takes the first
-        # maximum, i.e. the lowest station id on ties.
-        scores = np.where(self.covered, self.dn, -1.0)
-        cand = scores.argmax(axis=2)
-        self.cand = np.where(scores.max(axis=2) > 0.0, cand, -1)
-        self.cand_free = np.take_along_axis(self.chan, cand[..., None], 2)[..., 0] > 0.0
-        # Handoff target per (unit, terminal, serving station): the deepest
-        # other covering station with a free channel, -1 if there is none.
-        scores = np.where(self.covered & (self.chan > 0.0), self.dn, -1.0)
-        scores = np.where(np.eye(S, dtype=bool), -1.0, scores[:, :, None, :])
-        self.target = np.where(scores.max(axis=3) > 0.0, scores.argmax(axis=3), -1)
+        system, dwell = fitness.system, fitness.dwell
         first = records[0]
-        self.init_state, self.init_serving = first.state, first.serving
-        self.init_target, self.init_dwell = first.target, first.dwell
+        M, S = first.ratio.shape
+        st, sv, tg, dw = first.state, first.serving, first.target, first.dwell
+        handing = st == _HANDOVER
+        if not ((dw >= 1) & (dw <= dwell))[handing].all():
+            raise ValueError(f"a window that opens in handover needs 1..{dwell} units of "
+                             f"dwell left (the replay's dwell), got {dw[handing].tolist()}")
+        _, disc, conn, hand, _, _ = _layout(M, S, dwell)
+        m = np.arange(M)
+        self.start = np.select([st == _CONNECT, handing], [
+            conn[m, sv], hand[m, sv, tg, np.clip(dw, 1, dwell) - 1]], disc)
 
         # Materialize every covered decision site: fuzzified inputs do not
-        # depend on the candidate grid, only their gene mapping does.
-        # Units reused from the previous window keep their sites and region
-        # table; the cache then holds this window's units only.
+        # depend on the candidate grid, only their gene mapping does.  Units
+        # reused from the previous window keep their sites, region table and
+        # transition tables; the cache then holds this window's units only.
         cache, fitness._site_cache = fitness._site_cache, {}
-        self.site_lut = np.full((U, M * S), -1, dtype=np.int64)
         self.sites: list[tuple[list[int], list[float]]] = []
-        units = []
-        for u, rec in enumerate(records):
+        units, firsts = [], []
+        for rec in records:
             cached = cache.get(rec.t)
             if cached is None or cached[0] is not rec:
-                sites = self._unit_sites(rec, u, fitness)
-                cached = (rec, sites, _region_table(len(sites)))
+                sites = self._unit_sites(rec, system)
+                cached = (rec, sites, _region_table(len(sites)), _unit_steps(rec, list(sites), dwell))
             units.append(cached)
-            for col, site in cached[1].items():
-                self.site_lut[u, col] = len(self.sites)
-                self.sites.append(site)
+            firsts.append(len(self.sites))
+            self.sites.extend(cached[1].values())
+        # Each unit's tables with the window's site indices; a code that
+        # reads no site reads the padding column, the last of the regions.
+        self.steps = [(np.where(site >= 0, site + first, len(self.sites)), nxt, cost)
+                      for (*_, (site, nxt, cost)), first in zip(units, firsts)]
         # Each unit keeps its slice of the window's table, so the regions a
         # batch stores stay with the unit.
-        self.table = np.concatenate([table for _, _, table in units])
-        counts = [len(sites) for _, sites, _ in units]
-        sizes = np.array([len(table) for _, _, table in units])
+        self.table = np.concatenate([table for _, _, table, _ in units])
+        counts = [len(sites) for _, sites, _, _ in units]
+        sizes = np.array([len(table) for _, _, table, _ in units])
         ends = np.cumsum(sizes)
-        for (rec, sites, _), lo, hi in zip(units, ends - sizes, ends):
-            fitness._site_cache[rec.t] = (rec, sites, self.table[lo:hi])
+        for (rec, sites, _, steps), lo, hi in zip(units, ends - sizes, ends):
+            fitness._site_cache[rec.t] = (rec, sites, self.table[lo:hi], steps)
         # Per site: its index in its unit, that index's hash salt, and where
         # the two halves of its unit's table start, the hash bits (mask and
         # shift) that pick a slot in each.
@@ -277,29 +350,34 @@ class _WindowPrep:
             self.padded_idx[gid, : len(idx)] = idx
             self.padded_w[gid, : len(w)] = w
         self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
+        # Sites share a few fired-cell sets, so keys are found per set.
+        self.cell_sets, self.set_of = np.unique(self.padded_idx, axis=0, return_inverse=True)
         self.support = tuple(sorted({i for idx, _ in self.sites for i in idx}))
 
-    def _unit_sites(self, rec, u: int, fitness: "ReplayFitness") -> dict[int, tuple]:
+    @staticmethod
+    def _unit_sites(rec, system: FuzzySystem) -> dict[int, tuple]:
         """Sites of one unit, keyed by flat (terminal, station) column in
         terminal-major order; every covered pair fires in one array pass (a
         two-input system ignores the channel input)."""
-        m, s = np.nonzero(self.covered[u])
-        w = fitness.system.fire((rec.velocity[m], self.dn[u, m, s], self.chan[u, m, s]))
+        m, s = np.nonzero(rec.ratio > 0.0)
+        w = system.fire((rec.velocity[m], np.minimum(rec.ratio[m, s], 1.0), rec.chan[m, s]))
         pair, cell = np.nonzero(w > 0.0)
         cells, weights = cell.tolist(), w[pair, cell].tolist()
         ends = np.cumsum(np.bincount(pair, minlength=len(m))).tolist()
         return {col: (cells[lo:hi], weights[lo:hi])
-                for col, lo, hi in zip((m * self.n_stations + s).tolist(), [0] + ends, ends)}
+                for col, lo, hi in zip((m * rec.ratio.shape[1] + s).tolist(), [0] + ends, ends)}
 
 
 class ReplayFitness:
     """Weighted handoff + cut count from a frozen-window replay.
 
-    :meth:`batch` is the replay: it steps a whole population through the
-    window in lockstep.  Calling the instance scores one chromosome as a
-    population of one.  Before the steps, one pass finds the region of
-    every (chromosome, site) pair in the window's region table; the
-    misses are settled together by ``FuzzySystem.settle``.
+    :meth:`batch` is the replay; calling the instance scores one chromosome
+    as a population of one.  One pass finds the region of every
+    (chromosome, site) pair in the window's region table and settles the
+    misses together; then each (chromosome, terminal) pair takes a few
+    gathers per unit through that unit's transition tables (site, next code
+    and packed cost), and one that ends in the error code raises
+    ``NoActivationError``.  ``dwell`` must be at least 1.
     """
 
     def __init__(
@@ -313,6 +391,8 @@ class ReplayFitness:
     ) -> None:
         if not 0 <= s_min < s_th <= 1:
             raise ValueError(f"need 0 <= s_min < s_th <= 1, got {s_min}, {s_th}")
+        if dwell < 1:
+            raise ValueError(f"dwell must be >= 1, got {dwell}")
         if system.n_cells > _MAX_KEY_DIGITS:
             raise ValueError(f"replay supports grids of at most {_MAX_KEY_DIGITS} cells, "
                              f"got {system.n_cells}")
@@ -349,9 +429,9 @@ class ReplayFitness:
         return float(self.batch([genes], window)[0])
 
     def batch(self, population: Sequence[Sequence[int]], window) -> np.ndarray:
-        """Fitness of every chromosome, replayed in lockstep across the
-        population with vectorized transitions; each decision reads the
-        region of its (chromosome, site) pair, all found before the steps."""
+        """Fitness of every chromosome: the regions of all its (chromosome,
+        site) pairs, found before the steps, then a few gathers per unit
+        through that unit's transition tables."""
         records = window.records
         if not records:
             raise EmptyHistoryError("history window is empty")
@@ -359,80 +439,32 @@ class ReplayFitness:
         if P == 0:
             return np.zeros(0)
         prep = self._prep(records)
-        M, S = prep.n_mts, prep.n_stations
         # Gene digits (gene - 1) plus a zero column for padded fired slots.
         digits = np.zeros((P, self.system.n_cells + 1), dtype=np.int64)
         digits[:, :-1] = np.asarray(population, dtype=np.int64) - _GENE_LO
         reg_all = self._window_regions(prep, digits)
-        unsettled = bool((reg_all == _NO_ACTIVATION).any())
-        st = np.broadcast_to(prep.init_state, (P, M)).copy()
-        sv = np.broadcast_to(prep.init_serving, (P, M)).copy()
-        tg = np.broadcast_to(prep.init_target, (P, M)).copy()
-        dw = np.broadcast_to(prep.init_dwell, (P, M)).copy()
-        ho = np.zeros(P, dtype=np.int64)
-        cuts = np.zeros(P, dtype=np.int64)
-        m_grid = np.broadcast_to(np.arange(M), (P, M))
-        m_off = m_grid * S
-        p_col = np.arange(P)[:, None]
-        for u in range(prep.n_units):
-            cand_u = prep.cand[u]
-            r_sv = prep.ratio[u][m_grid, np.where(sv >= 0, sv, 0)]
-            forced = (st != _DISCONNECT) & (r_sv <= 0.0)
-            if forced.any():
-                cuts += forced.sum(axis=1)
-                st = np.where(forced, _DISCONNECT, st)
-                sv = np.where(forced, -1, sv)
-                tg = np.where(forced, -1, tg)
-                dw = np.where(forced, 0, dw)
-
-            # Branch membership is fixed by the state at unit start, so one
-            # region gather serves both value-driven branches; pairs in
-            # neither branch read an arbitrary column.
-            is_conn = (st == _CONNECT) & ~forced
-            is_disc = (st == _DISCONNECT) & ~forced & (cand_u >= 0)[None, :]
-            station = np.where(is_conn, sv, cand_u[None, :])
-            reg = reg_all[p_col, prep.site_lut[u][m_off + station]]
-            if unsettled and (reg[is_conn | is_disc] == _NO_ACTIVATION).any():
-                raise NoActivationError("a replayed decision activates no output sample")
-
-            do_cut = is_conn & (reg == _BELOW_MIN)
-            if do_cut.any():
-                cuts += do_cut.sum(axis=1)
-                st = np.where(do_cut, _DISCONNECT, st)
-                sv = np.where(do_cut, -1, sv)
-            mid = is_conn & (reg >= _AT_MIN) & (reg <= _MID)
-            if mid.any():
-                tsel = prep.target[u][m_grid, sv]
-                do_ho = mid & (tsel >= 0)
-                ho += do_ho.sum(axis=1)
-                tg = np.where(do_ho, tsel, tg)
-                st = np.where(do_ho, _HANDOVER, st)
-                dw = np.where(do_ho, self.dwell, dw)
-
-            is_ho = (st == _HANDOVER) & ~forced & ~is_conn
-            if is_ho.any():
-                dw = np.where(is_ho, dw - 1, dw)
-                done = is_ho & (dw == 0)
-                sv = np.where(done, tg, sv)
-                tg = np.where(done, -1, tg)
-                st = np.where(done, _CONNECT, st)
-
-            if is_disc.any():
-                do_conn = is_disc & (reg >= _MID) & prep.cand_free[u][None, :]
-                sv = np.where(do_conn, cand_u[None, :], sv)
-                st = np.where(do_conn, _CONNECT, st)
+        regions, rows = reg_all.ravel(), np.arange(P)[:, None] * reg_all.shape[1]
+        state, acc = prep.start, np.zeros((P, len(prep.start)), dtype=np.int64)
+        for site, nxt, cost in prep.steps:
+            at = state + regions.take(rows + site.take(state))
+            state = nxt.take(at)
+            acc += cost.take(at)
+        if (state == _ERROR).any():
+            raise NoActivationError("a replayed decision activates no output sample")
+        ho = (acc >> _HANDOFF_SHIFT).sum(axis=1)
+        cuts = (acc & (_HANDOFF - 1)).sum(axis=1)
         return self.weight_handoff * ho + self.weight_cut * cuts
 
     def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
         """Region of every (chromosome, site) pair, plus a last column of -1
-        for the uncovered (-1) entries of ``site_lut``.  Pairs missing from
+        that the codes which decide nothing read.  Pairs missing from
         both their table slots are settled in one ``FuzzySystem.settle`` call
         and stored with one scatter."""
         P, G = len(digits), len(prep.sites)
-        keys = digits[:, prep.padded_idx] @ prep.powers
+        keys = (digits[:, prep.cell_sets] @ prep.powers).take(prep.set_of, axis=1)
         hashes = ((keys.view(np.uint64) + prep.salt) * _HASH_MUL) >> np.uint64(32)
         slot = prep.slot_base + (hashes & prep.slot_mask).astype(np.int64)
-        held = prep.table[slot]
+        held = prep.table.take(slot, axis=0)
         hit = (held[..., 1] == prep.local) & (held[..., 0] == keys)
         out = np.full((P, G + 1), -1, dtype=np.int8)
         out[:, :G] = held[..., 2]
@@ -442,7 +474,7 @@ class ReplayFitness:
         k_miss = keys[p_miss, g_miss]
         alt = prep.alt_base[g_miss] + (
             hashes[p_miss, g_miss] >> prep.alt_shift[g_miss]).astype(np.int64)
-        held = prep.table[alt]
+        held = prep.table.take(alt, axis=0)
         found = (held[:, 1] == prep.local[g_miss]) & (held[:, 0] == k_miss)
         out[p_miss[found], g_miss[found]] = held[found, 2]
         lost = ~found
@@ -464,11 +496,12 @@ class ReplayFitness:
         alone = np.flatnonzero(other)
         todo = np.concatenate([first, alone])
         # Strength rows: the largest fired weight per output term.
+        n_terms = self.system.n_output_terms
         terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
-        rows, at = np.zeros((len(todo), self.system.n_output_terms)), np.arange(len(todo))
-        for w, k in zip(prep.padded_w[g_miss[todo]].T, terms.T):
-            rows[at, k] = np.maximum(rows[at, k], w)
-        regions = self.system.settle(rows, self.s_min, self.s_th)
+        rows = np.zeros(len(todo) * n_terms)
+        np.maximum.at(rows, (np.arange(len(todo))[:, None] * n_terms + terms).ravel(),
+                      prep.padded_w[g_miss[todo]].ravel())
+        regions = self.system.settle(rows.reshape(-1, n_terms), self.s_min, self.s_th)
         got = regions[inv]
         got[alone] = regions[len(first):]
         out[p_miss, g_miss] = got
@@ -677,23 +710,27 @@ def evolve(
     if len(population) != size:
         raise ValueError(f"population size {len(population)} != configured {size}")
 
-    support = fitness.window_support(window)
-    project = operator.itemgetter(*support) if len(support) >= 2 else None
-    memo: dict[Chromosome, float] = {}
+    # Memo keys: a chromosome's genes on the window support as bytes, taken
+    # from the population's gene array with one column gather.
+    support = np.array(fitness.window_support(window), dtype=np.intp)
+    memo: dict[bytes, float] = {}
 
-    def evaluate(pop: Sequence[Chromosome]) -> list[float]:
-        keys = list(map(project, pop)) if project is not None else list(pop)
-        pending: dict[Chromosome, Chromosome] = {}
-        for key, genes in zip(keys, pop):
+    def evaluate(pop: Sequence[Chromosome], genes: Optional[np.ndarray]) -> list[float]:
+        if genes is None:
+            genes = np.array(pop, dtype=np.int64).reshape(len(pop), -1)
+        cols = genes.take(support, axis=1).astype(np.uint8)
+        keys = cols.view(f"V{len(support)}").ravel().tolist() if len(support) else [b""] * len(pop)
+        pending: dict[bytes, Chromosome] = {}
+        for key, chromosome in zip(keys, pop):
             if key not in memo and key not in pending:
-                pending[key] = genes
+                pending[key] = chromosome
         if pending:
             reps = list(pending.values())
             for key, val in zip(pending.keys(), fitness.batch(reps, window)):
                 memo[key] = float(val)
         return [memo[key] for key in keys]
 
-    fits = evaluate(population)
+    fits = evaluate(population, None)
     best_i = min(range(size), key=fits.__getitem__)
     best, best_fit = population[best_i], fits[best_i]
     if on_generation is not None:
@@ -706,7 +743,7 @@ def evolve(
         if gene_array is not None:
             gene_array[0] = best
         population[:] = offspring
-        fits = evaluate(population)
+        fits = evaluate(population, gene_array)
         gen_i = min(range(size), key=fits.__getitem__)
         if fits[gen_i] < best_fit:
             best, best_fit = population[gen_i], fits[gen_i]

@@ -377,6 +377,8 @@ class World:
 
     @classmethod
     def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
+        if cfg.dwell < 1:
+            raise DomainError(f"dwell must be >= 1, got {cfg.dwell}")
         stations = [BaseStation(i, s.x, s.y, s.radius, s.capacity)
                     for i, s in enumerate(cfg.stations)]
         if cfg.terminals is not None:

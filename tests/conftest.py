@@ -132,8 +132,10 @@ def make_window(per_unit_snapshots, start_t: int = 1) -> FrozenWindow:
 
 
 def random_window(rng: np.random.Generator, n_units: int = 4, n_mts: int = 4,
-                  n_stations: int = 3) -> FrozenWindow:
-    """Structurally consistent window with randomized inputs and states."""
+                  n_stations: int = 3, dwell: int = 2) -> FrozenWindow:
+    """Structurally consistent window with randomized inputs and states; a
+    terminal that opens in handover has 1..``dwell`` units of it left.  A
+    single station has no other to hand over to, so there it opens connected."""
     units = []
     init_states = rng.integers(0, 3, size=n_mts)
     for u in range(n_units):
@@ -143,32 +145,35 @@ def random_window(rng: np.random.Generator, n_units: int = 4, n_mts: int = 4,
             chans = tuple(float(c) for c in rng.choice([0.0, 0.25, 0.5, 1.0], size=n_stations))
             if u == 0:
                 state = State(int(init_states[m]))
+                if state == State.HANDOVER and n_stations == 1:
+                    state = State.CONNECT
                 # keep the pre-decision invariants: serving iff connected-ish,
                 # target and a live dwell only in handover
                 if state == State.DISCONNECT:
                     serving = target = -1
-                    dwell = 0
+                    left = 0
                 else:
                     serving = int(rng.integers(0, n_stations))
                     if state == State.HANDOVER:
                         target = int((serving + 1) % n_stations)
-                        dwell = int(rng.integers(1, 3))
+                        left = int(rng.integers(1, dwell + 1))
                     else:
-                        target, dwell = -1, 0
+                        target, left = -1, 0
                 # a connected terminal must sit inside its serving cell for
-                # the window to exercise fuzzy decisions rather than force-cuts
-                if state != State.DISCONNECT and ratios[serving] <= 0:
+                # the window to exercise fuzzy decisions rather than force-cuts;
+                # a handover decides nothing and may be cut at once
+                if state == State.CONNECT and ratios[serving] <= 0:
                     ratios = tuple(
                         abs(r) + 0.05 if s == serving else r
                         for s, r in enumerate(ratios)
                     )
             else:
                 # replay evolves its own state; later pre-states are unused
-                state, serving, target, dwell = State.DISCONNECT, -1, -1, 0
+                state, serving, target, left = State.DISCONNECT, -1, -1, 0
             snaps.append(make_snapshot(
                 velocity=float(rng.uniform(0, 35)),
                 dist_ratio=ratios, chan_norm=chans,
-                state=state, serving=serving, target=target, dwell=dwell,
+                state=state, serving=serving, target=target, dwell=left,
             ))
         units.append(snaps)
     return make_window(units)

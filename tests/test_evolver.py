@@ -342,6 +342,23 @@ def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2
     return float(events)
 
 
+def opens_in_handover(windows) -> int:
+    """Terminals that open their window in handover."""
+    return sum(int((w.records[0].state == State.HANDOVER).sum()) for w in windows)
+
+
+def cut_in_handover(windows) -> int:
+    """Terminals that open their window in handover and leave their serving
+    cell, a forced cut, before the handover completes."""
+    cut = 0
+    for w in windows:
+        first = w.records[0]
+        for m in np.flatnonzero(first.state == State.HANDOVER).tolist():
+            sv, left = first.serving[m], first.dwell[m]
+            cut += any(rec.ratio[m, sv] <= 0.0 for rec in w.records[:left])
+    return cut
+
+
 class TestFitness:
     def test_empty_history_raises(self):
         fit = make_fitness()
@@ -381,14 +398,22 @@ class TestFitness:
         assert ours == ref
 
     def test_batch_matches_reference_replay(self, rng):
-        for system in (default_system(), flah_system(), wide_system()):
-            fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
-            for _ in range(6):
-                wnd = random_window(rng)
-                pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
-                assert list(fit.batch(pop, wnd)) == [
-                    reference_replay(g, wnd, system) for g in pop]
-                assert fit(pop[0], wnd) == reference_replay(pop[0], wnd, system)
+        # Dwell 1..4 and 1..9 stations; a window may open mid-handover, and
+        # a forced cut may end such a handover before it completes.
+        for dwell in (1, 2, 3, 4):
+            windows = []
+            for i, system in enumerate((default_system(), flah_system(), wide_system())):
+                fit = ReplayFitness(system, S_MIN, S_TH, dwell=dwell)
+                for j in range(6):
+                    wnd = random_window(rng, n_mts=6, n_stations=1 + (6 * i + j) % 9,
+                                        dwell=dwell)
+                    windows.append(wnd)
+                    pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
+                    assert list(fit.batch(pop, wnd)) == [
+                        reference_replay(g, wnd, system, dwell=dwell) for g in pop]
+                    assert fit(pop[0], wnd) == reference_replay(pop[0], wnd, system, dwell=dwell)
+            assert opens_in_handover(windows) >= 10
+            assert cut_in_handover(windows) >= 3
         # The wide grid fires all 27 cells, the most one memo key holds.
         assert fit.window_support(wnd) == tuple(range(27))
 
@@ -398,15 +423,32 @@ class TestFitness:
         # Small settle blocks make each batch's misses span several blocks.
         monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", 0)
         monkeypatch.setattr(fuzzy, "_SETTLE_ROWS", 7)
-        for system in (default_system(), flah_system(), wide_system()):
-            fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
-            for _ in range(3):
-                wnd = random_window(rng)
-                pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
-                expected = [reference_replay(g, wnd, system) for g in pop]
-                for _ in range(2):  # the second pass reads what the first stored
-                    assert list(fit.batch(pop, wnd)) == expected
-                assert len(fit._last_prep[1].table) == len(wnd.records)
+        for dwell in (1, 2, 3, 4):
+            windows = []
+            for i, system in enumerate((default_system(), flah_system(), wide_system())):
+                fit = ReplayFitness(system, S_MIN, S_TH, dwell=dwell)
+                for j in range(3):
+                    wnd = random_window(rng, n_mts=6, n_stations=1 + (3 * i + j) % 9,
+                                        dwell=dwell)
+                    windows.append(wnd)
+                    pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
+                    expected = [reference_replay(g, wnd, system, dwell=dwell) for g in pop]
+                    for _ in range(2):  # the second pass reads what the first stored
+                        assert list(fit.batch(pop, wnd)) == expected
+                    assert len(fit._last_prep[1].table) == len(wnd.records)
+            assert opens_in_handover(windows) >= 5
+            assert cut_in_handover(windows) >= 1
+
+    def test_window_opening_above_the_replay_dwell_rejected(self):
+        # The replay's codes hold 1..dwell units of handover left; a window
+        # recorded under a longer dwell (or none) cannot be continued.
+        for left in (3, 0):
+            snap = make_snapshot(dist_ratio=(0.5, 0.5), state=State.HANDOVER,
+                                 serving=0, target=1, dwell=left)
+            wnd = make_window([[snap, make_snapshot()]])
+            with pytest.raises(ValueError, match="dwell"):
+                make_fitness().batch([SEED_GENES], wnd)
+        assert make_fitness()(SEED_GENES, make_window([[snap._replace(dwell=2)]])) == 0.0
 
     def test_unsettleable_region_raises_only_when_read(self):
         # The "narrow" output term lies between two samples of the 10-sample
@@ -459,6 +501,11 @@ class TestFitness:
             at_min += int(np.sum(table[table[:, 1] >= 0, 2] == fuzzy._AT_MIN))
         assert at_min >= len(windows)
 
+    @pytest.mark.parametrize("dwell", [0, -3])
+    def test_non_positive_dwell_rejected(self, dwell):
+        with pytest.raises(ValueError, match="dwell"):
+            ReplayFitness(default_system(), S_MIN, S_TH, dwell=dwell)
+
     def test_grids_beyond_27_cells_rejected(self):
         four = LinguisticVariable("velocity", 0.0, 30.0, (
             triangle("a", 0.0, 0.0, 10.0), triangle("b", 0.0, 10.0, 20.0),
@@ -504,10 +551,19 @@ class TestFitness:
                 # Each unit's table has under twice _SLOTS_PER_SITE slots per
                 # site (at least one), and the window's table is just theirs.
                 n_sites = len(fit._last_prep[1].sites)
-                n_slots = sum(len(table) for _, _, table in fit._site_cache.values())
+                n_slots = sum(len(table) for _, _, table, _ in fit._site_cache.values())
                 assert n_slots == len(fit._last_prep[1].table)
                 assert n_slots <= 2 * _SLOTS_PER_SITE * n_sites + window.length
                 most_slots = max(most_slots, n_slots)
+                # The cached transition tables are the ones this window's
+                # steps read, one set per unit of the window and no more.
+                steps = [unit[3] for unit in fit._site_cache.values()]
+                assert all(ours[1] is cached[1] and ours[2] is cached[2]
+                           for ours, cached in zip(fit._last_prep[1].steps, steps, strict=True))
+                n_stations = len(world.stations)
+                width = n_stations * n_stations * fit.dwell + 6 * (n_stations + 1) + 1
+                assert sum(a.nbytes for unit in steps for a in unit) == (
+                    window.length * 3 * len(world.mts) * width * np.dtype(np.int32).itemsize)
         assert largest == window.length
         n_stations = len(world.stations)
         assert most_slots <= 2 * _SLOTS_PER_SITE * window.length * 3 * n_stations
@@ -544,7 +600,7 @@ class TestFitness:
                     del fit.system.settle  # the live step settles uncounted
                     assert list(fits) == expected
                     second_slots += sum(int((table[len(table) // 2:, 1] >= 0).sum())
-                                        for _, _, table in fit._site_cache.values())
+                                        for _, _, table, _ in fit._site_cache.values())
                 policy.on_epoch(window, t)
         assert second_slots > 0
         assert rows["first"] > 10_000
@@ -702,6 +758,22 @@ class TestEvolve:
         evolve(pop, wnd, fit, cfg, rng)
         assert len(pop) == cfg.population_size
         assert pop != snapshot
+
+    def test_memo_keys_on_the_window_support(self, rng):
+        # No terminal is covered, so no gene can matter: one replay serves a
+        # whole run.  With one covered site, chromosomes that agree on its
+        # fired cells share a replay.
+        cfg = EvolverConfig(generations=3)
+        for ratios, most in (((-0.5, -0.5), 1), ((0.3, -0.5), 5 ** 4)):
+            fit = make_fitness()
+            wnd = make_window([[make_snapshot(dist_ratio=ratios)]])
+            replayed = []
+            batch = fit.batch
+            fit.batch = lambda pop, w: replayed.extend(pop) or batch(pop, w)
+            evolve(init_population(SEED_GENES, cfg, rng), wnd, fit, cfg, rng)
+            support = fit.window_support(wnd)
+            assert len(support) == (0 if most == 1 else 4)
+            assert len({tuple(g[i] for i in support) for g in replayed}) == len(replayed) <= most
 
     def test_empty_window_propagates(self, rng):
         cfg = EvolverConfig()

@@ -424,6 +424,13 @@ class TestWorldBuild:
         for kind in ("fls", "flah"):
             assert w.step(make_policy(kind)).t == w.t and w.events == []
 
+    @pytest.mark.parametrize("dwell", [0, -3])
+    def test_non_positive_dwell_rejected(self, dwell):
+        # A handover that starts at dwell 0 or below never completes and
+        # holds its two channels for good.
+        with pytest.raises(DomainError, match="dwell"):
+            World.build(WorldConfig(dwell=dwell), np.random.default_rng(0))
+
     def test_requires_rng_without_explicit_terminals(self):
         with pytest.raises(DomainError):
             World.build(WorldConfig())
