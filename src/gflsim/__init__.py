@@ -48,6 +48,7 @@ from .fuzzy import (
 from .policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
 from .world import (
     BaseStation,
+    ConservationAudit,
     DomainError,
     Event,
     HistoryWindow,
@@ -60,8 +61,6 @@ from .world import (
     WorldConfig,
     acceleration_for,
     accelerated_state,
-    audit_channels,
-    audit_energy,
     audit_motion,
 )
 

@@ -30,6 +30,7 @@ from .fuzzy import (
     FuzzyDefinitionError,
     LinguisticVariable,
     MembershipFunction,
+    _output_grid,
     default_channels,
     default_distance,
     default_output,
@@ -38,14 +39,14 @@ from .fuzzy import (
 from .policies import HandoffPolicy, PolicyKind, make_policy
 from .world import (
     HANDOFF_INITIATED,
+    DomainError,
     Event,
     HistoryWindow,
-    MobileTerminal,
     StationSpec,
     TerminalSpec,
-    UnitRecord,
     World,
     WorldConfig,
+    acceleration_for,
 )
 
 __all__ = [
@@ -232,7 +233,6 @@ def _parse_variable(raw, path: str, default: LinguisticVariable) -> LinguisticVa
 
 
 def _parse_world(raw: dict) -> WorldConfig:
-    base = WorldConfig()
     kw: dict = {}
     if "arena" in raw:
         w, h = _parse_pair(raw["arena"], "world.arena")
@@ -243,18 +243,11 @@ def _parse_world(raw: dict) -> WorldConfig:
         kw["stations"] = _parse_stations(raw["stations"], "world.stations")
     if "terminals" in raw:
         kw["terminals"] = _parse_terminals(raw["terminals"], "world.terminals")
-    for key, attr, kind in (
-        ("mt_count", "mt_count", int),
-        ("total_time", "total_time", int),
-        ("dwell", "dwell", int),
-        ("s_th", "s_th", float),
-        ("s_min", "s_min", float),
-        ("epsilon", "epsilon", float),
-        ("initial_energy", "initial_energy", float),
-        ("accelerated_fraction", "accelerated_fraction", float),
-    ):
+    for key, kind in (("mt_count", int), ("total_time", int), ("dwell", int), ("s_th", float),
+                      ("s_min", float), ("epsilon", float), ("initial_energy", float),
+                      ("accelerated_fraction", float)):
         if key in raw:
-            kw[attr] = _expect(raw, key, kind, "world")
+            kw[key] = _expect(raw, key, kind, "world")
     if "eq2_verbatim" in raw:
         if not isinstance(raw["eq2_verbatim"], bool):
             raise ConfigError("world.eq2_verbatim: expected a boolean")
@@ -265,7 +258,7 @@ def _parse_world(raw: dict) -> WorldConfig:
         kw["accel_distance_range"] = _parse_pair(raw["accel_distance"], "world.accel_distance")
     if "accel_duration" in raw and raw["accel_duration"] is not None:
         kw["accel_duration"] = _expect(raw, "accel_duration", float, "world")
-    cfg = dataclasses.replace(base, **kw)
+    cfg = WorldConfig(**kw)
     _validate_world(cfg)
     return cfg
 
@@ -296,23 +289,29 @@ def _validate_world(cfg: WorldConfig) -> None:
         raise ConfigError("world.steady_speed: speeds must be >= 0")
     if cfg.accel_distance_range[0] <= 0:
         raise ConfigError("world.accel_distance: distances must be > 0")
-    if cfg.accel_duration is not None and cfg.accel_duration <= 0:
-        raise ConfigError("world.accel_duration: must be > 0")
+    # Accelerated plans keep acceleration, speed and path finite over the
+    # horizon; acceleration grows with distance, so the longest random plan is the worst.
+    plans = [("world.accel_distance", cfg.accel_distance_range[1], cfg.total_time)
+             if cfg.accel_duration is None else
+             ("world.accel_duration", cfg.accel_distance_range[1], cfg.accel_duration)]
+    plans += [(f"world.terminals[{i}].duration", spec.distance, spec.duration)
+              for i, spec in enumerate(cfg.terminals or ()) if spec.kind == "accelerated"]
+    for path, distance, duration in plans:
+        try:
+            a = acceleration_for(distance, duration)
+        except DomainError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        if not math.isfinite(a * cfg.total_time * cfg.total_time):
+            raise ConfigError(f"{path}: acceleration {a} overflows over "
+                              f"{cfg.total_time} time units")
 
 
 def _parse_evolver(raw: dict) -> EvolverConfig:
     kw: dict = {}
-    for key, kind in (
-        ("population_size", int),
-        ("tournament_size", int),
-        ("generations", int),
-        ("window_length", int),
-        ("crossover_prob", float),
-        ("mutation_prob", float),
-        ("invocation_period", float),
-        ("weight_handoff", float),
-        ("weight_cut", float),
-    ):
+    for key, kind in (("population_size", int), ("tournament_size", int), ("generations", int),
+                      ("window_length", int), ("crossover_prob", float), ("mutation_prob", float),
+                      ("invocation_period", float), ("weight_handoff", float),
+                      ("weight_cut", float)):
         if key in raw:
             kw[key] = _expect(raw, key, kind, "evolver")
     if "full_resim" in raw:
@@ -380,6 +379,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         consequents=consequents,
         resolution=resolution,
     )
+    try:
+        _output_grid(fuzzy.output, resolution)
+    except FuzzyDefinitionError as exc:
+        raise ConfigError(f"fuzzy.resolution: {exc}") from exc
 
     policies_raw = raw.get("policies", list(ALL_POLICIES))
     if not isinstance(policies_raw, list) or not policies_raw:
@@ -439,9 +442,7 @@ class RunResult:
     seed: int
     metrics: RunMetrics
     events: tuple[Event, ...]
-    records: tuple[UnitRecord, ...]
     evolution: tuple[tuple[int, float, tuple[int, ...]], ...]
-    terminals_final: tuple[MobileTerminal, ...]
     sim_time: int
 
 
@@ -473,17 +474,14 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
                            np.random.default_rng(ga_ss) if kind.evolving else None)
     keep_cp = kind.evolving and config.evolver.full_resim
     window = HistoryWindow(config.evolver.window_length, keep_checkpoints=keep_cp)
-    records = []
     for t in range(1, config.world.total_time + 1):
         checkpoint = world.clone_state() if keep_cp else None
-        record = world.step(policy)
-        records.append(record)
-        window.push(record, checkpoint)
+        window.push(world.step(policy), checkpoint)
         policy.on_epoch(window, t)
     world.verify_channels()
 
     handoffs = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)
-    final = tuple(world.mts)
+    final = world.mts
     mt_units = len(final) * config.world.total_time
     connection_pct = 100.0 * world.connected_units / mt_units if mt_units else 0.0
     e0 = config.world.initial_energy
@@ -492,9 +490,8 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     metrics = RunMetrics(handoffs, connection_pct, energy_pct)
     return RunResult(
         policy=kind.value, seed=seed, metrics=metrics,
-        events=tuple(world.events), records=tuple(records),
-        evolution=tuple(policy.evolution_log),
-        terminals_final=final, sim_time=world.t,
+        events=tuple(world.events), evolution=tuple(policy.evolution_log),
+        sim_time=world.t,
     )
 
 

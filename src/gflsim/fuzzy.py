@@ -188,15 +188,19 @@ class LinguisticVariable:
 @lru_cache(maxsize=64)
 def _output_grid(var: LinguisticVariable, resolution: int):
     """Midpoint sample positions, per-term degree table, and per-term
-    nonzero sample-index ranges, all read-only."""
+    nonzero sample-index ranges, all read-only.  Every term needs a sample
+    of positive degree, else a decision on that term alone has no centroid."""
     if resolution < 1:
         raise FuzzyDefinitionError(f"resolution must be positive, got {resolution}")
     xs = var.lo + (np.arange(resolution) + 0.5) * ((var.hi - var.lo) / resolution)
     table = np.stack([t.degrees(xs) for t in var.terms])
     spans = []
-    for row in table:
+    for term, row in zip(var.terms, table):
         nz = np.flatnonzero(row)
-        spans.append((int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0))
+        if not len(nz):
+            raise FuzzyDefinitionError(f"output term {term.label!r} has no sample of positive "
+                                       f"degree at resolution {resolution}")
+        spans.append((int(nz[0]), int(nz[-1]) + 1))
     xs.setflags(write=False)
     table.setflags(write=False)
     return xs, table, tuple(spans)
@@ -264,15 +268,14 @@ def _centroid_row(
     Zero-strength terms clip to an all-zero row and cannot change the max,
     so only the activated rows participate, restricted to the samples
     where they are nonzero (adding exact zeros elsewhere cannot change
-    either Riemann sum).
+    either Riemann sum).  Every term has a sample of positive degree
+    (``_output_grid``), so only all-zero strengths have no centroid.
     """
     active = [t for t, v in enumerate(strengths) if v > 0.0]
     if not active:
         raise NoActivationError("all firing strengths are zero")
     i0 = min(spans[t][0] for t in active)
     i1 = max(spans[t][1] for t in active)
-    if i0 >= i1:
-        raise NoActivationError("activated supports are narrower than the sample grid")
     if len(active) == 1:
         t = active[0]
         comp = np.minimum(strengths[t], table[t, i0:i1])
@@ -281,10 +284,7 @@ def _centroid_row(
         comp = np.maximum.reduce(
             np.minimum(clipped[:, None], table[active, i0:i1]), axis=0
         )
-    denom = np.add.reduce(comp)
-    if denom == 0.0:
-        raise NoActivationError("activated supports are narrower than the sample grid")
-    return float(np.dot(comp, xs[i0:i1]) / denom)
+    return float(np.dot(comp, xs[i0:i1]) / np.add.reduce(comp))
 
 
 # Entries each of FuzzySystem's caches holds before it is cleared.

@@ -5,8 +5,9 @@ A world keeps its terminals as arrays.  A step moves them and measures
 every terminal-station distance at once, runs the state machine terminal
 by terminal (update order is part of determinism), then charges energy.
 Distinct instances are independent and can run in parallel.  Each step
-emits an immutable record of arrays, the replay substrate for consequent
-evolution and for the audit helpers at the bottom of this module.
+emits an immutable record of the arrays a replay reads, the substrate for
+consequent evolution; nothing keeps records beyond the history window.
+``ConservationAudit`` checks a world's channels and energies as it steps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +45,7 @@ __all__ = [
     "World",
     "acceleration_for",
     "accelerated_state",
-    "audit_channels",
-    "audit_energy",
+    "ConservationAudit",
     "audit_motion",
     "DEFAULT_STATIONS",
 ]
@@ -178,35 +178,31 @@ class WorldConfig:
     terminals: Optional[tuple[TerminalSpec, ...]] = None
 
 
-_INT_FIELDS = frozenset({"state", "serving", "target", "dwell", "station_occupied"})
+_INT_FIELDS = frozenset({"state", "serving", "target", "dwell"})
 
 
 @dataclass(frozen=True, eq=False)
 class UnitRecord:
-    """One time unit of M terminals and S stations, in read-only arrays.
+    """One time unit of M terminals and S stations, in read-only arrays:
+    what a replay of the unit reads.
 
-    Per terminal (M,), at its decision point: ``velocity``, the moved
-    position ``x``/``y``, and the pre-transition ``state``, ``serving``
-    and ``target`` (-1 when unset) and ``dwell``.  Per pair (M, S):
-    ``ratio``, the signed boundary distance over the radius (negative
-    outside coverage), and ``chan``, the free-channel fraction the terminal
-    saw just before its own transition.  Post-unit: ``station_occupied``
-    (S,) and ``energies`` (M,).  Windows, replay caches and run results
-    share records, so the arrays are copied in and cannot be written.
+    Per terminal (M,), at its decision point: ``velocity``, and the
+    pre-transition ``state``, ``serving`` and ``target`` (-1 when unset)
+    and ``dwell``.  Per pair (M, S): ``ratio``, the signed boundary
+    distance over the radius (negative outside coverage), and ``chan``,
+    the free-channel fraction the terminal saw just before its own
+    transition.  Windows and replay caches share records, so the arrays
+    are copied in and cannot be written.
     """
 
     t: int
     velocity: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
     ratio: np.ndarray
     chan: np.ndarray
     state: np.ndarray
     serving: np.ndarray
     target: np.ndarray
     dwell: np.ndarray
-    station_occupied: np.ndarray
-    energies: np.ndarray
 
     def __post_init__(self) -> None:
         for f in fields(self)[1:]:
@@ -272,7 +268,12 @@ def acceleration_for(distance: float, duration: float) -> float:
         raise DomainError(f"distance must be > 0, got {distance}")
     if duration <= 0:
         raise DomainError(f"duration must be > 0, got {duration}")
-    return 2.0 * distance / (duration * duration)
+    square = duration * duration
+    a = 2.0 * distance / square if square > 0.0 else math.inf
+    if not math.isfinite(a):
+        raise DomainError(f"acceleration for distance {distance} over duration {duration} "
+                          "is not finite")
+    return a
 
 
 def accelerated_state(a: float, t_i: float, verbatim: bool = False) -> tuple[float, float]:
@@ -556,8 +557,7 @@ class World:
         left = self._energy - spent
         self._energy = np.where(st == _DISCONNECT, self._energy, np.where(left > 0.0, left, 0.0))
         self.connected_units += int(np.count_nonzero(st != _DISCONNECT))
-        return UnitRecord(t, self._speed, self._x, self._y, ratio, chan, *before,
-                          occupied, self._energy)
+        return UnitRecord(t, self._speed, ratio, chan, *before)
 
     def verify_channels(self) -> None:
         """Raise if occupied counts drift from the serving/target census."""
@@ -569,59 +569,60 @@ class World:
                                    f"occupied={bs.occupied}, census={n}")
 
 
-def _serving_sets_by_unit(events: Iterable[Event], n_mts: int,
-                          n_units: int) -> list[list[tuple[int, ...]]]:
-    """Post-unit held stations (serving, then target) per terminal, from events alone."""
-    holding: list[tuple[int, ...]] = [()] * n_mts
-    by_unit: list[list[Event]] = [[] for _ in range(n_units + 1)]
-    for ev in events:
-        by_unit[ev.t].append(ev)
-    out = []
-    for unit in by_unit[1:]:
-        for ev in unit:
+class ConservationAudit:
+    """Streaming conservation audit of a world: call :meth:`unit` after each
+    step.  Independent of the world's live counters, it rebuilds each
+    terminal's held stations (serving, then target) from the new events and
+    recomputes its energy from them and the current positions.  It checks
+    each station's occupancy against that census and its capacity, and each
+    energy against the recomputation (within ``tol``) and its last value.
+    State is O(terminals + stations), from the world as it stands when built.
+    """
+
+    def __init__(self, world: World, tol: float = 1e-9) -> None:
+        self.tol = tol
+        self._t, self._seen = world.t, len(world.events)
+        self._column = {ident: m for m, ident in enumerate(world._ids)}
+        self._held = np.array([world._serving, world._target], dtype=np.int64).reshape(2, -1)
+        self._energy, self._last = world._energy.copy(), world._energy.copy()
+        self._cap = np.array([bs.capacity for bs in world.stations])
+
+    def unit(self, world: World) -> None:
+        """Check the world after its next step."""
+        t, held = world.t, self._held
+        if t != self._t + 1:
+            raise ValueError(f"audit of t={self._t} fed t={t}: feed it after every step")
+        self._t = t
+        for ev in world.events[self._seen:]:
+            m = self._column[ev.mt_id]
             if ev.kind == HANDOFF_INITIATED:
-                holding[ev.mt_id] = (ev.old_bs, ev.new_bs)
+                held[:, m] = ev.old_bs, ev.new_bs
             elif ev.kind in (CONNECTED, HANDOFF_COMPLETED):
-                holding[ev.mt_id] = (ev.new_bs,)
+                held[:, m] = ev.new_bs, -1
             elif ev.kind == CONNECTION_CUT:
-                holding[ev.mt_id] = ()
-        out.append(list(holding))
-    return out
+                held[:, m] = -1
+        self._seen = len(world.events)
 
+        census = np.bincount(held[held >= 0], minlength=len(self._cap))
+        occ = np.array([bs.occupied for bs in world.stations])
+        for s in np.flatnonzero((occ != census) | (occ < 0) | (occ > self._cap)).tolist():
+            raise AssertionError(f"t={t} station {s}: occupied {occ[s]}, "
+                                 f"event census {census[s]}, capacity {self._cap[s]}")
 
-def audit_channels(records: Sequence[UnitRecord], events: Sequence[Event],
-                   stations: Sequence[BaseStation | StationSpec]) -> None:
-    """Cross-check recorded occupancy against an event-log reconstruction."""
-    caps = np.array([s.capacity for s in stations])
-    sets = _serving_sets_by_unit(events, len(records[0].x), len(records))
-    for rec, per_mt in zip(records, sets):
-        census = np.bincount([s for held in per_mt for s in held], minlength=len(caps))
-        occ = rec.station_occupied
-        for s in np.flatnonzero((occ != census) | (occ < 0) | (occ > caps)).tolist():
-            raise AssertionError(f"t={rec.t} station {s}: recorded occupied {occ[s]}, "
-                                 f"log census {census[s]}, capacity {caps[s]}")
-
-
-def audit_energy(records: Sequence[UnitRecord], events: Sequence[Event],
-                 stations: Sequence[BaseStation | StationSpec], epsilon: float,
-                 initial: float = 100.0, tol: float = 1e-9) -> None:
-    """Recompute every energy trajectory from events plus recorded positions."""
-    n_mts = len(records[0].x)
-    energy, prev = [initial] * n_mts, [initial] * n_mts
-    for rec, per_mt in zip(records, _serving_sets_by_unit(events, n_mts, len(records))):
-        xs, ys, recorded = rec.x.tolist(), rec.y.tolist(), rec.energies.tolist()
-        for m in range(n_mts):
-            ew = 0.0
-            for s in per_mt[m]:
-                st = stations[s]
-                ew += math.hypot(xs[m] - st.x, ys[m] - st.y) / st.radius + epsilon
-            energy[m] = max(0.0, energy[m] - ew)
-            if recorded[m] > prev[m]:
-                raise AssertionError(f"t={rec.t} mt={m}: energy increased")
-            if abs(energy[m] - recorded[m]) > tol:
-                raise AssertionError(f"t={rec.t} mt={m}: recomputed energy {energy[m]} "
-                                     f"!= recorded {recorded[m]}")
-        prev = recorded
+        spent = np.zeros(len(self._energy))
+        for row in held:  # serving, then target: the step's order of terms
+            on = np.flatnonzero(row >= 0)
+            s = row[on]
+            d = np.hypot(world._x[on] - world._bx[s], world._y[on] - world._by[s])
+            spent[on] += d / world._radius[s] + world.cfg.epsilon
+        self._energy = np.maximum(self._energy - spent, 0.0)
+        now = world._energy
+        for m in np.flatnonzero(now > self._last).tolist():
+            raise AssertionError(f"t={t} mt={world._ids[m]}: energy rose from {self._last[m]} to {now[m]}")
+        for m in np.flatnonzero(~(np.abs(self._energy - now) <= self.tol)).tolist():
+            raise AssertionError(f"t={t} mt={world._ids[m]}: recomputed energy {self._energy[m]} "
+                                 f"!= world's {now[m]}")
+        self._last = now.copy()
 
 
 def audit_motion(terminals: Sequence[MobileTerminal], t: int,

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
-from gflsim.fuzzy import region_codes
+from gflsim.fuzzy import _NO_ACTIVATION, FuzzySystem, region_codes
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -38,6 +38,18 @@ class FixedPolicy:
 
     def regions(self, velocity, dist_norm, chan_norm, s_min, s_th) -> np.ndarray:
         return region_codes(np.full(chan_norm.shape, self.value), s_min, s_th)
+
+
+class MediumAloneUnsettled(FuzzySystem):
+    """Settles every strength row on the third output term alone to the
+    no-centroid code.  A valid system always has a centroid, so this
+    stands in for one that has none, to test when that code is read."""
+
+    def settle(self, strengths: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
+        codes = super().settle(strengths, s_min, s_th)
+        alone = (strengths[:, 2] > 0.0) & (np.delete(strengths, 2, axis=1) == 0.0).all(axis=1)
+        codes[alone] = _NO_ACTIVATION
+        return codes
 
 
 def distance_norm(ratio: float) -> float:
@@ -74,8 +86,6 @@ class Snapshot(NamedTuple):
     """One terminal at one time unit, captured at its decision point."""
 
     velocity: float
-    x: float
-    y: float
     dist_ratio: tuple[float, ...]
     chan_norm: tuple[float, ...]
     state: State
@@ -84,21 +94,19 @@ class Snapshot(NamedTuple):
     dwell: int
 
 
-def make_record(t: int, snaps, station_occupied, energies) -> UnitRecord:
+def make_record(t: int, snaps) -> UnitRecord:
     """A record from one snapshot per terminal."""
     cols = {name: [getattr(s, name) for s in snaps] for name in Snapshot._fields}
     return UnitRecord(
-        t=t, velocity=cols["velocity"], x=cols["x"], y=cols["y"],
-        ratio=cols["dist_ratio"], chan=cols["chan_norm"], state=cols["state"],
-        serving=cols["serving"], target=cols["target"], dwell=cols["dwell"],
-        station_occupied=station_occupied, energies=energies,
+        t=t, velocity=cols["velocity"], ratio=cols["dist_ratio"], chan=cols["chan_norm"],
+        state=cols["state"], serving=cols["serving"], target=cols["target"],
+        dwell=cols["dwell"],
     )
 
 
 def snapshots(rec: UnitRecord) -> list[Snapshot]:
     """The record's terminals one at a time, in Python scalars."""
-    cols = (rec.velocity.tolist(), rec.x.tolist(), rec.y.tolist(),
-            map(tuple, rec.ratio.tolist()), map(tuple, rec.chan.tolist()),
+    cols = (rec.velocity.tolist(), map(tuple, rec.ratio.tolist()), map(tuple, rec.chan.tolist()),
             map(State, rec.state.tolist()), rec.serving.tolist(), rec.target.tolist(),
             rec.dwell.tolist())
     return [Snapshot(*row) for row in zip(*cols)]
@@ -107,8 +115,6 @@ def snapshots(rec: UnitRecord) -> list[Snapshot]:
 def make_snapshot(
     *,
     velocity: float = 10.0,
-    x: float = 0.0,
-    y: float = 0.0,
     dist_ratio=(0.5, 0.5),
     chan_norm=(0.5, 0.5),
     state: State = State.DISCONNECT,
@@ -117,17 +123,14 @@ def make_snapshot(
     dwell: int = 0,
 ) -> Snapshot:
     return Snapshot(
-        velocity=velocity, x=x, y=y,
-        dist_ratio=tuple(dist_ratio), chan_norm=tuple(chan_norm),
+        velocity=velocity, dist_ratio=tuple(dist_ratio), chan_norm=tuple(chan_norm),
         state=state, serving=serving, target=target, dwell=dwell,
     )
 
 
 def make_window(per_unit_snapshots, start_t: int = 1) -> FrozenWindow:
     """Freeze a window from a list (units) of lists (terminals) of snapshots."""
-    records = [make_record(start_t + u, snaps, (0,) * len(snaps[0].dist_ratio),
-                           (100.0,) * len(snaps))
-               for u, snaps in enumerate(per_unit_snapshots)]
+    records = [make_record(start_t + u, snaps) for u, snaps in enumerate(per_unit_snapshots)]
     return FrozenWindow(tuple(records), None)
 
 
@@ -201,15 +204,14 @@ class ReferenceWorld:
             ratios = tuple(reference_ratio(mt.x, mt.y, bs) for bs in self.stations)
             chans = tuple((bs.capacity - bs.occupied) / bs.capacity for bs in self.stations)
             snaps.append(Snapshot(
-                mt.speed, mt.x, mt.y, ratios, chans, mt.state,
+                mt.speed, ratios, chans, mt.state,
                 -1 if mt.serving is None else mt.serving,
                 -1 if mt.target is None else mt.target, mt.dwell))
             self._apply_rules(mt, policy, ratios, chans, t)
             self._energy_step(mt)
             if mt.state != State.DISCONNECT:
                 self.connected_units += 1
-        return make_record(t, snaps, [bs.occupied for bs in self.stations],
-                           [mt.energy for mt in self.mts])
+        return make_record(t, snaps)
 
     def _apply_rules(self, mt, policy, ratios, chans, t) -> None:
         cfg = self.cfg

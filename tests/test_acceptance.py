@@ -21,23 +21,22 @@ from gflsim.evolver import (
     random_chromosome,
     validate_chromosome,
 )
-from gflsim.experiment import compare, default_config
+from gflsim.experiment import _build_policy, compare, default_config
 from gflsim.fuzzy import DEFAULT_CONSEQUENTS, default_system
-from gflsim.policies import make_policy
+from gflsim.policies import PolicyKind, make_policy
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
     CONNECTION_CUT,
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
+    ConservationAudit,
     HistoryWindow,
     State,
     StationSpec,
     TerminalSpec,
     World,
     WorldConfig,
-    audit_channels,
-    audit_energy,
     audit_motion,
 )
 
@@ -396,13 +395,25 @@ def test_criterion_6_determinism(tmp_path):
 # Criterion 7: conservation audits on every run of the comparison.
 # --------------------------------------------------------------------------
 
+# Each run is replayed in-process under the static policy of its arity, with
+# every evolved grid installed after the step at which the run installed it;
+# the replay must reproduce the run's events, and is audited at every unit.
+STATIC_OF = {"fls": "fls", "gfls": "fls", "flah": "flah", "gflah": "flah"}
+
+
 def test_criterion_7_conservation_audits(full_comparison):
     cfg, _, results, _ = full_comparison
-    stations = cfg.world.stations
     for (kind, seed), res in results.items():
-        audit_channels(res.records, res.events, stations)
-        audit_energy(res.records, res.events, stations,
-                     cfg.world.epsilon, cfg.world.initial_energy)
-        audit_motion(res.terminals_final, res.sim_time)
-    print(f"\nACCEPTANCE 7 PASS: channel, energy, and motion audits clean on "
-          f"{len(results)} runs")
+        world = World.build(cfg.world, np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(2)[0]))
+        policy = _build_policy(cfg, PolicyKind(STATIC_OF[kind]), None)
+        grids = {t: genes for t, _, genes in res.evolution}
+        audit = ConservationAudit(world)
+        for t in range(1, cfg.world.total_time + 1):
+            world.step(policy)
+            audit.unit(world)
+            policy.genes = grids.get(t, policy.genes)
+        assert tuple(world.events) == res.events, (kind, seed)
+        audit_motion(world.mts, world.t)
+    print(f"\nACCEPTANCE 7 PASS: channel, energy, and motion audits clean at every "
+          f"unit of {len(results)} replayed runs")

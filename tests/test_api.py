@@ -1,4 +1,5 @@
-"""Public API surface: every exported name resolves."""
+"""Public API surface: every exported name resolves, and the methods the
+benchmark tracer wraps stay defined."""
 
 import importlib
 import pkgutil
@@ -19,3 +20,19 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entries"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+@pytest.mark.parametrize("cls, name", [
+    ("World", "build"),
+    ("World", "step"),
+    ("HandoffPolicy", "decide"),
+    ("HandoffPolicy", "on_epoch"),
+    ("FuzzySystem", "crisp_from_strengths"),
+    ("ReplayFitness", "window_support"),
+    ("ReplayFitness", "batch"),
+    ("RuleEvolver", "evolve"),
+])
+def test_traced_methods_stay_defined(cls, name):
+    # perfbench/tracer.py wraps each of these through ``gflsim.<cls>.__dict__[name]``:
+    # a method deleted or only inherited breaks the benchmark with a KeyError.
+    assert name in getattr(gflsim, cls).__dict__, f"{cls}.{name}"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     FixedPolicy,
+    MediumAloneUnsettled,
     make_snapshot,
     make_window,
     random_window,
@@ -31,6 +32,7 @@ from gflsim.evolver import (
 )
 from gflsim.fuzzy import (
     DEFAULT_CONSEQUENTS,
+    FuzzyDefinitionError,
     FuzzySystem,
     LinguisticVariable,
     NoActivationError,
@@ -451,8 +453,9 @@ class TestFitness:
         assert make_fitness()(SEED_GENES, make_window([[snap._replace(dwell=2)]])) == 0.0
 
     def test_unsettleable_region_raises_only_when_read(self):
-        # The "narrow" output term lies between two samples of the 10-sample
-        # output grid, so a strength row on it alone has no centroid.
+        # An output term between two samples of the output grid would leave a
+        # strength row on it alone without a centroid; such a system is
+        # rejected, so this one marks rows on the medium term alone unsettled.
         out = LinguisticVariable("rss_threshold", 0.0, 1.0, (
             triangle("very_low", 0.0, 0.0, 0.5),
             triangle("low", 0.0, 0.25, 0.6),
@@ -460,10 +463,10 @@ class TestFitness:
             triangle("high", 0.45, 0.75, 1.0),
             triangle("very_high", 0.75, 1.0, 1.0),
         ))
-        system = FuzzySystem((default_velocity(), default_distance(), default_channels()),
-                             out, resolution=10)
-        with pytest.raises(NoActivationError):
-            system.crisp_from_strengths([0.0, 0.0, 1.0, 0.0, 0.0])
+        inputs = (default_velocity(), default_distance(), default_channels())
+        with pytest.raises(FuzzyDefinitionError, match="'narrow' has no sample"):
+            FuzzySystem(inputs, out, resolution=10)
+        system = MediumAloneUnsettled(inputs, default_output())
         # Serving station 0 is near (cell slow/near/high = 2); station 1 is
         # covered but far (cell slow/far/high = 8) and never read.
         snap = make_snapshot(velocity=0.0, dist_ratio=(0.1, 0.9), chan_norm=(1.0, 1.0),

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FixedPolicy, ReferenceWorld, distance_norm, pose
-from gflsim.fuzzy import LinguisticVariable, NoActivationError, region_codes, triangle
-from gflsim.policies import make_policy
+from conftest import FixedPolicy, MediumAloneUnsettled, ReferenceWorld, distance_norm, pose
+from gflsim.fuzzy import (
+    NoActivationError,
+    default_channels,
+    default_distance,
+    default_output,
+    default_velocity,
+    region_codes,
+)
+from gflsim.policies import HandoffPolicy, PolicyKind, make_policy
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -24,6 +31,7 @@ from gflsim.world import (
     MotionPlan,
     State,
     StationSpec,
+    ConservationAudit,
     TerminalSpec,
     UnitRecord,
     World,
@@ -31,8 +39,6 @@ from gflsim.world import (
     _LEVELS,
     acceleration_for,
     accelerated_state,
-    audit_channels,
-    audit_energy,
     audit_motion,
 )
 
@@ -57,6 +63,14 @@ class TestKinematics:
             acceleration_for(4500, 0)
         with pytest.raises(DomainError):
             acceleration_for(-1, 75)
+
+    @pytest.mark.parametrize("duration", [1e-160, 1e-300])
+    def test_acceleration_must_be_finite(self, duration):
+        # The square of the duration overflows the quotient or underflows to 0.
+        with pytest.raises(DomainError, match="not finite"):
+            acceleration_for(4500.0, duration)
+        with pytest.raises(DomainError, match="not finite"):
+            MotionPlan.accelerated(4500.0, duration)
 
     def test_accelerated_state_default_speed(self):
         x, v = accelerated_state(1.6, 75)
@@ -87,7 +101,7 @@ class TestAdvance:
         w = lone_terminal(0.0, 3000.0, speed=100.0)
         rec = w.step(FixedPolicy(0.0))
         assert (w.mts[0].x, w.mts[0].y) == (100.0, 3000.0)
-        assert (rec.x[0], rec.y[0], rec.velocity[0]) == (100.0, 3000.0, 100.0)
+        assert rec.velocity[0] == 100.0
 
     def test_wall_reflection(self):
         w = lone_terminal(5950.0, 3000.0, speed=100.0)
@@ -337,24 +351,28 @@ class TestEnergy:
 
 class TestFullRuns:
     def run_world(self, value: float, seed: int = 1):
+        """A default world stepped for its horizon, audited after every unit."""
         cfg = WorldConfig()
         w = World.build(cfg, np.random.default_rng(seed))
+        audit = ConservationAudit(w)
         records = []
         for _ in range(cfg.total_time):
             records.append(w.step(FixedPolicy(value)))
             w.verify_channels()
+            audit.unit(w)
         return w, records
 
     def test_channel_conservation_and_audits(self):
-        w, records = self.run_world(0.3)
-        audit_channels(records, w.events, w.stations)
-        audit_energy(records, w.events, w.stations, w.cfg.epsilon, w.cfg.initial_energy)
+        w, _ = self.run_world(0.3)
         audit_motion(w.mts, w.t)
+        kinds = {e.kind for e in w.events}
+        assert {CONNECTED, HANDOFF_INITIATED, CONNECTION_CUT} <= kinds
 
     def test_event_log_determinism(self):
-        w1, _ = self.run_world(0.3, seed=7)
-        w2, _ = self.run_world(0.3, seed=7)
+        w1, r1 = self.run_world(0.3, seed=7)
+        w2, r2 = self.run_world(0.3, seed=7)
         assert w1.events == w2.events
+        assert r1 == r2
 
     def test_handover_timing(self):
         w, _ = self.run_world(0.3)
@@ -368,12 +386,42 @@ class TestFullRuns:
             assert done != cut, f"init at {e.t} mt {e.mt_id}: done={done} cut={cut}"
 
     def test_energy_never_increases(self):
-        _, records = self.run_world(0.3)
-        prev = [100.0] * len(records[0].energies)
-        for rec in records:
-            for m, e in enumerate(rec.energies):
-                assert e <= prev[m]
-            prev = list(rec.energies)
+        cfg = WorldConfig()
+        w = World.build(cfg, np.random.default_rng(1))
+        audit = ConservationAudit(w)
+        prev = [mt.energy for mt in w.mts]
+        for _ in range(cfg.total_time):
+            w.step(FixedPolicy(0.3))
+            audit.unit(w)
+            now = [mt.energy for mt in w.mts]
+            assert all(e <= p for e, p in zip(now, prev))
+            prev = now
+        assert min(prev) < cfg.initial_energy
+
+    def audited_world(self):
+        """A default world and its audit after two clean units."""
+        w = World.build(WorldConfig(), np.random.default_rng(1))
+        audit = ConservationAudit(w)
+        for _ in range(2):
+            w.step(FixedPolicy(0.3))
+            audit.unit(w)
+        return w, audit
+
+    def test_audit_names_the_station_whose_occupancy_drifts(self):
+        w, audit = self.audited_world()
+        w.step(FixedPolicy(0.3))
+        w.stations[3].occupied += 1
+        with pytest.raises(AssertionError, match=r"^t=3 station 3: occupied"):
+            audit.unit(w)
+
+    @pytest.mark.parametrize("delta, message", [(0.5, "energy rose"),
+                                                (-0.5, "recomputed energy")])
+    def test_audit_names_the_terminal_whose_energy_drifts(self, delta, message):
+        w, audit = self.audited_world()
+        w.step(FixedPolicy(0.3))
+        pose(w, 7, energy=w.mts[7].energy + delta)
+        with pytest.raises(AssertionError, match=rf"^t=3 mt=7: {message}"):
+            audit.unit(w)
 
 
 class TestHistoryWindow:
@@ -512,14 +560,16 @@ class TestArrayStepMatchesReference:
             for f in dataclasses.fields(UnitRecord):
                 a, b = getattr(rec, f.name), getattr(want, f.name)
                 assert np.array_equal(a, b) and np.shape(a) == np.shape(b), (rec.t, f.name)
+            # Positions, energies and occupancy after the unit.
+            assert list(world.mts) == ref.mts, rec.t
+            assert [bs.occupied for bs in world.stations] == \
+                [bs.occupied for bs in ref.stations], rec.t
         # One row per scalar decide call, in the same order, with the
         # channel input the scalar step saw among the row's levels.
         assert len(live.calls) == len(scalar.calls)
         for (v, d, levels), call in zip(live.calls, scalar.calls):
             assert (v, d) == call[:2] and call[2] in levels
         assert world.connected_units == ref.connected_units
-        assert [bs.occupied for bs in world.stations] == [bs.occupied for bs in ref.stations]
-        assert list(world.mts) == ref.mts
         world.verify_channels()
 
     def test_decide_value_at_s_min_takes_the_handover_branch(self):
@@ -582,18 +632,13 @@ class TestDecisionTable:
             w.step(FixedPolicy(0.9))
 
     def test_no_activation_raises_only_when_read(self):
-        # The "narrow" output term lies between two samples of the 10-sample
-        # output grid.  Cells whose channel level is low (the table's row at
-        # a full station) give only it, and every other cell very low.
-        out = LinguisticVariable("rss_threshold", 0.0, 1.0, (
-            triangle("very_low", 0.0, 0.0, 0.5),
-            triangle("low", 0.0, 0.25, 0.6),
-            triangle("narrow", 0.51, 0.52, 0.53),
-            triangle("high", 0.45, 0.75, 1.0),
-            triangle("very_high", 0.75, 1.0, 1.0),
-        ))
-        genes = [3 if cell % 3 == 0 else 1 for cell in range(27)]
-        policy = make_policy("fls", output_var=out, resolution=10, consequents=genes)
+        # The system has no centroid for the medium output term alone.  Cells
+        # whose channel level is low (the table's row at a full station) give
+        # only it, and every other cell very low.
+        system = MediumAloneUnsettled(
+            (default_velocity(), default_distance(), default_channels()), default_output())
+        genes = tuple(3 if cell % 3 == 0 else 1 for cell in range(27))
+        policy = HandoffPolicy(PolicyKind.FLS, system, genes)
         w = two_station_world()
         connect(w, 0, 0)  # one of two channels held: the full-station row is unread
         w.step(policy)
@@ -623,8 +668,8 @@ class TestRecords:
         rec = w.step(FixedPolicy(0.9))
         kept = copy.deepcopy(rec)
         pose(w, 0, x=10.0, energy=1.0)
-        w.step(FixedPolicy(0.9))
-        assert rec == kept and rec.x[0] == 1300.0
+        later = w.step(FixedPolicy(0.9))
+        assert rec == kept and later.ratio[0, 0] != rec.ratio[0, 0]
 
     def test_terminal_count_builds_no_terminal(self, monkeypatch):
         w = two_station_world()
