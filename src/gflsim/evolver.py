@@ -16,11 +16,11 @@ tagged with its site and gene key), and settles a batch's misses in one
 decisions.  Then it steps the population through per-unit transition
 tables, built once per unit and cached with its sites for the next,
 overlapping window: a terminal's state is one code (disconnected,
-connected to s, handing over s -> t with d units of dwell left, or an
-absorbing error code for a decision with no centroid), and per (terminal,
-code, region) the tables give the site to read, the next code and the
-cost.  ``ResimFitness`` offers full re-simulation behind a config switch.
-Both offer ``batch`` and ``window_support``, all ``evolve`` asks of a fitness.
+connected to s, or handing over s -> t with d units of dwell left), and
+per (terminal, code, region) the tables give the site to read, the next
+code and the cost.  ``ResimFitness`` offers full re-simulation behind a
+config switch.  Both offer ``batch`` and ``window_support``, all
+``evolve`` asks of a fitness.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
 are cache-friendly and could run on parallel workers; the generational
@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import FuzzySystem, NoActivationError
+from .fuzzy import FuzzySystem
 from .world import _CONNECT, _HANDOVER
 
 __all__ = [
@@ -205,33 +205,32 @@ def _region_table(n_sites: int) -> np.ndarray:
 
 
 # Layout of a unit's transition tables (int32): each terminal has a row of
-# W = 1 + S*S*dwell + 6*(S + 1) slots, and a code's value indexes them:
-#   - slot 0 for the error code (terminal 0's only, so its value is 1);
+# W = S*S*dwell + 5*(S + 1) slots, and a code's value indexes them:
 #   - one slot per handover code, which decides nothing: its value is its
 #     slot + 1 and its site is the padding column, whose region is -1;
-#   - six slots each for disconnected and connected to s, one per region
-#     -2..3, whose value is their region-0 slot.
+#   - five slots each for disconnected and connected to s, one per region
+#     -1..3, whose value is their region-0 slot.
 # In a unit, a terminal at value c reads region r from column ``site[c]``
 # and moves to ``next[c + r]``, counting ``cost[c + r]``: a handoff in the
 # bits from ``_HANDOFF_SHIFT`` up and a cut in those below.
-_ERROR, _HANDOFF_SHIFT = 1, 30
+_HANDOFF_SHIFT = 30
 _CUT, _HANDOFF = 1, 1 << _HANDOFF_SHIFT
 
 
 @functools.lru_cache(maxsize=8)
 def _layout(n_mts: int, n_stations: int, dwell: int):
-    """Code values (disconnected (M,), connected to s (M, S), handing over
-    s -> t with d units left at [m, s, t, d - 1]) and the next and cost tables
-    of a unit where all stations cover all terminals, with no free channel."""
+    """Code values (disconnected (M,), connected to s (M, S), handing over s -> t
+    with d units left at [m, s, t, d - 1]) and the next and cost tables, every slot
+    written, of a unit where all stations cover all terminals, with no free channel."""
     S, n_hand = n_stations, n_stations * n_stations * dwell
-    width = n_hand + 6 * S + 7
+    width = n_hand + 5 * (S + 1)
     rows = np.arange(n_mts, dtype=np.int32) * width
-    hand = rows[:, None, None, None] + 2 + np.arange(n_hand, dtype=np.int32).reshape(S, S, dwell)
-    disc = rows + n_hand + 3
-    conn = disc[:, None] + 6 * np.arange(1, S + 1, dtype=np.int32)
-    nxt = np.full(n_mts * width, _ERROR, dtype=np.int32)
+    hand = rows[:, None, None, None] + 1 + np.arange(n_hand, dtype=np.int32).reshape(S, S, dwell)
+    disc = rows + n_hand + 1
+    conn = disc[:, None] + 5 * np.arange(1, S + 1, dtype=np.int32)
+    nxt = np.empty(n_mts * width, dtype=np.int32)
     cost = np.zeros(n_mts * width, dtype=np.int32)
-    # Per region -2..3: disconnected stays; connected is cut below s_min (or
+    # Per region -1..3: disconnected stays; connected is cut below s_min (or
     # when forced, region -1) and stays from s_min up.  A handover loses a
     # unit of dwell, and connects to t after its last.
     nxt[disc[:, None] + np.arange(-1, 4)] = disc[:, None]
@@ -376,8 +375,7 @@ class ReplayFitness:
     (chromosome, site) pair in the window's region table and settles the
     misses together; then each (chromosome, terminal) pair takes a few
     gathers per unit through that unit's transition tables (site, next code
-    and packed cost), and one that ends in the error code raises
-    ``NoActivationError``.  ``dwell`` must be at least 1.
+    and packed cost).  ``dwell`` must be at least 1.
     """
 
     def __init__(
@@ -449,8 +447,6 @@ class ReplayFitness:
             at = state + regions.take(rows + site.take(state))
             state = nxt.take(at)
             acc += cost.take(at)
-        if (state == _ERROR).any():
-            raise NoActivationError("a replayed decision activates no output sample")
         ho = (acc >> _HANDOFF_SHIFT).sum(axis=1)
         cuts = (acc & (_HANDOFF - 1)).sum(axis=1)
         return self.weight_handoff * ho + self.weight_cut * cuts

@@ -112,6 +112,13 @@ def _check_seed(seed, path: str) -> None:
         raise ConfigError(f"{path}: must be a non-negative integer, got {seed!r}")
 
 
+def _check_unique(items, key: str) -> None:
+    """Name the first entry of ``key`` that repeats an earlier one."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{key}[{i}]: repeats {item!r}")
+
+
 def _number(value, path: str) -> float:
     """A finite JSON number as a float."""
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
@@ -392,6 +399,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if p not in ALL_POLICIES:
             raise ConfigError(f"policies: unknown policy {p!r}")
         policies.append(p)
+    _check_unique(policies, "policies")
 
     seeds_raw = raw.get("seeds")
     runs_raw = raw.get("runs")
@@ -401,6 +409,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("seeds: expected a non-empty list of integers")
         for i, s in enumerate(seeds_raw):
             _check_seed(s, f"seeds[{i}]")
+        _check_unique(seeds_raw, "seeds")
         seeds = tuple(seeds_raw)
         if runs_raw is not None and runs_raw != len(seeds):
             raise ConfigError(f"runs: {runs_raw} does not match the {len(seeds)} listed seeds")
@@ -541,6 +550,8 @@ def compare(config: ExperimentConfig,
     """
     for i, seed in enumerate(config.seeds):
         _check_seed(seed, f"seeds[{i}]")
+    _check_unique(config.seeds, "seeds")
+    _check_unique(config.policies, "policies")
     tasks = [(config, kind, seed) for kind in config.policies for seed in config.seeds]
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tasks)))

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 1001
+# Output samples at most: a table of samples per term is built per system.
+MAX_RESOLUTION = 100_000
 
 
 class FuzzyDefinitionError(ValueError):
@@ -171,16 +173,9 @@ class LinguisticVariable:
                     f"variable {self.name!r}: no term covers x={x}"
                 )
 
-    def clamp(self, x: float) -> float:
-        return min(max(float(x), self.lo), self.hi)
-
-    def fuzzify(self, x: float) -> tuple[float, ...]:
-        """Degree per term for ``x``; values outside the universe are clamped."""
-        xc = self.clamp(x)
-        return tuple(t.degree(xc) for t in self.terms)
-
     def degrees(self, xs) -> np.ndarray:
-        """Vectorized :meth:`fuzzify` (same arithmetic), terms on a new last axis."""
+        """Degree per term of each value, taken at the nearest point of the
+        universe; terms on a new last axis."""
         xc = np.minimum(np.maximum(np.asarray(xs, dtype=float), self.lo), self.hi)
         return np.stack([t.degrees(xc) for t in self.terms], axis=-1)
 
@@ -190,8 +185,8 @@ def _output_grid(var: LinguisticVariable, resolution: int):
     """Midpoint sample positions, per-term degree table, and per-term
     nonzero sample-index ranges, all read-only.  Every term needs a sample
     of positive degree, else a decision on that term alone has no centroid."""
-    if resolution < 1:
-        raise FuzzyDefinitionError(f"resolution must be positive, got {resolution}")
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise FuzzyDefinitionError(f"resolution must be in 1..{MAX_RESOLUTION}, got {resolution}")
     xs = var.lo + (np.arange(resolution) + 0.5) * ((var.hi - var.lo) / resolution)
     table = np.stack([t.degrees(xs) for t in var.terms])
     spans = []
@@ -287,13 +282,9 @@ def _centroid_row(
     return float(np.dot(comp, xs[i0:i1]) / np.add.reduce(comp))
 
 
-# Entries each of FuzzySystem's caches holds before it is cleared.
-_CACHE_LIMIT = 1 << 15
-
 # Threshold region codes of a crisp value v against (s_min, s_th):
 #   0: v < s_min    1: v == s_min    2: s_min < v < s_th    3: v >= s_th
-# and -2 for strengths with no centroid, which raise only when a decision reads them.
-_BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH, _NO_ACTIVATION = 0, 1, 2, 3, -2
+_BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH = 0, 1, 2, 3
 
 # A centroid estimate closer than this (times the largest of 1 and the output
 # universe's end magnitudes) to s_min or s_th is settled by the exact centroid.
@@ -314,13 +305,10 @@ def region_codes(values: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
 class FuzzySystem:
     """Fixed input/output variables plus the full inference pipeline.
 
-    Crisp values are cached per activation pattern, so live decisions
-    that repeat the exact same firing strengths skip the defuzzification
-    while every value still comes from the one arithmetic path.  The value
-    and one-hot caches are each cleared when they reach ``_CACHE_LIMIT``
-    entries, which bounds them over any horizon.  Live steps and replays
-    hardly fill the value cache: they ask for threshold regions, which
-    :meth:`centroid_estimates` settles mostly without defuzzifying.
+    Every input universe is covered and every output term has a sample of
+    positive degree, so any input fires a cell and every fired strength row
+    has a centroid.  Decisions ask for threshold regions, which
+    :meth:`centroid_estimates` settles mostly without :meth:`crisp_from_strengths`.
     """
 
     def __init__(
@@ -338,57 +326,21 @@ class FuzzySystem:
         self.n_cells = math.prod(self.levels)
         self.n_output_terms = len(output_var.terms)
         self._xs, self._table, self._spans = _output_grid(output_var, self.resolution)
-        self._value_cache: dict[tuple, float] = {}
-        self._onehot_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def fuzzify(self, inputs: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-        if len(inputs) != len(self.input_vars):
-            raise FuzzyDefinitionError(
-                f"expected {len(self.input_vars)} inputs, got {len(inputs)}"
-            )
-        return tuple(v.fuzzify(x) for v, x in zip(self.input_vars, inputs))
 
     def fire(self, inputs: Sequence) -> np.ndarray:
-        """:meth:`cell_weights` over broadcast arrays of crisp values of the
-        leading ``len(inputs)`` variables, the cells on a new last axis."""
+        """Min-AND firing weight per grid cell, row-major over levels, at
+        broadcast arrays of crisp values of the leading ``len(inputs)``
+        variables; the cells on a new last axis."""
         w = np.ones(1)
         for var, x in zip(self.input_vars, inputs):
             w = np.minimum(w[..., :, None], var.degrees(x)[..., None, :])
             w = w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],))
         return w
 
-    def cell_weights(self, degree_vectors: Sequence[Sequence[float]]) -> np.ndarray:
-        """Flat min-AND firing weight per grid cell, row-major over levels."""
-        w = np.asarray(degree_vectors[0], dtype=float)
-        for degs in degree_vectors[1:]:
-            w = np.minimum(w[..., None], np.asarray(degs, dtype=float))
-        return w.reshape(-1)
-
-    def _onehot(self, consequents: tuple[int, ...]) -> np.ndarray:
-        m = self._onehot_cache.get(consequents)
-        if m is None:
-            g = np.asarray(consequents)
-            m = g[:, None] == np.arange(1, self.n_output_terms + 1)
-            if len(self._onehot_cache) >= _CACHE_LIMIT:
-                self._onehot_cache.clear()
-            self._onehot_cache[consequents] = m
-        return m
-
-    def strengths(self, weights: np.ndarray, consequents: tuple[int, ...]) -> np.ndarray:
-        """Max firing weight per output term under the given consequent map."""
-        m = self._onehot(consequents)
-        return np.max(np.where(m, weights[:, None], 0.0), axis=0)
-
     def crisp_from_strengths(self, strengths) -> float:
-        s5 = strengths.tolist() if isinstance(strengths, np.ndarray) else list(strengths)
-        key = tuple(s5)
-        v = self._value_cache.get(key)
-        if v is None:
-            v = _centroid_row(s5, self._xs, self._table, self._spans)
-            if len(self._value_cache) >= _CACHE_LIMIT:
-                self._value_cache.clear()
-            self._value_cache[key] = v
-        return v
+        """Exact centroid of one strength row; ``NoActivationError`` if all are zero."""
+        s = strengths.tolist() if isinstance(strengths, np.ndarray) else list(strengths)
+        return _centroid_row(s, self._xs, self._table, self._spans)
 
     def centroid_estimates(self, strengths: np.ndarray) -> np.ndarray:
         """Closed-form centroid per row of a (rows, output terms) strength
@@ -413,43 +365,33 @@ class FuzzySystem:
 
     def settle(self, strengths: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
         """Region code per (rows, output terms) strength row: the estimate's, or where it
-        is not finite or near a threshold the exact centroid's (or ``_NO_ACTIVATION``)."""
+        is not finite or near a threshold the exact centroid's (which an all-zero row lacks)."""
         values = np.empty(len(strengths))
         for lo in range(0, len(strengths), _SETTLE_ROWS):
             values[lo:lo + _SETTLE_ROWS] = self.centroid_estimates(strengths[lo:lo + _SETTLE_ROWS])
         tol = _ESTIMATE_TOL * max(1.0, abs(self.output_var.lo), abs(self.output_var.hi))
         near = ~np.isfinite(values) | (np.abs(values - s_min) <= tol) | (
             np.abs(values - s_th) <= tol)
-        empty = []
         for i in np.flatnonzero(near).tolist():
-            try:
-                values[i] = self.crisp_from_strengths(strengths[i].tolist())
-            except NoActivationError:
-                empty.append(i)
-        codes = region_codes(values, s_min, s_th)
-        codes[empty] = _NO_ACTIVATION
-        return codes
+            values[i] = self.crisp_from_strengths(strengths[i])
+        return region_codes(values, s_min, s_th)
 
-    def regions(self, consequents: tuple[int, ...], inputs: Sequence, s_min: float,
+    def regions(self, consequents: Sequence[int], inputs: Sequence, s_min: float,
                 s_th: float) -> np.ndarray:
-        """Region code of :meth:`compute`'s value at each element of the broadcast
-        input arrays.  Term k's strength is max_q min(d_q, A_qk), d_q the last
-        input's degree in level q and A_qk the largest weight the leading inputs
-        (fired once, at their own shape) give a cell of level q and consequent k:
-        min and max only select.  A NaN input fires nothing and is not settled."""
-        cells = self._onehot(tuple(consequents)).reshape(-1, self.levels[-1], self.n_output_terms)
+        """Region code of the decision value at each element of the broadcast input
+        arrays.  Term k's strength is max_q min(d_q, A_qk), d_q the last input's degree
+        in level q and A_qk the largest weight the leading inputs (fired once, at their
+        own shape) give a cell of level q and consequent k: min and max only select.
+        A NaN input fires nothing; its element is not settled and reads ``_BELOW_MIN``."""
+        if len(inputs) != len(self.input_vars):
+            raise FuzzyDefinitionError(f"expected {len(self.input_vars)} inputs, got {len(inputs)}")
+        cells = np.asarray(consequents)[:, None] == np.arange(1, self.n_output_terms + 1)
+        cells = cells.reshape(-1, self.levels[-1], self.n_output_terms)
         lead = np.where(cells, self.fire(inputs[:-1])[..., :, None, None], 0.0).max(axis=-3)
         s = np.minimum(self.input_vars[-1].degrees(inputs[-1])[..., None], lead).max(axis=-2)
-        codes, live = np.full(s.shape[:-1], _NO_ACTIVATION), s.any(axis=-1)
+        codes, live = np.full(s.shape[:-1], _BELOW_MIN), s.any(axis=-1)
         codes[live] = self.settle(s[live], s_min, s_th)
         return codes
-
-    def compute(self, consequents: tuple[int, ...], inputs: Sequence[float]) -> float:
-        """Full fuzzify -> fire -> defuzzify pipeline for one input vector."""
-        degs = self.fuzzify(inputs)
-        w = self.cell_weights(degs)
-        s = self.strengths(w, tuple(consequents))
-        return self.crisp_from_strengths(s)
 
 
 # Consequents for the shipped 3x3x3 grid, velocity-major then distance then

@@ -85,8 +85,9 @@ class HandoffPolicy(_StaticDecider):
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
         """Crisp signal in [0, 1]; a two-input (FLAH) system ignores channels."""
-        inputs = (velocity, dist_norm, chan_norm)[: len(self.system.input_vars)]
-        return self.system.compute(self.genes, inputs)
+        w = self.system.fire((velocity, dist_norm, chan_norm)[: len(self.system.input_vars)])
+        onehot = np.asarray(self.genes)[:, None] == np.arange(1, self.system.n_output_terms + 1)
+        return self.system.crisp_from_strengths(np.where(onehot, w[:, None], 0.0).max(axis=0))
 
     def on_epoch(self, window, now: int) -> None:
         """Run one evolution pass when the invocation period has elapsed and

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fuzzy import _ABOVE_TH, _BELOW_MIN, _MID, _NO_ACTIVATION, NoActivationError
+from .fuzzy import _ABOVE_TH, _BELOW_MIN, _MID
 
 __all__ = [
     "DomainError",
@@ -445,7 +445,7 @@ class World:
     def step(self, policy) -> UnitRecord:
         """Advance one time unit under ``policy``: anything whose ``regions(velocity,
         dist_norm, chan_norm, s_min, s_th)`` gives the region codes (``fuzzy.region_codes``)
-        of its value per row at each channel input (NaN above the row's capacity)."""
+        of its value per row at each channel input (NaN above the row's capacity: unread)."""
         self.t += 1
         t, cfg = self.t, self.cfg
         self._move(t)
@@ -493,8 +493,6 @@ class World:
             if not lo <= o < lo + len(row):  # outside the row's window: ask for this level
                 row, lo = policy.regions(speed[r:r + 1], dn[r:r + 1], np.array(
                     [[(capacity[s] - o) / capacity[s]]]), cfg.s_min, cfg.s_th).tolist()[0], o
-            if row[o - lo] == _NO_ACTIVATION:
-                raise NoActivationError("a decision activates no output sample")
             return row[o - lo]
 
         def cut(m: int) -> None:

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
-from gflsim.fuzzy import _NO_ACTIVATION, FuzzySystem, region_codes
+from gflsim.fuzzy import FuzzySystem, region_codes
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -38,18 +38,6 @@ class FixedPolicy:
 
     def regions(self, velocity, dist_norm, chan_norm, s_min, s_th) -> np.ndarray:
         return region_codes(np.full(chan_norm.shape, self.value), s_min, s_th)
-
-
-class MediumAloneUnsettled(FuzzySystem):
-    """Settles every strength row on the third output term alone to the
-    no-centroid code.  A valid system always has a centroid, so this
-    stands in for one that has none, to test when that code is read."""
-
-    def settle(self, strengths: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
-        codes = super().settle(strengths, s_min, s_th)
-        alone = (strengths[:, 2] > 0.0) & (np.delete(strengths, 2, axis=1) == 0.0).all(axis=1)
-        codes[alone] = _NO_ACTIVATION
-        return codes
 
 
 def distance_norm(ratio: float) -> float:
@@ -80,6 +68,21 @@ def reference_strengths(consequents, degree_vectors, n_terms: int = 5) -> tuple[
         if w > strengths[term]:
             strengths[term] = w
     return tuple(float(v) for v in strengths)
+
+
+def reference_degrees(system: FuzzySystem, inputs) -> list[tuple[float, ...]]:
+    """Scalar fuzzification: each input clamped into its universe, then one
+    ``MembershipFunction.degree`` per term."""
+    return [tuple(t.degree(min(max(float(x), var.lo), var.hi)) for t in var.terms)
+            for var, x in zip(system.input_vars, inputs)]
+
+
+def reference_value(system: FuzzySystem, consequents, inputs) -> float:
+    """Scalar decision value: :func:`reference_degrees`, then
+    :func:`reference_strengths`, then the exact centroid."""
+    strengths = reference_strengths(consequents, reference_degrees(system, inputs),
+                                    system.n_output_terms)
+    return system.crisp_from_strengths(strengths)
 
 
 class Snapshot(NamedTuple):

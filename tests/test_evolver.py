@@ -1,5 +1,6 @@
 """Genetic operators, replay fitness, and the generational loop."""
 
+import itertools
 import json
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     FixedPolicy,
-    MediumAloneUnsettled,
     make_snapshot,
     make_window,
     random_window,
-    reference_strengths,
+    reference_degrees,
+    reference_value,
     snapshots,
 )
 from gflsim import evolver, fuzzy
@@ -32,11 +33,8 @@ from gflsim.evolver import (
 )
 from gflsim.fuzzy import (
     DEFAULT_CONSEQUENTS,
-    FuzzyDefinitionError,
     FuzzySystem,
     LinguisticVariable,
-    NoActivationError,
-    default_channels,
     default_distance,
     default_output,
     default_system,
@@ -286,18 +284,15 @@ def wide_system() -> FuzzySystem:
 
 
 def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2):
-    """Step-by-step window re-simulation: per-variable fuzzification, the
-    independent min-max firing of ``reference_strengths`` and the exact
-    centroid of ``FuzzySystem.crisp_from_strengths``.
+    """Step-by-step window re-simulation through the scalar decision value
+    of ``reference_value``.
 
     A two-input ``system`` ignores the channel input, as FLAH does.
     """
     system = system or default_system()
 
     def value(v, dn, cn):
-        degs = [var.fuzzify(x) for var, x in zip(system.input_vars, (v, dn, cn))]
-        return system.crisp_from_strengths(
-            reference_strengths(genes, degs, system.n_output_terms))
+        return reference_value(system, genes, (v, dn, cn)[: len(system.input_vars)])
 
     records = window.records
     n_stations = records[0].ratio.shape[1]
@@ -452,36 +447,6 @@ class TestFitness:
                 make_fitness().batch([SEED_GENES], wnd)
         assert make_fitness()(SEED_GENES, make_window([[snap._replace(dwell=2)]])) == 0.0
 
-    def test_unsettleable_region_raises_only_when_read(self):
-        # An output term between two samples of the output grid would leave a
-        # strength row on it alone without a centroid; such a system is
-        # rejected, so this one marks rows on the medium term alone unsettled.
-        out = LinguisticVariable("rss_threshold", 0.0, 1.0, (
-            triangle("very_low", 0.0, 0.0, 0.5),
-            triangle("low", 0.0, 0.25, 0.6),
-            triangle("narrow", 0.51, 0.52, 0.53),
-            triangle("high", 0.45, 0.75, 1.0),
-            triangle("very_high", 0.75, 1.0, 1.0),
-        ))
-        inputs = (default_velocity(), default_distance(), default_channels())
-        with pytest.raises(FuzzyDefinitionError, match="'narrow' has no sample"):
-            FuzzySystem(inputs, out, resolution=10)
-        system = MediumAloneUnsettled(inputs, default_output())
-        # Serving station 0 is near (cell slow/near/high = 2); station 1 is
-        # covered but far (cell slow/far/high = 8) and never read.
-        snap = make_snapshot(velocity=0.0, dist_ratio=(0.1, 0.9), chan_norm=(1.0, 1.0),
-                             state=State.CONNECT, serving=0)
-        wnd = make_window([[snap]])
-        fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
-        unread = [1] * 27
-        unread[8] = 3
-        assert fit.batch([tuple(unread)], wnd)[0] == 1.0  # very low -> cut
-        assert fit(tuple(unread), wnd) == 1.0  # also when the table holds it
-        read = list(unread)
-        read[2] = 3
-        with pytest.raises(NoActivationError):
-            fit.batch([tuple(unread), tuple(read)], wnd)
-
     def test_threshold_at_an_exact_centroid_matches_reference(self, rng):
         # With s_min at a decision's exact centroid the estimate lands on the
         # threshold, so the region (v == s_min) comes from the exact value.
@@ -496,7 +461,7 @@ class TestFitness:
             snap = next(s for s in snapshots(wnd.records[0]) if s.state == State.CONNECT)
             sv = snap.serving
             dn = min(max(snap.dist_ratio[sv], 0.0), 1.0)
-            s_min = system.compute(genes, (snap.velocity, dn, snap.chan_norm[sv]))
+            s_min = reference_value(system, genes, (snap.velocity, dn, snap.chan_norm[sv]))
             s_th = 0.5 * (s_min + 1.0)
             fit = ReplayFitness(system, s_min, s_th, dwell=2)
             assert fit(genes, wnd) == reference_replay(genes, wnd, system, s_min, s_th)
@@ -519,9 +484,9 @@ class TestFitness:
             ReplayFitness(system, S_MIN, S_TH)
 
     def test_sites_match_scalar_fuzzification(self, rng):
-        # Each unit's sites, fired in one array pass, equal a per-site scalar
-        # fuzzify -> cell_weights: same columns in the same (terminal-major)
-        # order, same fired cells and the same weights.
+        # Each unit's sites, fired in one array pass, equal per-site scalar
+        # degrees and their per-cell minima: same columns in the same
+        # (terminal-major) order, same fired cells and the same weights.
         for system in (default_system(), flah_system(), wide_system()):
             fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
             wnd = random_window(rng, n_units=3, n_mts=6, n_stations=4)
@@ -532,11 +497,24 @@ class TestFitness:
                     for s, (r, c) in enumerate(zip(snap.dist_ratio, snap.chan_norm)):
                         if r > 0.0:
                             inputs = (snap.velocity, min(r, 1.0), c)[: len(system.input_vars)]
-                            w = system.cell_weights(system.fuzzify(inputs))
+                            w = np.array([min(c) for c in itertools.product(
+                                *reference_degrees(system, inputs))])
                             fired = np.flatnonzero(w > 0.0)
                             want[m * 4 + s] = (fired.tolist(), w[fired].tolist())
                 got = fit._site_cache[rec.t][1]
                 assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("n_mts, n_stations, dwell", [(1, 1, 1), (3, 2, 1), (4, 7, 2),
+                                                          (2, 3, 4)])
+    def test_layout_next_table_holds_only_own_codes(self, n_mts, n_stations, dwell):
+        # Every slot of the next table is written with a code of its own terminal.
+        width, disc, conn, hand, nxt, _ = evolver._layout(n_mts, n_stations, dwell)
+        assert width == n_stations ** 2 * dwell + 5 * (n_stations + 1)
+        codes = np.concatenate([disc.ravel(), conn.ravel(), hand.ravel()])
+        assert len(np.unique(codes)) == len(codes) == n_mts * (
+            n_stations ** 2 * dwell + n_stations + 1)
+        assert np.isin(nxt, codes).all()
+        assert (nxt // width == np.repeat(np.arange(n_mts), width)).all()
 
     def test_site_cache_holds_at_most_one_window(self):
         world = World.build(WorldConfig(mt_count=3, total_time=2000),
@@ -564,7 +542,7 @@ class TestFitness:
                 assert all(ours[1] is cached[1] and ours[2] is cached[2]
                            for ours, cached in zip(fit._last_prep[1].steps, steps, strict=True))
                 n_stations = len(world.stations)
-                width = n_stations * n_stations * fit.dwell + 6 * (n_stations + 1) + 1
+                width = n_stations * n_stations * fit.dwell + 5 * (n_stations + 1)
                 assert sum(a.nbytes for unit in steps for a in unit) == (
                     window.length * 3 * len(world.mts) * width * np.dtype(np.int32).itemsize)
         assert largest == window.length
@@ -930,15 +908,15 @@ class TestResimFitness:
         window = HistoryWindow(4, keep_checkpoints=True)
 
         class SeedPolicy:
-            # The seed grid's value at every level, through the scalar pipeline.
+            # The seed grid's value at every level, through the scalar reference.
             def __init__(self):
                 self.system = default_system()
 
             def regions(self, velocity, dist_norm, chan_norm, s_min, s_th):
                 values = np.full(chan_norm.shape, np.nan)
                 for r, c in zip(*np.nonzero(~np.isnan(chan_norm))):
-                    values[r, c] = self.system.compute(
-                        SEED_GENES, (velocity[r], dist_norm[r], chan_norm[r, c]))
+                    values[r, c] = reference_value(
+                        self.system, SEED_GENES, (velocity[r], dist_norm[r], chan_norm[r, c]))
                 return region_codes(values, s_min, s_th)
 
         policy = SeedPolicy()

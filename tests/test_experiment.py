@@ -341,6 +341,22 @@ class TestCompareAndExport:
             compare(cfg)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("change, error", [
+        ({"seeds": (0, 0, 1)}, r"^seeds\[1\]: repeats 0"),
+        ({"policies": ("fls", "flah", "fls")}, r"^policies\[2\]: repeats 'fls'"),
+    ])
+    def test_repeated_seed_or_policy_named_before_any_worker_starts(
+            self, tmp_path, monkeypatch, change, error):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("gflsim.experiment.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("gflsim.experiment._run_task", no_pool)
+        cfg = small_config(workers=2, output_dir=str(tmp_path / "out"), **change)
+        with pytest.raises(ConfigError, match=error):
+            compare(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_single_seed_collapses_summary(self, tmp_path):
         cfg = small_config(policies=("fls", "flah"), output_dir=str(tmp_path))
         report = compare(cfg)
@@ -480,6 +496,12 @@ class TestCli:
         ('{"fuzzy": {"resolution": 2}}', "fuzzy.resolution"),
         ('{"seeds": [-1]}', "seeds[0]"),
         ('{"seeds": [0, 4, -3]}', "seeds[2]"),
+        ('{"seeds": [0, 0, 1]}', "seeds[1]"),
+        ('{"seeds": [3, 1, 2, 1, 3]}', "seeds[3]"),
+        ('{"policies": ["fls", "fls"]}', "policies[1]"),
+        ('{"policies": ["gfls", "fls", "flah", "gfls"]}', "policies[3]"),
+        ('{"fuzzy": {"resolution": 100001}}', "fuzzy.resolution"),
+        ('{"fuzzy": {"resolution": 100000000}}', "fuzzy.resolution"),
     ])
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.json"

@@ -1,12 +1,14 @@
 """Membership math, rule evaluation, and centroid defuzzification."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gflsim.fuzzy as fuzzy
-from conftest import reference_strengths
+from conftest import reference_degrees, reference_strengths
 from gflsim.evolver import validate_chromosome
 from gflsim.experiment import ConfigError, config_from_dict
 from gflsim.fuzzy import (
@@ -25,7 +27,6 @@ from gflsim.fuzzy import (
     triangle,
 )
 from gflsim.policies import make_policy
-from gflsim.world import World, WorldConfig
 
 # Frozen from a 10^6-sample midpoint Riemann reference computed ahead of the
 # implementation (independent numpy sum over the full output universe).
@@ -82,26 +83,25 @@ class TestMembership:
 
 class TestLinguisticVariable:
     def test_fuzzify_at_peak(self):
-        assert default_velocity().fuzzify(0.0) == (1.0, 0.0, 0.0)
+        assert default_velocity().degrees(0.0).tolist() == [1.0, 0.0, 0.0]
 
     def test_fuzzify_interpolates(self):
-        slow, medium, fast = default_velocity().fuzzify(10.0)
+        slow, medium, fast = default_velocity().degrees(10.0).tolist()
         assert slow == pytest.approx(1 / 3)
         assert medium == 0.5
         assert fast == 0.0
 
     def test_fuzzify_clamps(self):
-        assert default_velocity().fuzzify(100.0) == (0.0, 0.0, 1.0)
-        assert default_velocity().fuzzify(-5.0) == (1.0, 0.0, 0.0)
+        assert default_velocity().degrees(100.0).tolist() == [0.0, 0.0, 1.0]
+        assert default_velocity().degrees(-5.0).tolist() == [1.0, 0.0, 0.0]
 
     def test_coverage_over_universe(self, rng):
         for var in (default_velocity(), default_distance(),
                     default_channels(), default_output()):
             xs = rng.uniform(var.lo, var.hi, size=10_000)
-            for x in xs:
-                degs = var.fuzzify(float(x))
-                assert all(0.0 <= d <= 1.0 for d in degs)
-                assert max(degs) > 0.0, f"{var.name} uncovered at {x}"
+            degs = var.degrees(xs)
+            assert ((0.0 <= degs) & (degs <= 1.0)).all()
+            assert (degs.max(axis=1) > 0.0).all(), f"{var.name} uncovered"
 
     def test_coverage_gap_rejected(self):
         with pytest.raises(FuzzyDefinitionError, match="covers"):
@@ -135,12 +135,12 @@ class TestRuleBase:
         assert all(1 <= g <= 5 for g in DEFAULT_CONSEQUENTS)
 
     def test_consequent_lookup_is_row_major(self):
-        # One crisp level per input fires exactly the cell at
+        # The peak of one level per input fires exactly the cell at
         # (velocity * 3 + distance) * 3 + channels.
         system = default_system()
         for v, d, c in ((0, 0, 0), (1, 2, 1), (2, 0, 2)):
-            degs = [tuple(float(i == lvl) for i in range(3)) for lvl in (v, d, c)]
-            fired = np.flatnonzero(system.cell_weights(degs))
+            peaks = [var.terms[lvl].peak for var, lvl in zip(system.input_vars, (v, d, c))]
+            fired = np.flatnonzero(system.fire(peaks))
             assert fired.tolist() == [(v * 3 + d) * 3 + c]
 
     def test_distance_monotonicity(self):
@@ -161,25 +161,24 @@ class TestRuleBase:
                 validate_chromosome(bad, 27)
 
 
-def fire(degs, consequents=DEFAULT_CONSEQUENTS):
-    """Output-term strengths of the default system for raw degree vectors."""
-    system = default_system()
-    return tuple(system.strengths(system.cell_weights(degs), tuple(consequents)).tolist())
-
-
 class TestEvaluateRules:
+    """The scalar reference firing that the batched decisions are checked
+    against, on raw degree vectors of the shipped grid."""
+
     def test_single_cell_fires(self):
-        assert fire([(1, 0, 0), (1, 0, 0), (1, 0, 0)]) == (0.0, 1.0, 0.0, 0.0, 0.0)
+        degs = [(1, 0, 0), (1, 0, 0), (1, 0, 0)]
+        assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == (0.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_all_zero_degrees(self):
-        assert fire([(0, 0, 0), (0, 0, 0), (0, 0, 0)]) == (0.0,) * 5
+        degs = [(0, 0, 0), (0, 0, 0), (0, 0, 0)]
+        assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == (0.0,) * 5
 
     def test_two_cells_aggregate(self):
-        assert fire([(0.5, 0.5, 0), (1, 0, 0), (1, 0, 0)]) == (0.5, 0.5, 0.0, 0.0, 0.0)
+        degs = [(0.5, 0.5, 0), (1, 0, 0), (1, 0, 0)]
+        assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == (0.5, 0.5, 0.0, 0.0, 0.0)
 
     def test_iteration_order_invariance(self, rng):
         # shuffled-order reference evaluation
-        import itertools
         for _ in range(50):
             degs = [tuple(rng.random(3)) for _ in range(3)]
             cells = list(enumerate(itertools.product(range(3), range(3), range(3))))
@@ -189,12 +188,11 @@ class TestEvaluateRules:
                 w = min(degs[0][i], degs[1][j], degs[2][k])
                 term = DEFAULT_CONSEQUENTS[flat] - 1
                 ref[term] = max(ref[term], w)
-            assert fire(degs) == tuple(ref)
             assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == tuple(ref)
 
     def test_arity_checked(self):
-        with pytest.raises(FuzzyDefinitionError):
-            default_system().compute(DEFAULT_CONSEQUENTS, (10.0, 0.5))
+        with pytest.raises(FuzzyDefinitionError, match="expected 3 inputs, got 2"):
+            default_system().regions(DEFAULT_CONSEQUENTS, (10.0, 0.5), 0.2, 0.45)
 
 
 class TestDefuzzify:
@@ -214,6 +212,37 @@ class TestDefuzzify:
     def test_no_activation_raises(self):
         with pytest.raises(NoActivationError):
             default_system().crisp_from_strengths((0.0,) * 5)
+
+    def test_settle_raises_on_an_all_zero_row(self):
+        rows = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0] * 5])
+        with pytest.raises(NoActivationError):
+            default_system().settle(rows, 0.2, 0.45)
+
+    def test_output_term_without_a_sample_rejected(self):
+        # A term between two samples of the output grid would leave a
+        # strength row on it alone without a centroid.
+        out = LinguisticVariable("rss_threshold", 0.0, 1.0, (
+            triangle("very_low", 0.0, 0.0, 0.5),
+            triangle("low", 0.0, 0.25, 0.6),
+            triangle("narrow", 0.51, 0.52, 0.53),
+            triangle("high", 0.45, 0.75, 1.0),
+            triangle("very_high", 0.75, 1.0, 1.0),
+        ))
+        inputs = (default_velocity(), default_distance(), default_channels())
+        with pytest.raises(FuzzyDefinitionError, match="'narrow' has no sample"):
+            FuzzySystem(inputs, out, resolution=10)
+        FuzzySystem(inputs, out, resolution=1000)
+
+    @pytest.mark.parametrize("resolution", [0, fuzzy.MAX_RESOLUTION + 1, 10 ** 8])
+    def test_resolution_out_of_range_rejected(self, resolution, monkeypatch):
+        # Rejected before any sample is laid out.
+        monkeypatch.setattr(fuzzy, "np", None)
+        with pytest.raises(FuzzyDefinitionError, match="resolution must be in"):
+            FuzzySystem((default_velocity(),), default_output(), resolution)
+
+    def test_largest_resolution_accepted(self):
+        system = FuzzySystem((default_velocity(),), default_output(), fuzzy.MAX_RESOLUTION)
+        assert len(system._xs) == fuzzy.MAX_RESOLUTION
 
     def test_matched_resolution_agrees_with_independent_sum(self, rng):
         # independent reference: scalar degrees, math.fsum accumulation
@@ -265,27 +294,72 @@ class TestDefuzzify:
 
 class TestPipeline:
     def test_slow_far_high_scores_high(self):
-        v = default_system().compute(DEFAULT_CONSEQUENTS, (0.0, 1.0, 1.0))
-        assert v > 0.75
+        assert make_policy("fls").decide(0.0, 1.0, 1.0) > 0.75
 
     def test_fast_near_low_scores_low(self):
-        v = default_system().compute(DEFAULT_CONSEQUENTS, (30.0, 0.0, 0.0))
-        assert v < 0.25
+        assert make_policy("fls").decide(30.0, 0.0, 0.0) < 0.25
 
     def test_deterministic_bits(self):
-        system = default_system()
-        a = system.compute(DEFAULT_CONSEQUENTS, (0.0, 0.0, 0.0))
-        b = system.compute(DEFAULT_CONSEQUENTS, (0.0, 0.0, 0.0))
-        assert a == b
+        policy = make_policy("fls")
+        assert policy.decide(0.0, 0.0, 0.0) == policy.decide(0.0, 0.0, 0.0)
 
     def test_fast_strengths_match_reference(self, rng):
+        # Array firing equals per-cell minima of the scalar degrees, inside
+        # and outside the universes.
         system = default_system()
         for _ in range(300):
             inputs = (rng.uniform(-5, 40), rng.uniform(-0.2, 1.2), rng.uniform(0, 1))
-            degs = system.fuzzify(inputs)
-            w = system.cell_weights(degs)
-            fast = tuple(system.strengths(w, DEFAULT_CONSEQUENTS))
-            assert fast == reference_strengths(DEFAULT_CONSEQUENTS, degs)
+            want = [min(c) for c in itertools.product(*reference_degrees(system, inputs))]
+            assert system.fire(inputs).tolist() == want
+
+
+@st.composite
+def covered_variable(draw, name: str, n_terms: int = 0):
+    """A variable over a random universe whose terms (``n_terms``, or 1 to 4),
+    at random breakpoints with strictly increasing peaks, cover it."""
+    lo = draw(st.floats(-100.0, 100.0))
+    hi = lo + draw(st.floats(0.5, 100.0))
+    n = n_terms or draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(1, 19), min_size=n - 1, max_size=n - 1,
+                                unique=True)))
+    bounds = [lo] + [lo + c / 20 * (hi - lo) for c in cuts] + [hi]
+    terms = []
+    for i in range(n):
+        a, b = bounds[i], bounds[i + 1]
+        left = a - draw(st.floats(0.01, 0.3)) * (hi - lo)
+        right = b + draw(st.floats(0.01, 0.3)) * (hi - lo)
+        if draw(st.booleans()):
+            terms.append(trapezoid(f"t{i}", left, a, b, right))
+        else:
+            terms.append(triangle(f"t{i}", left, 0.5 * (a + b), right))
+    return LinguisticVariable(name, lo, hi, tuple(terms))
+
+
+class TestAlwaysActivated:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_every_input_fires_a_cell_and_settles(self, data):
+        n_inputs = data.draw(st.integers(1, 3))
+        inputs = [data.draw(covered_variable(f"x{i}")) for i in range(n_inputs)]
+        out = data.draw(covered_variable("out", 5))
+        try:  # every output term must have a sample of positive degree
+            system = FuzzySystem(inputs, out, data.draw(st.integers(5, 2000)))
+        except FuzzyDefinitionError:
+            assume(False)
+        genes = data.draw(st.lists(st.integers(1, 5), min_size=system.n_cells,
+                                   max_size=system.n_cells))
+        rows = []
+        for var in inputs:
+            width = var.hi - var.lo
+            edges = [p for t in var.terms for p in t.points]
+            rows.append(data.draw(st.lists(st.one_of(
+                st.floats(var.lo - width, var.hi + width), st.sampled_from(edges)),
+                min_size=8, max_size=8)))
+        xs = [np.array(r) for r in rows]
+        assert (system.fire(xs).max(axis=-1) > 0.0).all()
+        s_min = out.lo + data.draw(st.floats(0.0, 0.9)) * (out.hi - out.lo)
+        codes = system.regions(genes, xs, s_min, s_min + 0.1 * (out.hi - out.lo))
+        assert codes.shape == (8,) and ((codes >= 0) & (codes <= 3)).all()
 
 
 def trapezoid_output() -> LinguisticVariable:
@@ -343,43 +417,3 @@ class TestCentroidEstimate:
         with pytest.raises(NoActivationError):
             system.crisp_from_strengths([0.0] * 5)
 
-
-class TestCaches:
-    def test_caches_stay_bounded_over_a_long_run(self, monkeypatch):
-        # Live steps settle threshold regions and hardly ever defuzzify, so
-        # the value cache is filled through compute: once per covered
-        # (terminal, station) input of every unit of a long run.
-        cap = 64
-        cfg = WorldConfig(mt_count=10, total_time=150)
-        reference, unbounded = World.build(cfg, np.random.default_rng(8)), make_policy("fls")
-        for _ in range(cfg.total_time):
-            reference.step(unbounded)
-        monkeypatch.setattr(fuzzy, "_CACHE_LIMIT", cap)
-        policy = make_policy("fls")
-        world = World.build(cfg, np.random.default_rng(8))
-        largest = 0
-        for _ in range(cfg.total_time):
-            rec = world.step(policy)
-            for v, ratios, chans in zip(rec.velocity.tolist(), rec.ratio.tolist(),
-                                        rec.chan.tolist()):
-                for r, c in zip(ratios, chans):
-                    if r > 0.0:
-                        value = policy.decide(v, r, c)
-                        assert value == unbounded.decide(v, r, c)
-                        largest = max(largest, len(policy.system._value_cache))
-        assert largest == cap
-        assert world.events == reference.events
-
-    def test_capped_system_computes_the_same_values(self, monkeypatch, rng):
-        fresh = default_system()
-        monkeypatch.setattr(fuzzy, "_CACHE_LIMIT", 8)
-        capped = default_system()
-        for _ in range(300):
-            genes = tuple(int(g) for g in rng.integers(1, 6, size=27))
-            inputs = (rng.uniform(0, 30), rng.uniform(0, 1), rng.uniform(0, 1))
-            w = capped.cell_weights(capped.fuzzify(inputs))
-            s = capped.strengths(w, genes)
-            assert capped.compute(genes, inputs) == fuzzy._centroid_row(
-                s.tolist(), fresh._xs, fresh._table, fresh._spans)
-            assert len(capped._value_cache) <= 8
-            assert len(capped._onehot_cache) <= 8

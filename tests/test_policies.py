@@ -10,7 +10,7 @@ from gflsim.fuzzy import DEFAULT_CONSEQUENTS, default_system
 from gflsim.policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
 from gflsim.world import HistoryWindow, World, WorldConfig
 
-from conftest import FixedPolicy, random_window
+from conftest import FixedPolicy, random_window, reference_value
 
 
 class TestPolicyKind:
@@ -58,13 +58,33 @@ class TestFlahProjection:
             derive_flah_consequents((1,) * 9)
 
 
+# Breakpoints of the default input terms, and values outside their universes.
+EDGE_VELOCITY = [-5.0, 0.0, 5.0, 15.0, 25.0, 30.0, 45.0]
+EDGE_UNIT = [-0.5, 0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.8, 1.0, 1.5]
+
+
 class TestDecide:
     def test_fls_delegates_to_full_pipeline(self, rng):
         policy = make_policy("fls")
         system = default_system()
         for _ in range(200):
             v, d, c = rng.uniform(0, 30), rng.random(), rng.random()
-            assert policy.decide(v, d, c) == system.compute(DEFAULT_CONSEQUENTS, (v, d, c))
+            assert policy.decide(v, d, c) == reference_value(system, DEFAULT_CONSEQUENTS,
+                                                             (v, d, c))
+
+    @pytest.mark.parametrize("kind", ["fls", "flah"])
+    def test_decide_equals_scalar_reference_bit_for_bit(self, kind, rng):
+        # Random grids at random inputs (inside and outside the universes)
+        # and at every combination of breakpoints.
+        edges = [(v, d, c) for v in EDGE_VELOCITY for d in EDGE_UNIT for c in EDGE_UNIT[::2]]
+        for _ in range(5):
+            policy = make_policy(kind, consequents=rng.integers(1, 6, size=27).tolist())
+            n = len(policy.system.input_vars)
+            randoms = zip(rng.uniform(-10, 50, 200), rng.uniform(-0.5, 1.5, 200),
+                          rng.uniform(-0.5, 1.5, 200))
+            for v, d, c in [*edges, *randoms]:
+                assert policy.decide(v, d, c) == reference_value(
+                    policy.system, policy.genes, (v, d, c)[:n]), (kind, v, d, c)
 
     def test_flah_ignores_channel_input(self, rng):
         policy = make_policy("flah")
@@ -135,8 +155,6 @@ class TestRegions:
             want = (fuzzy._BELOW_MIN if v < s_min else fuzzy._AT_MIN if v == s_min
                     else fuzzy._MID if v < s_th else fuzzy._ABOVE_TH)
             assert got[r, o] == want, (r, o, v, s_min, s_th)
-        if kind == "fls":  # occupancies above capacity are never settled
-            assert (got[np.isnan(chan)] == fuzzy._NO_ACTIVATION).all()
         if exact and values:
             assert (got == fuzzy._AT_MIN).any()
 

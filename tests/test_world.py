@@ -9,16 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FixedPolicy, MediumAloneUnsettled, ReferenceWorld, distance_norm, pose
-from gflsim.fuzzy import (
-    NoActivationError,
-    default_channels,
-    default_distance,
-    default_output,
-    default_velocity,
-    region_codes,
-)
-from gflsim.policies import HandoffPolicy, PolicyKind, make_policy
+from conftest import FixedPolicy, ReferenceWorld, distance_norm, pose
+from gflsim.fuzzy import region_codes
+from gflsim.policies import make_policy
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -630,24 +623,6 @@ class TestDecisionTable:
         w.stations[1].occupied = occupied
         with pytest.raises(RuntimeError, match="station 1: occupied=" + str(occupied)):
             w.step(FixedPolicy(0.9))
-
-    def test_no_activation_raises_only_when_read(self):
-        # The system has no centroid for the medium output term alone.  Cells
-        # whose channel level is low (the table's row at a full station) give
-        # only it, and every other cell very low.
-        system = MediumAloneUnsettled(
-            (default_velocity(), default_distance(), default_channels()), default_output())
-        genes = tuple(3 if cell % 3 == 0 else 1 for cell in range(27))
-        policy = HandoffPolicy(PolicyKind.FLS, system, genes)
-        w = two_station_world()
-        connect(w, 0, 0)  # one of two channels held: the full-station row is unread
-        w.step(policy)
-        assert [e.kind for e in w.events] == [CONNECTION_CUT]
-        w = two_station_world()
-        connect(w, 0, 0)
-        w.stations[0].occupied += 1  # a full station: that row is read
-        with pytest.raises(NoActivationError):
-            w.step(policy)
 
 
 class TestRecords:
