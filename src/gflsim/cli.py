@@ -65,12 +65,13 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace,
     elif args.runs is not None:
         if args.runs < 1:
             raise ConfigError("--runs: must be a positive integer")
-        if seeds_from_file and args.runs != len(config.seeds):
+        if not seeds_from_file:
+            config = dataclasses.replace(config, seeds=tuple(range(args.runs)))
+        elif args.runs != len(config.seeds):
             raise ConfigError(
                 f"--runs: {args.runs} conflicts with the {len(config.seeds)} "
                 "seeds listed in the config"
             )
-        config = dataclasses.replace(config, seeds=tuple(range(args.runs)))
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
     if args.format is not None:

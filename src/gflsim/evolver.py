@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fuzzy import FuzzySystem
-from .world import _CONNECT, _HANDOVER
+from .world import CONNECTION_CUT, HANDOFF_INITIATED, _CONNECT, _HANDOVER
 
 __all__ = [
     "EmptyHistoryError",
@@ -401,8 +401,8 @@ class ReplayFitness:
         self.weight_handoff = float(weight_handoff)
         self.weight_cut = float(weight_cut)
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
-        # Unit t -> (source record, that unit's sites, their region table)
-        # for the units of the last prepared window, so consecutive
+        # Unit t -> (source record, that unit's sites, their region table,
+        # its transition tables) for the last prepared window, so consecutive
         # overlapping windows share them; the record identity guards
         # against unrelated windows that reuse unit numbers.
         self._site_cache: dict[int, tuple] = {}
@@ -556,8 +556,8 @@ class ResimFitness:
         probe = _StaticDecider(self.system, tuple(genes))
         for _ in records:
             world.step(probe)
-        ho = sum(1 for e in world.events if e.kind == "HandoffInitiated")
-        cuts = sum(1 for e in world.events if e.kind == "ConnectionCut")
+        ho = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)
+        cuts = sum(1 for e in world.events if e.kind == CONNECTION_CUT)
         return self.weight_handoff * ho + self.weight_cut * cuts
 
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
+import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,183 +122,131 @@ def _check_unique(items, key: str) -> None:
             raise ConfigError(f"{key}[{i}]: repeats {item!r}")
 
 
-def _number(value, path: str) -> float:
-    """A finite JSON number as a float."""
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value)):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+@functools.cache
+def _schema() -> dict:
+    """The config key table: every key with its type, bounds and default."""
+    return json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
 
 
-def _expect(mapping: dict, key: str, kind, path: str):
-    value = mapping[key]
-    if kind is float:
-        return _number(value, f"{path}.{key}")
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+_TYPES = {"object": dict, "array": (list, tuple), "string": str, "boolean": bool,
+          "null": type(None), "integer": int, "number": (int, float)}
+_BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"),
+           ("maximum", operator.le, "<="))
+
+
+def _is(value, name: str) -> bool:
+    """JSON type test, stricter than JSON Schema: an integer is an integer
+    literal, and a number must be representable as a finite float."""
+    if isinstance(value, bool):  # JSON booleans are neither integers nor numbers
+        return name == "boolean"
+    return isinstance(value, _TYPES[name]) and (name != "number"
+                                                or abs(value) <= sys.float_info.max)
+
+
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _check(value, node: dict, path: str):
+    """``value`` checked against schema ``node`` at key ``path``, with every
+    number as a float and every array as a tuple.  Covers the keywords
+    config.schema.json uses; raises :class:`ConfigError` naming the first bad key."""
+    if "$ref" in node:
+        value = _check(value, _schema()["$defs"][node["$ref"].rsplit("/", 1)[-1]], path)
+    types = node.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is(value, t) for t in types):
+        expected = " or ".join(types).replace("number", "finite number")
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if "enum" in node and value not in node["enum"]:
+        raise ConfigError(f"{path}: expected one of {node['enum']}, got {value!r}")
+    if "number" in types and value is not None:
+        value = float(value)
+    for keyword, holds, relation in _BOUNDS:
+        if keyword in node and value is not None and not holds(value, node[keyword]):
+            raise ConfigError(f"{path}: must be {relation} {node[keyword]}, got {value!r}")
+    if isinstance(value, _TYPES["array"]):
+        if len(value) < node.get("minItems", 0):
+            raise ConfigError(f"{path}: expected at least {node['minItems']} items, "
+                              f"got {len(value)}")
+        if len(value) > node.get("maxItems", math.inf):
+            raise ConfigError(f"{path}: expected at most {node['maxItems']} items, "
+                              f"got {len(value)}")
+        if "items" in node:
+            value = tuple(_check(v, node["items"], f"{path}[{i}]") for i, v in enumerate(value))
+        if node.get("uniqueItems"):
+            _check_unique(value, path)
+    if isinstance(value, dict):
+        properties = node.get("properties", {})
+        unknown = [key for key in value if key not in properties]
+        if unknown and node.get("additionalProperties") is False:
+            import difflib  # only a config with a typo pays for the import
+            hint = difflib.get_close_matches(unknown[0], list(properties), n=1)
+            raise ConfigError(f"{_key(path, unknown[0])}: unknown key"
+                              + (f"; did you mean {hint[0]!r}?" if hint else ""))
+        for key in node.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{_key(path, key)}: required key missing")
+        value = {key: _check(v, properties[key], _key(path, key)) if key in properties else v
+                 for key, v in value.items()}
     return value
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected an object, got {value!r}")
-    return value
-
-
-def _parse_pair(raw, path: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigError(f"{path}: expected a [low, high] pair")
-    lo, hi = _number(raw[0], f"{path}[0]"), _number(raw[1], f"{path}[1]")
-    if hi < lo:
+def _pair(pair: tuple[float, float], path: str) -> tuple[float, float]:
+    if pair[1] < pair[0]:
         raise ConfigError(f"{path}: low must not exceed high")
-    return lo, hi
+    return pair
 
 
-def _parse_stations(raw, path: str) -> tuple[StationSpec, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    out = []
-    for i, entry in enumerate(raw):
-        p = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{p}: expected an object")
-        center = entry.get("center")
-        if not isinstance(center, (list, tuple)) or len(center) != 2:
-            raise ConfigError(f"{p}.center: expected [x, y]")
-        x, y = _number(center[0], f"{p}.center[0]"), _number(center[1], f"{p}.center[1]")
-        radius = _number(entry.get("radius", 0), f"{p}.radius")
-        capacity = entry.get("capacity")
-        if radius <= 0:
-            raise ConfigError(f"{p}.radius: must be > 0")
-        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-            raise ConfigError(f"{p}.capacity: must be an integer >= 1")
-        out.append(StationSpec(x, y, radius, capacity))
-    return tuple(out)
-
-
-def _parse_terminals(raw, path: str) -> tuple[TerminalSpec, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    out = []
-    for i, entry in enumerate(raw):
-        p = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{p}: expected an object")
-        pos = entry.get("position")
-        if not isinstance(pos, (list, tuple)) or len(pos) != 2:
-            raise ConfigError(f"{p}.position: expected [x, y]")
-        kind = entry.get("kind", "steady")
-        if kind not in ("steady", "accelerated"):
-            raise ConfigError(f"{p}.kind: expected 'steady' or 'accelerated'")
-        spec = TerminalSpec(
-            x=_number(pos[0], f"{p}.position[0]"), y=_number(pos[1], f"{p}.position[1]"),
-            heading=_number(entry.get("heading", 0.0), f"{p}.heading"),
-            kind=kind,
-            speed=_number(entry.get("speed", 10.0), f"{p}.speed"),
-            distance=_number(entry.get("distance", 3000.0), f"{p}.distance"),
-            duration=_number(entry.get("duration", 75.0), f"{p}.duration"),
-        )
-        if spec.speed < 0:
-            raise ConfigError(f"{p}.speed: must be >= 0")
-        if spec.distance <= 0:
-            raise ConfigError(f"{p}.distance: must be > 0")
-        if spec.duration <= 0:
-            raise ConfigError(f"{p}.duration: must be > 0")
-        out.append(spec)
-    return tuple(out)
-
-
-def _parse_variable(raw, path: str, default: LinguisticVariable) -> LinguisticVariable:
-    if raw is None:
-        return default
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    lo, hi = _parse_pair(raw.get("range", [default.lo, default.hi]), f"{path}.range")
-    terms_raw = raw.get("terms")
-    if terms_raw is None:
-        terms = default.terms
-    else:
-        # The consequent grid is 3x3x3 over five output terms.
-        if not isinstance(terms_raw, list) or len(terms_raw) != len(default.terms):
-            raise ConfigError(f"{path}.terms: expected a list of exactly "
-                              f"{len(default.terms)} terms")
-        terms = []
-        for i, entry in enumerate(terms_raw):
-            p = f"{path}.terms[{i}]"
-            if (not isinstance(entry, dict) or "label" not in entry
-                    or not isinstance(entry.get("points"), list)):
-                raise ConfigError(f"{p}: expected {{label, points}}")
-            points = tuple(_number(v, f"{p}.points[{j}]")
-                           for j, v in enumerate(entry["points"]))
-            try:
-                terms.append(MembershipFunction(str(entry["label"]), points))
-            except FuzzyDefinitionError as exc:
-                raise ConfigError(f"{p}: {exc}") from exc
-        terms = tuple(terms)
+def _variable(raw: dict, path: str, default: LinguisticVariable) -> LinguisticVariable:
+    lo, hi = _pair(raw.get("range", (default.lo, default.hi)), f"{path}.range")
+    terms = []
+    for i, entry in enumerate(raw.get("terms", ())):
+        try:
+            terms.append(MembershipFunction(entry["label"], entry["points"]))
+        except FuzzyDefinitionError as exc:
+            raise ConfigError(f"{path}.terms[{i}]: {exc}") from exc
     try:
-        return LinguisticVariable(default.name, lo, hi, terms)
+        return LinguisticVariable(default.name, lo, hi, terms or default.terms)
     except FuzzyDefinitionError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_world(raw: dict) -> WorldConfig:
-    kw: dict = {}
-    if "arena" in raw:
-        w, h = _parse_pair(raw["arena"], "world.arena")
-        if w <= 0 or h <= 0:
-            raise ConfigError("world.arena: extents must be positive")
-        kw["arena_width"], kw["arena_height"] = w, h
-    if "stations" in raw:
-        kw["stations"] = _parse_stations(raw["stations"], "world.stations")
-    if "terminals" in raw:
-        kw["terminals"] = _parse_terminals(raw["terminals"], "world.terminals")
-    for key, kind in (("mt_count", int), ("total_time", int), ("dwell", int), ("s_th", float),
-                      ("s_min", float), ("epsilon", float), ("initial_energy", float),
-                      ("accelerated_fraction", float)):
+def _fuzzy(raw: dict) -> FuzzyConfig:
+    kw = dict(raw)
+    for key, default in (("velocity", default_velocity), ("distance", default_distance),
+                         ("channels", default_channels), ("output", default_output)):
         if key in raw:
-            kw[key] = _expect(raw, key, kind, "world")
-    if "eq2_verbatim" in raw:
-        if not isinstance(raw["eq2_verbatim"], bool):
-            raise ConfigError("world.eq2_verbatim: expected a boolean")
-        kw["eq2_verbatim"] = raw["eq2_verbatim"]
-    if "steady_speed" in raw:
-        kw["steady_speed_range"] = _parse_pair(raw["steady_speed"], "world.steady_speed")
-    if "accel_distance" in raw:
-        kw["accel_distance_range"] = _parse_pair(raw["accel_distance"], "world.accel_distance")
-    if "accel_duration" in raw and raw["accel_duration"] is not None:
-        kw["accel_duration"] = _expect(raw, "accel_duration", float, "world")
+            kw[key] = _variable(raw[key], f"fuzzy.{key}", default())
+    fuzzy = FuzzyConfig(**kw)
+    try:
+        _output_grid(fuzzy.output, fuzzy.resolution)
+    except FuzzyDefinitionError as exc:
+        raise ConfigError(f"fuzzy.resolution: {exc}") from exc
+    return fuzzy
+
+
+def _world(raw: dict) -> WorldConfig:
+    kw = dict(raw)
+    if "arena" in kw:
+        kw["arena_width"], kw["arena_height"] = kw.pop("arena")
+    for key in ("steady_speed", "accel_distance"):
+        if key in kw:
+            kw[f"{key}_range"] = _pair(kw.pop(key), f"world.{key}")
+    if "stations" in raw:
+        kw["stations"] = tuple(StationSpec(*st["center"], st["radius"], st["capacity"])
+                               for st in raw["stations"])
+    if "terminals" in raw:
+        kw["terminals"] = tuple(TerminalSpec(*entry.pop("position"), **{"heading": 0.0, **entry})
+                                for entry in raw["terminals"])
     cfg = WorldConfig(**kw)
-    _validate_world(cfg)
-    return cfg
-
-
-def _validate_world(cfg: WorldConfig) -> None:
-    if not 0 <= cfg.s_min < cfg.s_th <= 1:
-        raise ConfigError(
-            f"world.s_min/world.s_th: need 0 <= s_min < s_th <= 1, "
-            f"got {cfg.s_min}, {cfg.s_th}"
-        )
-    if cfg.mt_count < 1 and cfg.terminals is None:
-        raise ConfigError("world.mt_count: must be >= 1")
-    if cfg.total_time < 1:
-        raise ConfigError("world.total_time: must be >= 1")
-    if cfg.dwell < 1:
-        raise ConfigError("world.dwell: must be >= 1")
-    if cfg.epsilon < 0:
-        raise ConfigError("world.epsilon: must be >= 0")
-    if cfg.initial_energy <= 0:
-        raise ConfigError("world.initial_energy: must be > 0")
-    if not 0 <= cfg.accelerated_fraction <= 1:
-        raise ConfigError("world.accelerated_fraction: must be in [0,1]")
+    if not cfg.s_min < cfg.s_th:
+        raise ConfigError(f"world.s_min/world.s_th: need s_min < s_th, "
+                          f"got {cfg.s_min}, {cfg.s_th}")
     extent = max(cfg.arena_width, cfg.arena_height)
     for i, st in enumerate(cfg.stations):
         if st.radius > extent:
             raise ConfigError(f"world.stations[{i}].radius: exceeds the arena extent")
-    if cfg.steady_speed_range[0] < 0:
-        raise ConfigError("world.steady_speed: speeds must be >= 0")
-    if cfg.accel_distance_range[0] <= 0:
-        raise ConfigError("world.accel_distance: distances must be > 0")
     # Accelerated plans keep acceleration, speed and path finite over the
     # horizon; acceleration grows with distance, so the longest random plan is the worst.
     plans = [("world.accel_distance", cfg.accel_distance_range[1], cfg.total_time)
@@ -311,24 +262,7 @@ def _validate_world(cfg: WorldConfig) -> None:
         if not math.isfinite(a * cfg.total_time * cfg.total_time):
             raise ConfigError(f"{path}: acceleration {a} overflows over "
                               f"{cfg.total_time} time units")
-
-
-def _parse_evolver(raw: dict) -> EvolverConfig:
-    kw: dict = {}
-    for key, kind in (("population_size", int), ("tournament_size", int), ("generations", int),
-                      ("window_length", int), ("crossover_prob", float), ("mutation_prob", float),
-                      ("invocation_period", float), ("weight_handoff", float),
-                      ("weight_cut", float)):
-        if key in raw:
-            kw[key] = _expect(raw, key, kind, "evolver")
-    if "full_resim" in raw:
-        if not isinstance(raw["full_resim"], bool):
-            raise ConfigError("evolver.full_resim: expected a boolean")
-        kw["full_resim"] = raw["full_resim"]
-    try:
-        return EvolverConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"evolver: {exc}") from exc
+    return cfg
 
 
 def read_config_dict(path: str | Path) -> dict:
@@ -362,80 +296,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    world = _parse_world(_section(raw, "world"))
-    evolver = _parse_evolver(_section(raw, "evolver"))
-
-    fz_raw = _section(raw, "fuzzy")
-    resolution = fz_raw.get("resolution", DEFAULT_RESOLUTION)
-    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 1:
-        raise ConfigError("fuzzy.resolution: must be a positive integer")
-    consequents = fz_raw.get("consequents")
-    if consequents is None:
-        consequents = DEFAULT_CONSEQUENTS
-    else:
-        if (not isinstance(consequents, list) or len(consequents) != 27
-                or any(not isinstance(g, int) or isinstance(g, bool) or not 1 <= g <= 5
-                       for g in consequents)):
-            raise ConfigError("fuzzy.consequents: expected 27 integers in 1..5")
-        consequents = tuple(consequents)
-    fuzzy = FuzzyConfig(
-        velocity=_parse_variable(fz_raw.get("velocity"), "fuzzy.velocity", default_velocity()),
-        distance=_parse_variable(fz_raw.get("distance"), "fuzzy.distance", default_distance()),
-        channels=_parse_variable(fz_raw.get("channels"), "fuzzy.channels", default_channels()),
-        output=_parse_variable(fz_raw.get("output"), "fuzzy.output", default_output()),
-        consequents=consequents,
-        resolution=resolution,
-    )
+    """Check a raw config against config.schema.json, then build it and
+    run the checks that span more than one key."""
+    raw = _check(raw, _schema(), "")
+    world = _world(raw.get("world", {}))
     try:
-        _output_grid(fuzzy.output, resolution)
-    except FuzzyDefinitionError as exc:
-        raise ConfigError(f"fuzzy.resolution: {exc}") from exc
-
-    policies_raw = raw.get("policies", list(ALL_POLICIES))
-    if not isinstance(policies_raw, list) or not policies_raw:
-        raise ConfigError("policies: expected a non-empty list")
-    policies = []
-    for p in policies_raw:
-        if p not in ALL_POLICIES:
-            raise ConfigError(f"policies: unknown policy {p!r}")
-        policies.append(p)
-    _check_unique(policies, "policies")
-
-    seeds_raw = raw.get("seeds")
-    runs_raw = raw.get("runs")
-    if seeds_raw is not None:
-        if (not isinstance(seeds_raw, list) or not seeds_raw
-                or any(not isinstance(s, int) or isinstance(s, bool) for s in seeds_raw)):
-            raise ConfigError("seeds: expected a non-empty list of integers")
-        for i, s in enumerate(seeds_raw):
-            _check_seed(s, f"seeds[{i}]")
-        _check_unique(seeds_raw, "seeds")
-        seeds = tuple(seeds_raw)
-        if runs_raw is not None and runs_raw != len(seeds):
-            raise ConfigError(f"runs: {runs_raw} does not match the {len(seeds)} listed seeds")
-    else:
-        if runs_raw is None:
-            runs_raw = 10
-        if not isinstance(runs_raw, int) or isinstance(runs_raw, bool) or runs_raw < 1:
-            raise ConfigError("runs: must be a positive integer")
-        seeds = tuple(range(runs_raw))
-
-    output_format = raw.get("output_format", "csv")
-    if output_format not in ("csv", "json"):
-        raise ConfigError(f"output_format: expected 'csv' or 'json', got {output_format!r}")
-    output_dir = raw.get("output_dir", "results")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-    workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool)
-                                or workers < 1):
-        raise ConfigError("workers: must be a positive integer or null")
-
-    return ExperimentConfig(
-        world=world, fuzzy=fuzzy, evolver=evolver,
-        policies=tuple(policies), seeds=seeds,
-        output_dir=output_dir, output_format=output_format, workers=workers,
-    )
+        evolver = EvolverConfig(**raw.get("evolver", {}))
+    except ValueError as exc:
+        raise ConfigError(f"evolver: {exc}") from exc
+    kw = {key: raw[key] for key in ("policies", "output_dir", "output_format", "workers")
+          if key in raw}
+    if "seeds" in raw:
+        kw["seeds"] = raw["seeds"]
+        if raw.get("runs", len(kw["seeds"])) != len(kw["seeds"]):
+            raise ConfigError(f"runs: {raw['runs']} does not match the "
+                              f"{len(kw['seeds'])} listed seeds")
+    elif "runs" in raw:
+        kw["seeds"] = tuple(range(raw["runs"]))
+    return ExperimentConfig(world=world, fuzzy=_fuzzy(raw.get("fuzzy", {})), evolver=evolver, **kw)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Config loading, seeded runs, aggregation, file export, and the CLI."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -29,6 +30,7 @@ from gflsim.policies import make_policy
 from gflsim.world import StationSpec, TerminalSpec, World
 
 REPO = Path(__file__).resolve().parent.parent
+SCHEMA = REPO / "src" / "gflsim" / "config.schema.json"
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -58,54 +60,97 @@ def first_units(monkeypatch):
     return seen
 
 
-class _RecordingDict(dict):
-    """A dict that notes the path of every key looked up in it."""
+# One valid value per key the schema declares, each different from what
+# the key takes in ``_base_document``; "[]" is the first entry of a list.
+NON_DEFAULT = {
+    "world.arena": [6000, 7000],
+    "world.stations[].center": [2600, 500],
+    "world.stations[].radius": 1300,
+    "world.stations[].capacity": 7,
+    "world.terminals[].position": [11, 20],
+    "world.terminals[].heading": 0.25,
+    "world.terminals[].kind": "steady",
+    "world.terminals[].speed": 6,
+    "world.terminals[].distance": 120,
+    "world.terminals[].duration": 12,
+    "world.mt_count": 40,
+    "world.total_time": 60,
+    "world.s_th": 0.5,
+    "world.s_min": 0.1,
+    "world.epsilon": 0.2,
+    "world.dwell": 3,
+    "world.initial_energy": 90,
+    "world.eq2_verbatim": True,
+    "world.steady_speed": [4, 30],
+    "world.accel_distance": [1500, 4000],
+    "world.accelerated_fraction": 0.25,
+    "world.accel_duration": 60,
+    "fuzzy.resolution": 501,
+    "fuzzy.velocity.range": [0, 25],
+    "fuzzy.velocity.terms[].label": "crawl",
+    "fuzzy.velocity.terms[].points": [0, 0, 14],
+    "fuzzy.distance.range": [0, 0.9],
+    "fuzzy.distance.terms[].label": "close",
+    "fuzzy.distance.terms[].points": [0, 0, 0.35],
+    "fuzzy.channels.range": [0, 0.9],
+    "fuzzy.channels.terms[].label": "scarce",
+    "fuzzy.channels.terms[].points": [0, 0, 0.45],
+    "fuzzy.output.range": [0, 0.9],
+    "fuzzy.output.terms[].label": "lowest",
+    "fuzzy.output.terms[].points": [0, 0, 0.2],
+    "fuzzy.consequents": [1] * 27,
+    "evolver.population_size": 40,
+    "evolver.crossover_prob": 0.8,
+    "evolver.mutation_prob": 0.2,
+    "evolver.tournament_size": 5,
+    "evolver.generations": 10,
+    "evolver.invocation_period": 3,
+    "evolver.window_length": 5,
+    "evolver.weight_handoff": 2,
+    "evolver.weight_cut": 0.5,
+    "evolver.full_resim": True,
+    "policies": ["fls"],
+    "seeds": list(range(1, 11)),
+    "runs": 3,
+    "output_dir": "elsewhere",
+    "output_format": "json",
+    "workers": 2,
+}
 
-    def __init__(self, items, path: str, read: set) -> None:
-        super().__init__(items)
-        self._path, self._read = path, read
 
-    def _note(self, key) -> None:
-        self._read.add(f"{self._path}.{key}" if self._path else key)
-
-    def get(self, key, default=None):
-        self._note(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self._note(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key) -> bool:
-        self._note(key)
-        return super().__contains__(key)
-
-
-def _recording(value, path: str, read: set):
-    if isinstance(value, dict):
-        return _RecordingDict(
-            {k: _recording(v, f"{path}.{k}" if path else k, read) for k, v in value.items()},
-            path, read)
-    if isinstance(value, list):
-        return [_recording(v, f"{path}[]", read) for v in value]
-    return value
-
-
-def _schema_keys(node: dict, schema: dict, path: str) -> set[str]:
-    """Dotted paths of every property the schema declares ("[]" for items)."""
-    props = dict(node.get("properties", {}))
+def _schema_properties(node: dict, schema: dict, path: str):
+    """(dotted path, node) of every property the schema declares, "[]" for
+    list entries, with each $ref node's own keywords laid over its target."""
     if "$ref" in node:
         base = schema["$defs"][node["$ref"].rsplit("/", 1)[-1]]
-        base_props = base["properties"]
-        props = {k: {**base_props.get(k, {}), **props.get(k, {})}
-                 for k in base_props.keys() | props.keys()}
-    keys = set()
-    for key, sub in props.items():
+        props = {k: {**base["properties"].get(k, {}), **node.get("properties", {}).get(k, {})}
+                 for k in base["properties"]}
+        node = {**base, **node, "properties": props}
+    for key, sub in node.get("properties", {}).items():
         p = f"{path}.{key}" if path else key
-        keys |= {p} | _schema_keys(sub, schema, p)
+        yield p, sub
+        yield from _schema_properties(sub, schema, p)
     if "items" in node:
-        keys |= _schema_keys(node["items"], schema, f"{path}[]")
-    return keys
+        yield from _schema_properties(node["items"], schema, f"{path}[]")
+
+
+def _base_document() -> dict:
+    """The shipped config plus one terminal, so every schema key has a place."""
+    raw = json.loads((REPO / "configs" / "default.json").read_text())
+    raw["world"]["terminals"] = [{"position": [10, 20], "heading": 0.5, "kind": "accelerated",
+                                  "speed": 5, "distance": 100, "duration": 10}]
+    return raw
+
+
+def _with(raw: dict, path: str, value) -> dict:
+    """A copy of ``raw`` with the key at dotted ``path`` set to ``value``."""
+    raw = copy.deepcopy(raw)
+    *parents, last = path.replace("[]", ".0").split(".")
+    node = raw
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[last] = value
+    return raw
 
 
 class TestLoadConfig:
@@ -187,16 +232,25 @@ class TestLoadConfig:
         assert [t.shape for t in cfg.fuzzy.velocity.terms] == [
             "triangular", "trapezoidal", "triangular"]
 
-    def test_schema_keys_match_parsed_keys(self):
-        schema = json.loads((REPO / "docs" / "config.schema.json").read_text())
-        raw = json.loads((REPO / "configs" / "default.json").read_text())
-        raw["world"]["accel_duration"] = 60
-        raw["world"]["terminals"] = [{"position": [10, 20], "heading": 0.5, "kind": "steady",
-                                      "speed": 5, "distance": 100, "duration": 10}]
-        raw.update(seeds=list(range(raw["runs"])), workers=1)
-        read: set[str] = set()
-        config_from_dict(_recording(raw, "", read))
-        assert read == _schema_keys(schema, schema, "")
+    def test_every_schema_key_reaches_the_config(self):
+        # A key the converter drops leaves the config as it was.
+        schema = json.loads(SCHEMA.read_text())
+        # A leaf holds a value or a list of values, not an object.
+        leaves = {p for p, node in _schema_properties(schema, schema, "")
+                  if not {"properties", "$ref"} & set(node.get("items", node))}
+        assert leaves == set(NON_DEFAULT)
+        base = _base_document()
+        before = config_from_dict(base)
+        for path, value in NON_DEFAULT.items():
+            assert config_from_dict(_with(base, path, value)) != before, path
+
+    def test_schema_defaults_are_the_parser_defaults(self):
+        schema = json.loads(SCHEMA.read_text())
+        defaults = {p: node["default"] for p, node in _schema_properties(schema, schema, "")
+                    if "default" in node}
+        assert len(defaults) == 26  # 11 world keys, 10 evolver keys and 5 others
+        for path, value in defaults.items():
+            assert config_from_dict(_with({}, path, value)) == default_config(), path
 
     def test_output_resolution_must_sample_every_term(self):
         # At 1 or 2 midpoint samples some default output terms have none of
@@ -502,6 +556,16 @@ class TestCli:
         ('{"policies": ["gfls", "fls", "flah", "gfls"]}', "policies[3]"),
         ('{"fuzzy": {"resolution": 100001}}', "fuzzy.resolution"),
         ('{"fuzzy": {"resolution": 100000000}}', "fuzzy.resolution"),
+        ('{"world": {"mt_cout": 5}}', "world.mt_cout"),
+        ('{"fuzzy": {"velocity": {"lo": 10, "hi": 0}}}', "fuzzy.velocity.lo"),
+        ('{"world": {"stations": [{"center": [0, 0], "radius": 500, "capcity": 3}]}}',
+         "world.stations[0].capcity"),
+        ('{"world": {"terminals": [{"position": [0, 1], "sped": 5}]}}',
+         "world.terminals[0].sped"),
+        ('{"evolver": {"generation": 5}}', "evolver.generation"),
+        ('{"seed": 3}', "seed"),
+        ('{"fuzzy": {"velocity": null}}', "fuzzy.velocity"),
+        ('{"seeds": [0], "runs": "1"}', "runs"),
     ])
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.json"
@@ -535,6 +599,13 @@ class TestCli:
         cfg.write_text(json.dumps(raw))
         assert cli_main(["--config", str(cfg), "--runs", "5"]) == 2
         assert "seeds" in capsys.readouterr().err
+
+    def test_runs_flag_keeps_listed_seeds(self, tmp_path):
+        cfg = self.write_small_config(tmp_path, seeds=[11, 22], runs=2)
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg), "--runs", "2", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("events_*")) == [
+            "events_fls_11.csv", "events_fls_22.csv"]
 
     def test_negative_seed_flag_exits_2(self, capsys):
         assert cli_main(["--seed", "-1"]) == 2
