@@ -10,7 +10,6 @@ from .evolver import (
     EmptyHistoryError,
     EvolverConfig,
     ReplayFitness,
-    ResimFitness,
     RuleEvolver,
     evolve,
     init_population,

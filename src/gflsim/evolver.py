@@ -18,9 +18,8 @@ tables, built once per unit and cached with its sites for the next,
 overlapping window: a terminal's state is one code (disconnected,
 connected to s, or handing over s -> t with d units of dwell left), and
 per (terminal, code, region) the tables give the site to read, the next
-code and the cost.  ``ResimFitness`` offers full re-simulation behind a
-config switch.  Both offer ``batch`` and ``window_support``, all
-``evolve`` asks of a fitness.
+code and the cost.  ``batch`` and ``window_support`` are all ``evolve``
+asks of a fitness.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
 are cache-friendly and could run on parallel workers; the generational
@@ -44,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fuzzy import FuzzySystem
-from .world import CONNECTION_CUT, HANDOFF_INITIATED, _CONNECT, _HANDOVER
+from .world import _CONNECT, _HANDOVER
 
 __all__ = [
     "EmptyHistoryError",
@@ -57,7 +56,6 @@ __all__ = [
     "one_point_crossover",
     "mutate_random_reset",
     "ReplayFitness",
-    "ResimFitness",
     "evolve",
     "RuleEvolver",
 ]
@@ -82,7 +80,6 @@ class EvolverConfig:
     window_length: int = 4
     weight_handoff: float = 1.0
     weight_cut: float = 1.0
-    full_resim: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 1:
@@ -418,10 +415,9 @@ class ReplayFitness:
         Genes outside this set cannot influence fitness, so populations may
         be deduplicated on this projection.
         """
-        records = window.records
-        if not records:
+        if not window:
             raise EmptyHistoryError("history window is empty")
-        return self._prep(records).support
+        return self._prep(window).support
 
     def __call__(self, genes: Sequence[int], window) -> float:
         return float(self.batch([genes], window)[0])
@@ -430,13 +426,12 @@ class ReplayFitness:
         """Fitness of every chromosome: the regions of all its (chromosome,
         site) pairs, found before the steps, then a few gathers per unit
         through that unit's transition tables."""
-        records = window.records
-        if not records:
+        if not window:
             raise EmptyHistoryError("history window is empty")
         P = len(population)
         if P == 0:
             return np.zeros(0)
-        prep = self._prep(records)
+        prep = self._prep(window)
         # Gene digits (gene - 1) plus a zero column for padded fired slots.
         digits = np.zeros((P, self.system.n_cells + 1), dtype=np.int64)
         digits[:, :-1] = np.asarray(population, dtype=np.int64) - _GENE_LO
@@ -504,61 +499,6 @@ class ReplayFitness:
         prep.table[taken] = np.stack(
             [k_miss[first], prep.local[g_miss[first]], regions[: len(first)]], axis=1)
         return out
-
-
-class _StaticDecider:
-    """A consequent vector bound to a fuzzy system: the world step's
-    decision hook, shared by full re-simulation and ``HandoffPolicy``."""
-
-    def __init__(self, system: FuzzySystem, genes: Sequence[int]) -> None:
-        self.system, self.genes = system, tuple(genes)
-
-    def regions(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
-                s_min: float, s_th: float) -> np.ndarray:
-        """Region code of the decision value per row of inputs at each of its
-        channel inputs in ``chan_norm``; a two-input system ignores those."""
-        inputs = (velocity[:, None], dist_norm[:, None], chan_norm)[: len(self.system.input_vars)]
-        return np.broadcast_to(self.system.regions(self.genes, inputs, s_min, s_th),
-                               chan_norm.shape)
-
-
-class ResimFitness:
-    """Full re-simulation fitness: replays the window on a world checkpoint,
-    so the candidate's decisions also feed back into channel occupancy and
-    the other terminals' environment."""
-
-    def __init__(
-        self,
-        system: FuzzySystem,
-        weight_handoff: float = 1.0,
-        weight_cut: float = 1.0,
-    ) -> None:
-        self.system = system
-        self.weight_handoff = float(weight_handoff)
-        self.weight_cut = float(weight_cut)
-
-    def window_support(self, window) -> tuple[int, ...]:
-        """Every grid cell: a re-simulated terminal may reach any input."""
-        return tuple(range(self.system.n_cells))
-
-    def batch(self, population: Sequence[Sequence[int]], window) -> np.ndarray:
-        """Fitness of every chromosome, one re-simulation each."""
-        return np.array([self(genes, window) for genes in population], dtype=float)
-
-    def __call__(self, genes: Sequence[int], window) -> float:
-        records = window.records
-        if not records:
-            raise EmptyHistoryError("history window is empty")
-        checkpoint = window.checkpoint
-        if checkpoint is None:
-            raise EmptyHistoryError("full re-simulation needs a recorded checkpoint")
-        world = checkpoint.clone_state()
-        probe = _StaticDecider(self.system, tuple(genes))
-        for _ in records:
-            world.step(probe)
-        ho = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)
-        cuts = sum(1 for e in world.events if e.kind == CONNECTION_CUT)
-        return self.weight_handoff * ho + self.weight_cut * cuts
 
 
 def _offspring_per_call(population, fits, cfg: EvolverConfig, rng) -> list[Chromosome]:
@@ -687,20 +627,20 @@ def _offspring_from_block(population, fits, cfg: EvolverConfig, block: np.ndarra
 def evolve(
     population: list[Chromosome],
     window,
-    fitness: ReplayFitness | ResimFitness,
+    fitness: ReplayFitness,
     cfg: EvolverConfig,
     rng: np.random.Generator,
     on_generation: Optional[Callable[[int, float], None]] = None,
 ) -> Chromosome:
     """Generational loop with elitism of one; returns the all-time best.
 
-    ``population`` is evolved in place so the caller's evolver state
+    ``window`` is the tuple of unit records that ``HistoryWindow.freeze``
+    returns.  ``population`` is evolved in place so the caller's evolver state
     persists across invocations.  Offspring are built select -> crossover
     -> mutate; the incumbent best replaces the first offspring unchanged,
     which makes the per-generation best fitness non-increasing.
     """
-    records = window.records
-    if not records:
+    if not window:
         raise EmptyHistoryError("history window is empty")
     size = cfg.population_size
     if len(population) != size:
@@ -755,7 +695,7 @@ class RuleEvolver:
         self,
         seed_chromosome: Sequence[int],
         cfg: EvolverConfig,
-        fitness: ReplayFitness | ResimFitness,
+        fitness: ReplayFitness,
         rng: np.random.Generator,
     ) -> None:
         self.cfg = cfg

@@ -239,10 +239,10 @@ def _world(raw: dict) -> WorldConfig:
     if "terminals" in raw:
         kw["terminals"] = tuple(TerminalSpec(*entry.pop("position"), **{"heading": 0.0, **entry})
                                 for entry in raw["terminals"])
-    cfg = WorldConfig(**kw)
-    if not cfg.s_min < cfg.s_th:
-        raise ConfigError(f"world.s_min/world.s_th: need s_min < s_th, "
-                          f"got {cfg.s_min}, {cfg.s_th}")
+    try:
+        cfg = WorldConfig(**kw)
+    except DomainError as exc:  # the schema bounds each key: only s_min < s_th is left
+        raise ConfigError(f"world.s_min/world.s_th: {exc}") from exc
     extent = max(cfg.arena_width, cfg.arena_height)
     for i, st in enumerate(cfg.stations):
         if st.radius > extent:
@@ -359,11 +359,9 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     world = World.build(config.world, np.random.default_rng(world_ss))
     policy = _build_policy(config, kind,
                            np.random.default_rng(ga_ss) if kind.evolving else None)
-    keep_cp = kind.evolving and config.evolver.full_resim
-    window = HistoryWindow(config.evolver.window_length, keep_checkpoints=keep_cp)
+    window = HistoryWindow(config.evolver.window_length)
     for t in range(1, config.world.total_time + 1):
-        checkpoint = world.clone_state() if keep_cp else None
-        window.push(world.step(policy), checkpoint)
+        window.push(world.step(policy))
         policy.on_epoch(window, t)
     world.verify_channels()
 

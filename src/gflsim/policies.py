@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evolver import EvolverConfig, ReplayFitness, ResimFitness, RuleEvolver, _StaticDecider
+from .evolver import EvolverConfig, ReplayFitness, RuleEvolver
 from .fuzzy import (
     DEFAULT_CONSEQUENTS,
     FuzzySystem,
@@ -61,7 +61,7 @@ def derive_flah_consequents(consequents27: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class HandoffPolicy(_StaticDecider):
+class HandoffPolicy:
     """A fuzzy rule grid bound to the simulator's decision hook."""
 
     def __init__(
@@ -77,11 +77,19 @@ class HandoffPolicy(_StaticDecider):
         if len(system.input_vars) != n_inputs:
             raise ValueError(f"{kind.value} reads {n_inputs} inputs, but the fuzzy system "
                              f"has {len(system.input_vars)}")
-        super().__init__(system, genes)
+        self.system, self.genes = system, tuple(genes)
         self.kind = kind
         self.evolver = evolver
         self.last_evolved = 0
         self.evolution_log: list[tuple[int, float, tuple[int, ...]]] = []
+
+    def regions(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
+                s_min: float, s_th: float) -> np.ndarray:
+        """Region code of the decision value per row of inputs at each of its
+        channel inputs in ``chan_norm``; a two-input system ignores those."""
+        inputs = (velocity[:, None], dist_norm[:, None], chan_norm)[: len(self.system.input_vars)]
+        return np.broadcast_to(self.system.regions(self.genes, inputs, s_min, s_th),
+                               chan_norm.shape)
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
         """Crisp signal in [0, 1]; a two-input (FLAH) system ignores channels."""
@@ -139,10 +147,6 @@ def make_policy(
         cfg = evolver_cfg or EvolverConfig()
         if rng is None:
             raise ValueError(f"{kind.value} needs a random generator stream")
-        if cfg.full_resim:
-            fitness = ResimFitness(system, cfg.weight_handoff, cfg.weight_cut)
-        else:
-            fitness = ReplayFitness(system, s_min, s_th, dwell,
-                                    cfg.weight_handoff, cfg.weight_cut)
+        fitness = ReplayFitness(system, s_min, s_th, dwell, cfg.weight_handoff, cfg.weight_cut)
         evolver = RuleEvolver(genes, cfg, fitness, rng)
     return HandoffPolicy(kind, system, genes, evolver)

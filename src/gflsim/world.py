@@ -12,7 +12,6 @@ consequent evolution; nothing keeps records beyond the history window.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
 from collections.abc import Sequence
@@ -41,7 +40,6 @@ __all__ = [
     "WorldConfig",
     "UnitRecord",
     "HistoryWindow",
-    "FrozenWindow",
     "World",
     "acceleration_for",
     "accelerated_state",
@@ -177,6 +175,19 @@ class WorldConfig:
     accel_duration: Optional[float] = None  # defaults to total_time
     terminals: Optional[tuple[TerminalSpec, ...]] = None
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.s_min < self.s_th <= 1:
+            raise DomainError(f"need 0 <= s_min < s_th <= 1, got {self.s_min}, {self.s_th}")
+        if not self.epsilon >= 0:
+            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.accelerated_fraction <= 1:
+            raise DomainError(f"accelerated_fraction must be in [0,1], "
+                              f"got {self.accelerated_fraction}")
+        if not self.initial_energy > 0:
+            raise DomainError(f"initial_energy must be > 0, got {self.initial_energy}")
+        if self.dwell < 1:
+            raise DomainError(f"dwell must be >= 1, got {self.dwell}")
+
 
 _INT_FIELDS = frozenset({"state", "serving", "target", "dwell"})
 
@@ -221,30 +232,21 @@ class UnitRecord:
         return UnitRecord, tuple(getattr(self, f.name) for f in fields(self))
 
 
-class FrozenWindow(NamedTuple):
-    records: tuple[UnitRecord, ...]
-    checkpoint: Optional["World"]
-
-
 class HistoryWindow:
     """Rolling buffer of the most recent per-unit records.
 
-    Holds exactly ``length`` records once warm; ``freeze`` returns an
-    immutable view (plus the world checkpoint aligned with the oldest
-    record when checkpoints are kept) for use during an evolution run.
+    Holds exactly ``length`` records once warm; ``freeze`` returns them as
+    an immutable tuple for use during an evolution run.
     """
 
-    def __init__(self, length: int = 4, keep_checkpoints: bool = False) -> None:
+    def __init__(self, length: int = 4) -> None:
         if length < 1:
             raise DomainError(f"window length must be >= 1, got {length}")
         self.length = length
         self._records: deque[UnitRecord] = deque(maxlen=length)
-        self._checkpoints: Optional[deque] = deque(maxlen=length) if keep_checkpoints else None
 
-    def push(self, record: UnitRecord, checkpoint: Optional["World"] = None) -> None:
+    def push(self, record: UnitRecord) -> None:
         self._records.append(record)
-        if self._checkpoints is not None:
-            self._checkpoints.append(checkpoint)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -253,13 +255,8 @@ class HistoryWindow:
     def warm(self) -> bool:
         return len(self._records) == self.length
 
-    @property
-    def records(self) -> tuple[UnitRecord, ...]:
+    def freeze(self) -> tuple[UnitRecord, ...]:
         return tuple(self._records)
-
-    def freeze(self) -> FrozenWindow:
-        cp = self._checkpoints[0] if self._checkpoints else None
-        return FrozenWindow(tuple(self._records), cp)
 
 
 def acceleration_for(distance: float, duration: float) -> float:
@@ -378,8 +375,6 @@ class World:
 
     @classmethod
     def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
-        if cfg.dwell < 1:
-            raise DomainError(f"dwell must be >= 1, got {cfg.dwell}")
         stations = [BaseStation(i, s.x, s.y, s.radius, s.capacity)
                     for i, s in enumerate(cfg.stations)]
         if cfg.terminals is not None:
@@ -409,15 +404,6 @@ class World:
         else:
             plan = MotionPlan.steady(rng.uniform(*cfg.steady_speed_range))
         return MobileTerminal(ident, x, y, heading, plan, energy=cfg.initial_energy)
-
-    def clone_state(self) -> "World":
-        """Independent copy with a fresh event log (for replay checkpoints)."""
-        w = copy.copy(self)
-        w.stations = [copy.copy(bs) for bs in self.stations]
-        w.events = []
-        for name in _FLOAT_COLUMNS + _INT_COLUMNS + ("cos", "sin"):
-            setattr(w, "_" + name, copy.copy(getattr(self, "_" + name)))
-        return w
 
     def _move(self, t: int) -> None:
         """Move every terminal one step along its plan, reflecting

@@ -20,7 +20,6 @@ from gflsim.world import (
     HANDOFF_INITIATED,
     BaseStation,
     Event,
-    FrozenWindow,
     MobileTerminal,
     State,
     UnitRecord,
@@ -131,14 +130,13 @@ def make_snapshot(
     )
 
 
-def make_window(per_unit_snapshots, start_t: int = 1) -> FrozenWindow:
+def make_window(per_unit_snapshots, start_t: int = 1) -> tuple[UnitRecord, ...]:
     """Freeze a window from a list (units) of lists (terminals) of snapshots."""
-    records = [make_record(start_t + u, snaps) for u, snaps in enumerate(per_unit_snapshots)]
-    return FrozenWindow(tuple(records), None)
+    return tuple(make_record(start_t + u, snaps) for u, snaps in enumerate(per_unit_snapshots))
 
 
 def random_window(rng: np.random.Generator, n_units: int = 4, n_mts: int = 4,
-                  n_stations: int = 3, dwell: int = 2) -> FrozenWindow:
+                  n_stations: int = 3, dwell: int = 2) -> tuple[UnitRecord, ...]:
     """Structurally consistent window with randomized inputs and states; a
     terminal that opens in handover has 1..``dwell`` units of it left.  A
     single station has no other to hand over to, so there it opens connected."""

@@ -334,7 +334,7 @@ def test_criterion_4_oracle_fitness_equivalence():
             if not window.warm:
                 continue
             frozen = window.freeze()
-            t0, t1 = frozen.records[0].t, frozen.records[-1].t
+            t0, t1 = frozen[0].t, frozen[-1].t
             live = sum(
                 1 for e in world.events
                 if t0 <= e.t <= t1 and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT)

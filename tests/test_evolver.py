@@ -22,7 +22,6 @@ from gflsim.evolver import (
     EmptyHistoryError,
     EvolverConfig,
     ReplayFitness,
-    ResimFitness,
     evolve,
     init_population,
     mutate_random_reset,
@@ -39,17 +38,16 @@ from gflsim.fuzzy import (
     default_output,
     default_system,
     default_velocity,
-    region_codes,
     triangle,
 )
 from gflsim.policies import make_policy
 from gflsim.world import (
     CONNECTION_CUT,
     HANDOFF_INITIATED,
-    FrozenWindow,
     HistoryWindow,
     State,
     StationSpec,
+    UnitRecord,
     World,
     WorldConfig,
 )
@@ -232,7 +230,7 @@ class TestMutation:
                 validate_chromosome(genes, 27)
 
 
-def window_no_events() -> FrozenWindow:
+def window_no_events() -> tuple[UnitRecord, ...]:
     """Connected terminal deep in coverage with plenty of channels."""
     snaps = [[make_snapshot(velocity=0.0, dist_ratio=(1.0, 0.5), chan_norm=(1.0, 1.0),
                             state=State.CONNECT, serving=0)]
@@ -240,7 +238,7 @@ def window_no_events() -> FrozenWindow:
     return make_window(snaps)
 
 
-def window_three_handoffs_two_cuts() -> FrozenWindow:
+def window_three_handoffs_two_cuts() -> tuple[UnitRecord, ...]:
     """Single unit, five connected terminals: three sit in the mid region
     with a free target, two in the cut region."""
     mid = make_snapshot(velocity=0.0, dist_ratio=(1e-6, 0.5), chan_norm=(0.0, 0.5),
@@ -250,7 +248,7 @@ def window_three_handoffs_two_cuts() -> FrozenWindow:
     return make_window([[mid, mid, mid, low, low]])
 
 
-def window_single_gene_fix() -> FrozenWindow:
+def window_single_gene_fix() -> tuple[UnitRecord, ...]:
     """One terminal whose decisions hit exactly one grid cell each unit.
 
     Under the seed grid the (slow, near, low) cell reads low -> one handoff
@@ -294,10 +292,9 @@ def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2
     def value(v, dn, cn):
         return reference_value(system, genes, (v, dn, cn)[: len(system.input_vars)])
 
-    records = window.records
-    n_stations = records[0].ratio.shape[1]
+    n_stations = window[0].ratio.shape[1]
     events = 0
-    units = [snapshots(rec) for rec in records]
+    units = [snapshots(rec) for rec in window]
     for m, first in enumerate(units[0]):
         state, sv, tg, dw = first.state, first.serving, first.target, first.dwell
         for unit in units:
@@ -341,7 +338,7 @@ def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2
 
 def opens_in_handover(windows) -> int:
     """Terminals that open their window in handover."""
-    return sum(int((w.records[0].state == State.HANDOVER).sum()) for w in windows)
+    return sum(int((w[0].state == State.HANDOVER).sum()) for w in windows)
 
 
 def cut_in_handover(windows) -> int:
@@ -349,10 +346,10 @@ def cut_in_handover(windows) -> int:
     cell, a forced cut, before the handover completes."""
     cut = 0
     for w in windows:
-        first = w.records[0]
+        first = w[0]
         for m in np.flatnonzero(first.state == State.HANDOVER).tolist():
             sv, left = first.serving[m], first.dwell[m]
-            cut += any(rec.ratio[m, sv] <= 0.0 for rec in w.records[:left])
+            cut += any(rec.ratio[m, sv] <= 0.0 for rec in w[:left])
     return cut
 
 
@@ -360,7 +357,7 @@ class TestFitness:
     def test_empty_history_raises(self):
         fit = make_fitness()
         with pytest.raises(EmptyHistoryError):
-            fit(SEED_GENES, FrozenWindow((), None))
+            fit(SEED_GENES, ())
 
     def test_quiet_window_scores_zero(self):
         fit = make_fitness()
@@ -432,7 +429,7 @@ class TestFitness:
                     expected = [reference_replay(g, wnd, system, dwell=dwell) for g in pop]
                     for _ in range(2):  # the second pass reads what the first stored
                         assert list(fit.batch(pop, wnd)) == expected
-                    assert len(fit._last_prep[1].table) == len(wnd.records)
+                    assert len(fit._last_prep[1].table) == len(wnd)
             assert opens_in_handover(windows) >= 5
             assert cut_in_handover(windows) >= 1
 
@@ -454,11 +451,11 @@ class TestFitness:
         windows = [(window_single_gene_fix(), SEED_GENES)]
         while len(windows) < 8:
             wnd = random_window(rng)
-            if any(s.state == State.CONNECT for s in snapshots(wnd.records[0])):
+            if any(s.state == State.CONNECT for s in snapshots(wnd[0])):
                 windows.append((wnd, random_chromosome(27, rng)))
         at_min = 0
         for wnd, genes in windows:
-            snap = next(s for s in snapshots(wnd.records[0]) if s.state == State.CONNECT)
+            snap = next(s for s in snapshots(wnd[0]) if s.state == State.CONNECT)
             sv = snap.serving
             dn = min(max(snap.dist_ratio[sv], 0.0), 1.0)
             s_min = reference_value(system, genes, (snap.velocity, dn, snap.chan_norm[sv]))
@@ -491,7 +488,7 @@ class TestFitness:
             fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
             wnd = random_window(rng, n_units=3, n_mts=6, n_stations=4)
             fit.window_support(wnd)
-            for rec in wnd.records:
+            for rec in wnd:
                 want = {}
                 for m, snap in enumerate(snapshots(rec)):
                     for s, (r, c) in enumerate(zip(snap.dist_ratio, snap.chan_norm)):
@@ -636,7 +633,7 @@ class TestReplayMatchesLive:
             if not window.warm:
                 continue
             frozen = window.freeze()
-            t0, t1 = frozen.records[0].t, frozen.records[-1].t
+            t0, t1 = frozen[0].t, frozen[-1].t
             live = sum(1 for e in world.events if t0 <= e.t <= t1
                        and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
             assert fitness.batch([policy.genes], frozen)[0] == live
@@ -662,7 +659,7 @@ class TestReplayMatchesLive:
                 window.push(world.step(policy))
                 if window.warm and len(set(grids[-ga.window_length:])) == 1:
                     frozen = window.freeze()
-                    t0, t1 = frozen.records[0].t, frozen.records[-1].t
+                    t0, t1 = frozen[0].t, frozen[-1].t
                     live = sum(1 for e in world.events if t0 <= e.t <= t1
                                and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
                     fitness.batch([g for g in policy.evolver.population if g != grids[-1]],
@@ -760,7 +757,7 @@ class TestEvolve:
         cfg = EvolverConfig()
         pop = init_population(SEED_GENES, cfg, rng)
         with pytest.raises(EmptyHistoryError):
-            evolve(pop, FrozenWindow((), None), make_fitness(), cfg, rng)
+            evolve(pop, (), make_fitness(), cfg, rng)
 
 
 class GeneSumFitness:
@@ -892,42 +889,3 @@ class TestEvolverConfig:
         assert cfg.mutation_prob == 0.1
         assert cfg.tournament_size == 10
 
-
-class TestResimFitness:
-    def test_requires_checkpoint(self):
-        fit = ResimFitness(default_system())
-        with pytest.raises(EmptyHistoryError):
-            fit(SEED_GENES, window_no_events())
-
-    def test_counts_resimulated_events(self):
-        import numpy as np
-        from gflsim.world import HistoryWindow, World, WorldConfig
-
-        cfg = WorldConfig(total_time=12)
-        world = World.build(cfg, np.random.default_rng(5))
-        window = HistoryWindow(4, keep_checkpoints=True)
-
-        class SeedPolicy:
-            # The seed grid's value at every level, through the scalar reference.
-            def __init__(self):
-                self.system = default_system()
-
-            def regions(self, velocity, dist_norm, chan_norm, s_min, s_th):
-                values = np.full(chan_norm.shape, np.nan)
-                for r, c in zip(*np.nonzero(~np.isnan(chan_norm))):
-                    values[r, c] = reference_value(
-                        self.system, SEED_GENES, (velocity[r], dist_norm[r], chan_norm[r, c]))
-                return region_codes(values, s_min, s_th)
-
-        policy = SeedPolicy()
-        for _ in range(12):
-            cp = world.clone_state()
-            window.push(world.step(policy), cp)
-        frozen = window.freeze()
-        fit = ResimFitness(policy.system)
-        live = sum(1 for e in world.events
-                   if e.t > 8 and e.kind in ("HandoffInitiated", "ConnectionCut"))
-        assert fit(SEED_GENES, frozen) == live
-        other = (3,) * 27
-        assert list(fit.batch([SEED_GENES, other], frozen)) == [live, fit(other, frozen)]
-        assert fit.window_support(frozen) == tuple(range(27))

@@ -7,11 +7,10 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gflsim.cli import main as cli_main
-from gflsim.evolver import EvolverConfig, ResimFitness
+from gflsim.evolver import EvolverConfig
 from gflsim.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +25,6 @@ from gflsim.experiment import (
     load_report,
     run,
 )
-from gflsim.policies import make_policy
 from gflsim.world import StationSpec, TerminalSpec, World
 
 REPO = Path(__file__).resolve().parent.parent
@@ -108,7 +106,6 @@ NON_DEFAULT = {
     "evolver.window_length": 5,
     "evolver.weight_handoff": 2,
     "evolver.weight_cut": 0.5,
-    "evolver.full_resim": True,
     "policies": ["fls"],
     "seeds": list(range(1, 11)),
     "runs": 3,
@@ -248,7 +245,7 @@ class TestLoadConfig:
         schema = json.loads(SCHEMA.read_text())
         defaults = {p: node["default"] for p, node in _schema_properties(schema, schema, "")
                     if "default" in node}
-        assert len(defaults) == 26  # 11 world keys, 10 evolver keys and 5 others
+        assert len(defaults) == 25  # 11 world keys, 9 evolver keys and 5 others
         for path, value in defaults.items():
             assert config_from_dict(_with({}, path, value)) == default_config(), path
 
@@ -352,25 +349,6 @@ class TestRun:
         for t, fit_val, genes in res.evolution:
             assert len(genes) == 27
             assert all(1 <= g <= 5 for g in genes)
-
-    @pytest.mark.parametrize("kind, n_inputs", [("gfls", 3), ("gflah", 2)])
-    def test_full_resim_end_to_end(self, kind, n_inputs):
-        cfg = config_from_dict({
-            "world": {"mt_count": 6, "total_time": 12},
-            "evolver": {"population_size": 6, "tournament_size": 3, "generations": 2,
-                        "invocation_period": 3, "window_length": 4, "full_resim": True},
-            "policies": [kind], "seeds": [5], "workers": 1,
-        })
-        fitness = make_policy(kind, evolver_cfg=cfg.evolver,
-                              rng=np.random.default_rng(0)).evolver.fitness
-        assert isinstance(fitness, ResimFitness)
-        assert len(fitness.system.input_vars) == n_inputs
-        res = run(cfg, kind, 5)
-        # Due epochs: the period has elapsed since the last retune and the
-        # 4-unit window is warm, i.e. t = 4, 7, 10.
-        assert [t for t, _, _ in res.evolution] == [4, 7, 10]
-        assert all(len(genes) == 3 ** n_inputs for _, _, genes in res.evolution)
-        assert run(cfg, kind, 5) == res
 
     def test_eq2_verbatim_changes_speeds(self, first_units):
         cfg = small_config()
@@ -563,6 +541,7 @@ class TestCli:
         ('{"world": {"terminals": [{"position": [0, 1], "sped": 5}]}}',
          "world.terminals[0].sped"),
         ('{"evolver": {"generation": 5}}', "evolver.generation"),
+        ('{"evolver": {"full_resim": true}}', "evolver.full_resim"),
         ('{"seed": 3}', "seed"),
         ('{"fuzzy": {"velocity": null}}', "fuzzy.velocity"),
         ('{"seeds": [0], "runs": "1"}', "runs"),

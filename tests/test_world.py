@@ -433,19 +433,8 @@ class TestHistoryWindow:
         win.push(records[1])
         frozen = win.freeze()
         win.push(records[2])
-        assert frozen.records == (records[0], records[1])
-        assert win.freeze().records == (records[1], records[2])
-
-    def test_checkpoint_alignment(self):
-        win = HistoryWindow(2, keep_checkpoints=True)
-        cfg = WorldConfig(total_time=5)
-        w = World.build(cfg, np.random.default_rng(0))
-        cps = []
-        for _ in range(3):
-            cp = w.clone_state()
-            cps.append(cp)
-            win.push(w.step(FixedPolicy(0.5)), cp)
-        assert win.freeze().checkpoint is cps[1]
+        assert frozen == (records[0], records[1])
+        assert win.freeze() == (records[1], records[2])
 
 
 class TestWorldBuild:
@@ -471,6 +460,19 @@ class TestWorldBuild:
         # holds its two channels for good.
         with pytest.raises(DomainError, match="dwell"):
             World.build(WorldConfig(dwell=dwell), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("change, key", [
+        ({"epsilon": -1.0}, "epsilon"),
+        ({"s_min": 0.5, "s_th": 0.4}, "s_min"),
+        ({"accelerated_fraction": 2.0}, "accelerated_fraction"),
+        ({"initial_energy": 0.0}, "initial_energy"),
+        ({"dwell": 0}, "dwell"),
+    ])
+    def test_config_built_in_code_is_checked(self, change, key):
+        # The bounds the config schema puts on a file hold for a config
+        # built in code too, before any world is built from it.
+        with pytest.raises(DomainError, match=key):
+            dataclasses.replace(WorldConfig(), **change)
 
     def test_requires_rng_without_explicit_terminals(self):
         with pytest.raises(DomainError):
