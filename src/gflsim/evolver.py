@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fuzzy import FuzzySystem
+from .schema import ConfigError, check_fields
 from .world import _CONNECT, _HANDOVER
 
 __all__ = [
@@ -82,22 +83,10 @@ class EvolverConfig:
     weight_cut: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if not 0 <= self.crossover_prob <= 1:
-            raise ValueError("crossover_prob must be in [0,1]")
-        if not 0 <= self.mutation_prob <= 1:
-            raise ValueError("mutation_prob must be in [0,1]")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament_size must be in 1..population_size")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.invocation_period <= 0:
-            raise ValueError("invocation_period must be positive")
-        if self.window_length < 1:
-            raise ValueError("window_length must be >= 1")
-        if self.weight_handoff < 0 or self.weight_cut < 0:
-            raise ValueError("fitness weights must be >= 0")
+        check_fields(self, "evolver")
+        if self.tournament_size > self.population_size:
+            raise ConfigError(f"tournament_size: must be <= population_size "
+                              f"({self.population_size}), got {self.tournament_size}")
 
 
 def validate_chromosome(genes: Sequence[int], length: int) -> None:

@@ -12,13 +12,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
-import math
-import numbers
-import operator
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,16 +35,16 @@ from .fuzzy import (
     default_velocity,
 )
 from .policies import HandoffPolicy, PolicyKind, make_policy
+from .schema import ConfigError, _check, _schema, check_fields
 from .world import (
+    _RANGE_KEYS,
     HANDOFF_INITIATED,
-    DomainError,
     Event,
     HistoryWindow,
     StationSpec,
     TerminalSpec,
     World,
     WorldConfig,
-    acceleration_for,
 )
 
 __all__ = [
@@ -76,10 +71,6 @@ ALL_POLICIES = ("fls", "gfls", "flah", "gflah")
 REPORT_FIELDS = ("number_of_handoffs", "connection_time_pct", "energy_wastage_pct")
 
 
-class ConfigError(ValueError):
-    """A configuration value violates an invariant; the message names the key."""
-
-
 @dataclass(frozen=True)
 class FuzzyConfig:
     velocity: LinguisticVariable = field(default_factory=default_velocity)
@@ -88,6 +79,15 @@ class FuzzyConfig:
     output: LinguisticVariable = field(default_factory=default_output)
     consequents: tuple[int, ...] = DEFAULT_CONSEQUENTS
     resolution: int = DEFAULT_RESOLUTION
+
+    def __post_init__(self) -> None:
+        entries = check_fields(self, "fuzzy")
+        for name in ("velocity", "distance", "channels", "output"):  # term counts of the grid
+            _check(getattr(self, name).terms, entries[name]["properties"]["terms"], f"{name}.terms")
+        try:
+            _output_grid(self.output, self.resolution)
+        except FuzzyDefinitionError as exc:
+            raise ConfigError(f"resolution: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,9 @@ class ExperimentConfig:
     output_format: str = "csv"
     workers: Optional[int] = None  # None -> one per CPU
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @property
     def runs(self) -> int:
         return len(self.seeds)
@@ -110,96 +113,18 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _check_seed(seed, path: str) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"{path}: must be a non-negative integer, got {seed!r}")
-
-
-def _check_unique(items, key: str) -> None:
-    """Name the first entry of ``key`` that repeats an earlier one."""
-    for i, item in enumerate(items):
-        if item in items[:i]:
-            raise ConfigError(f"{key}[{i}]: repeats {item!r}")
-
-
-@functools.cache
-def _schema() -> dict:
-    """The config key table: every key with its type, bounds and default."""
-    return json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
-
-
-_TYPES = {"object": dict, "array": (list, tuple), "string": str, "boolean": bool,
-          "null": type(None), "integer": int, "number": (int, float)}
-_BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"),
-           ("maximum", operator.le, "<="))
-
-
-def _is(value, name: str) -> bool:
-    """JSON type test, stricter than JSON Schema: an integer is an integer
-    literal, and a number must be representable as a finite float."""
-    if isinstance(value, bool):  # JSON booleans are neither integers nor numbers
-        return name == "boolean"
-    return isinstance(value, _TYPES[name]) and (name != "number"
-                                                or abs(value) <= sys.float_info.max)
-
-
-def _key(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _check(value, node: dict, path: str):
-    """``value`` checked against schema ``node`` at key ``path``, with every
-    number as a float and every array as a tuple.  Covers the keywords
-    config.schema.json uses; raises :class:`ConfigError` naming the first bad key."""
-    if "$ref" in node:
-        value = _check(value, _schema()["$defs"][node["$ref"].rsplit("/", 1)[-1]], path)
-    types = node.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if types and not any(_is(value, t) for t in types):
-        expected = " or ".join(types).replace("number", "finite number")
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-    if "enum" in node and value not in node["enum"]:
-        raise ConfigError(f"{path}: expected one of {node['enum']}, got {value!r}")
-    if "number" in types and value is not None:
-        value = float(value)
-    for keyword, holds, relation in _BOUNDS:
-        if keyword in node and value is not None and not holds(value, node[keyword]):
-            raise ConfigError(f"{path}: must be {relation} {node[keyword]}, got {value!r}")
-    if isinstance(value, _TYPES["array"]):
-        if len(value) < node.get("minItems", 0):
-            raise ConfigError(f"{path}: expected at least {node['minItems']} items, "
-                              f"got {len(value)}")
-        if len(value) > node.get("maxItems", math.inf):
-            raise ConfigError(f"{path}: expected at most {node['maxItems']} items, "
-                              f"got {len(value)}")
-        if "items" in node:
-            value = tuple(_check(v, node["items"], f"{path}[{i}]") for i, v in enumerate(value))
-        if node.get("uniqueItems"):
-            _check_unique(value, path)
-    if isinstance(value, dict):
-        properties = node.get("properties", {})
-        unknown = [key for key in value if key not in properties]
-        if unknown and node.get("additionalProperties") is False:
-            import difflib  # only a config with a typo pays for the import
-            hint = difflib.get_close_matches(unknown[0], list(properties), n=1)
-            raise ConfigError(f"{_key(path, unknown[0])}: unknown key"
-                              + (f"; did you mean {hint[0]!r}?" if hint else ""))
-        for key in node.get("required", ()):
-            if key not in value:
-                raise ConfigError(f"{_key(path, key)}: required key missing")
-        value = {key: _check(v, properties[key], _key(path, key)) if key in properties else v
-                 for key, v in value.items()}
-    return value
-
-
-def _pair(pair: tuple[float, float], path: str) -> tuple[float, float]:
-    if pair[1] < pair[0]:
-        raise ConfigError(f"{path}: low must not exceed high")
-    return pair
+def _build(cls, section: str, kw: dict, keys: Optional[dict] = None):
+    """``cls(**kw)``, its :class:`ConfigError` renamed to the config file's
+    key: prefixed with ``section`` and, where the field has another name, by ``keys``."""
+    try:
+        return cls(**kw)
+    except ConfigError as exc:
+        name, _, rest = str(exc).partition(":")
+        raise ConfigError(f"{section}.{(keys or {}).get(name, name)}:{rest}") from exc
 
 
 def _variable(raw: dict, path: str, default: LinguisticVariable) -> LinguisticVariable:
-    lo, hi = _pair(raw.get("range", (default.lo, default.hi)), f"{path}.range")
+    lo, hi = raw.get("range", (default.lo, default.hi))
     terms = []
     for i, entry in enumerate(raw.get("terms", ())):
         try:
@@ -218,51 +143,23 @@ def _fuzzy(raw: dict) -> FuzzyConfig:
                          ("channels", default_channels), ("output", default_output)):
         if key in raw:
             kw[key] = _variable(raw[key], f"fuzzy.{key}", default())
-    fuzzy = FuzzyConfig(**kw)
-    try:
-        _output_grid(fuzzy.output, fuzzy.resolution)
-    except FuzzyDefinitionError as exc:
-        raise ConfigError(f"fuzzy.resolution: {exc}") from exc
-    return fuzzy
+    return _build(FuzzyConfig, "fuzzy", kw)
 
 
 def _world(raw: dict) -> WorldConfig:
     kw = dict(raw)
     if "arena" in kw:
         kw["arena_width"], kw["arena_height"] = kw.pop("arena")
-    for key in ("steady_speed", "accel_distance"):
+    for name, key in _RANGE_KEYS.items():
         if key in kw:
-            kw[f"{key}_range"] = _pair(kw.pop(key), f"world.{key}")
+            kw[name] = kw.pop(key)
     if "stations" in raw:
         kw["stations"] = tuple(StationSpec(*st["center"], st["radius"], st["capacity"])
                                for st in raw["stations"])
     if "terminals" in raw:
         kw["terminals"] = tuple(TerminalSpec(*entry.pop("position"), **{"heading": 0.0, **entry})
                                 for entry in raw["terminals"])
-    try:
-        cfg = WorldConfig(**kw)
-    except DomainError as exc:  # the schema bounds each key: only s_min < s_th is left
-        raise ConfigError(f"world.s_min/world.s_th: {exc}") from exc
-    extent = max(cfg.arena_width, cfg.arena_height)
-    for i, st in enumerate(cfg.stations):
-        if st.radius > extent:
-            raise ConfigError(f"world.stations[{i}].radius: exceeds the arena extent")
-    # Accelerated plans keep acceleration, speed and path finite over the
-    # horizon; acceleration grows with distance, so the longest random plan is the worst.
-    plans = [("world.accel_distance", cfg.accel_distance_range[1], cfg.total_time)
-             if cfg.accel_duration is None else
-             ("world.accel_duration", cfg.accel_distance_range[1], cfg.accel_duration)]
-    plans += [(f"world.terminals[{i}].duration", spec.distance, spec.duration)
-              for i, spec in enumerate(cfg.terminals or ()) if spec.kind == "accelerated"]
-    for path, distance, duration in plans:
-        try:
-            a = acceleration_for(distance, duration)
-        except DomainError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        if not math.isfinite(a * cfg.total_time * cfg.total_time):
-            raise ConfigError(f"{path}: acceleration {a} overflows over "
-                              f"{cfg.total_time} time units")
-    return cfg
+    return _build(WorldConfig, "world", kw, _RANGE_KEYS)
 
 
 def read_config_dict(path: str | Path) -> dict:
@@ -299,11 +196,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Check a raw config against config.schema.json, then build it and
     run the checks that span more than one key."""
     raw = _check(raw, _schema(), "")
-    world = _world(raw.get("world", {}))
-    try:
-        evolver = EvolverConfig(**raw.get("evolver", {}))
-    except ValueError as exc:
-        raise ConfigError(f"evolver: {exc}") from exc
     kw = {key: raw[key] for key in ("policies", "output_dir", "output_format", "workers")
           if key in raw}
     if "seeds" in raw:
@@ -313,7 +205,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                               f"{len(kw['seeds'])} listed seeds")
     elif "runs" in raw:
         kw["seeds"] = tuple(range(raw["runs"]))
-    return ExperimentConfig(world=world, fuzzy=_fuzzy(raw.get("fuzzy", {})), evolver=evolver, **kw)
+    return ExperimentConfig(world=_world(raw.get("world", {})), fuzzy=_fuzzy(raw.get("fuzzy", {})),
+                            evolver=_build(EvolverConfig, "evolver", raw.get("evolver", {})), **kw)
 
 
 @dataclass(frozen=True)
@@ -354,7 +247,7 @@ def _build_policy(config: ExperimentConfig, kind: PolicyKind,
 def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> RunResult:
     """One seeded end-to-end simulation under one policy."""
     kind = PolicyKind(policy_kind)
-    _check_seed(seed, "seed")
+    _check(seed, _schema()["properties"]["seeds"]["items"], "seed")
     world_ss, ga_ss = np.random.SeedSequence(seed).spawn(2)
     world = World.build(config.world, np.random.default_rng(world_ss))
     policy = _build_policy(config, kind,
@@ -407,9 +300,6 @@ class MetricsReport:
     policies: tuple[str, ...]
     rows: dict
 
-    def policy(self, name: str) -> PolicyMetrics:
-        return self.rows[name]
-
 
 def _summarize(values: Sequence[float]) -> Summary:
     return Summary(max=max(values), min=min(values), avg=sum(values) / len(values))
@@ -424,13 +314,9 @@ def compare(config: ExperimentConfig,
     ``results_out`` to also receive every :class:`RunResult` keyed by
     (policy, seed).
     """
-    for i, seed in enumerate(config.seeds):
-        _check_seed(seed, f"seeds[{i}]")
-    _check_unique(config.seeds, "seeds")
-    _check_unique(config.policies, "policies")
     tasks = [(config, kind, seed) for kind in config.policies for seed in config.seeds]
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))

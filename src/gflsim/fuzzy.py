@@ -72,10 +72,6 @@ class MembershipFunction:
             raise FuzzyDefinitionError(f"term {self.label!r}: support is empty")
 
     @property
-    def shape(self) -> str:
-        return "triangular" if len(self.points) == 3 else "trapezoidal"
-
-    @property
     def support(self) -> tuple[float, float]:
         return self.points[0], self.points[-1]
 

@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fuzzy import _ABOVE_TH, _BELOW_MIN, _MID
+from .schema import ConfigError, _check, check_fields
 
 __all__ = [
     "DomainError",
@@ -81,6 +82,9 @@ class StationSpec:
     radius: float
     capacity: int
 
+    def __post_init__(self) -> None:
+        check_fields(self, "world", "stations")
+
 
 @dataclass(frozen=True)
 class TerminalSpec:
@@ -93,6 +97,9 @@ class TerminalSpec:
     speed: float = 10.0        # steady plans
     distance: float = 3000.0   # accelerated plans: total path length
     duration: float = 75.0     # accelerated plans: total time units
+
+    def __post_init__(self) -> None:
+        check_fields(self, "world", "terminals")
 
 
 # Station table for the shipped seven-cell scenario: (x, y, radius, capacity).
@@ -124,15 +131,18 @@ class MotionPlan:
     distance: float = 0.0   # accelerated: total path length
     duration: float = 0.0   # accelerated: total time
 
+    def __post_init__(self) -> None:
+        if self.kind != "steady":
+            acceleration_for(self.distance, self.duration)  # validates
+        elif not 0 <= self.speed < math.inf:
+            raise DomainError(f"steady speed must be finite and >= 0, got {self.speed}")
+
     @classmethod
     def steady(cls, speed: float) -> "MotionPlan":
-        if speed < 0:
-            raise DomainError(f"steady speed must be >= 0, got {speed}")
         return cls("steady", speed=float(speed))
 
     @classmethod
     def accelerated(cls, distance: float, duration: float) -> "MotionPlan":
-        acceleration_for(distance, duration)  # validates
         return cls("accelerated", distance=float(distance), duration=float(duration))
 
     @property
@@ -176,18 +186,38 @@ class WorldConfig:
     terminals: Optional[tuple[TerminalSpec, ...]] = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.s_min < self.s_th <= 1:
-            raise DomainError(f"need 0 <= s_min < s_th <= 1, got {self.s_min}, {self.s_th}")
-        if not self.epsilon >= 0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 0 <= self.accelerated_fraction <= 1:
-            raise DomainError(f"accelerated_fraction must be in [0,1], "
-                              f"got {self.accelerated_fraction}")
-        if not self.initial_energy > 0:
-            raise DomainError(f"initial_energy must be > 0, got {self.initial_energy}")
-        if self.dwell < 1:
-            raise DomainError(f"dwell must be >= 1, got {self.dwell}")
+        keys = check_fields(self, "world")
+        for name in ("arena_width", "arena_height"):
+            _check(getattr(self, name), keys["arena"]["items"], name)
+        for name, key in _RANGE_KEYS.items():
+            lo, hi = _check(getattr(self, name), keys[key], name)
+            if hi < lo:
+                raise ConfigError(f"{name}: low must not exceed high")
+        if not self.s_min < self.s_th:
+            raise ConfigError(f"s_min: must be < s_th, got {self.s_min} and {self.s_th}")
+        extent = max(self.arena_width, self.arena_height)
+        for i, st in enumerate(self.stations):
+            if st.radius > extent:
+                raise ConfigError(f"stations[{i}].radius: exceeds the arena extent")
+        # Accelerated plans keep acceleration, speed and path finite over the
+        # horizon; acceleration grows with distance, so the longest random plan is the worst.
+        plans = [("accel_distance_range", self.accel_distance_range[1], self.total_time)
+                 if self.accel_duration is None else
+                 ("accel_duration", self.accel_distance_range[1], self.accel_duration)]
+        plans += [(f"terminals[{i}].duration", spec.distance, spec.duration)
+                  for i, spec in enumerate(self.terminals or ()) if spec.kind == "accelerated"]
+        for path, distance, duration in plans:
+            try:
+                a = acceleration_for(distance, duration)
+            except DomainError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+            if not math.isfinite(a * self.total_time * self.total_time):
+                raise ConfigError(f"{path}: acceleration {a} overflows over "
+                                  f"{self.total_time} time units")
 
+
+# WorldConfig range fields and the config keys that hold them.
+_RANGE_KEYS = {"steady_speed_range": "steady_speed", "accel_distance_range": "accel_distance"}
 
 _INT_FIELDS = frozenset({"state", "serving", "target", "dwell"})
 
@@ -340,6 +370,13 @@ class World:
                  terminals: Sequence[MobileTerminal]) -> None:
         if not stations:
             raise DomainError("a world needs at least one station")
+        for kind, items, names in (("terminal", terminals, _FLOAT_COLUMNS),
+                                   ("station", stations, ("x", "y", "radius"))):
+            for item in items:
+                for name in names:
+                    if not math.isfinite(getattr(item, name)):
+                        raise DomainError(f"{kind} {item.ident}: non-finite {name} "
+                                          f"{getattr(item, name)!r}")
         self.cfg = cfg
         self.stations = list(stations)
         self.t = 0

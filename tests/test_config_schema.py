@@ -1,8 +1,10 @@
 """The config schema against a full JSON Schema validator, used as an oracle
-for the package's own schema check and for the CLI's exit status."""
+for the package's own schema check, for the checks a config dataclass makes
+when it is built in code, and for the CLI's exit status."""
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -12,11 +14,17 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gflsim.cli import main as cli_main
-from gflsim.experiment import ConfigError, _check, _schema
+from gflsim.evolver import EvolverConfig
+from gflsim.experiment import (
+    ExperimentConfig, FuzzyConfig, config_from_dict, default_config, run)
+from gflsim.fuzzy import LinguisticVariable, triangle
+from gflsim.schema import ConfigError, _check, _schema
+from gflsim.world import StationSpec, WorldConfig
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -34,6 +42,17 @@ def _locations(node, path=()):
 
 
 LOCATIONS = [path for path in _locations(DEFAULT) if path]
+SECTIONS = ("world", "fuzzy", "evolver")
+# Keys whose value is a dataclass field of the same name: the top-level keys
+# but runs, the scalar keys of world, the evolver keys, fuzzy.resolution and
+# fuzzy.consequents (with their items).
+FIELD_LOCATIONS = [
+    path for path in LOCATIONS
+    if path[0] not in SECTIONS + ("runs",)
+    or path[0] == "world" and len(path) == 2 and not isinstance(DEFAULT["world"][path[1]], list)
+    or path[0] == "evolver" and len(path) == 2
+    or path[:2] in {("fuzzy", "resolution"), ("fuzzy", "consequents")}
+]
 
 
 def _dotted(path) -> str:
@@ -58,13 +77,13 @@ NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
 
 
 @st.composite
-def one_key_changed(draw, values):
+def one_key_changed(draw, values, locations=LOCATIONS, rename=True):
     """(the shipped config with one key changed, its dotted path, the new
     value): either the value at that key is replaced, or the key renamed."""
     doc = copy.deepcopy(DEFAULT)
-    path = draw(st.sampled_from(LOCATIONS))
+    path = draw(st.sampled_from(locations))
     parent = functools.reduce(operator.getitem, path[:-1], doc)
-    if isinstance(parent, dict) and draw(st.booleans()):
+    if rename and isinstance(parent, dict) and draw(st.booleans()):
         name = draw(NAMES.filter(lambda name: name not in parent))
         parent[name] = value = parent.pop(path[-1])
         return doc, _dotted(path[:-1] + (name,)), value
@@ -126,3 +145,73 @@ def test_malformed_key_exits_2_naming_it(change):
         code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out")])
     assert code == 2
     assert path in err.getvalue()
+
+
+def _outcome(build):
+    """(what ``build()`` returns, None) or (None, the ConfigError message)."""
+    try:
+        return build(), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(one_key_changed(st.one_of(WRONG_TYPES, OUT_OF_RANGE, ALTERNATIVES),
+                       FIELD_LOCATIONS, rename=False))
+def test_config_built_in_code_agrees_with_jsonschema(change):
+    # The changed field set with dataclasses.replace on the default config
+    # is rejected, naming the field, exactly when the file is invalid; on a
+    # valid file it gives what config_from_dict gives, error or config.
+    doc, path, _ = change
+    section, name = re.match(r"(?:(world|fuzzy|evolver)\.)?(\w+)", path).groups()
+    value = (doc[section] if section else doc)[name]
+    value = tuple(value) if isinstance(value, list) else value
+    base = default_config()
+
+    def build():
+        if section:
+            return dataclasses.replace(base, **{section: dataclasses.replace(
+                getattr(base, section), **{name: value})})
+        return dataclasses.replace(base, **{name: value})
+
+    built, error = _outcome(build)
+    if not VALIDATOR.is_valid(doc):
+        assert error is not None and re.match(rf"{name}[\[:]", error), (path, error)
+        return
+    if error is not None and section:
+        error = f"{section}.{error}"
+    assert (built, error) == _outcome(lambda: config_from_dict(doc)), path
+
+
+@pytest.mark.parametrize("cls, kw, key", [
+    (ExperimentConfig, {"output_format": "xml"}, "output_format"),
+    (ExperimentConfig, {"workers": 0}, "workers"),
+    (ExperimentConfig, {"workers": -3}, "workers"),
+    (ExperimentConfig, {"policies": ()}, "policies"),
+    (ExperimentConfig, {"seeds": ()}, "seeds"),
+    (ExperimentConfig, {"policies": ("fls", "wizard")}, "policies[1]"),
+    (StationSpec, {"x": 0.0, "y": 0.0, "radius": 500.0, "capacity": 0}, "capacity"),
+    (WorldConfig, {"arena_width": 0.0}, "arena_width"),
+    (WorldConfig, {"steady_speed_range": (30.0, 5.0)}, "steady_speed_range"),
+    (WorldConfig, {"mt_count": 2.5}, "mt_count"),
+    (WorldConfig, {"total_time": 0}, "total_time"),
+    (WorldConfig, {"accel_duration": 1e-150, "total_time": 1200}, "accel_duration"),
+    (EvolverConfig, {"window_length": 1.5}, "window_length"),
+    (EvolverConfig, {"weight_cut": math.nan}, "weight_cut"),
+    (EvolverConfig, {"population_size": 2.5, "tournament_size": 2}, "population_size"),
+    (FuzzyConfig, {"velocity": LinguisticVariable("velocity", 0.0, 30.0, (
+        triangle("a", 0, 0, 10), triangle("b", 0, 10, 20), triangle("c", 10, 20, 30),
+        triangle("d", 20, 30, 30)))}, "velocity.terms"),
+    (FuzzyConfig, {"output": LinguisticVariable("output", 0.0, 1.0, (
+        triangle("a", 0, 0, 1), triangle("b", 0, 1, 1)))}, "output.terms"),
+])
+def test_values_a_file_cannot_hold_are_rejected_in_code(cls, kw, key):
+    # Each of these once ran, or failed later without naming the key.
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        cls(**kw)
+
+
+def test_numpy_integer_seeds_accepted():
+    cfg = dataclasses.replace(default_config(), seeds=(np.int64(2), np.int32(0)))
+    small = dataclasses.replace(cfg.world, mt_count=2, total_time=2)
+    assert run(dataclasses.replace(cfg, world=small), "fls", cfg.seeds[0]).seed == 2

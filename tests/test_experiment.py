@@ -226,8 +226,8 @@ class TestLoadConfig:
         }}}))
         cfg = load_config(path)
         assert cfg.fuzzy.velocity.hi == 20.0
-        assert [t.shape for t in cfg.fuzzy.velocity.terms] == [
-            "triangular", "trapezoidal", "triangular"]
+        assert [t.points for t in cfg.fuzzy.velocity.terms] == [
+            (0, 0, 12), (4, 10, 16, 18), (8, 20, 20)]
 
     def test_every_schema_key_reaches_the_config(self):
         # A key the converter drops leaves the config as it was.
@@ -291,9 +291,10 @@ class TestRun:
         b = run(cfg, "fls", 3)
         assert a == b and a.events
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_bad_seed_named(self, seed):
-        with pytest.raises(ConfigError, match="^seed: must be a non-negative integer"):
+    @pytest.mark.parametrize("seed, error", [
+        (-1, "must be >= 0"), (1.5, "expected integer"), (True, "expected integer")])
+    def test_bad_seed_named(self, seed, error):
+        with pytest.raises(ConfigError, match=f"^seed: {error}, got {seed}"):
             run(small_config(), "fls", seed)
 
     def test_uncovered_world_is_all_zero(self):
@@ -368,9 +369,8 @@ class TestCompareAndExport:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr("gflsim.experiment.ProcessPoolExecutor", no_pool)
-        cfg = small_config(seeds=(0, 4, -1), workers=2, output_dir=str(tmp_path / "out"))
-        with pytest.raises(ConfigError, match=r"^seeds\[2\]: must be a non-negative"):
-            compare(cfg)
+        with pytest.raises(ConfigError, match=r"^seeds\[2\]: must be >= 0, got -1"):
+            compare(small_config(seeds=(0, 4, -1), workers=2, output_dir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change, error", [
@@ -384,9 +384,8 @@ class TestCompareAndExport:
 
         monkeypatch.setattr("gflsim.experiment.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr("gflsim.experiment._run_task", no_pool)
-        cfg = small_config(workers=2, output_dir=str(tmp_path / "out"), **change)
         with pytest.raises(ConfigError, match=error):
-            compare(cfg)
+            compare(small_config(workers=2, output_dir=str(tmp_path / "out"), **change))
         assert not (tmp_path / "out").exists()
 
     def test_single_seed_collapses_summary(self, tmp_path):
@@ -588,8 +587,27 @@ class TestCli:
 
     def test_negative_seed_flag_exits_2(self, capsys):
         assert cli_main(["--seed", "-1"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert "seeds[0]: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--workers", "0"], "workers: must be >= 1"),
+        (["--runs", "0"], "runs: must be >= 1"),
+        (["--seed", "-2"], "seeds[0]: must be >= 0"),
+    ])
+    def test_bad_flag_value_exits_2_naming_its_key(self, tmp_path, capsys, flags, key):
+        assert cli_main(flags + ["--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_replaces_configured_runs(self, tmp_path):
+        cfg = self.write_small_config(tmp_path, runs=2)
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        assert [p.name for p in out.glob("events_*")] == ["events_fls_3.csv"]
 
     def test_seed_and_runs_mutually_exclusive(self, tmp_path, capsys):
         cfg = self.write_small_config(tmp_path)
-        assert cli_main(["--config", str(cfg), "--seed", "1", "--runs", "2"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg), "--seed", "1", "--runs", "2"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err

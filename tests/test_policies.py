@@ -211,9 +211,11 @@ class TestOnEpoch:
         assert t == 4 and len(genes) == 27
 
     def test_infinite_period_disables_evolution(self):
+        # A period past the last unit stands in for an infinite one, which
+        # the config table rejects as non-finite.
         policy = make_policy("gfls", rng=np.random.default_rng(1),
                              evolver_cfg=EvolverConfig(generations=0,
-                                                       invocation_period=float("inf")))
+                                                       invocation_period=1000))
         warm = self._warm_window()
         for t in range(1, 80):
             policy.on_epoch(warm, t)
@@ -224,9 +226,10 @@ class TestOnEpoch:
         from gflsim.experiment import default_config, run
 
         cfg = default_config()
+        # No invocation within the 75-unit horizon.
         cfg = dataclasses.replace(
             cfg, evolver=EvolverConfig(generations=0,
-                                       invocation_period=float("inf")))
+                                       invocation_period=1000))
         fls = run(cfg, "fls", 6)
         gfls = run(cfg, "gfls", 6)
         assert gfls.events == fls.events

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FixedPolicy, ReferenceWorld, distance_norm, pose
 from gflsim.fuzzy import region_codes
 from gflsim.policies import make_policy
+from gflsim.schema import ConfigError
 from gflsim.world import (
     BLOCKED,
     CONNECTED,
@@ -458,7 +459,7 @@ class TestWorldBuild:
     def test_non_positive_dwell_rejected(self, dwell):
         # A handover that starts at dwell 0 or below never completes and
         # holds its two channels for good.
-        with pytest.raises(DomainError, match="dwell"):
+        with pytest.raises(ConfigError, match="^dwell: must be >= 1"):
             World.build(WorldConfig(dwell=dwell), np.random.default_rng(0))
 
     @pytest.mark.parametrize("change, key", [
@@ -471,8 +472,39 @@ class TestWorldBuild:
     def test_config_built_in_code_is_checked(self, change, key):
         # The bounds the config schema puts on a file hold for a config
         # built in code too, before any world is built from it.
-        with pytest.raises(DomainError, match=key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
             dataclasses.replace(WorldConfig(), **change)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["x", "y", "heading", "speed", "energy", "odometer"])
+    def test_non_finite_terminal_rejected(self, name, bad):
+        world = two_station_world()
+        mt = dataclasses.replace(world.terminal(0), **{name: bad})
+        with pytest.raises(DomainError, match=f"^terminal 0: non-finite {name} "):
+            World(world.cfg, world.stations, [mt])
+
+    @pytest.mark.parametrize("name", ["x", "y", "radius"])
+    def test_non_finite_station_rejected(self, name):
+        world = two_station_world()
+        stations = [world.stations[0], dataclasses.replace(world.stations[1], **{name: math.nan})]
+        with pytest.raises(DomainError, match=f"^station 1: non-finite {name} "):
+            World(world.cfg, stations, [world.terminal(0)])
+
+    def test_connected_terminal_at_nan_rejected_before_a_step(self):
+        # A NaN position fails both the deciding mask (own > 0) and the
+        # forced-cut test (own <= 0), so a step would run out of decisions.
+        world = two_station_world()
+        mt = dataclasses.replace(world.terminal(0), x=math.nan, state=State.CONNECT, serving=0)
+        world.stations[0].occupied = 1
+        with pytest.raises(DomainError, match="^terminal 0: non-finite x nan"):
+            World(world.cfg, world.stations, [mt])
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_non_finite_steady_speed_rejected(self, speed):
+        with pytest.raises(DomainError, match="steady speed"):
+            MotionPlan.steady(speed)
+        with pytest.raises(DomainError, match="steady speed"):
+            MotionPlan("steady", speed=speed)
 
     def test_requires_rng_without_explicit_terminals(self):
         with pytest.raises(DomainError):
