@@ -12,14 +12,14 @@ candidate's own decisions and each terminal runs on its own.
 region of each (chromosome, decision site) pair from one vectorized pass
 over bounded per-unit region tables (two probe slots per pair, each slot
 tagged with its site and gene key), and settles a batch's misses in one
-``FuzzySystem.settle`` call, as the live world step settles its
-decisions.  Then it steps the population through per-unit transition
-tables, built once per unit and cached with its sites for the next,
-overlapping window: a terminal's state is one code (disconnected,
-connected to s, or handing over s -> t with d units of dwell left), and
-per (terminal, code, region) the tables give the site to read, the next
-code and the cost.  ``batch`` and ``window_support`` are all ``evolve``
-asks of a fitness.
+``FuzzySystem.settle_levels`` call on strength rows of indices into the
+window's fired weights, whose centroid sums are tabled once per window.
+Then it steps the population through per-unit transition tables, built
+once per unit and cached with its sites for the next, overlapping window:
+a terminal's state is one code (disconnected, connected to s, or handing
+over s -> t with d units of dwell left), and per (terminal, code, region)
+the tables give the site to read, the next code and the cost.  ``batch``
+and ``window_support`` are all ``evolve`` asks of a fitness.
 
 Fitness is a pure function of (chromosome, window, config), so evaluations
 are cache-friendly and could run on parallel workers; the generational
@@ -325,15 +325,18 @@ class _WindowPrep:
         self.slot_mask = np.repeat(half - 1, counts).astype(np.uint64)
         self.alt_base = np.repeat(ends - half, counts)
         self.alt_shift = np.repeat(32 - np.log2(half).astype(np.int64), counts).astype(np.uint64)
-        # Fired cells and weights per site, padded with the index of an
-        # extra gene column that contributes a zero digit (see
-        # ``ReplayFitness.batch``) and a zero weight.
+        # Fired cells and weights (as indices into ``levels``, ascending) per
+        # site, padded with the index of an extra gene column that contributes
+        # a zero digit (see ``ReplayFitness.batch``) and weight 0.0, level 0.
         maxf = max((len(idx) for idx, _ in self.sites), default=1)
         self.padded_idx = np.full((len(self.sites), maxf), system.n_cells, dtype=np.int64)
-        self.padded_w = np.zeros((len(self.sites), maxf))
+        padded_w = np.zeros((len(self.sites), maxf))
         for gid, (idx, w) in enumerate(self.sites):
             self.padded_idx[gid, : len(idx)] = idx
-            self.padded_w[gid, : len(w)] = w
+            padded_w[gid, : len(w)] = w
+        levels, level_of = np.unique(np.append(padded_w, 0.0), return_inverse=True)
+        self.padded_level = level_of[:-1].reshape(padded_w.shape)
+        self.level_sums = system.level_sums(levels)
         self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
         # Sites share a few fired-cell sets, so keys are found per set.
         self.cell_sets, self.set_of = np.unique(self.padded_idx, axis=0, return_inverse=True)
@@ -380,6 +383,8 @@ class ReplayFitness:
         if system.n_cells > _MAX_KEY_DIGITS:
             raise ValueError(f"replay supports grids of at most {_MAX_KEY_DIGITS} cells, "
                              f"got {system.n_cells}")
+        if system.n_output_terms < _GENE_HI:  # a gene names an output term
+            raise ValueError(f"{system.n_output_terms} output terms, but genes reach {_GENE_HI}")
         self.system = system
         self.s_min = float(s_min)
         self.s_th = float(s_th)
@@ -437,9 +442,9 @@ class ReplayFitness:
 
     def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
         """Region of every (chromosome, site) pair, plus a last column of -1
-        that the codes which decide nothing read.  Pairs missing from
-        both their table slots are settled in one ``FuzzySystem.settle`` call
-        and stored with one scatter."""
+        that the codes which decide nothing read.  Pairs missing from both
+        their table slots are settled in one ``FuzzySystem.settle_levels``
+        call and stored with one scatter."""
         P, G = len(digits), len(prep.sites)
         keys = (digits[:, prep.cell_sets] @ prep.powers).take(prep.set_of, axis=1)
         hashes = ((keys.view(np.uint64) + prep.salt) * _HASH_MUL) >> np.uint64(32)
@@ -461,32 +466,36 @@ class ReplayFitness:
         if not lost.any():
             return out
         p_miss, g_miss, k_miss, alt = p_miss[lost], g_miss[lost], k_miss[lost], alt[lost]
-        # The first pair in a slot claims it, with the later ones that match
+        # The lowest pair in a slot claims it, with the later ones that match
         # it in site and key.  A pair that loses its first slot to another
         # pair tries its second; one that loses both is settled alone and
         # not stored.  (The halves of a table are disjoint, except in a table
-        # of one slot, where a pair's two slots are one.)
-        target = slot[p_miss, g_miss]
+        # of one slot, where a pair's two slots are one.)  A scatter finds the
+        # lowest in the key column of the slots in play, which stay empty
+        # until each takes its winner's row below.
+        pairs, target = np.arange(len(p_miss)), slot[p_miss, g_miss]
         for second in (False, True):
-            taken, first, inv = np.unique(target, return_index=True, return_inverse=True)
-            other = (g_miss != g_miss[first][inv]) | (k_miss != k_miss[first][inv])
+            prep.table[target, :2] = len(pairs), -1
+            np.minimum.at(prep.table[:, 0], target, pairs)
+            owner = prep.table[target, 0]
+            other = (g_miss != g_miss[owner]) | (k_miss != k_miss[owner])
             if second or not other.any():
                 break
             target = np.where(other, alt, target)
-        alone = np.flatnonzero(other)
+        first, alone = np.flatnonzero(owner == pairs), np.flatnonzero(other)
         todo = np.concatenate([first, alone])
-        # Strength rows: the largest fired weight per output term.
+        # Strength rows as level indices: the largest fired one per output term.
         n_terms = self.system.n_output_terms
         terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
-        rows = np.zeros(len(todo) * n_terms)
+        rows = np.zeros(len(todo) * n_terms, dtype=np.intp)
         np.maximum.at(rows, (np.arange(len(todo))[:, None] * n_terms + terms).ravel(),
-                      prep.padded_w[g_miss[todo]].ravel())
-        regions = self.system.settle(rows.reshape(-1, n_terms), self.s_min, self.s_th)
-        got = regions[inv]
-        got[alone] = regions[len(first):]
-        out[p_miss, g_miss] = got
-        prep.table[taken] = np.stack(
-            [k_miss[first], prep.local[g_miss[first]], regions[: len(first)]], axis=1)
+                      prep.padded_level[g_miss[todo]].ravel())
+        got = np.empty(len(pairs), dtype=np.int8)
+        got[todo] = self.system.settle_levels(rows.reshape(-1, n_terms), prep.level_sums,
+                                              self.s_min, self.s_th)
+        out[p_miss, g_miss] = got[np.where(other, pairs, owner)]
+        prep.table[target[first]] = np.stack(
+            [k_miss[first], prep.local[g_miss[first]], got[first]], axis=1)
         return out
 
 
@@ -645,12 +654,12 @@ def evolve(
             genes = np.array(pop, dtype=np.int64).reshape(len(pop), -1)
         cols = genes.take(support, axis=1).astype(np.uint8)
         keys = cols.view(f"V{len(support)}").ravel().tolist() if len(support) else [b""] * len(pop)
-        pending: dict[bytes, Chromosome] = {}
-        for key, chromosome in zip(keys, pop):
+        pending: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
             if key not in memo and key not in pending:
-                pending[key] = chromosome
+                pending[key] = i
         if pending:
-            reps = list(pending.values())
+            reps = genes[list(pending.values())]
             for key, val in zip(pending.keys(), fitness.batch(reps, window)):
                 memo[key] = float(val)
         return [memo[key] for key in keys]

@@ -288,7 +288,7 @@ _BELOW_MIN, _AT_MIN, _MID, _ABOVE_TH = 0, 1, 2, 3
 # 2**-53 of that scale at most: under 7e-12 for five terms at the default resolution.
 _ESTIMATE_TOL = 1e-9
 
-# Rows estimated per ``centroid_estimates`` call, which bounds its temporaries.
+# Rows that ``settle`` and ``settle_levels`` estimate at once, which bounds temporaries.
 _SETTLE_ROWS = 512
 
 
@@ -365,12 +365,47 @@ class FuzzySystem:
         values = np.empty(len(strengths))
         for lo in range(0, len(strengths), _SETTLE_ROWS):
             values[lo:lo + _SETTLE_ROWS] = self.centroid_estimates(strengths[lo:lo + _SETTLE_ROWS])
+        return self._codes(values, strengths.__getitem__, s_min, s_th)
+
+    def level_sums(self, levels: np.ndarray) -> tuple:
+        """``levels`` (ascending strengths) and, flat over (overlapping term subset,
+        level), the denominator and numerator terms of :meth:`centroid_estimates`."""
+        _, _, vs, count, cum_v, cum_vx, tail_x = _overlap_sums(self.output_var, self.resolution)
+        sub, k = np.arange(len(vs))[:, None], np.array([np.searchsorted(v, levels) for v in vs])
+        return (levels, (cum_v[sub, k] + levels * (count[:, None] - k)).ravel(),
+                (cum_vx[sub, k] + levels * tail_x[sub, k]).ravel())
+
+    def settle_levels(self, rows: np.ndarray, sums: tuple, s_min: float,
+                      s_th: float) -> np.ndarray:
+        """:meth:`settle` of strength rows ``levels[rows]`` by gathers from ``sums``, the
+        :meth:`level_sums` at ``levels``: a subset's least index gives its least level."""
+        terms, sign = _overlap_sums(self.output_var, self.resolution)[:2]
+        levels, den_at, num_at = sums
+        at, values = np.arange(len(sign)) * len(levels), np.empty(len(rows))
+        for lo in range(0, len(rows), _SETTLE_ROWS):
+            k = rows[lo:lo + _SETTLE_ROWS][:, terms].min(axis=2) + at
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values[lo:lo + _SETTLE_ROWS] = (num_at.take(k) @ sign) / (den_at.take(k) @ sign)
+        return self._codes(values, lambda i: levels[rows[i]], s_min, s_th)
+
+    def _codes(self, values: np.ndarray, row, s_min: float, s_th: float) -> np.ndarray:
+        """Region codes of centroid estimates; where one is not finite or near a
+        threshold, of the exact centroid of strength row ``row(i)``."""
         tol = _ESTIMATE_TOL * max(1.0, abs(self.output_var.lo), abs(self.output_var.hi))
         near = ~np.isfinite(values) | (np.abs(values - s_min) <= tol) | (
             np.abs(values - s_th) <= tol)
         for i in np.flatnonzero(near).tolist():
-            values[i] = self.crisp_from_strengths(strengths[i])
+            values[i] = self.crisp_from_strengths(row(i))
         return region_codes(values, s_min, s_th)
+
+    def check_consequents(self, consequents: Sequence[int]) -> np.ndarray:
+        """The consequents as an array, if each is an output term number 1..n_output_terms."""
+        c = np.asarray(consequents)
+        bad = np.flatnonzero((c < 1) | (c > self.n_output_terms))
+        if len(bad):
+            raise ValueError(f"consequent {c[bad[0]]} at index {bad[0]} is outside "
+                             f"1..{self.n_output_terms}")
+        return c
 
     def regions(self, consequents: Sequence[int], inputs: Sequence, s_min: float,
                 s_th: float) -> np.ndarray:
@@ -381,7 +416,7 @@ class FuzzySystem:
         A NaN input fires nothing; its element is not settled and reads ``_BELOW_MIN``."""
         if len(inputs) != len(self.input_vars):
             raise FuzzyDefinitionError(f"expected {len(self.input_vars)} inputs, got {len(inputs)}")
-        cells = np.asarray(consequents)[:, None] == np.arange(1, self.n_output_terms + 1)
+        cells = self.check_consequents(consequents)[:, None] == np.arange(1, self.n_output_terms + 1)
         cells = cells.reshape(-1, self.levels[-1], self.n_output_terms)
         lead = np.where(cells, self.fire(inputs[:-1])[..., :, None, None], 0.0).max(axis=-3)
         s = np.minimum(self.input_vars[-1].degrees(inputs[-1])[..., None], lead).max(axis=-2)

@@ -77,6 +77,7 @@ class HandoffPolicy:
         if len(system.input_vars) != n_inputs:
             raise ValueError(f"{kind.value} reads {n_inputs} inputs, but the fuzzy system "
                              f"has {len(system.input_vars)}")
+        system.check_consequents(genes)
         self.system, self.genes = system, tuple(genes)
         self.kind = kind
         self.evolver = evolver

@@ -480,6 +480,54 @@ class TestFitness:
         with pytest.raises(ValueError, match="27 cells"):
             ReplayFitness(system, S_MIN, S_TH)
 
+    def test_outputs_without_a_term_per_gene_value_rejected(self):
+        # The GA draws genes 1..5, and a gene names an output term.
+        two = LinguisticVariable("rss_threshold", 0.0, 1.0, (
+            triangle("low", 0.0, 0.0, 1.0), triangle("high", 0.0, 1.0, 1.0)))
+        system = FuzzySystem(default_system().input_vars, two)
+        with pytest.raises(ValueError, match="2 output terms, but genes reach 5"):
+            ReplayFitness(system, S_MIN, S_TH)
+        with pytest.raises(ValueError, match="2 output terms"):
+            make_policy("gfls", output_var=two, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("slots_per_site, size", [(1, 30), (_SLOTS_PER_SITE, 4)])
+    def test_lowest_pair_claims_each_slot(self, slots_per_site, size, rng, monkeypatch):
+        # A new window's table is empty, so the first batch loses every
+        # (chromosome, site) pair.  In row-major order of the lost pairs the
+        # first to reach a slot claims it, first among first slots, then
+        # among the second slots of the pairs that lost theirs to another site
+        # or key.  One that loses both is settled alone; a repeated batch
+        # settles only the pairs that are not in the table then.
+        monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", slots_per_site)
+        fit, wnd = make_fitness(), random_window(rng, n_mts=6)
+        pop = [random_chromosome(27, rng) for _ in range(size)]
+        prep = fit._prep(wnd)
+        pairs = []
+        for genes in pop:
+            for g, (cells, _) in enumerate(prep.sites):
+                key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells))
+                h = (key + int(prep.local[g]) * 0xC2B2AE3D27D4EB4F) % 2**64
+                h = h * 0x9E3779B97F4A7C15 % 2**64 >> 32
+                pairs.append((int(prep.slot_base[g]) + (h & int(prep.slot_mask[g])),
+                              int(prep.alt_base[g]) + (h >> int(prep.alt_shift[g])),
+                              (key, int(prep.local[g]))))
+        settle, rows = fit.system.settle_levels, []
+        fit.system.settle_levels = lambda r, *a: rows.append(len(r)) or settle(r, *a)
+        expected, table, counts = [reference_replay(genes, wnd) for genes in pop], {}, []
+        for _ in range(3):
+            lost = [p for p in pairs if table.get(p[0]) != p[2] and table.get(p[1]) != p[2]]
+            owner = {}
+            lost = [p for p in lost if owner.setdefault(p[0], p[2]) != p[2]]
+            alone = [p for p in lost if owner.setdefault(p[1], p[2]) != p[2]]
+            table.update(owner)
+            counts += [len(owner) + len(alone)] if owner else []
+            assert list(fit.batch(pop, wnd)) == expected
+            assert table == {i: tuple(row[:2]) for i, row in enumerate(prep.table.tolist())
+                             if row[1] >= 0}
+        assert rows == counts
+        # Tables of one slot per site keep evicting; the default ones do not.
+        assert len(counts) == (3 if slots_per_site == 1 else 1)
+
     def test_sites_match_scalar_fuzzification(self, rng):
         # Each unit's sites, fired in one array pass, equal per-site scalar
         # degrees and their per-cell minima: same columns in the same
@@ -566,16 +614,16 @@ class TestFitness:
                 if window.warm and t % 2 == 0:
                     frozen = window.freeze()
                     fit = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell)
-                    settle = fit.system.settle
+                    settle = fit.system.settle_levels
                     for batch in ("first", "again"):
-                        def counted(strengths, s_min, s_th, batch=batch):
-                            rows[batch] += len(strengths)
-                            return settle(strengths, s_min, s_th)
-                        fit.system.settle = counted
+                        def counted(levels, sums, s_min, s_th, batch=batch):
+                            rows[batch] += len(levels)
+                            return settle(levels, sums, s_min, s_th)
+                        fit.system.settle_levels = counted
                         fits = fit.batch(policy.evolver.population, frozen)
                         if batch == "first":
                             expected = list(fits)
-                    del fit.system.settle  # the live step settles uncounted
+                    del fit.system.settle_levels  # the GA's own replays settle uncounted
                     assert list(fits) == expected
                     second_slots += sum(int((table[len(table) // 2:, 1] >= 0).sum())
                                         for _, _, table, _ in fit._site_cache.values())

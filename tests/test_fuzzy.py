@@ -213,6 +213,14 @@ class TestDefuzzify:
         with pytest.raises(NoActivationError):
             default_system().crisp_from_strengths((0.0,) * 5)
 
+    def test_regions_rejects_a_consequent_outside_the_output_terms(self):
+        system, inputs = default_system(), (np.array([3.0]), np.array([0.3]), np.array([0.5]))
+        for bad in (6, 0):
+            genes = list(DEFAULT_CONSEQUENTS)
+            genes[7] = bad
+            with pytest.raises(ValueError, match=f"consequent {bad} at index 7 is outside 1..5"):
+                system.regions(genes, inputs, 0.2, 0.45)
+
     def test_settle_raises_on_an_all_zero_row(self):
         rows = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0] * 5])
         with pytest.raises(NoActivationError):
@@ -404,6 +412,34 @@ class TestCentroidEstimate:
         var = system.output_var
         bound = 1e-12 * max(1.0, abs(var.lo), abs(var.hi))
         assert np.abs(est - exact).max() <= bound
+
+    @pytest.mark.parametrize("output", [default_output, trapezoid_output,
+                                        three_way_output, shifted_output])
+    def test_level_tables_settle_as_settle(self, output, rng, monkeypatch):
+        # The replay settles rows of indices into ascending levels through
+        # sums tabled once per level set.  Its codes, and the rows it hands to
+        # the exact centroid, equal settle's on the rows of those levels.
+        system = FuzzySystem((default_velocity(),), output())
+        levels = np.unique(np.append(rng.random(130), [0.0, 0.5, 1.0]))
+        rows = rng.integers(0, len(levels), size=(2000, 5)) * (rng.random((2000, 5)) < 0.6)
+        rows[:100] = rng.integers(1, len(levels), size=(100, 1))  # one level in every term
+        rows[100:150] = rng.integers(0, 3, size=(50, 5))  # ties among the lowest levels
+        rows[150:250] = 0
+        rows[np.arange(150, 250), rng.integers(0, 5, 100)] = rng.integers(1, len(levels), 100)
+        rows[~rows.any(axis=1), 2] = len(levels) - 1
+        # Thresholds at the exact centroids of two rows (and their copies):
+        # their estimates lie within the tolerance, so the exact centroid runs.
+        rows[250:260], rows[260:270] = [9, 0, 0, 0, 0], [0, 0, 0, 7, 7]
+        s_min, s_th = sorted(system.crisp_from_strengths(levels[r]) for r in rows[[250, 260]])
+        crisp, exact = FuzzySystem.crisp_from_strengths, []
+        monkeypatch.setattr(FuzzySystem, "crisp_from_strengths",
+                            lambda self, s: exact.append(s.tolist()) or crisp(self, s))
+        want = system.settle(levels[rows], s_min, s_th)
+        want_exact, exact[:] = exact[:], []
+        got = system.settle_levels(rows, system.level_sums(levels), s_min, s_th)
+        assert got.tolist() == want.tolist()
+        assert exact == want_exact and len(exact) >= 20
+        assert {fuzzy._AT_MIN, fuzzy._ABOVE_TH} <= set(got.tolist())
 
     def test_three_way_output_keeps_every_overlap(self):
         var = three_way_output()

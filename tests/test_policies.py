@@ -169,6 +169,17 @@ class TestRegions:
             got = policy.regions(np.array([3.0, 20.0]), np.array([0.3, 0.9]), chan, 0.2, 0.45)
             assert sum(settled) == want and got.shape == (2, 7)
 
+    def test_construction_rejects_a_consequent_outside_the_output_terms(self):
+        two = fuzzy.LinguisticVariable("rss_threshold", 0.0, 1.0, (
+            fuzzy.triangle("low", 0.0, 0.0, 1.0), fuzzy.triangle("high", 0.0, 1.0, 1.0)))
+        for kind in ("fls", "flah"):
+            with pytest.raises(ValueError, match="consequent 5 at index 0 is outside 1..2"):
+                make_policy(kind, output_var=two, consequents=(5,) * 27)
+        genes = list(DEFAULT_CONSEQUENTS)
+        genes[4] = 6
+        with pytest.raises(ValueError, match="consequent 6 at index 4 is outside 1..5"):
+            HandoffPolicy(PolicyKind.FLS, default_system(), tuple(genes))
+
     def test_empty_batch(self):
         for kind in ("fls", "flah"):
             got = make_policy(kind).regions(np.zeros(0), np.zeros(0), channel_levels([]),
