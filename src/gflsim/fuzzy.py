@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -99,20 +99,6 @@ class MembershipFunction:
             return (x - a) / (b - a)
         return (z - x) / (z - c)
 
-    def degrees(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`degree` (same arithmetic, element for element)."""
-        a, b, c, z = self._edges()
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        if b > a:
-            rising = (xs >= a) & (xs < b)
-            out[rising] = (xs[rising] - a) / (b - a)
-        out[(xs >= b) & (xs <= c)] = 1.0
-        if z > c:
-            falling = (xs > c) & (xs <= z)
-            out[falling] = (z - xs[falling]) / (z - c)
-        return out
-
 
 def triangle(label: str, a: float, b: float, c: float) -> MembershipFunction:
     return MembershipFunction(label, (a, b, c))
@@ -169,11 +155,19 @@ class LinguisticVariable:
                     f"variable {self.name!r}: no term covers x={x}"
                 )
 
+    @cached_property
+    def _term_edges(self) -> tuple[np.ndarray, ...]:
+        a, b, c, z = np.array([t._edges() for t in self.terms]).T
+        return a, b - a, z, z - c
+
     def degrees(self, xs) -> np.ndarray:
         """Degree per term of each value, taken at the nearest point of the
-        universe; terms on a new last axis."""
-        xc = np.minimum(np.maximum(np.asarray(xs, dtype=float), self.lo), self.hi)
-        return np.stack([t.degrees(xc) for t in self.terms], axis=-1)
+        universe; terms on a new last axis.  :meth:`MembershipFunction.degree`'s
+        arithmetic: a shoulder's 0/0 or x/0 loses the min, and NaN has degree 0."""
+        a, rise, z, fall = self._term_edges
+        x = np.minimum(np.maximum(np.asarray(xs, dtype=float), self.lo), self.hi)[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.minimum(np.fmax(np.fmin((x - a) / rise, (z - x) / fall), 0.0), 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -184,7 +178,7 @@ def _output_grid(var: LinguisticVariable, resolution: int):
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise FuzzyDefinitionError(f"resolution must be in 1..{MAX_RESOLUTION}, got {resolution}")
     xs = var.lo + (np.arange(resolution) + 0.5) * ((var.hi - var.lo) / resolution)
-    table = np.stack([t.degrees(xs) for t in var.terms])
+    table = np.ascontiguousarray(var.degrees(xs).T)
     spans = []
     for term, row in zip(var.terms, table):
         nz = np.flatnonzero(row)
@@ -292,10 +286,10 @@ _ESTIMATE_TOL = 1e-9
 _SETTLE_ROWS = 512
 
 
-def region_codes(values: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
-    """Threshold region code of every crisp value."""
-    return np.select([values < s_min, values == s_min, values < s_th],
-                     [_BELOW_MIN, _AT_MIN, _MID], _ABOVE_TH)
+def region_codes(values, s_min: float, s_th: float) -> np.ndarray:
+    """Threshold region code of every crisp value; NaN reads ``_BELOW_MIN``."""
+    v = np.asarray(values)
+    return (v >= s_min).view(np.int8) + (v > s_min) + (v >= s_th)
 
 
 class FuzzySystem:
@@ -399,30 +393,48 @@ class FuzzySystem:
         return region_codes(values, s_min, s_th)
 
     def check_consequents(self, consequents: Sequence[int]) -> np.ndarray:
-        """The consequents as an array, if each is an output term number 1..n_output_terms."""
+        """The consequents as an array, if each grid cell has one term number 1..n_output_terms."""
         c = np.asarray(consequents)
+        if c.shape != (self.n_cells,):
+            raise ValueError(f"expected {self.n_cells} consequents, got shape {c.shape}")
         bad = np.flatnonzero((c < 1) | (c > self.n_output_terms))
         if len(bad):
             raise ValueError(f"consequent {c[bad[0]]} at index {bad[0]} is outside "
                              f"1..{self.n_output_terms}")
         return c
 
-    def regions(self, consequents: Sequence[int], inputs: Sequence, s_min: float,
-                s_th: float) -> np.ndarray:
-        """Region code of the decision value at each element of the broadcast input
-        arrays.  Term k's strength is max_q min(d_q, A_qk), d_q the last input's degree
-        in level q and A_qk the largest weight the leading inputs (fired once, at their
-        own shape) give a cell of level q and consequent k: min and max only select.
-        A NaN input fires nothing; its element is not settled and reads ``_BELOW_MIN``."""
-        if len(inputs) != len(self.input_vars):
-            raise FuzzyDefinitionError(f"expected {len(self.input_vars)} inputs, got {len(inputs)}")
-        cells = self.check_consequents(consequents)[:, None] == np.arange(1, self.n_output_terms + 1)
-        cells = cells.reshape(-1, self.levels[-1], self.n_output_terms)
-        lead = np.where(cells, self.fire(inputs[:-1])[..., :, None, None], 0.0).max(axis=-3)
-        s = np.minimum(self.input_vars[-1].degrees(inputs[-1])[..., None], lead).max(axis=-2)
-        codes, live = np.full(s.shape[:-1], _BELOW_MIN), s.any(axis=-1)
-        codes[live] = self.settle(s[live], s_min, s_th)
-        return codes
+    def lead_strengths(self, consequents: Sequence[int], inputs: Sequence) -> np.ndarray:
+        """Strength ``A[..., q, k]`` the inputs but the last give output term k + 1 through
+        the cells of the last input's level q, at broadcast arrays of those inputs: the
+        largest weight of such a cell, 0 if none.  The last input clips it (:meth:`strengths`)."""
+        if len(inputs) != len(self.input_vars) - 1:
+            raise FuzzyDefinitionError(f"expected {len(self.input_vars) - 1} leading inputs, "
+                                       f"got {len(inputs)}")
+        self.check_consequents(consequents)
+        lead_cell, first, slot = _lead_groups(tuple(consequents), self.levels[-1],
+                                              self.n_output_terms)
+        w = self.fire(inputs)
+        lead = np.zeros(w.shape[:-1] + (self.levels[-1] * self.n_output_terms,))
+        lead[..., slot] = np.maximum.reduceat(w[..., lead_cell], first, axis=-1)
+        return lead.reshape(w.shape[:-1] + (self.levels[-1], self.n_output_terms))
+
+    def strengths(self, lead: np.ndarray, last) -> np.ndarray:
+        """Strengths max_q min(d_q, A[..., q, k]) at values of the last input, d_q its degree in
+        level q: min and max only select, so the grid's min-max strengths bit for bit."""
+        return np.minimum(self.input_vars[-1].degrees(last)[..., None], lead).max(axis=-2)
+
+
+@lru_cache(maxsize=64)
+def _lead_groups(consequents: tuple, last: int, n_terms: int):
+    """Cells grouped by (last input's level, consequent): the leading cell of each in group
+    order, and each nonempty group's first position and flat (level, output term) slot."""
+    key = np.arange(len(consequents)) % last * n_terms + np.asarray(consequents) - 1
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    groups = order // last, first, key[order[first]]
+    for a in groups:
+        a.setflags(write=False)
+    return groups
 
 
 # Consequents for the shipped 3x3x3 grid, velocity-major then distance then

@@ -1,6 +1,6 @@
 """Handoff decision policies.
 
-Four policies share one decision hook, ``regions``: FLS evaluates the full
+Four policies share one decision hook, ``table``: FLS evaluates the full
 three-input grid with fixed consequents, FLAH a two-input (velocity,
 distance) projection of it, and GFLS/GFLAH attach an evolver that
 periodically re-tunes the live consequent vector from recent history.  A
@@ -10,7 +10,7 @@ freshly evolved grid takes effect at the start of the next time unit.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .fuzzy import (
     default_output,
     default_velocity,
     DEFAULT_RESOLUTION,
+    region_codes,
 )
 
 __all__ = [
@@ -84,19 +85,33 @@ class HandoffPolicy:
         self.last_evolved = 0
         self.evolution_log: list[tuple[int, float, tuple[int, ...]]] = []
 
-    def regions(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
-                s_min: float, s_th: float) -> np.ndarray:
-        """Region code of the decision value per row of inputs at each of its
-        channel inputs in ``chan_norm``; a two-input system ignores those."""
-        inputs = (velocity[:, None], dist_norm[:, None], chan_norm)[: len(self.system.input_vars)]
-        return np.broadcast_to(self.system.regions(self.genes, inputs, s_min, s_th),
-                               chan_norm.shape)
+    def table(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
+              s_min: float, s_th: float) -> Callable[[int, float], int]:
+        """One unit's decision table over rows of inputs: ``region(r, chan)``, the region
+        code (``fuzzy.region_codes``) of row ``r``'s value at channel input ``chan``.
+        Every row is settled at once at its own ``chan_norm``; another channel input
+        settles that row alone from the same lead strengths, by the exact centroid.  A
+        two-input (FLAH) system ignores channels, so each row has one code."""
+        system = self.system
+        inputs = (velocity, dist_norm, chan_norm)[: len(system.input_vars)]
+        lead = system.lead_strengths(self.genes, inputs[:-1])
+        codes = system.settle(system.strengths(lead, inputs[-1]), s_min, s_th).tolist()
+        if len(inputs) == 2:
+            return lambda r, chan: codes[r]
+        start = chan_norm.tolist()
+
+        def region(r: int, chan: float) -> int:
+            if chan == start[r]:
+                return codes[r]
+            value = system.crisp_from_strengths(system.strengths(lead[r], chan))
+            return int(region_codes(value, s_min, s_th))
+        return region
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
         """Crisp signal in [0, 1]; a two-input (FLAH) system ignores channels."""
-        w = self.system.fire((velocity, dist_norm, chan_norm)[: len(self.system.input_vars)])
-        onehot = np.asarray(self.genes)[:, None] == np.arange(1, self.system.n_output_terms + 1)
-        return self.system.crisp_from_strengths(np.where(onehot, w[:, None], 0.0).max(axis=0))
+        inputs = (velocity, dist_norm, chan_norm)[: len(self.system.input_vars)]
+        lead = self.system.lead_strengths(self.genes, inputs[:-1])
+        return self.system.crisp_from_strengths(self.system.strengths(lead, inputs[-1]))
 
     def on_epoch(self, window, now: int) -> None:
         """Run one evolution pass when the invocation period has elapsed and

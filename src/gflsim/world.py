@@ -334,9 +334,6 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fromiter(pairs, float, x.size).reshape(x.shape)
 
 
-# A decision table row holds every occupancy of a station of capacity under this,
-# else a window of this many around the occupancy at the start of the unit.
-_LEVELS = 16
 # Plain-int states: lists and numpy arrays compare with them faster than with IntEnums.
 _CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(State.DISCONNECT)
 # Terminal fields a World keeps as float arrays and as int lists (-1 for None).
@@ -466,9 +463,10 @@ class World:
                 self._heading[m], self._cos[m], self._sin[m] = h, math.cos(h), math.sin(h)
 
     def step(self, policy) -> UnitRecord:
-        """Advance one time unit under ``policy``: anything whose ``regions(velocity,
-        dist_norm, chan_norm, s_min, s_th)`` gives the region codes (``fuzzy.region_codes``)
-        of its value per row at each channel input (NaN above the row's capacity: unread)."""
+        """Advance one time unit under ``policy``: anything whose ``table(velocity, dist_norm,
+        chan_norm, s_min, s_th)`` over deciding terminals, at the unit's start occupancy, gives
+        ``region(row, chan)``: the region code (``fuzzy.region_codes``) of a row's value at
+        channel input ``chan``.  Each row is read once, in terminal order, at its turn's input."""
         self.t += 1
         t, cfg = self.t, self.cfg
         self._move(t)
@@ -476,30 +474,27 @@ class World:
         ratio = (self._radius - dist) / self._radius
         # Coverage depth (-1 outside) and the deepest covering station (lowest id on ties).
         score = np.where(ratio > 0.0, np.minimum(ratio, 1.0), -1.0)
-        cand = np.where(score.max(axis=1) > 0.0, score.argmax(axis=1), -1)
+        rows = np.arange(len(score))
+        best = score.argmax(axis=1)
+        cand = np.where(score[rows, best] > 0.0, best, -1)
         state, serving, target, dwell = self._state, self._serving, self._target, self._dwell
         before = [np.array(col, dtype=np.int64) for col in (state, serving, target, dwell)]
         # A terminal reads its own row only: the ratio of its serving station
         # (held since the unit began) or of its candidate.
-        rows = np.arange(len(serving))
         own = ratio[rows, before[1]]
         occupied = [bs.occupied for bs in self.stations]
         capacity = [bs.capacity for bs in self.stations]
         held, cap = np.array(occupied, dtype=np.int64), np.array(capacity, dtype=np.int64)
         # Deciding terminals (connected in cell, or disconnected under a
         # candidate) have fixed inputs but for the channel one, which follows
-        # the occupancy at their turn: a table row holds its levels (_LEVELS).
+        # the occupancy at their turn; the table starts from the unit's.
         conn = (before[0] == _CONNECT) & (own > 0.0)
         deciding = np.flatnonzero(conn | ((before[0] == _DISCONNECT) & (cand >= 0)))
         at = np.where(conn, before[1], cand)[deciding]
-        room, width = cap[at, None], min(max(capacity) + 1, _LEVELS)
-        base = np.clip(held[at, None] - width // 2, 0, np.maximum(room + 1 - width, 0))
-        level = base + np.arange(width)
-        chan_in = np.where(level <= room, (room - level) / room, np.nan)
-        speed = self._speed[deciding]
         dn = np.minimum(np.maximum(np.where(conn, own, ratio[rows, cand]), 0.0), 1.0)[deciding]
-        table = iter(zip(policy.regions(speed, dn, chan_in, cfg.s_min, cfg.s_th).tolist(),
-                         base[:, 0].tolist(), range(len(deciding))))
+        read = policy.table(self._speed[deciding], dn, (cap[at] - held[at]) / cap[at],
+                            cfg.s_min, cfg.s_th)
+        turn = iter(range(len(deciding)))
         own, cand = own.tolist(), cand.tolist()
         changes: list[tuple[int, int, int]] = []  # (terminal, station, +1 or -1)
         ids, events = self._ids, self.events
@@ -509,14 +504,11 @@ class World:
             changes.append((m, s, d))
 
         def region(s: int) -> int:
-            o, (row, lo, r) = occupied[s], next(table)
-            if not 0 <= o <= capacity[s]:
+            o, c = occupied[s], capacity[s]
+            if not 0 <= o <= c:
                 raise RuntimeError(f"channel accounting broken at station {s}: "
-                                   f"occupied={o}, capacity={capacity[s]}")
-            if not lo <= o < lo + len(row):  # outside the row's window: ask for this level
-                row, lo = policy.regions(speed[r:r + 1], dn[r:r + 1], np.array(
-                    [[(capacity[s] - o) / capacity[s]]]), cfg.s_min, cfg.s_th).tolist()[0], o
-            return row[o - lo]
+                                   f"occupied={o}, capacity={c}")
+            return read(next(turn), (c - o) / c)
 
         def cut(m: int) -> None:
             sv, tg = serving[m], target[m]

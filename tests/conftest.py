@@ -35,8 +35,9 @@ class FixedPolicy:
     def __init__(self, value: float) -> None:
         self.value = value
 
-    def regions(self, velocity, dist_norm, chan_norm, s_min, s_th) -> np.ndarray:
-        return region_codes(np.full(chan_norm.shape, self.value), s_min, s_th)
+    def table(self, velocity, dist_norm, chan_norm, s_min, s_th):
+        code = int(region_codes(self.value, s_min, s_th))
+        return lambda r, chan: code
 
 
 def distance_norm(ratio: float) -> float:

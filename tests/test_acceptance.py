@@ -157,7 +157,7 @@ def test_criterion_1_defuzzification_oracle():
     # self-check: grouped sums == the literal 10^6-sample loop
     n = 1_000_000
     xs = (np.arange(n) + 0.5) / n
-    table = np.stack([t.degrees(xs) for t in out_var.terms])
+    table = np.array([list(map(t.degree, xs.tolist())) for t in out_var.terms])
     for row in S[:5]:
         comp = np.maximum.reduce(np.minimum(row[:, None], table), axis=0)
         literal = float(np.sum(comp * xs) / np.sum(comp))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gflsim.fuzzy import (
     default_output,
     default_system,
     default_velocity,
+    region_codes,
     trapezoid,
     triangle,
 )
@@ -59,14 +61,6 @@ class TestMembership:
         assert right.degree(30.0) == 1.0
         assert right.degree(15.0) == 0.0
 
-    def test_degrees_matches_scalar(self, rng):
-        for mf in (*default_velocity().terms, trapezoid("q", 0.1, 0.3, 0.5, 0.9)):
-            lo, hi = mf.support
-            xs = rng.uniform(lo - 1, hi + 1, size=500)
-            vec = mf.degrees(xs)
-            for x, v in zip(xs, vec):
-                assert v == mf.degree(float(x))
-
     def test_validation(self):
         with pytest.raises(FuzzyDefinitionError):
             MembershipFunction("bad", (1.0, 0.5, 2.0))
@@ -102,6 +96,32 @@ class TestLinguisticVariable:
             degs = var.degrees(xs)
             assert ((0.0 <= degs) & (degs <= 1.0)).all()
             assert (degs.max(axis=1) > 0.0).all(), f"{var.name} uncovered"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_degrees_equal_scalar_degree(self, data):
+        # A drawn triangle or trapezoid (shoulders a == b and c == z among
+        # them) between two shoulder terms that cover the universe, at its
+        # breakpoints, inside and outside its support and the universe, and NaN.
+        a = data.draw(st.floats(-50.0, 50.0))
+        gap = st.one_of(st.just(0.0), st.floats(0.001, 20.0))
+        b = a + data.draw(gap)
+        c = b + data.draw(gap) if data.draw(st.booleans()) else b
+        z = c + data.draw(gap)
+        assume(z > a)
+        lo, hi = a - data.draw(st.floats(0.5, 10.0)), z + data.draw(st.floats(0.5, 10.0))
+        mf = MembershipFunction("m", (a, b, z) if b == c else (a, b, c, z))
+        var = LinguisticVariable("v", lo, hi, (
+            triangle("lo", lo, lo, hi), mf, triangle("hi", lo, hi, hi)))
+        xs = data.draw(st.lists(st.one_of(
+            st.floats(lo - 20.0, hi + 20.0), st.sampled_from([lo, a, b, c, z, hi, -0.0, 0.0])),
+            min_size=1, max_size=40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = var.degrees(xs + [math.nan])
+        want = [[t.degree(min(max(x, lo), hi)) for t in var.terms] for x in xs]
+        assert got[:-1].tolist() == want
+        assert got[-1].tolist() == [0.0, 0.0, 0.0]
 
     def test_coverage_gap_rejected(self):
         with pytest.raises(FuzzyDefinitionError, match="covers"):
@@ -191,8 +211,21 @@ class TestEvaluateRules:
             assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == tuple(ref)
 
     def test_arity_checked(self):
-        with pytest.raises(FuzzyDefinitionError, match="expected 3 inputs, got 2"):
-            default_system().regions(DEFAULT_CONSEQUENTS, (10.0, 0.5), 0.2, 0.45)
+        with pytest.raises(FuzzyDefinitionError, match="expected 2 leading inputs, got 3"):
+            default_system().lead_strengths(DEFAULT_CONSEQUENTS, (10.0, 0.5, 0.5))
+
+
+class TestRegionCodes:
+    def test_codes_at_and_around_the_thresholds(self):
+        for s_min, s_th in ((0.2, 0.45), (0.0, 0.5), (-0.5, 0.0)):
+            near = [np.nextafter(t, d) for t in (s_min, s_th) for d in (-np.inf, np.inf)]
+            values = [s_min, s_th, *near, 0.0, -0.0, np.inf, -np.inf]
+            want = [0 if v < s_min else 1 if v == s_min else 2 if v < s_th else 3
+                    for v in values]
+            assert region_codes(np.array(values), s_min, s_th).tolist() == want
+            assert [int(region_codes(v, s_min, s_th)) for v in values] == want
+        # NaN compares false with both thresholds: below s_min.
+        assert region_codes(np.array([np.nan]), 0.2, 0.45).tolist() == [fuzzy._BELOW_MIN]
 
 
 class TestDefuzzify:
@@ -213,13 +246,15 @@ class TestDefuzzify:
         with pytest.raises(NoActivationError):
             default_system().crisp_from_strengths((0.0,) * 5)
 
-    def test_regions_rejects_a_consequent_outside_the_output_terms(self):
-        system, inputs = default_system(), (np.array([3.0]), np.array([0.3]), np.array([0.5]))
+    def test_lead_strengths_reject_a_consequent_outside_the_output_terms(self):
+        system, inputs = default_system(), (np.array([3.0]), np.array([0.3]))
         for bad in (6, 0):
             genes = list(DEFAULT_CONSEQUENTS)
             genes[7] = bad
             with pytest.raises(ValueError, match=f"consequent {bad} at index 7 is outside 1..5"):
-                system.regions(genes, inputs, 0.2, 0.45)
+                system.lead_strengths(genes, inputs)
+        with pytest.raises(ValueError, match="expected 27 consequents"):
+            system.lead_strengths(DEFAULT_CONSEQUENTS + (1,), inputs)
 
     def test_settle_raises_on_an_all_zero_row(self):
         rows = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0] * 5])
@@ -277,7 +312,7 @@ class TestDefuzzify:
     def test_high_resolution_oracle_spot_checks(self, rng):
         system = default_system()
         xs = (np.arange(1_000_000) + 0.5) / 1_000_000
-        table = np.stack([t.degrees(xs) for t in system.output_var.terms])
+        table = np.array([list(map(t.degree, xs.tolist())) for t in system.output_var.terms])
         for _ in range(5):
             s = rng.random(5)
             comp = np.maximum.reduce(np.minimum(s[:, None], table), axis=0)
@@ -364,9 +399,16 @@ class TestAlwaysActivated:
                 st.floats(var.lo - width, var.hi + width), st.sampled_from(edges)),
                 min_size=8, max_size=8)))
         xs = [np.array(r) for r in rows]
-        assert (system.fire(xs).max(axis=-1) > 0.0).all()
+        fired = system.fire(xs)
+        assert (fired.max(axis=-1) > 0.0).all()
+        # The lead strengths clipped by the last input are the grid's min-max strengths.
+        strengths = system.strengths(system.lead_strengths(genes, xs[:-1]), xs[-1])
+        want = np.zeros((8, 5))
+        for cell, g in enumerate(genes):
+            want[:, g - 1] = np.maximum(want[:, g - 1], fired[:, cell])
+        assert strengths.tolist() == want.tolist()
         s_min = out.lo + data.draw(st.floats(0.0, 0.9)) * (out.hi - out.lo)
-        codes = system.regions(genes, xs, s_min, s_min + 0.1 * (out.hi - out.lo))
+        codes = system.settle(strengths, s_min, s_min + 0.1 * (out.hi - out.lo))
         assert codes.shape == (8,) and ((codes >= 0) & (codes <= 3)).all()
 
 

@@ -119,26 +119,32 @@ def channel_levels(capacity) -> np.ndarray:
 @st.composite
 def decision_batches(draw):
     """A policy over random consequents, rows of decision inputs (breakpoints
-    of the default terms among them) and thresholds, half of the time set
-    exactly to decision values of the batch."""
+    of the default terms among them) with a capacity and a start occupancy,
+    and thresholds, half of the time set exactly to decision values of the batch."""
     kind = draw(st.sampled_from(["fls", "flah"]))
     genes = draw(st.lists(st.integers(1, 5), min_size=27, max_size=27))
     n = draw(st.integers(0, 6))
     rows = st.lists(st.tuples(
         st.one_of(st.floats(-5.0, 40.0), st.sampled_from([0.0, 5.0, 15.0, 25.0, 30.0])),
         st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])),
-        st.integers(1, 6)), min_size=n, max_size=n)
+        st.integers(1, 6), st.integers(0, 6)), min_size=n, max_size=n)
     return kind, genes, draw(rows), draw(st.booleans()), draw(st.integers(0, 2 ** 16))
 
 
-class TestRegions:
+def region_of(v: float, s_min: float, s_th: float) -> int:
+    return (fuzzy._BELOW_MIN if v < s_min else fuzzy._AT_MIN if v == s_min
+            else fuzzy._MID if v < s_th else fuzzy._ABOVE_TH)
+
+
+class TestTable:
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(decision_batches())
-    def test_batched_regions_equal_scalar_decide_at_every_level(self, batch):
+    def test_table_equals_scalar_decide_at_every_level(self, batch):
         kind, genes, rows, exact, pick = batch
         policy = make_policy(kind, consequents=genes)
         velocity, dist, cap = (np.array([r[i] for r in rows], dtype=float if i < 2 else int)
                                for i in range(3))
+        start = np.array([min(r[3], r[2]) for r in rows], dtype=int)
         chan = channel_levels(cap)
         values = {(r, o): policy.decide(velocity[r], dist[r], chan[r, o])
                   for r in range(len(rows)) for o in range(cap[r] + 1)}
@@ -149,25 +155,34 @@ class TestRegions:
             ordered = sorted(set(values.values()))
             s_min = ordered[pick % len(ordered)]
             s_th = next((v for v in ordered if v > s_min), s_min + 0.25)
-        got = policy.regions(velocity, dist, chan, s_min, s_th)
-        assert got.shape == chan.shape
+        got = {}
+        for (r, o) in values:  # a fresh table per read: each row is read once a unit
+            region = policy.table(velocity, dist, chan[np.arange(len(rows)), start],
+                                  s_min, s_th)
+            got[r, o] = region(r, chan[r, o])
         for (r, o), v in values.items():
-            want = (fuzzy._BELOW_MIN if v < s_min else fuzzy._AT_MIN if v == s_min
-                    else fuzzy._MID if v < s_th else fuzzy._ABOVE_TH)
-            assert got[r, o] == want, (r, o, v, s_min, s_th)
+            assert got[r, o] == region_of(v, s_min, s_th), (r, o, v, s_min, s_th)
         if exact and values:
-            assert (got == fuzzy._AT_MIN).any()
+            assert fuzzy._AT_MIN in got.values()
 
-    def test_only_levels_up_to_capacity_are_settled(self):
-        # FLS settles one row per level up to each capacity; FLAH, which
-        # ignores channels, one row per terminal.
-        chan = channel_levels([1, 6])
-        for kind, want in (("fls", 2 + 7), ("flah", 2)):
+    def test_start_inputs_settle_in_one_batch_and_other_reads_alone(self):
+        # FLS settles every row at its start channel input at once; a read at
+        # another input settles that row alone.  FLAH, which ignores channels,
+        # settles each row once and answers every read from it.
+        velocity, dist, start = np.array([3.0, 20.0]), np.array([0.3, 0.9]), np.array([1.0, 0.5])
+        for kind, alone in (("fls", 2), ("flah", 0)):
             policy = make_policy(kind)
-            settle, settled = policy.system.settle, []
+            settle, crisp = policy.system.settle, policy.system.crisp_from_strengths
+            settled, exact = [], []
             policy.system.settle = lambda rows, *th: settled.append(len(rows)) or settle(rows, *th)
-            got = policy.regions(np.array([3.0, 20.0]), np.array([0.3, 0.9]), chan, 0.2, 0.45)
-            assert sum(settled) == want and got.shape == (2, 7)
+            region = policy.table(velocity, dist, start, 0.2, 0.45)
+            policy.system.crisp_from_strengths = lambda s: exact.append(len(s)) or crisp(s)
+            got = [region(0, 1.0), region(1, 0.5), region(0, 0.0), region(1, 1 / 6)]
+            assert settled == [2] and exact == [5] * alone
+            want = [region_of(policy.decide(v, d, c), 0.2, 0.45)
+                    for v, d, c in ((3.0, 0.3, 1.0), (20.0, 0.9, 0.5), (3.0, 0.3, 0.0),
+                                    (20.0, 0.9, 1 / 6))]
+            assert got == want
 
     def test_construction_rejects_a_consequent_outside_the_output_terms(self):
         two = fuzzy.LinguisticVariable("rss_threshold", 0.0, 1.0, (
@@ -179,12 +194,13 @@ class TestRegions:
         genes[4] = 6
         with pytest.raises(ValueError, match="consequent 6 at index 4 is outside 1..5"):
             HandoffPolicy(PolicyKind.FLS, default_system(), tuple(genes))
+        with pytest.raises(ValueError, match="expected 27 consequents"):
+            HandoffPolicy(PolicyKind.FLS, default_system(), DEFAULT_CONSEQUENTS[:9])
 
     def test_empty_batch(self):
         for kind in ("fls", "flah"):
-            got = make_policy(kind).regions(np.zeros(0), np.zeros(0), channel_levels([]),
-                                            0.2, 0.45)
-            assert got.shape == (0, 1)
+            region = make_policy(kind).table(np.zeros(0), np.zeros(0), np.zeros(0), 0.2, 0.45)
+            assert callable(region)
 
 
 class TestOnEpoch:

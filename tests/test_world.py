@@ -30,7 +30,6 @@ from gflsim.world import (
     UnitRecord,
     World,
     WorldConfig,
-    _LEVELS,
     acceleration_for,
     accelerated_state,
     audit_motion,
@@ -545,8 +544,9 @@ def scenarios(draw):
 class SignalPolicy:
     """A value that depends on every decide input, hitting s_min and s_th
     exactly at some of them.  As the scalar step's hook it logs each decide
-    call; as the array step's hook it logs each row of inputs with its
-    channel levels and classifies the same values with ``region_codes``."""
+    call; as the array step's hook it logs each read of its table, with the
+    row's inputs and the read's channel input, and classifies the same
+    values with ``region_codes``."""
 
     def __init__(self, cfg: WorldConfig, salt: int) -> None:
         self.values = (cfg.s_min, 0.05, cfg.s_th, 0.3, 0.9)
@@ -561,15 +561,17 @@ class SignalPolicy:
         self.calls.append((velocity, dist_norm, chan_norm))
         return self.value(velocity, dist_norm, chan_norm)
 
-    def regions(self, velocity, dist_norm, chan_norm, s_min, s_th) -> np.ndarray:
-        assert all(a.dtype == float for a in (velocity, dist_norm, chan_norm))
-        values = np.full(chan_norm.shape, np.nan)
-        for r, (v, d, levels) in enumerate(zip(velocity.tolist(), dist_norm.tolist(),
-                                               chan_norm.tolist())):
-            levels = tuple(c for c in levels if not math.isnan(c))  # NaN above capacity
-            self.calls.append((v, d, levels))
-            values[r, :len(levels)] = [self.value(v, d, c) for c in levels]
-        return region_codes(values, s_min, s_th)
+    def table(self, velocity, dist_norm, chan_norm, s_min, s_th):
+        assert all(a.dtype == float and a.shape == velocity.shape
+                   for a in (velocity, dist_norm, chan_norm))
+        velocity, dist_norm = velocity.tolist(), dist_norm.tolist()
+        read = iter(range(len(velocity)))
+
+        def region(r, chan):
+            assert r == next(read), "rows are read once each, in order"
+            self.calls.append((velocity[r], dist_norm[r], chan))
+            return int(region_codes(self.value(velocity[r], dist_norm[r], chan), s_min, s_th))
+        return region
 
 
 class TestArrayStepMatchesReference:
@@ -591,11 +593,9 @@ class TestArrayStepMatchesReference:
             assert list(world.mts) == ref.mts, rec.t
             assert [bs.occupied for bs in world.stations] == \
                 [bs.occupied for bs in ref.stations], rec.t
-        # One row per scalar decide call, in the same order, with the
-        # channel input the scalar step saw among the row's levels.
-        assert len(live.calls) == len(scalar.calls)
-        for (v, d, levels), call in zip(live.calls, scalar.calls):
-            assert (v, d) == call[:2] and call[2] in levels
+        # One table read per scalar decide call, in the same order and at
+        # the same inputs.
+        assert live.calls == scalar.calls
         assert world.connected_units == ref.connected_units
         world.verify_channels()
 
@@ -615,6 +615,20 @@ class TestDecisionTable:
     """The step reads each deciding terminal's region at its station's
     occupancy from one table per unit."""
 
+    @staticmethod
+    def log_reads(policy, starts_ok=lambda chan_norm: True) -> list:
+        """Wrap ``policy.table``: each table's start inputs must pass ``starts_ok``,
+        and each read logs whether its channel input differs from its row's start."""
+        reads, table = [], policy.table
+
+        def logged(velocity, dist_norm, chan_norm, *thresholds):
+            assert starts_ok(chan_norm)
+            region = table(velocity, dist_norm, chan_norm, *thresholds)
+            return lambda r, chan: reads.append(chan != chan_norm[r]) or region(r, chan)
+
+        policy.table = logged
+        return reads
+
     def test_unit_without_deciding_terminals(self):
         # Uncovered, in handover, and connected out of coverage (a forced cut):
         # the table has no rows.
@@ -632,23 +646,39 @@ class TestDecisionTable:
             w.step(make_policy(kind))
             assert [e.kind for e in w.events] == [CONNECTION_CUT]
 
-    def test_large_station_rows_hold_a_window_and_ask_outside_it(self):
-        # A capacity above _LEVELS gives rows a window of occupancies, and a
-        # turn outside it asks the policy for that one level.  The 30
-        # terminals start disconnected under the one station, so its
-        # occupancy climbs past the first window within the first unit.
+    def test_large_station_reads_away_from_the_start_occupancy_equal_the_scalar_step(self):
+        # The 30 terminals start disconnected under the one station, so its
+        # occupancy climbs within the first unit and most turns read the
+        # table at an occupancy other than the unit's start.  Such a read
+        # settles its row alone; every read equals the scalar step's decide.
         terminals = tuple(TerminalSpec(1000.0 + 10.0 * i, 1000.0, 0.0, speed=5.0)
                           for i in range(30))
         cfg = WorldConfig(arena_width=2000.0, arena_height=2000.0, terminals=terminals,
-                          stations=(StationSpec(1000.0, 1000.0, 900.0, 2 * _LEVELS + 5),))
-        world = World.build(cfg)
-        ref = ReferenceWorld(world)
-        live, scalar = SignalPolicy(cfg, 3), SignalPolicy(cfg, 3)
-        for _ in range(8):
-            rec = world.step(live)
-            assert rec == ref.step(scalar) and world.events == ref.events
-        widths = {len(levels) for _, _, levels in live.calls}
-        assert widths == {1, _LEVELS} and world.stations[0].occupied > _LEVELS
+                          stations=(StationSpec(1000.0, 1000.0, 900.0, 37),))
+        for kind in ("fls", "flah"):
+            live, scalar = make_policy(kind), make_policy(kind)
+            # Rows start at the occupancy the station has when the unit begins.
+            reads = self.log_reads(live, lambda chan_norm: (
+                chan_norm == (37 - world.stations[0].occupied) / 37).all())
+            world = World.build(cfg)
+            ref = ReferenceWorld(world)
+            for _ in range(8):
+                rec = world.step(live)
+                assert rec == ref.step(scalar) and world.events == ref.events
+            assert [bs.occupied for bs in world.stations] == [bs.occupied for bs in ref.stations]
+            assert world.stations[0].occupied > 16 and sum(reads) >= 20, kind
+
+    def test_two_input_table_settles_once_per_unit(self):
+        # FLAH ignores channels: each unit settles its rows in one batch, one
+        # row per read, and reads at any occupancy settle nothing more.
+        world = World.build(WorldConfig(mt_count=60, total_time=6), np.random.default_rng(2))
+        policy, settled = make_policy("flah"), []
+        settle, reads = policy.system.settle, self.log_reads(policy)
+        policy.system.settle = lambda rows, *th: settled.append(len(rows)) or settle(rows, *th)
+        for _ in range(6):
+            world.step(policy)
+        assert len(settled) == 6 and sum(settled) == len(reads)
+        assert any(reads) and len(world.events) > 0
 
     @pytest.mark.parametrize("occupied", [-1, 3])
     def test_occupancy_outside_capacity_raises_naming_the_station(self, occupied):
