@@ -15,19 +15,21 @@ tagged with its site and gene key), and settles a batch's misses in one
 ``FuzzySystem.settle_levels`` call on strength rows of indices into the
 window's fired weights, whose centroid sums are tabled once per window.
 Then it steps the population through per-unit transition tables, built
-once per unit and cached with its sites for the next, overlapping window:
-a terminal's state is one code (disconnected, connected to s, or handing
-over s -> t with d units of dwell left), and per (terminal, code, region)
-the tables give the site to read, the next code and the cost.  ``batch``
-and ``window_support`` are all ``evolve`` asks of a fitness.
+once per unit and reused by the next, overlapping window: a terminal's
+state is one code (disconnected, connected to s, or handing over s -> t
+with d units of dwell left), and per (terminal, code, region) the tables
+give the site to read, the next code and the cost.  ``batch`` and
+``window_support`` are all ``evolve`` asks of a fitness.
 
-Fitness is a pure function of (chromosome, window, config), so evaluations
-are cache-friendly and could run on parallel workers; the generational
-loop itself is a sequential barrier and all random draws come from one
-caller-supplied generator stream.  The order of a generation's draws is
+The population is one (population_size, genes) int64 array, which
+``evolve`` changes in place; it returns the best chromosome as a tuple.
+Fitness is a pure function of (chromosome, window, config), so
+evaluations are cache-friendly and could run on parallel workers; the
+generational loop itself is a sequential barrier and all random draws
+come from one caller-supplied generator stream.  The order of a generation's draws is
 the contract: the one the per-call operators ``tournament_select``,
-``one_point_crossover`` and ``mutate_random_reset`` make, a pair of
-offspring at a time.  The operators are the reference; on a PCG64
+``one_point_crossover`` and ``mutate_random_reset`` make on tuples, a pair
+of offspring at a time.  The operators are the reference; on a PCG64
 ``Generator``, ``evolve`` reads the same draws from one block of raw
 words and hands the stream back where the operators would leave it.
 """
@@ -35,14 +37,12 @@ words and hands the stream back where the operators would leave it.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import FuzzySystem
+from .fuzzy import FuzzySystem, check_genes
 from .schema import ConfigError, check_fields
 from .world import _CONNECT, _HANDOVER
 
@@ -51,7 +51,6 @@ __all__ = [
     "EvolverConfig",
     "Chromosome",
     "validate_chromosome",
-    "random_chromosome",
     "init_population",
     "tournament_select",
     "one_point_crossover",
@@ -89,29 +88,22 @@ class EvolverConfig:
                               f"({self.population_size}), got {self.tournament_size}")
 
 
-def validate_chromosome(genes: Sequence[int], length: int) -> None:
-    if len(genes) != length:
-        raise ValueError(f"chromosome length {len(genes)} != {length}")
-    bad = [g for g in genes if not _GENE_LO <= g <= _GENE_HI]
-    if bad:
-        raise ValueError(f"genes outside {{1..5}}: {bad}")
-
-
-def random_chromosome(length: int, rng: np.random.Generator) -> Chromosome:
-    return tuple(int(g) for g in rng.integers(_GENE_LO, _GENE_HI + 1, size=length))
+def validate_chromosome(genes: Sequence[int], length: int) -> np.ndarray:
+    """The genes as an int64 array, if there are ``length`` >= 1 of them, each an integer 1..5."""
+    return check_genes(genes, length, _GENE_HI)
 
 
 def init_population(
     seed_chromosome: Sequence[int],
     cfg: EvolverConfig,
     rng: np.random.Generator,
-) -> list[Chromosome]:
-    """Seed grid first, the rest drawn uniformly gene by gene."""
-    seed = tuple(int(g) for g in seed_chromosome)
-    validate_chromosome(seed, len(seed))
-    pop: list[Chromosome] = [seed]
-    for _ in range(cfg.population_size - 1):
-        pop.append(random_chromosome(len(seed), rng))
+) -> np.ndarray:
+    """(population_size, genes) int64 array: the seed grid first, the rest
+    drawn uniformly in one call, which draws what one call per row would."""
+    seed = validate_chromosome(seed_chromosome, len(seed_chromosome))
+    pop = np.empty((cfg.population_size, len(seed)), dtype=np.int64)
+    pop[0] = seed
+    pop[1:] = rng.integers(_GENE_LO, _GENE_HI + 1, size=(cfg.population_size - 1, len(seed)))
     return pop
 
 
@@ -231,7 +223,7 @@ def _layout(n_mts: int, n_stations: int, dwell: int):
     return width, disc, conn, hand, nxt, cost
 
 
-def _unit_steps(rec, cols: list[int], dwell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_steps(rec, cols: np.ndarray, dwell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Site, next and cost tables of one unit whose sites, in order, sit at
     the flat (terminal, station) columns ``cols``."""
     M, S = rec.ratio.shape
@@ -290,35 +282,35 @@ class _WindowPrep:
 
         # Materialize every covered decision site: fuzzified inputs do not
         # depend on the candidate grid, only their gene mapping does.  Units
-        # reused from the previous window keep their sites, region table and
-        # transition tables; the cache then holds this window's units only.
-        cache, fitness._site_cache = fitness._site_cache, {}
-        self.sites: list[tuple[list[int], list[float]]] = []
-        units, firsts = [], []
+        # of the previous window keep their sites, region table and
+        # transition tables; the record identity guards against unrelated
+        # windows that reuse unit numbers.
+        reuse = fitness._last_prep[1].units if fitness._last_prep else {}
+        units = []
         for rec in records:
-            cached = cache.get(rec.t)
-            if cached is None or cached[0] is not rec:
-                sites = self._unit_sites(rec, system)
-                cached = (rec, sites, _region_table(len(sites)), _unit_steps(rec, list(sites), dwell))
-            units.append(cached)
-            firsts.append(len(self.sites))
-            self.sites.extend(cached[1].values())
+            unit = reuse.get(rec.t)
+            if unit is None or unit[0] is not rec:
+                cols, cells, weights = self._unit_sites(rec, system)
+                unit = (rec, cells, weights, _region_table(len(cols)), _unit_steps(rec, cols, dwell))
+            units.append(unit)
+        counts = np.array([len(cells) for _, cells, *_ in units])
+        firsts = np.cumsum(counts) - counts
+        n_sites = int(counts.sum())
         # Each unit's tables with the window's site indices; a code that
         # reads no site reads the padding column, the last of the regions.
-        self.steps = [(np.where(site >= 0, site + first, len(self.sites)), nxt, cost)
-                      for (*_, (site, nxt, cost)), first in zip(units, firsts)]
+        self.steps = [(np.where(site >= 0, site + first, n_sites), nxt, cost)
+                      for (*_, (site, nxt, cost)), first in zip(units, firsts.tolist())]
         # Each unit keeps its slice of the window's table, so the regions a
         # batch stores stay with the unit.
-        self.table = np.concatenate([table for _, _, table, _ in units])
-        counts = [len(sites) for _, sites, _, _ in units]
-        sizes = np.array([len(table) for _, _, table, _ in units])
+        self.table = np.concatenate([table for *_, table, _ in units])
+        sizes = np.array([len(table) for *_, table, _ in units])
         ends = np.cumsum(sizes)
-        for (rec, sites, _, steps), lo, hi in zip(units, ends - sizes, ends):
-            fitness._site_cache[rec.t] = (rec, sites, self.table[lo:hi], steps)
+        self.units = {rec.t: (rec, cells, weights, self.table[lo:hi], steps)
+                      for (rec, cells, weights, _, steps), lo, hi in zip(units, ends - sizes, ends)}
         # Per site: its index in its unit, that index's hash salt, and where
         # the two halves of its unit's table start, the hash bits (mask and
         # shift) that pick a slot in each.
-        self.local = np.concatenate([np.arange(n) for n in counts])
+        self.local = np.arange(n_sites) - np.repeat(firsts, counts)
         self.salt = self.local.astype(np.uint64) * _SITE_MUL
         half = np.maximum(sizes // 2, 1)
         self.slot_base = np.repeat(ends - sizes, counts)
@@ -326,34 +318,39 @@ class _WindowPrep:
         self.alt_base = np.repeat(ends - half, counts)
         self.alt_shift = np.repeat(32 - np.log2(half).astype(np.int64), counts).astype(np.uint64)
         # Fired cells and weights (as indices into ``levels``, ascending) per
-        # site, padded with the index of an extra gene column that contributes
-        # a zero digit (see ``ReplayFitness.batch``) and weight 0.0, level 0.
-        maxf = max((len(idx) for idx, _ in self.sites), default=1)
-        self.padded_idx = np.full((len(self.sites), maxf), system.n_cells, dtype=np.int64)
-        padded_w = np.zeros((len(self.sites), maxf))
-        for gid, (idx, w) in enumerate(self.sites):
-            self.padded_idx[gid, : len(idx)] = idx
-            padded_w[gid, : len(w)] = w
+        # site, one block per unit, padded with the index of an extra gene
+        # column that contributes a zero digit (see ``ReplayFitness.batch``)
+        # and weight 0.0, level 0.
+        maxf = max([1] + [cells.shape[1] for _, cells, *_ in units])
+        self.padded_idx = np.full((n_sites, maxf), system.n_cells, dtype=np.int64)
+        padded_w = np.zeros((n_sites, maxf))
+        for (_, cells, weights, *_), lo in zip(units, firsts):
+            self.padded_idx[lo:lo + len(cells), : cells.shape[1]] = cells
+            padded_w[lo:lo + len(cells), : cells.shape[1]] = weights
         levels, level_of = np.unique(np.append(padded_w, 0.0), return_inverse=True)
         self.padded_level = level_of[:-1].reshape(padded_w.shape)
         self.level_sums = system.level_sums(levels)
         self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
         # Sites share a few fired-cell sets, so keys are found per set.
         self.cell_sets, self.set_of = np.unique(self.padded_idx, axis=0, return_inverse=True)
-        self.support = tuple(sorted({i for idx, _ in self.sites for i in idx}))
+        # (A 1-d np.unique would import numpy.ma, about 1 MB, in numpy 2.4.)
+        fired = np.bincount(self.cell_sets.ravel(), minlength=system.n_cells + 1)[:-1]
+        self.support = tuple(np.flatnonzero(fired).tolist())
 
     @staticmethod
-    def _unit_sites(rec, system: FuzzySystem) -> dict[int, tuple]:
-        """Sites of one unit, keyed by flat (terminal, station) column in
-        terminal-major order; every covered pair fires in one array pass (a
-        two-input system ignores the channel input)."""
+    def _unit_sites(rec, system: FuzzySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sites of one unit: flat (terminal, station) columns in terminal-major
+        order, and per site its fired cells (ascending) and weights, padded with
+        cell ``system.n_cells`` and weight 0.0; every covered pair fires in one
+        array pass (a two-input system ignores the channel input)."""
         m, s = np.nonzero(rec.ratio > 0.0)
         w = system.fire((rec.velocity[m], np.minimum(rec.ratio[m, s], 1.0), rec.chan[m, s]))
-        pair, cell = np.nonzero(w > 0.0)
-        cells, weights = cell.tolist(), w[pair, cell].tolist()
-        ends = np.cumsum(np.bincount(pair, minlength=len(m))).tolist()
-        return {col: (cells[lo:hi], weights[lo:hi])
-                for col, lo, hi in zip((m * rec.ratio.shape[1] + s).tolist(), [0] + ends, ends)}
+        fired = w > 0.0
+        # A stable sort of the unfired flags puts each site's fired cells first, ascending.
+        order = np.argsort(~fired, axis=1, kind="stable")[:, : fired.sum(axis=1).max(initial=0)]
+        cells = np.where(np.take_along_axis(fired, order, axis=1), order, system.n_cells)
+        weights = np.where(cells < system.n_cells, np.take_along_axis(w, order, axis=1), 0.0)
+        return m * rec.ratio.shape[1] + s, cells, weights
 
 
 class ReplayFitness:
@@ -389,14 +386,13 @@ class ReplayFitness:
         self.s_min = float(s_min)
         self.s_th = float(s_th)
         self.dwell = int(dwell)
+        for name, weight in (("weight_handoff", weight_handoff), ("weight_cut", weight_cut)):
+            if not 0.0 <= weight < float("inf"):
+                raise ValueError(f"{name} must be finite and >= 0, got {weight}")
         self.weight_handoff = float(weight_handoff)
         self.weight_cut = float(weight_cut)
+        # The last prepared window; the next, overlapping one reuses its units.
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
-        # Unit t -> (source record, that unit's sites, their region table,
-        # its transition tables) for the last prepared window, so consecutive
-        # overlapping windows share them; the record identity guards
-        # against unrelated windows that reuse unit numbers.
-        self._site_cache: dict[int, tuple] = {}
 
     def _prep(self, records: tuple) -> _WindowPrep:
         if self._last_prep is None or self._last_prep[0] is not records:
@@ -445,7 +441,7 @@ class ReplayFitness:
         that the codes which decide nothing read.  Pairs missing from both
         their table slots are settled in one ``FuzzySystem.settle_levels``
         call and stored with one scatter."""
-        P, G = len(digits), len(prep.sites)
+        P, G = len(digits), len(prep.local)
         keys = (digits[:, prep.cell_sets] @ prep.powers).take(prep.set_of, axis=1)
         hashes = ((keys.view(np.uint64) + prep.salt) * _HASH_MUL) >> np.uint64(32)
         slot = prep.slot_base + (hashes & prep.slot_mask).astype(np.int64)
@@ -499,9 +495,10 @@ class ReplayFitness:
         return out
 
 
-def _offspring_per_call(population, fits, cfg: EvolverConfig, rng) -> list[Chromosome]:
+def _offspring_per_call(genes: np.ndarray, fits, cfg: EvolverConfig, rng) -> np.ndarray:
     """One generation's offspring from the operators, a pair at a time: two
     tournaments, a crossover, and a mutation of each child that is kept."""
+    population = list(map(tuple, genes.tolist()))
     offspring: list[Chromosome] = []
     while len(offspring) < len(population):
         a = tournament_select(population, fits, cfg.tournament_size, rng)
@@ -509,47 +506,42 @@ def _offspring_per_call(population, fits, cfg: EvolverConfig, rng) -> list[Chrom
         for child in one_point_crossover(a, b, cfg.crossover_prob, rng):
             if len(offspring) < len(population):
                 offspring.append(mutate_random_reset(child, cfg.mutation_prob, rng))
-    return offspring
+    return np.array(offspring, dtype=np.int64)
 
 
-def _offspring(population, fits, cfg: EvolverConfig, rng, genes: Optional[np.ndarray]):
+def _offspring(genes: np.ndarray, fits, cfg: EvolverConfig, rng) -> np.ndarray:
     """:func:`_offspring_per_call`'s offspring and final ``rng`` state, read
     on a PCG64 ``Generator`` from one block of raw words.  Other generators,
-    empty chromosomes and NaN fitnesses (whose tournament ties follow set
-    order) take the operators.  ``genes`` may hold the population as an
-    (n, L) array; the offspring come with theirs, or with None from the
-    operators."""
+    and a draw that Lemire's method rejects, take the operators."""
     bitgen = getattr(rng, "bit_generator", None)
-    if (type(rng) is not np.random.Generator or type(bitgen) is not np.random.PCG64
-            or not population[0] or any(map(math.isnan, fits))):
-        return _offspring_per_call(population, fits, cfg, rng), None
+    if type(rng) is not np.random.Generator or type(bitgen) is not np.random.PCG64:
+        return _offspring_per_call(genes, fits, cfg, rng)
     state = bitgen.state
     # A pair draws at most 2k + 1 + 2L doubles and 1 + 2L 32-bit values.
-    size = (len(population) + 1) // 2 * (2 * cfg.tournament_size + 2 + 4 * len(population[0]))
-    built = _offspring_from_block(population, fits, cfg, bitgen.random_raw(size),
-                                  state["has_uint32"], state["uinteger"], genes)
+    size = (len(genes) + 1) // 2 * (2 * cfg.tournament_size + 2 + 4 * genes.shape[1])
+    built = _offspring_from_block(genes, fits, cfg, bitgen.random_raw(size),
+                                  state["has_uint32"], state["uinteger"])
     bitgen.state = state
     if built is None:
-        return _offspring_per_call(population, fits, cfg, rng), None
-    offspring, genes, used, pending, uinteger = built
+        return _offspring_per_call(genes, fits, cfg, rng)
+    kids, used, pending, uinteger = built
     bitgen.advance(used)
     bitgen.state = {**bitgen.state, "has_uint32": pending, "uinteger": uinteger}
-    return offspring, genes
+    return kids
 
 
-def _offspring_from_block(population, fits, cfg: EvolverConfig, block: np.ndarray,
-                          pending: int, uinteger: int, genes: Optional[np.ndarray]):
+def _offspring_from_block(genes: np.ndarray, fits, cfg: EvolverConfig, block: np.ndarray,
+                          pending: int, uinteger: int):
     """:func:`_offspring_per_call` on a generator whose next raw words are
     ``block`` and whose pending 32-bit half is ``uinteger`` if ``pending``:
-    the offspring as tuples and as an array, the words used, and the pending
-    flag and last half after them; or None if Lemire's method rejects a cut
-    or gene draw.
+    the offspring, the words used, and the pending flag and last half after
+    them; or None if Lemire's method rejects a cut or gene draw.
 
     numpy's Generator reads a PCG64 double from the top 53 bits of one word;
     a 32-bit draw takes the pending half if there is one, else the low half
     of a fresh word, whose high half becomes the pending one.
     """
-    n, k, L = len(population), cfg.tournament_size, len(population[0])
+    (n, L), k = genes.shape, cfg.tournament_size
     pairs = (n + 1) // 2
     u = (block >> np.uint64(11)) * 2.0**-53
     crossing, mutating = u < cfg.crossover_prob, u < cfg.mutation_prob
@@ -612,82 +604,73 @@ def _offspring_from_block(population, fits, cfg: EvolverConfig, block: np.ndarra
     rank = np.argsort(np.argsort(fits, kind="stable"))
     winners = np.where(member.reshape(rows, n), rank, n).argmin(axis=1)
 
-    if genes is None:
-        genes = np.fromiter(itertools.chain.from_iterable(population), dtype=np.int64,
-                            count=n * L).reshape(n, L)
     parents = genes[winners].reshape(pairs, 2, L)
     left = (np.arange(L) < cut[:, None])[:, None, :]
     kids = np.where(left, parents, parents[:, ::-1]).reshape(rows, L)[:n]
     kids[mutating[np.add.outer(masks, np.arange(L))]] = drawn[len(cut_at):]
-    return list(map(tuple, kids.tolist())), kids, at, pending, int(halves[last])
+    return kids, at, pending, int(halves[last])
 
 
 def evolve(
-    population: list[Chromosome],
+    population: np.ndarray,
     window,
     fitness: ReplayFitness,
     cfg: EvolverConfig,
     rng: np.random.Generator,
     on_generation: Optional[Callable[[int, float], None]] = None,
 ) -> Chromosome:
-    """Generational loop with elitism of one; returns the all-time best.
+    """Generational loop with elitism of one; returns the all-time best as a tuple.
 
     ``window`` is the tuple of unit records that ``HistoryWindow.freeze``
-    returns.  ``population`` is evolved in place so the caller's evolver state
-    persists across invocations.  Offspring are built select -> crossover
-    -> mutate; the incumbent best replaces the first offspring unchanged,
-    which makes the per-generation best fitness non-increasing.
+    returns.  ``population`` is the (population_size, genes) int64 array of
+    :func:`init_population`; it is evolved in place, so the caller's evolver
+    state persists across invocations.  Offspring are built select ->
+    crossover -> mutate; the incumbent best replaces the first offspring
+    unchanged, which makes the per-generation best fitness non-increasing.
+    A NaN fitness raises ``ValueError`` naming the chromosome's index.
     """
     if not window:
         raise EmptyHistoryError("history window is empty")
     size = cfg.population_size
-    if len(population) != size:
-        raise ValueError(f"population size {len(population)} != configured {size}")
+    if population.ndim != 2 or len(population) != size or not population.shape[1]:
+        raise ValueError(f"population shape {population.shape} != ({size}, genes >= 1)")
 
     # Memo keys: a chromosome's genes on the window support as bytes, taken
-    # from the population's gene array with one column gather.
+    # from the population with one column gather.
     support = np.array(fitness.window_support(window), dtype=np.intp)
     memo: dict[bytes, float] = {}
 
-    def evaluate(pop: Sequence[Chromosome], genes: Optional[np.ndarray]) -> list[float]:
-        if genes is None:
-            genes = np.array(pop, dtype=np.int64).reshape(len(pop), -1)
-        cols = genes.take(support, axis=1).astype(np.uint8)
-        keys = cols.view(f"V{len(support)}").ravel().tolist() if len(support) else [b""] * len(pop)
+    def evaluate() -> list[float]:
+        cols = population.take(support, axis=1).astype(np.uint8)
+        keys = cols.view(f"V{len(support)}").ravel().tolist() if len(support) else [b""] * size
         pending: dict[bytes, int] = {}
         for i, key in enumerate(keys):
             if key not in memo and key not in pending:
                 pending[key] = i
         if pending:
-            reps = genes[list(pending.values())]
-            for key, val in zip(pending.keys(), fitness.batch(reps, window)):
-                memo[key] = float(val)
+            rows = list(pending.values())
+            vals = fitness.batch(population[rows], window)
+            if np.isnan(vals).any():
+                raise ValueError(f"fitness of chromosome {rows[np.isnan(vals).argmax()]} is NaN")
+            memo.update(zip(pending.keys(), map(float, vals)))
         return [memo[key] for key in keys]
 
-    fits = evaluate(population, None)
-    best_i = min(range(size), key=fits.__getitem__)
-    best, best_fit = population[best_i], fits[best_i]
-    if on_generation is not None:
-        on_generation(0, best_fit)
-
-    gene_array = None
-    for gen in range(cfg.generations):
-        offspring, gene_array = _offspring(population, fits, cfg, rng, gene_array)
-        offspring[0] = best
-        if gene_array is not None:
-            gene_array[0] = best
-        population[:] = offspring
-        fits = evaluate(population, gene_array)
-        gen_i = min(range(size), key=fits.__getitem__)
-        if fits[gen_i] < best_fit:
-            best, best_fit = population[gen_i], fits[gen_i]
+    for gen in range(cfg.generations + 1):
+        if gen:
+            population[:] = _offspring(population, fits, cfg, rng)
+            population[0] = best
+        fits = evaluate()
+        i = min(range(size), key=fits.__getitem__)
+        if gen == 0 or fits[i] < best_fit:
+            best, best_fit = tuple(population[i].tolist()), fits[i]
         if on_generation is not None:
-            on_generation(gen + 1, best_fit)
+            on_generation(gen, best_fit)
     return best
 
 
 class RuleEvolver:
-    """Owns the population, generator stream, and fitness for one policy."""
+    """Owns the population (an int64 array of one chromosome per row),
+    generator stream, and fitness for one policy."""
 
     def __init__(
         self,

@@ -292,6 +292,22 @@ def region_codes(values, s_min: float, s_th: float) -> np.ndarray:
     return (v >= s_min).view(np.int8) + (v > s_min) + (v >= s_th)
 
 
+def check_genes(genes: Sequence[int], length: int, hi: int) -> np.ndarray:
+    """``genes`` as an int64 array, if it has ``length`` >= 1 entries, each an integer
+    consequent 1..hi; an error names the first bad entry and its index."""
+    g = np.asarray(genes)
+    if g.shape != (length,) or not length:
+        raise ValueError(f"expected {length or 'at least 1'} consequents, got shape {g.shape}")
+    if g.dtype.kind not in "iu":  # as in the config schema, 2.0 is not an integer
+        for i, x in enumerate(genes):
+            if not isinstance(x, (int, np.integer)):
+                raise ValueError(f"consequent {x} at index {i} is not an integer")
+    bad = np.flatnonzero((g < 1) | (g > hi))
+    if len(bad):
+        raise ValueError(f"consequent {g[bad[0]]} at index {bad[0]} is outside 1..{hi}")
+    return g.astype(np.int64, copy=False)
+
+
 class FuzzySystem:
     """Fixed input/output variables plus the full inference pipeline.
 
@@ -394,14 +410,7 @@ class FuzzySystem:
 
     def check_consequents(self, consequents: Sequence[int]) -> np.ndarray:
         """The consequents as an array, if each grid cell has one term number 1..n_output_terms."""
-        c = np.asarray(consequents)
-        if c.shape != (self.n_cells,):
-            raise ValueError(f"expected {self.n_cells} consequents, got shape {c.shape}")
-        bad = np.flatnonzero((c < 1) | (c > self.n_output_terms))
-        if len(bad):
-            raise ValueError(f"consequent {c[bad[0]]} at index {bad[0]} is outside "
-                             f"1..{self.n_output_terms}")
-        return c
+        return check_genes(consequents, self.n_cells, self.n_output_terms)
 
     def lead_strengths(self, consequents: Sequence[int], inputs: Sequence) -> np.ndarray:
         """Strength ``A[..., q, k]`` the inputs but the last give output term k + 1 through

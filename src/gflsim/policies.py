@@ -55,11 +55,7 @@ def derive_flah_consequents(consequents27: Sequence[int]) -> tuple[int, ...]:
     consequent over the three channel levels of each pair."""
     if len(consequents27) != 27:
         raise ValueError(f"expected 27 consequents, got {len(consequents27)}")
-    out = []
-    for block in range(9):
-        triple = sorted(consequents27[3 * block: 3 * block + 3])
-        out.append(triple[1])
-    return tuple(out)
+    return tuple(sorted(consequents27[i:i + 3])[1] for i in range(0, 27, 3))
 
 
 class HandoffPolicy:

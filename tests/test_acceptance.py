@@ -18,7 +18,6 @@ from gflsim.evolver import (
     init_population,
     mutate_random_reset,
     one_point_crossover,
-    random_chromosome,
     validate_chromosome,
 )
 from gflsim.experiment import _build_policy, compare, default_config
@@ -284,7 +283,7 @@ def test_criterion_2_state_machine_equivalence(full_comparison):
 def test_criterion_3_operator_properties():
     rng = np.random.default_rng(271828)
     for _ in range(10_000):
-        p1, p2 = random_chromosome(27, rng), random_chromosome(27, rng)
+        p1, p2 = (tuple(rng.integers(1, 6, size=27).tolist()) for _ in range(2))
         c1, c2 = one_point_crossover(p1, p2, 0.9, rng)
         m = mutate_random_reset(c1, 0.1, rng)
         for genes in (c1, c2, m):

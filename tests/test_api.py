@@ -1,14 +1,27 @@
-"""Public API surface: every exported name resolves, and the methods the
-benchmark tracer wraps stay defined."""
+"""Public API surface: every exported name resolves, the methods the
+benchmark tracer wraps stay defined, and every source file parses on the
+oldest supported Python."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import gflsim
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gflsim.__path__, "gflsim."))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_as_python_3_10(path):
+    # pyproject's requires-python is 3.10.  Parsing with its grammar catches
+    # 3.11-only syntax such as ``except*`` on any interpreter, numpy or not;
+    # library calls new in 3.11 are not caught.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -26,7 +26,6 @@ from gflsim.evolver import (
     init_population,
     mutate_random_reset,
     one_point_crossover,
-    random_chromosome,
     tournament_select,
     validate_chromosome,
 )
@@ -65,6 +64,11 @@ def make_fitness(**kw):
     return ReplayFitness(default_system(), S_MIN, S_TH, dwell=2, **kw)
 
 
+def random_genes(length, rng):
+    """A uniform chromosome as a tuple of ints."""
+    return tuple(rng.integers(1, 6, size=length).tolist())
+
+
 class ScriptedRng:
     """Duck-typed generator returning scripted draws."""
 
@@ -89,8 +93,23 @@ class TestPopulation:
 
     def test_member_zero_is_seed(self, rng):
         pop = init_population(SEED_GENES, EvolverConfig(), rng)
-        assert pop[0] == SEED_GENES
+        assert pop.dtype == np.int64 and pop.shape == (50, 27)
+        assert tuple(pop[0].tolist()) == SEED_GENES
         assert len(pop) == 50
+
+    @pytest.mark.parametrize("length", [1, 9, 27])
+    def test_bulk_draw_equals_per_row_draws(self, length):
+        # One (n - 1, L) draw gives the genes and the whole generator state,
+        # pending 32-bit half included, of one draw per row; an odd L*(n-1)
+        # leaves a half pending.
+        for size in (2, 5, 50):
+            cfg = EvolverConfig(population_size=size, tournament_size=2)
+            ours, ref = np.random.default_rng(length), np.random.default_rng(length)
+            pop = init_population((3,) * length, cfg, ours)
+            rows = [[3] * length] + [ref.integers(1, 6, size=length).tolist()
+                                     for _ in range(size - 1)]
+            assert pop.tolist() == rows
+            assert stream_state(ours) == stream_state(ref)
 
     def test_random_members_stay_in_domain(self, rng):
         cfg = EvolverConfig(population_size=5, tournament_size=3)
@@ -104,6 +123,18 @@ class TestPopulation:
             validate_chromosome((1,) * 26, 27)
         with pytest.raises(ValueError):
             validate_chromosome((0,) + (1,) * 26, 27)
+
+    def test_non_integer_and_empty_chromosomes_rejected(self, rng):
+        cfg = EvolverConfig(population_size=5, tournament_size=3)
+        with pytest.raises(ValueError, match="consequent 2.5 at index 0 is not an integer"):
+            init_population((2.5,) * 27, cfg, rng)
+        with pytest.raises(ValueError, match="consequent 3.0 at index 4 is not an integer"):
+            validate_chromosome((1,) * 4 + (3.0,) + (1,) * 22, 27)
+        with pytest.raises(ValueError, match="at least 1 consequents"):
+            init_population((), cfg, rng)
+        with pytest.raises(ValueError, match="at least 1 consequents"):
+            validate_chromosome(np.zeros(0, dtype=np.int64), 0)
+        assert validate_chromosome(np.array(SEED_GENES, dtype=np.int32), 27).dtype == np.int64
 
 
 def tournament_reference(population, fitnesses, k, rng):
@@ -175,13 +206,13 @@ class TestCrossover:
         assert c2 == (5,) * 13 + (1,) * 14
 
     def test_zero_probability_copies_parents(self, rng):
-        p1, p2 = random_chromosome(27, rng), random_chromosome(27, rng)
+        p1, p2 = random_genes(27, rng), random_genes(27, rng)
         for _ in range(100):
             assert one_point_crossover(p1, p2, 0.0, rng) == (p1, p2)
 
     def test_positionwise_conservation(self, rng):
         for _ in range(10_000):
-            p1, p2 = random_chromosome(27, rng), random_chromosome(27, rng)
+            p1, p2 = random_genes(27, rng), random_genes(27, rng)
             c1, c2 = one_point_crossover(p1, p2, 0.9, rng)
             for a, b, c, d in zip(p1, p2, c1, c2):
                 assert {a, b} == {c, d} or (a, b) == (c, d) or (a, b) == (d, c)
@@ -189,12 +220,12 @@ class TestCrossover:
 
 class TestMutation:
     def test_zero_rate_is_identity(self, rng):
-        genes = random_chromosome(27, rng)
+        genes = random_genes(27, rng)
         assert mutate_random_reset(genes, 0.0, rng) == genes
 
     def test_full_rate_stays_in_domain(self, rng):
         for _ in range(200):
-            out = mutate_random_reset(random_chromosome(27, rng), 1.0, rng)
+            out = mutate_random_reset(random_genes(27, rng), 1.0, rng)
             assert all(1 <= g <= 5 for g in out)
 
     def test_expected_change_rate(self):
@@ -223,7 +254,7 @@ class TestMutation:
 
     def test_operators_preserve_validity(self, rng):
         for _ in range(10_000):
-            p1, p2 = random_chromosome(27, rng), random_chromosome(27, rng)
+            p1, p2 = random_genes(27, rng), random_genes(27, rng)
             c1, c2 = one_point_crossover(p1, p2, 0.9, rng)
             m = mutate_random_reset(c1, 0.1, rng)
             for genes in (c1, c2, m):
@@ -372,7 +403,7 @@ class TestFitness:
     def test_purity(self, rng):
         fit = make_fitness()
         wnd = random_window(rng)
-        genes = random_chromosome(27, rng)
+        genes = random_genes(27, rng)
         assert fit(genes, wnd) == fit(genes, wnd)
 
     def test_matches_reference_replay(self, rng):
@@ -380,13 +411,13 @@ class TestFitness:
         for _ in range(12):
             wnd = random_window(rng)
             for _ in range(3):
-                genes = random_chromosome(27, rng)
+                genes = random_genes(27, rng)
                 assert fit(genes, wnd) == reference_replay(genes, wnd)
 
     def test_ranking_matches_reference(self, rng):
         fit = make_fitness()
         wnd = random_window(rng)
-        chroms = [random_chromosome(27, rng) for _ in range(8)]
+        chroms = [random_genes(27, rng) for _ in range(8)]
         ours = sorted(range(8), key=lambda i: (fit(chroms[i], wnd), i))
         ref = sorted(range(8), key=lambda i: (reference_replay(chroms[i], wnd), i))
         assert ours == ref
@@ -402,7 +433,7 @@ class TestFitness:
                     wnd = random_window(rng, n_mts=6, n_stations=1 + (6 * i + j) % 9,
                                         dwell=dwell)
                     windows.append(wnd)
-                    pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
+                    pop = [random_genes(system.n_cells, rng) for _ in range(20)]
                     assert list(fit.batch(pop, wnd)) == [
                         reference_replay(g, wnd, system, dwell=dwell) for g in pop]
                     assert fit(pop[0], wnd) == reference_replay(pop[0], wnd, system, dwell=dwell)
@@ -425,7 +456,7 @@ class TestFitness:
                     wnd = random_window(rng, n_mts=6, n_stations=1 + (3 * i + j) % 9,
                                         dwell=dwell)
                     windows.append(wnd)
-                    pop = [random_chromosome(system.n_cells, rng) for _ in range(20)]
+                    pop = [random_genes(system.n_cells, rng) for _ in range(20)]
                     expected = [reference_replay(g, wnd, system, dwell=dwell) for g in pop]
                     for _ in range(2):  # the second pass reads what the first stored
                         assert list(fit.batch(pop, wnd)) == expected
@@ -452,7 +483,7 @@ class TestFitness:
         while len(windows) < 8:
             wnd = random_window(rng)
             if any(s.state == State.CONNECT for s in snapshots(wnd[0])):
-                windows.append((wnd, random_chromosome(27, rng)))
+                windows.append((wnd, random_genes(27, rng)))
         at_min = 0
         for wnd, genes in windows:
             snap = next(s for s in snapshots(wnd[0]) if s.state == State.CONNECT)
@@ -465,6 +496,14 @@ class TestFitness:
             table = fit._last_prep[1].table
             at_min += int(np.sum(table[table[:, 1] >= 0, 2] == fuzzy._AT_MIN))
         assert at_min >= len(windows)
+
+    @pytest.mark.parametrize("name", ["weight_handoff", "weight_cut"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+    def test_non_finite_or_negative_weight_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {bad}"):
+            make_fitness(**{name: bad})
+        zeroed = make_fitness(**{name: 0.0})(SEED_GENES, window_three_handoffs_two_cuts())
+        assert zeroed == {"weight_handoff": 2.0, "weight_cut": 3.0}[name]
 
     @pytest.mark.parametrize("dwell", [0, -3])
     def test_non_positive_dwell_rejected(self, dwell):
@@ -500,12 +539,12 @@ class TestFitness:
         # settles only the pairs that are not in the table then.
         monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", slots_per_site)
         fit, wnd = make_fitness(), random_window(rng, n_mts=6)
-        pop = [random_chromosome(27, rng) for _ in range(size)]
+        pop = [random_genes(27, rng) for _ in range(size)]
         prep = fit._prep(wnd)
         pairs = []
         for genes in pop:
-            for g, (cells, _) in enumerate(prep.sites):
-                key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells))
+            for g, cells in enumerate(prep.padded_idx.tolist()):
+                key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells) if c < 27)
                 h = (key + int(prep.local[g]) * 0xC2B2AE3D27D4EB4F) % 2**64
                 h = h * 0x9E3779B97F4A7C15 % 2**64 >> 32
                 pairs.append((int(prep.slot_base[g]) + (h & int(prep.slot_mask[g])),
@@ -531,11 +570,14 @@ class TestFitness:
     def test_sites_match_scalar_fuzzification(self, rng):
         # Each unit's sites, fired in one array pass, equal per-site scalar
         # degrees and their per-cell minima: same columns in the same
-        # (terminal-major) order, same fired cells and the same weights.
+        # (terminal-major) order, same fired cells and the same weights,
+        # padded with cell n_cells and weight 0.0.  The window holds each
+        # unit's block as it is.
         for system in (default_system(), flah_system(), wide_system()):
             fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
             wnd = random_window(rng, n_units=3, n_mts=6, n_stations=4)
             fit.window_support(wnd)
+            prep, lo = fit._last_prep[1], 0
             for rec in wnd:
                 want = {}
                 for m, snap in enumerate(snapshots(rec)):
@@ -546,8 +588,19 @@ class TestFitness:
                                 *reference_degrees(system, inputs))])
                             fired = np.flatnonzero(w > 0.0)
                             want[m * 4 + s] = (fired.tolist(), w[fired].tolist())
-                got = fit._site_cache[rec.t][1]
+                cols, cells, weights = evolver._WindowPrep._unit_sites(rec, system)
+                fired = cells < system.n_cells
+                assert (weights[~fired] == 0.0).all()
+                got = {col: (row[keep].tolist(), w[keep].tolist())
+                       for col, row, w, keep in zip(cols.tolist(), cells, weights, fired)}
                 assert list(got.items()) == list(want.items())
+                _, held_cells, held_weights, *_ = prep.units[rec.t]
+                assert np.array_equal(held_cells, cells) and np.array_equal(held_weights, weights)
+                block = prep.padded_idx[lo:lo + len(cells)]
+                assert (block[:, : cells.shape[1]] == cells).all()
+                assert (block[:, cells.shape[1]:] == system.n_cells).all()
+                lo += len(cells)
+            assert lo == len(prep.padded_idx)
 
     @pytest.mark.parametrize("n_mts, n_stations, dwell", [(1, 1, 1), (3, 2, 1), (4, 7, 2),
                                                           (2, 3, 4)])
@@ -561,7 +614,7 @@ class TestFitness:
         assert np.isin(nxt, codes).all()
         assert (nxt // width == np.repeat(np.arange(n_mts), width)).all()
 
-    def test_site_cache_holds_at_most_one_window(self):
+    def test_replay_holds_at_most_one_window_of_units(self):
         world = World.build(WorldConfig(mt_count=3, total_time=2000),
                             np.random.default_rng(3))
         fit = make_fitness()
@@ -573,17 +626,18 @@ class TestFitness:
             window.push(world.step(policy))
             if window.warm:
                 fit.window_support(window.freeze())
-                largest = max(largest, len(fit._site_cache))
+                units = fit._last_prep[1].units
+                largest = max(largest, len(units))
                 # Each unit's table has under twice _SLOTS_PER_SITE slots per
                 # site (at least one), and the window's table is just theirs.
-                n_sites = len(fit._last_prep[1].sites)
-                n_slots = sum(len(table) for _, _, table, _ in fit._site_cache.values())
+                n_sites = len(fit._last_prep[1].padded_idx)
+                n_slots = sum(len(table) for *_, table, _ in units.values())
                 assert n_slots == len(fit._last_prep[1].table)
                 assert n_slots <= 2 * _SLOTS_PER_SITE * n_sites + window.length
                 most_slots = max(most_slots, n_slots)
                 # The cached transition tables are the ones this window's
                 # steps read, one set per unit of the window and no more.
-                steps = [unit[3] for unit in fit._site_cache.values()]
+                steps = [unit[4] for unit in units.values()]
                 assert all(ours[1] is cached[1] and ours[2] is cached[2]
                            for ours, cached in zip(fit._last_prep[1].steps, steps, strict=True))
                 n_stations = len(world.stations)
@@ -626,7 +680,7 @@ class TestFitness:
                     del fit.system.settle_levels  # the GA's own replays settle uncounted
                     assert list(fits) == expected
                     second_slots += sum(int((table[len(table) // 2:, 1] >= 0).sum())
-                                        for _, _, table, _ in fit._site_cache.values())
+                                        for *_, table, _ in fit._last_prep[1].units.values())
                 policy.on_epoch(window, t)
         assert second_slots > 0
         assert rows["first"] > 10_000
@@ -710,8 +764,8 @@ class TestReplayMatchesLive:
                     t0, t1 = frozen[0].t, frozen[-1].t
                     live = sum(1 for e in world.events if t0 <= e.t <= t1
                                and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
-                    fitness.batch([g for g in policy.evolver.population if g != grids[-1]],
-                                  frozen)
+                    fitness.batch([g for g in policy.evolver.population.tolist()
+                                   if tuple(g) != grids[-1]], frozen)
                     assert fitness.batch([grids[-1]], frozen)[0] == live, (seed, t)
                     checked += 1
                     evolved += grids[-1] != grids[0]
@@ -780,10 +834,12 @@ class TestEvolve:
         wnd = window_single_gene_fix()
         cfg = EvolverConfig(generations=2)
         pop = init_population(SEED_GENES, cfg, rng)
-        snapshot = list(pop)
-        evolve(pop, wnd, fit, cfg, rng)
+        snapshot = pop.copy()
+        best = evolve(pop, wnd, fit, cfg, rng)
         assert len(pop) == cfg.population_size
-        assert pop != snapshot
+        assert not np.array_equal(pop, snapshot)
+        assert type(best) is tuple and all(type(g) is int for g in best)
+        assert list(best) in pop.tolist()  # the elite, or a better final offspring
 
     def test_memo_keys_on_the_window_support(self, rng):
         # No terminal is covered, so no gene can matter: one replay serves a
@@ -833,10 +889,10 @@ def stream_state(rng):
 def evolve_trace(make_rng, fitness, length, cfg, seed):
     """Every generation's population, the best and the final stream state."""
     rng = make_rng(seed)
-    pop = init_population(random_chromosome(length, rng), cfg, rng)
+    pop = init_population(random_genes(length, rng), cfg, rng)
     trace = []
     best = evolve(pop, window_no_events(), fitness, cfg, rng,
-                  on_generation=lambda g, f: trace.append(list(pop)))
+                  on_generation=lambda g, f: trace.append(pop.tolist()))
     return trace, best, stream_state(rng)
 
 
@@ -902,21 +958,32 @@ class TestGenerationFromRawDraws:
         assert got == [evolve_trace(mt, fitness, 9, cfg, seed) for seed in range(4)]
         assert calls == []
 
-    def test_nan_fitness_takes_the_operators(self, monkeypatch):
-        # Ties between NaN fitnesses follow the tournament's set order.
+    def test_nan_fitness_rejected(self):
+        # A NaN fitness has no rank; evolve names the population index of
+        # the first chromosome that scores it, in generation 0 or later.
         cfg = EvolverConfig(population_size=10, tournament_size=3, mutation_prob=0.3,
                             generations=4)
-        fitness = GeneSumFitness(9, nan_mod=3)
-        seen = []
-        real = evolver._offspring_from_block
-        monkeypatch.setattr(evolver, "_offspring_from_block",
-                            lambda pop, fits, *a: seen.append(fits) or real(pop, fits, *a))
-        got = [evolve_trace(np.random.default_rng, fitness, 9, cfg, seed) for seed in range(4)]
-        monkeypatch.setattr(evolver, "_offspring_from_block", lambda *a: None)
-        assert got == [evolve_trace(np.random.default_rng, fitness, 9, cfg, seed)
-                       for seed in range(4)]
-        assert len(seen) < 4 * cfg.generations
-        assert not np.isnan(seen).any()
+        rng = np.random.default_rng(0)
+        pop = init_population(random_genes(9, rng), cfg, rng)
+        first = [sum(g) % 4 for g in pop.tolist()].index(3)
+        with pytest.raises(ValueError, match=f"fitness of chromosome {first} is NaN"):
+            evolve(pop, window_no_events(), GeneSumFitness(9, nan_mod=3), cfg, rng)
+
+        fitness, seen = GeneSumFitness(9), []
+        batch = fitness.batch
+
+        def nan_on_the_third_batch(population, window):
+            fits = batch(population, window)
+            seen.append(population[-1].tolist())
+            if len(seen) == 3:
+                fits[-1] = np.nan
+            return fits
+        fitness.batch = nan_on_the_third_batch
+        pop = init_population(random_genes(9, rng), cfg, rng)
+        with pytest.raises(ValueError, match="is NaN") as err:
+            evolve(pop, window_no_events(), fitness, cfg, rng)
+        assert len(seen) == 3
+        assert str(err.value) == f"fitness of chromosome {pop.tolist().index(seen[-1])} is NaN"
 
 
 class TestEvolverConfig:

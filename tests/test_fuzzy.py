@@ -256,6 +256,22 @@ class TestDefuzzify:
         with pytest.raises(ValueError, match="expected 27 consequents"):
             system.lead_strengths(DEFAULT_CONSEQUENTS + (1,), inputs)
 
+    def test_check_consequents_rejects_non_integer_and_empty_vectors(self):
+        system = default_system()
+        genes = list(DEFAULT_CONSEQUENTS)
+        genes[5] = 2.5
+        with pytest.raises(ValueError, match="consequent 2.5 at index 5 is not an integer"):
+            system.check_consequents(genes)
+        # A float array holds no integers, whole or not.
+        with pytest.raises(ValueError, match="consequent 2.0 at index 0 is not an integer"):
+            system.check_consequents(np.array(genes))
+        with pytest.raises(ValueError, match="consequent nan at index 0 is not an integer"):
+            system.check_consequents((float("nan"),) * 27)
+        with pytest.raises(ValueError, match=r"expected 27 consequents, got shape \(0,\)"):
+            system.check_consequents(())
+        got = system.check_consequents(np.array(DEFAULT_CONSEQUENTS, dtype=np.uint8))
+        assert got.dtype == np.int64 and got.tolist() == list(DEFAULT_CONSEQUENTS)
+
     def test_settle_raises_on_an_all_zero_row(self):
         rows = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0] * 5])
         with pytest.raises(NoActivationError):

@@ -197,6 +197,17 @@ class TestTable:
         with pytest.raises(ValueError, match="expected 27 consequents"):
             HandoffPolicy(PolicyKind.FLS, default_system(), DEFAULT_CONSEQUENTS[:9])
 
+    def test_construction_rejects_a_non_integer_consequent(self):
+        # Consequents index the output terms, so a fractional one fails at
+        # construction, not at the first step.
+        for kind in ("fls", "flah", "gfls", "gflah"):
+            with pytest.raises(ValueError, match="consequent 2.5 at index 0 is not an integer"):
+                make_policy(kind, consequents=(2.5,) * 27, rng=np.random.default_rng(0))
+        genes = list(DEFAULT_CONSEQUENTS)
+        genes[11] = 3.5
+        with pytest.raises(ValueError, match="consequent 3.5 at index 11 is not an integer"):
+            HandoffPolicy(PolicyKind.FLS, default_system(), tuple(genes))
+
     def test_empty_batch(self):
         for kind in ("fls", "flah"):
             region = make_policy(kind).table(np.zeros(0), np.zeros(0), np.zeros(0), 0.2, 0.45)
@@ -276,7 +287,7 @@ class TestOnEpoch:
 class TestGflahChromosomes:
     def test_nine_gene_operators(self, rng):
         policy = make_policy("gflah", rng=np.random.default_rng(0))
-        pop = policy.evolver.population
+        pop = [tuple(g) for g in policy.evolver.population.tolist()]
         assert all(len(g) == 9 for g in pop)
         assert pop[0] == derive_flah_consequents(DEFAULT_CONSEQUENTS)
         for _ in range(2000):
