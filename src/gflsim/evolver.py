@@ -10,10 +10,10 @@ are frozen to what the live simulation recorded, so fitness isolates the
 candidate's own decisions and each terminal runs on its own.
 ``ReplayFitness.batch`` is the one replay loop.  It reads the threshold
 region of each (chromosome, decision site) pair from one vectorized pass
-over bounded per-unit region tables (two probe slots per pair, each slot
-tagged with its site and gene key), and settles a batch's misses in one
-``FuzzySystem.settle_levels`` call on strength rows of indices into the
-window's fired weights, whose centroid sums are tabled once per window.
+over bounded per-unit region tables (one probe per pair, into its site's
+direct-mapped block of gene key and region rows), and settles a batch's
+misses in one ``FuzzySystem.settle_levels`` call on strength rows of
+indices into the window's fired weights, with centroid sums per window.
 Then it steps the population through per-unit transition tables, built
 once per unit and reused by the next, overlapping window: a terminal's
 state is one code (disconnected, connected to s, or handing over s -> t
@@ -164,22 +164,11 @@ def mutate_random_reset(
 _DIGIT_BASE = _GENE_HI - _GENE_LO + 1
 _MAX_KEY_DIGITS = 27
 
-# Each unit's region table has a power-of-two size of at least this many
-# slots per site.  A pair's 32-bit hash is bits 32 and up of a
-# multiplicative hash of (site, key) in uint64, where wrap-around is
-# defined.  Its low bits pick its first slot in the table's lower half and
-# its high bits a second slot in the upper half (one slot serves both in a
-# table of one slot).
-_SLOTS_PER_SITE = 128
+# A pair's row in its site's block of 2**_SLOT_BITS (key, region) rows is
+# the top _SLOT_BITS bits of a multiplicative hash of its key in uint64,
+# where wrap-around is defined; key -1 marks an empty row.
+_SLOT_BITS = 7
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
-_SITE_MUL = np.uint64(0xC2B2AE3D27D4EB4F)
-
-
-def _region_table(n_sites: int) -> np.ndarray:
-    """Empty two-probe region memo of one unit: a (gene key, site index in
-    the unit, region) row per slot; site -1 marks an empty slot."""
-    size = 1 << max(n_sites * _SLOTS_PER_SITE - 1, 0).bit_length()
-    return np.tile(np.array([0, -1, 0], dtype=np.int64), (size, 1))
 
 
 # Layout of a unit's transition tables (int32): each terminal has a row of
@@ -260,11 +249,11 @@ def _unit_steps(rec, cols: np.ndarray, dwell: int) -> tuple[np.ndarray, np.ndarr
 
 class _WindowPrep:
     """Per-window replay arrays: the decision sites of each unit, the
-    window's region table (its units' tables end to end) and each unit's
-    transition tables, whose sites are the window's site indices.  A site
-    is one (time unit, terminal, station) decision point: its
-    positively-firing grid cells and their weights, fixed by the recorded
-    inputs."""
+    window's region table (its units' tables end to end, a block of rows
+    per site that starts at ``block``) and each unit's transition tables,
+    whose sites are the window's site indices.  A site is one (time unit,
+    terminal, station) decision point: its positively-firing grid cells
+    and their weights, fixed by the recorded inputs."""
 
     def __init__(self, records, fitness: "ReplayFitness") -> None:
         system, dwell = fitness.system, fitness.dwell
@@ -291,7 +280,8 @@ class _WindowPrep:
             unit = reuse.get(rec.t)
             if unit is None or unit[0] is not rec:
                 cols, cells, weights = self._unit_sites(rec, system)
-                unit = (rec, cells, weights, _region_table(len(cols)), _unit_steps(rec, cols, dwell))
+                table = np.full((len(cols) << _SLOT_BITS, 2), -1, dtype=np.int64)
+                unit = (rec, cells, weights, table, _unit_steps(rec, cols, dwell))
             units.append(unit)
         counts = np.array([len(cells) for _, cells, *_ in units])
         firsts = np.cumsum(counts) - counts
@@ -300,23 +290,12 @@ class _WindowPrep:
         # reads no site reads the padding column, the last of the regions.
         self.steps = [(np.where(site >= 0, site + first, n_sites), nxt, cost)
                       for (*_, (site, nxt, cost)), first in zip(units, firsts.tolist())]
-        # Each unit keeps its slice of the window's table, so the regions a
-        # batch stores stay with the unit.
+        # Each unit keeps its sites' blocks of the window's table, so the
+        # regions a batch stores stay with the unit.
         self.table = np.concatenate([table for *_, table, _ in units])
-        sizes = np.array([len(table) for *_, table, _ in units])
-        ends = np.cumsum(sizes)
-        self.units = {rec.t: (rec, cells, weights, self.table[lo:hi], steps)
-                      for (rec, cells, weights, _, steps), lo, hi in zip(units, ends - sizes, ends)}
-        # Per site: its index in its unit, that index's hash salt, and where
-        # the two halves of its unit's table start, the hash bits (mask and
-        # shift) that pick a slot in each.
-        self.local = np.arange(n_sites) - np.repeat(firsts, counts)
-        self.salt = self.local.astype(np.uint64) * _SITE_MUL
-        half = np.maximum(sizes // 2, 1)
-        self.slot_base = np.repeat(ends - sizes, counts)
-        self.slot_mask = np.repeat(half - 1, counts).astype(np.uint64)
-        self.alt_base = np.repeat(ends - half, counts)
-        self.alt_shift = np.repeat(32 - np.log2(half).astype(np.int64), counts).astype(np.uint64)
+        self.block = np.arange(n_sites) << _SLOT_BITS
+        self.units = {rec.t: (rec, cells, weights, table, steps) for (rec, cells, weights, _, steps),
+                      table in zip(units, np.split(self.table, firsts[1:] << _SLOT_BITS))}
         # Fired cells and weights (as indices into ``levels``, ascending) per
         # site, one block per unit, padded with the index of an extra gene
         # column that contributes a zero digit (see ``ReplayFitness.batch``)
@@ -395,6 +374,8 @@ class ReplayFitness:
         self._last_prep: Optional[tuple[tuple, _WindowPrep]] = None
 
     def _prep(self, records: tuple) -> _WindowPrep:
+        if not records:
+            raise EmptyHistoryError("history window is empty")
         if self._last_prep is None or self._last_prep[0] is not records:
             self._last_prep = (records, _WindowPrep(records, self))
         return self._last_prep[1]
@@ -405,8 +386,6 @@ class ReplayFitness:
         Genes outside this set cannot influence fitness, so populations may
         be deduplicated on this projection.
         """
-        if not window:
-            raise EmptyHistoryError("history window is empty")
         return self._prep(window).support
 
     def __call__(self, genes: Sequence[int], window) -> float:
@@ -416,15 +395,13 @@ class ReplayFitness:
         """Fitness of every chromosome: the regions of all its (chromosome,
         site) pairs, found before the steps, then a few gathers per unit
         through that unit's transition tables."""
-        if not window:
-            raise EmptyHistoryError("history window is empty")
+        prep = self._prep(window)
         P = len(population)
         if P == 0:
             return np.zeros(0)
-        prep = self._prep(window)
         # Gene digits (gene - 1) plus a zero column for padded fired slots.
         digits = np.zeros((P, self.system.n_cells + 1), dtype=np.int64)
-        digits[:, :-1] = np.asarray(population, dtype=np.int64) - _GENE_LO
+        digits[:, :-1] = self._genes(population) - _GENE_LO
         reg_all = self._window_regions(prep, digits)
         regions, rows = reg_all.ravel(), np.arange(P)[:, None] * reg_all.shape[1]
         state, acc = prep.start, np.zeros((P, len(prep.start)), dtype=np.int64)
@@ -436,62 +413,51 @@ class ReplayFitness:
         cuts = (acc & (_HANDOFF - 1)).sum(axis=1)
         return self.weight_handoff * ho + self.weight_cut * cuts
 
+    def _genes(self, population) -> np.ndarray:
+        """The population as an integer array, if ``validate_chromosome``
+        accepts every row; an error names the first row it rejects, and why."""
+        try:
+            genes = np.asarray(population)
+            if genes.dtype.kind in "iu" and genes.shape[1:] == (self.system.n_cells,) and (
+                    (genes >= _GENE_LO) & (genes <= _GENE_HI)).all():
+                return genes
+        except ValueError:  # rows of different lengths
+            pass
+        for row, chromosome in enumerate(population):
+            try:
+                validate_chromosome(chromosome, self.system.n_cells)
+            except ValueError as e:
+                raise ValueError(f"chromosome {row}: {e}") from None
+        return np.asarray(population, dtype=np.int64)
+
     def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
         """Region of every (chromosome, site) pair, plus a last column of -1
-        that the codes which decide nothing read.  Pairs missing from both
-        their table slots are settled in one ``FuzzySystem.settle_levels``
-        call and stored with one scatter."""
-        P, G = len(digits), len(prep.local)
+        that the codes which decide nothing read.  Each pair reads one row of
+        its site's block; the pairs whose key is not there are settled in one
+        ``FuzzySystem.settle_levels`` call, and the first of them in
+        row-major order to reach a row writes its key and region there."""
         keys = (digits[:, prep.cell_sets] @ prep.powers).take(prep.set_of, axis=1)
-        hashes = ((keys.view(np.uint64) + prep.salt) * _HASH_MUL) >> np.uint64(32)
-        slot = prep.slot_base + (hashes & prep.slot_mask).astype(np.int64)
-        held = prep.table.take(slot, axis=0)
-        hit = (held[..., 1] == prep.local) & (held[..., 0] == keys)
-        out = np.full((P, G + 1), -1, dtype=np.int8)
-        out[:, :G] = held[..., 2]
-        p_miss, g_miss = np.nonzero(~hit)
+        slots = prep.block + ((keys.view(np.uint64) * _HASH_MUL)
+                              >> np.uint64(64 - _SLOT_BITS)).astype(np.int64)
+        held = prep.table.take(slots, axis=0)
+        out = np.full((len(digits), len(prep.block) + 1), -1, dtype=np.int8)
+        out[:, :-1] = held[..., 1]
+        p_miss, g_miss = np.nonzero(held[..., 0] != keys)
         if not len(p_miss):
             return out
-        k_miss = keys[p_miss, g_miss]
-        alt = prep.alt_base[g_miss] + (
-            hashes[p_miss, g_miss] >> prep.alt_shift[g_miss]).astype(np.int64)
-        held = prep.table.take(alt, axis=0)
-        found = (held[:, 1] == prep.local[g_miss]) & (held[:, 0] == k_miss)
-        out[p_miss[found], g_miss[found]] = held[found, 2]
-        lost = ~found
-        if not lost.any():
-            return out
-        p_miss, g_miss, k_miss, alt = p_miss[lost], g_miss[lost], k_miss[lost], alt[lost]
-        # The lowest pair in a slot claims it, with the later ones that match
-        # it in site and key.  A pair that loses its first slot to another
-        # pair tries its second; one that loses both is settled alone and
-        # not stored.  (The halves of a table are disjoint, except in a table
-        # of one slot, where a pair's two slots are one.)  A scatter finds the
-        # lowest in the key column of the slots in play, which stay empty
-        # until each takes its winner's row below.
-        pairs, target = np.arange(len(p_miss)), slot[p_miss, g_miss]
-        for second in (False, True):
-            prep.table[target, :2] = len(pairs), -1
-            np.minimum.at(prep.table[:, 0], target, pairs)
-            owner = prep.table[target, 0]
-            other = (g_miss != g_miss[owner]) | (k_miss != k_miss[owner])
-            if second or not other.any():
-                break
-            target = np.where(other, alt, target)
-        first, alone = np.flatnonzero(owner == pairs), np.flatnonzero(other)
-        todo = np.concatenate([first, alone])
         # Strength rows as level indices: the largest fired one per output term.
         n_terms = self.system.n_output_terms
-        terms = digits[p_miss[todo, None], prep.padded_idx[g_miss[todo]]]
-        rows = np.zeros(len(todo) * n_terms, dtype=np.intp)
-        np.maximum.at(rows, (np.arange(len(todo))[:, None] * n_terms + terms).ravel(),
-                      prep.padded_level[g_miss[todo]].ravel())
-        got = np.empty(len(pairs), dtype=np.int8)
-        got[todo] = self.system.settle_levels(rows.reshape(-1, n_terms), prep.level_sums,
-                                              self.s_min, self.s_th)
-        out[p_miss, g_miss] = got[np.where(other, pairs, owner)]
-        prep.table[target[first]] = np.stack(
-            [k_miss[first], prep.local[g_miss[first]], got[first]], axis=1)
+        terms = digits[p_miss[:, None], prep.padded_idx[g_miss]]
+        rows = np.zeros(len(p_miss) * n_terms, dtype=np.intp)
+        np.maximum.at(rows, (np.arange(len(p_miss))[:, None] * n_terms + terms).ravel(),
+                      prep.padded_level[g_miss].ravel())
+        got = self.system.settle_levels(rows.reshape(-1, n_terms), prep.level_sums,
+                                        self.s_min, self.s_th)
+        out[p_miss, g_miss] = got
+        # One writer per row, so that a row's key and region come from one
+        # pair: numpy leaves the order of repeated-index assignments open.
+        taken, first = np.unique(slots[p_miss, g_miss], return_index=True)
+        prep.table[taken] = np.stack([keys[p_miss[first], g_miss[first]], got[first]], axis=1)
         return out
 
 
@@ -629,8 +595,6 @@ def evolve(
     unchanged, which makes the per-generation best fitness non-increasing.
     A NaN fitness raises ``ValueError`` naming the chromosome's index.
     """
-    if not window:
-        raise EmptyHistoryError("history window is empty")
     size = cfg.population_size
     if population.ndim != 2 or len(population) != size or not population.shape[1]:
         raise ValueError(f"population shape {population.shape} != ({size}, genes >= 1)")

@@ -419,9 +419,9 @@ class FuzzySystem:
         if len(inputs) != len(self.input_vars) - 1:
             raise FuzzyDefinitionError(f"expected {len(self.input_vars) - 1} leading inputs, "
                                        f"got {len(inputs)}")
-        self.check_consequents(consequents)
-        lead_cell, first, slot = _lead_groups(tuple(consequents), self.levels[-1],
-                                              self.n_output_terms)
+        genes = tuple(consequents)  # keyed with their types: 2.0 == 2, yet 2.0 is rejected
+        lead_cell, first, slot = _lead_groups(genes, tuple(map(type, genes)), self.n_cells,
+                                              self.levels[-1], self.n_output_terms)
         w = self.fire(inputs)
         lead = np.zeros(w.shape[:-1] + (self.levels[-1] * self.n_output_terms,))
         lead[..., slot] = np.maximum.reduceat(w[..., lead_cell], first, axis=-1)
@@ -434,10 +434,11 @@ class FuzzySystem:
 
 
 @lru_cache(maxsize=64)
-def _lead_groups(consequents: tuple, last: int, n_terms: int):
+def _lead_groups(consequents: tuple, types: tuple, n_cells: int, last: int, n_terms: int):
     """Cells grouped by (last input's level, consequent): the leading cell of each in group
-    order, and each nonempty group's first position and flat (level, output term) slot."""
-    key = np.arange(len(consequents)) % last * n_terms + np.asarray(consequents) - 1
+    order, and each nonempty group's first position and flat (level, output term) slot.
+    Only a cache miss checks the consequents (:func:`check_genes`): no bad grid is cached."""
+    key = np.arange(n_cells) % last * n_terms + check_genes(consequents, n_cells, n_terms) - 1
     order = np.argsort(key, kind="stable")
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     groups = order // last, first, key[order[first]]

@@ -18,7 +18,7 @@ from conftest import (
 )
 from gflsim import evolver, fuzzy
 from gflsim.evolver import (
-    _SLOTS_PER_SITE,
+    _SLOT_BITS,
     EmptyHistoryError,
     EvolverConfig,
     ReplayFitness,
@@ -443,10 +443,12 @@ class TestFitness:
         assert fit.window_support(wnd) == tuple(range(27))
 
     def test_batch_matches_reference_when_every_lookup_collides(self, rng, monkeypatch):
-        # One slot per unit: nearly every (chromosome, site) pair misses or
+        # One slot per site: nearly every (chromosome, site) pair misses or
         # collides in the region table, and none may read another's region.
-        # Small settle blocks make each batch's misses span several blocks.
-        monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", 0)
+        # (A uint64 shift by 64 gives 0, so every key lands in its site's
+        # one slot.)  Small settle blocks make each batch's misses span
+        # several blocks.
+        monkeypatch.setattr(evolver, "_SLOT_BITS", 0)
         monkeypatch.setattr(fuzzy, "_SETTLE_ROWS", 7)
         for dwell in (1, 2, 3, 4):
             windows = []
@@ -460,7 +462,8 @@ class TestFitness:
                     expected = [reference_replay(g, wnd, system, dwell=dwell) for g in pop]
                     for _ in range(2):  # the second pass reads what the first stored
                         assert list(fit.batch(pop, wnd)) == expected
-                    assert len(fit._last_prep[1].table) == len(wnd)
+                    prep = fit._last_prep[1]
+                    assert prep.table.shape == (len(prep.padded_idx), 2)
             assert opens_in_handover(windows) >= 5
             assert cut_in_handover(windows) >= 1
 
@@ -494,7 +497,7 @@ class TestFitness:
             fit = ReplayFitness(system, s_min, s_th, dwell=2)
             assert fit(genes, wnd) == reference_replay(genes, wnd, system, s_min, s_th)
             table = fit._last_prep[1].table
-            at_min += int(np.sum(table[table[:, 1] >= 0, 2] == fuzzy._AT_MIN))
+            at_min += int(np.sum(table[table[:, 0] >= 0, 1] == fuzzy._AT_MIN))
         assert at_min >= len(windows)
 
     @pytest.mark.parametrize("name", ["weight_handoff", "weight_cut"])
@@ -504,6 +507,27 @@ class TestFitness:
             make_fitness(**{name: bad})
         zeroed = make_fitness(**{name: 0.0})(SEED_GENES, window_three_handoffs_two_cuts())
         assert zeroed == {"weight_handoff": 2.0, "weight_cut": 3.0}[name]
+
+    def test_zero_gene_rejected_with_its_row_and_index(self):
+        genes = list(SEED_GENES)
+        with pytest.raises(ValueError, match=r"chromosome 0: consequent 0 at index 0 is outside 1\.\.5"):
+            make_fitness()([0] + genes[1:], window_three_handoffs_two_cuts())
+        with pytest.raises(ValueError, match="chromosome 1: consequent 6 at index 26 "):
+            make_fitness().batch(np.array([genes, genes[:-1] + [6]]), window_no_events())
+
+    def test_fractional_gene_rejected_with_its_row_and_index(self):
+        genes = list(SEED_GENES)
+        with pytest.raises(ValueError, match="chromosome 0: consequent 2.5 at index 0 is not an integer"):
+            make_fitness()([2.5] + genes[1:], window_three_handoffs_two_cuts())
+        with pytest.raises(ValueError, match="chromosome 2: consequent 2.0 at index 4 is not"):
+            make_fitness().batch([genes, genes, genes[:4] + [2.0] + genes[5:]], window_no_events())
+
+    def test_short_chromosome_rejected_with_its_row(self):
+        genes = list(SEED_GENES)
+        with pytest.raises(ValueError, match=r"chromosome 0: expected 27 consequents, got shape \(26,\)"):
+            make_fitness()(genes[1:], window_three_handoffs_two_cuts())
+        with pytest.raises(ValueError, match=r"chromosome 1: expected 27 consequents, got shape \(28,\)"):
+            make_fitness().batch([genes, genes + [1]], window_no_events())
 
     @pytest.mark.parametrize("dwell", [0, -3])
     def test_non_positive_dwell_rejected(self, dwell):
@@ -529,43 +553,64 @@ class TestFitness:
         with pytest.raises(ValueError, match="2 output terms"):
             make_policy("gfls", output_var=two, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("slots_per_site, size", [(1, 30), (_SLOTS_PER_SITE, 4)])
-    def test_lowest_pair_claims_each_slot(self, slots_per_site, size, rng, monkeypatch):
-        # A new window's table is empty, so the first batch loses every
-        # (chromosome, site) pair.  In row-major order of the lost pairs the
-        # first to reach a slot claims it, first among first slots, then
-        # among the second slots of the pairs that lost theirs to another site
-        # or key.  One that loses both is settled alone; a repeated batch
-        # settles only the pairs that are not in the table then.
-        monkeypatch.setattr(evolver, "_SLOTS_PER_SITE", slots_per_site)
+    @pytest.mark.parametrize("bits", [0, _SLOT_BITS])
+    def test_first_miss_takes_each_slot(self, bits, rng, monkeypatch):
+        # A dict model of the per-site blocks: a pair's slot is its site's
+        # block start plus the top bits of its key's multiplicative hash.
+        # Every pair whose key is not in its slot is settled, and the first
+        # of them in row-major order writes the slot.  The third batch
+        # repeats the first after the second evicted some of its keys.
+        monkeypatch.setattr(evolver, "_SLOT_BITS", bits)
         fit, wnd = make_fitness(), random_window(rng, n_mts=6)
-        pop = [random_genes(27, rng) for _ in range(size)]
+        first = [random_genes(27, rng) for _ in range(30)]
+        pops = [first, first[:15] + [random_genes(27, rng) for _ in range(15)], first]
         prep = fit._prep(wnd)
-        pairs = []
-        for genes in pop:
-            for g, cells in enumerate(prep.padded_idx.tolist()):
-                key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells) if c < 27)
-                h = (key + int(prep.local[g]) * 0xC2B2AE3D27D4EB4F) % 2**64
-                h = h * 0x9E3779B97F4A7C15 % 2**64 >> 32
-                pairs.append((int(prep.slot_base[g]) + (h & int(prep.slot_mask[g])),
-                              int(prep.alt_base[g]) + (h >> int(prep.alt_shift[g])),
-                              (key, int(prep.local[g]))))
         settle, rows = fit.system.settle_levels, []
         fit.system.settle_levels = lambda r, *a: rows.append(len(r)) or settle(r, *a)
-        expected, table, counts = [reference_replay(genes, wnd) for genes in pop], {}, []
-        for _ in range(3):
-            lost = [p for p in pairs if table.get(p[0]) != p[2] and table.get(p[1]) != p[2]]
-            owner = {}
-            lost = [p for p in lost if owner.setdefault(p[0], p[2]) != p[2]]
-            alone = [p for p in lost if owner.setdefault(p[1], p[2]) != p[2]]
-            table.update(owner)
-            counts += [len(owner) + len(alone)] if owner else []
-            assert list(fit.batch(pop, wnd)) == expected
-            assert table == {i: tuple(row[:2]) for i, row in enumerate(prep.table.tolist())
-                             if row[1] >= 0}
+        table, counts = {}, []
+        for pop in pops:
+            written, missed = {}, 0
+            for genes in pop:
+                for g, cells in enumerate(prep.padded_idx.tolist()):
+                    key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells) if c < 27)
+                    slot = (g << bits) + (key * 0x9E3779B97F4A7C15 % 2**64 >> 64 - bits)
+                    if table.get(slot) != key:
+                        missed += 1
+                        written.setdefault(slot, key)
+            table.update(written)
+            counts.append(missed)
+            assert list(fit.batch(pop, wnd)) == [reference_replay(genes, wnd) for genes in pop]
+            assert table == {i: key for i, (key, _) in enumerate(prep.table.tolist())
+                             if key >= 0}
         assert rows == counts
-        # Tables of one slot per site keep evicting; the default ones do not.
-        assert len(counts) == (3 if slots_per_site == 1 else 1)
+        assert counts[1] < counts[0]
+        # One slot per site keeps evicting; 128 slots keep most of the keys.
+        assert (counts[2] > counts[0] // 2) == (bits == 0)
+
+    @pytest.mark.parametrize("bits", [0, _SLOT_BITS])
+    def test_every_stored_region_is_the_settled_one(self, bits, rng, monkeypatch):
+        # After the GA's batches on a window, each occupied slot holds the
+        # region that an empty table settles for its (site, key).
+        monkeypatch.setattr(evolver, "_SLOT_BITS", bits)
+        for system in (default_system(), flah_system(), wide_system()):
+            fit = ReplayFitness(system, S_MIN, S_TH, dwell=2)
+            wnd = random_window(rng, n_mts=6, n_stations=3)
+            cfg = EvolverConfig(generations=3)
+            pop = init_population((3,) * system.n_cells, cfg, np.random.default_rng(1))
+            evolve(pop, wnd, fit, cfg, np.random.default_rng(2))
+            prep = fit._last_prep[1]
+            slots = np.flatnonzero(prep.table[:, 0] >= 0)
+            sites = slots >> bits
+            keys = prep.table[slots, 0]
+            # A chromosome per slot whose genes on its site's fired cells
+            # spell the key (the key's digits past them, on padding, are 0).
+            digits = np.zeros((len(slots), system.n_cells + 1), dtype=np.int64)
+            cells = prep.padded_idx[sites]
+            digits[np.arange(len(slots))[:, None], cells] = keys[:, None] // prep.powers % 5
+            fresh = ReplayFitness(system, S_MIN, S_TH, dwell=2)
+            regions = fresh._window_regions(fresh._prep(wnd), digits)
+            assert len(slots) > len(prep.block) // 2
+            assert (regions[np.arange(len(slots)), sites] == prep.table[slots, 1]).all()
 
     def test_sites_match_scalar_fuzzification(self, rng):
         # Each unit's sites, fired in one array pass, equal per-site scalar
@@ -628,12 +673,12 @@ class TestFitness:
                 fit.window_support(window.freeze())
                 units = fit._last_prep[1].units
                 largest = max(largest, len(units))
-                # Each unit's table has under twice _SLOTS_PER_SITE slots per
-                # site (at least one), and the window's table is just theirs.
+                # Each site has a block of 2**_SLOT_BITS slots in its unit's
+                # table, and the window's table is just the units' tables.
                 n_sites = len(fit._last_prep[1].padded_idx)
                 n_slots = sum(len(table) for *_, table, _ in units.values())
-                assert n_slots == len(fit._last_prep[1].table)
-                assert n_slots <= 2 * _SLOTS_PER_SITE * n_sites + window.length
+                assert n_slots == len(fit._last_prep[1].table) == n_sites << _SLOT_BITS
+                assert fit._last_prep[1].table.shape[1] == 2
                 most_slots = max(most_slots, n_slots)
                 # The cached transition tables are the ones this window's
                 # steps read, one set per unit of the window and no more.
@@ -646,19 +691,18 @@ class TestFitness:
                     window.length * 3 * len(world.mts) * width * np.dtype(np.int32).itemsize)
         assert largest == window.length
         n_stations = len(world.stations)
-        assert most_slots <= 2 * _SLOTS_PER_SITE * window.length * 3 * n_stations
+        assert most_slots <= window.length * 3 * n_stations << _SLOT_BITS
 
     def test_repeated_batch_on_evolve_long_windows_settles_almost_nothing(self):
         # Windows and populations of gfls runs at the evolve_long sizes (20
         # terminals, window 6, the GA every 2 units for 5 generations).  A
-        # pair that collides in its first table slot is stored in its
-        # second, so a repeated batch reads nearly every region from the
-        # table; only a pair whose two slots both went to other pairs of the
-        # first batch is settled again.
+        # site's block of 128 slots holds far more keys than a population
+        # brings to it, so a repeated batch reads nearly every region from
+        # the table; only a pair whose slot went to another key of the first
+        # batch is settled again.
         ga = EvolverConfig(invocation_period=2, window_length=6, generations=5)
         cfg = WorldConfig(mt_count=20, total_time=40)
         rows = {"first": 0, "again": 0}
-        second_slots = 0
         for seed in range(2):
             policy = make_policy("gfls", evolver_cfg=ga, rng=np.random.default_rng(seed))
             world = World.build(cfg, np.random.default_rng(seed))
@@ -679,10 +723,7 @@ class TestFitness:
                             expected = list(fits)
                     del fit.system.settle_levels  # the GA's own replays settle uncounted
                     assert list(fits) == expected
-                    second_slots += sum(int((table[len(table) // 2:, 1] >= 0).sum())
-                                        for *_, table, _ in fit._last_prep[1].units.values())
                 policy.on_epoch(window, t)
-        assert second_slots > 0
         assert rows["first"] > 10_000
         assert rows["again"] * 100 <= rows["first"], rows
 

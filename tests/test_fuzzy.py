@@ -256,6 +256,23 @@ class TestDefuzzify:
         with pytest.raises(ValueError, match="expected 27 consequents"):
             system.lead_strengths(DEFAULT_CONSEQUENTS + (1,), inputs)
 
+    def test_lead_strengths_check_a_grid_on_every_call_until_it_passes(self):
+        # The check runs on a miss of the lead-group cache, which keeps no
+        # rejected grid, so the same bad grid fails every time.
+        system, inputs = default_system(), (np.array([3.0]), np.array([0.3]))
+        genes = DEFAULT_CONSEQUENTS[:7] + (9,) + DEFAULT_CONSEQUENTS[8:]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="consequent 9 at index 7 is outside 1..5"):
+                system.lead_strengths(genes, inputs)
+        fuzzy._lead_groups.cache_clear()
+        first = system.lead_strengths(DEFAULT_CONSEQUENTS, inputs)
+        assert fuzzy._lead_groups.cache_info().misses == 1
+        assert (system.lead_strengths(DEFAULT_CONSEQUENTS, inputs) == first).all()
+        assert fuzzy._lead_groups.cache_info().hits == 1
+        # 2.0 == 2, so a whole float would find the checked grid by value alone.
+        with pytest.raises(ValueError, match="consequent 2.0 at index 0 is not an integer"):
+            system.lead_strengths((2.0,) + DEFAULT_CONSEQUENTS[1:], inputs)
+
     def test_check_consequents_rejects_non_integer_and_empty_vectors(self):
         system = default_system()
         genes = list(DEFAULT_CONSEQUENTS)
