@@ -47,7 +47,6 @@ from .fuzzy import (
 from .policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
 from .world import (
     BaseStation,
-    ConservationAudit,
     DomainError,
     Event,
     HistoryWindow,
@@ -60,7 +59,6 @@ from .world import (
     WorldConfig,
     acceleration_for,
     accelerated_state,
-    audit_motion,
 )
 
 __version__ = "0.1.0"

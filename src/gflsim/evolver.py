@@ -12,14 +12,16 @@ candidate's own decisions and each terminal runs on its own.
 region of each (chromosome, decision site) pair from one vectorized pass
 over bounded per-unit region tables (one probe per pair, into its site's
 direct-mapped block of gene key and region rows), and settles a batch's
-misses in one ``FuzzySystem.settle_levels`` call on strength rows of
-indices into the window's fired weights, with centroid sums per window.
+misses, once per row and key, in one ``FuzzySystem.settle_levels`` call on
+strength rows of indices into the window's fired weights, with centroid
+sums per window.
 Then it steps the population through per-unit transition tables, built
 once per unit and reused by the next, overlapping window: a terminal's
 state is one code (disconnected, connected to s, or handing over s -> t
 with d units of dwell left), and per (terminal, code, region) the tables
 give the site to read, the next code and the cost.  ``batch`` and
-``window_support`` are all ``evolve`` asks of a fitness.
+``window_support`` are all ``evolve`` asks of a fitness, and it skips
+``batch`` for its last generation once the best fitness is at the floor, 0.
 
 The population is one (population_size, genes) int64 array, which
 ``evolve`` changes in place; it returns the best chromosome as a tuple.
@@ -433,9 +435,10 @@ class ReplayFitness:
     def _window_regions(self, prep: _WindowPrep, digits: np.ndarray) -> np.ndarray:
         """Region of every (chromosome, site) pair, plus a last column of -1
         that the codes which decide nothing read.  Each pair reads one row of
-        its site's block; the pairs whose key is not there are settled in one
-        ``FuzzySystem.settle_levels`` call, and the first of them in
-        row-major order to reach a row writes its key and region there."""
+        its site's block.  The first pair in row-major order to miss at a
+        row writes its key and region there; it and the misses with another
+        key are settled in one ``FuzzySystem.settle_levels`` call, and the
+        misses with its key take its region."""
         keys = (digits[:, prep.cell_sets] @ prep.powers).take(prep.set_of, axis=1)
         slots = prep.block + ((keys.view(np.uint64) * _HASH_MUL)
                               >> np.uint64(64 - _SLOT_BITS)).astype(np.int64)
@@ -445,19 +448,29 @@ class ReplayFitness:
         p_miss, g_miss = np.nonzero(held[..., 0] != keys)
         if not len(p_miss):
             return out
+        # One writer per row, the first miss to reach it in row-major order:
+        # numpy leaves the order of repeated-index assignments open.  The
+        # writers and the misses whose key is not their writer's are settled;
+        # the rest take their writer's region.
+        miss_keys = keys[p_miss, g_miss]
+        taken, first, writer = np.unique(slots[p_miss, g_miss], return_index=True,
+                                         return_inverse=True)
+        writer = first[writer]
+        own = miss_keys != miss_keys[writer]
+        own[first] = True
+        p_own, g_own = p_miss[own], g_miss[own]
         # Strength rows as level indices: the largest fired one per output term.
         n_terms = self.system.n_output_terms
-        terms = digits[p_miss[:, None], prep.padded_idx[g_miss]]
-        rows = np.zeros(len(p_miss) * n_terms, dtype=np.intp)
-        np.maximum.at(rows, (np.arange(len(p_miss))[:, None] * n_terms + terms).ravel(),
-                      prep.padded_level[g_miss].ravel())
-        got = self.system.settle_levels(rows.reshape(-1, n_terms), prep.level_sums,
-                                        self.s_min, self.s_th)
+        terms = digits[p_own[:, None], prep.padded_idx[g_own]]
+        rows = np.zeros(len(p_own) * n_terms, dtype=np.intp)
+        np.maximum.at(rows, (np.arange(len(p_own))[:, None] * n_terms + terms).ravel(),
+                      prep.padded_level[g_own].ravel())
+        got = np.empty(len(p_miss), dtype=np.int8)
+        got[own] = self.system.settle_levels(rows.reshape(-1, n_terms), prep.level_sums,
+                                             self.s_min, self.s_th)
+        got[~own] = got[writer[~own]]
         out[p_miss, g_miss] = got
-        # One writer per row, so that a row's key and region come from one
-        # pair: numpy leaves the order of repeated-index assignments open.
-        taken, first = np.unique(slots[p_miss, g_miss], return_index=True)
-        prep.table[taken] = np.stack([keys[p_miss[first], g_miss[first]], got[first]], axis=1)
+        prep.table[taken] = np.stack([miss_keys[first], got[first]], axis=1)
         return out
 
 
@@ -594,6 +607,9 @@ def evolve(
     crossover -> mutate; the incumbent best replaces the first offspring
     unchanged, which makes the per-generation best fitness non-increasing.
     A NaN fitness raises ``ValueError`` naming the chromosome's index.
+    Fitness is never below 0, so once the best reaches 0 the last
+    generation is built but not scored: no score of it could replace the
+    best, and no generation follows to select from it.
     """
     size = cfg.population_size
     if population.ndim != 2 or len(population) != size or not population.shape[1]:
@@ -623,10 +639,13 @@ def evolve(
         if gen:
             population[:] = _offspring(population, fits, cfg, rng)
             population[0] = best
-        fits = evaluate()
-        i = min(range(size), key=fits.__getitem__)
-        if gen == 0 or fits[i] < best_fit:
-            best, best_fit = tuple(population[i].tolist()), fits[i]
+        # No fitness is below 0 and only a strict gain replaces the best, so
+        # with the best at 0 the last generation's scores change nothing.
+        if gen == 0 or gen < cfg.generations or best_fit > 0:
+            fits = evaluate()
+            i = min(range(size), key=fits.__getitem__)
+            if gen == 0 or fits[i] < best_fit:
+                best, best_fit = tuple(population[i].tolist()), fits[i]
         if on_generation is not None:
             on_generation(gen, best_fit)
     return best

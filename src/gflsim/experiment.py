@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -318,6 +317,9 @@ def compare(config: ExperimentConfig,
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, len(tasks))
     if workers > 1:
+        # Imported here: the pool stack is most of a cold import's cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))
     else:

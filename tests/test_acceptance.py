@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from audit import ConservationAudit, audit_motion
 from conftest import FixedPolicy, pose, random_window
 from gflsim.evolver import (
     EvolverConfig,
@@ -29,14 +30,12 @@ from gflsim.world import (
     CONNECTION_CUT,
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
-    ConservationAudit,
     HistoryWindow,
     State,
     StationSpec,
     TerminalSpec,
     World,
     WorldConfig,
-    audit_motion,
 )
 
 

@@ -4,7 +4,10 @@ oldest supported Python."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,15 @@ def test_traced_methods_stay_defined(cls, name):
     # perfbench/tracer.py wraps each of these through ``gflsim.<cls>.__dict__[name]``:
     # a method deleted or only inherited breaks the benchmark with a KeyError.
     assert name in getattr(gflsim, cls).__dict__, f"{cls}.{name}"
+
+
+def test_cold_import_loads_no_process_pool():
+    # Only ``compare`` with more than one worker starts a pool, so a cold
+    # import leaves out the stack behind it: a fifth of its start-up time.
+    pool_stack = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")
+    src = str(Path(gflsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import gflsim, sys; print(*(m for m in {pool_stack!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

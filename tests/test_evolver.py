@@ -557,9 +557,10 @@ class TestFitness:
     def test_first_miss_takes_each_slot(self, bits, rng, monkeypatch):
         # A dict model of the per-site blocks: a pair's slot is its site's
         # block start plus the top bits of its key's multiplicative hash.
-        # Every pair whose key is not in its slot is settled, and the first
-        # of them in row-major order writes the slot.  The third batch
-        # repeats the first after the second evicted some of its keys.
+        # The first pair in row-major order whose key is not in its slot
+        # writes the slot; it and each later miss there with another key
+        # are settled.  The third batch repeats the first after the second
+        # evicted some of its keys.
         monkeypatch.setattr(evolver, "_SLOT_BITS", bits)
         fit, wnd = make_fitness(), random_window(rng, n_mts=6)
         first = [random_genes(27, rng) for _ in range(30)]
@@ -569,16 +570,16 @@ class TestFitness:
         fit.system.settle_levels = lambda r, *a: rows.append(len(r)) or settle(r, *a)
         table, counts = {}, []
         for pop in pops:
-            written, missed = {}, 0
+            written, settled = {}, 0
             for genes in pop:
                 for g, cells in enumerate(prep.padded_idx.tolist()):
                     key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells) if c < 27)
                     slot = (g << bits) + (key * 0x9E3779B97F4A7C15 % 2**64 >> 64 - bits)
                     if table.get(slot) != key:
-                        missed += 1
+                        settled += written.get(slot) != key  # the slot's writer, or another key
                         written.setdefault(slot, key)
             table.update(written)
-            counts.append(missed)
+            counts.append(settled)
             assert list(fit.batch(pop, wnd)) == [reference_replay(genes, wnd) for genes in pop]
             assert table == {i: key for i, (key, _) in enumerate(prep.table.tolist())
                              if key >= 0}
@@ -699,10 +700,11 @@ class TestFitness:
         # site's block of 128 slots holds far more keys than a population
         # brings to it, so a repeated batch reads nearly every region from
         # the table; only a pair whose slot went to another key of the first
-        # batch is settled again.
+        # batch is settled again: under 1% of the batch's (chromosome, site)
+        # pairs, each of which the first batch, on an empty table, misses.
         ga = EvolverConfig(invocation_period=2, window_length=6, generations=5)
         cfg = WorldConfig(mt_count=20, total_time=40)
-        rows = {"first": 0, "again": 0}
+        rows = {"pairs": 0, "first": 0, "again": 0}
         for seed in range(2):
             policy = make_policy("gfls", evolver_cfg=ga, rng=np.random.default_rng(seed))
             world = World.build(cfg, np.random.default_rng(seed))
@@ -723,9 +725,10 @@ class TestFitness:
                             expected = list(fits)
                     del fit.system.settle_levels  # the GA's own replays settle uncounted
                     assert list(fits) == expected
+                    rows["pairs"] += len(policy.evolver.population) * len(fit._prep(frozen).block)
                 policy.on_epoch(window, t)
         assert rows["first"] > 10_000
-        assert rows["again"] * 100 <= rows["first"], rows
+        assert rows["again"] * 100 <= rows["pairs"], rows
 
     def test_window_support_covers_mutation_sensitivity(self, rng):
         # genes outside the support provably cannot change fitness
@@ -903,6 +906,49 @@ class TestEvolve:
         pop = init_population(SEED_GENES, cfg, rng)
         with pytest.raises(EmptyHistoryError):
             evolve(pop, (), make_fitness(), cfg, rng)
+
+
+def evolve_scoring_every_generation(population, window, fitness, cfg, rng, on_generation):
+    """``evolve``'s loop with the last generation scored even at the floor."""
+    for gen in range(cfg.generations + 1):
+        if gen:
+            population[:] = evolver._offspring(population, fits, cfg, rng)
+            population[0] = best
+        fits = fitness.batch(population, window).tolist()
+        i = min(range(len(fits)), key=fits.__getitem__)
+        if gen == 0 or fits[i] < best_fit:
+            best, best_fit = tuple(population[i].tolist()), fits[i]
+        on_generation(gen, best_fit)
+    return best
+
+
+class TestFloorSkip:
+    @pytest.mark.parametrize("generations", [0, 1, 2, 5])
+    def test_skipping_the_last_scores_at_zero_changes_nothing(self, generations):
+        # Same best, population, stream and progress calls as scoring every
+        # generation; the last generation is scored only if the best is above 0.
+        cfg = EvolverConfig(generations=generations, population_size=20, tournament_size=5)
+        rng = np.random.default_rng(3)
+        windows = [window_no_events(), window_single_gene_fix(),
+                   window_three_handoffs_two_cuts()] + [random_window(rng) for _ in range(8)]
+        early = never = 0
+        for wnd in windows:
+            runs = []
+            for run in (evolve, evolve_scoring_every_generation):
+                fit, calls, scored, r = make_fitness(), [], [], np.random.default_rng(11)
+                batch = fit.batch  # records the generation of each batch
+                fit.batch = lambda pop, w: scored.append(len(calls)) or batch(pop, w)
+                pop = init_population(SEED_GENES, cfg, r)
+                best = run(pop, wnd, fit, cfg, r, lambda g, f: calls.append((g, f)))
+                runs.append((best, pop.tolist(), stream_state(r), calls, scored))
+            assert runs[0][:4] == runs[1][:4]
+            calls, scored = runs[0][3:]
+            assert scored[0] == 0
+            if generations and calls[-2][1] == 0:
+                early += 1
+                assert generations not in scored
+            never += calls[-1][1] > 0
+        assert early and never or not generations
 
 
 class GeneSumFitness:

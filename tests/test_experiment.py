@@ -368,7 +368,7 @@ class TestCompareAndExport:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("gflsim.experiment.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match=r"^seeds\[2\]: must be >= 0, got -1"):
             compare(small_config(seeds=(0, 4, -1), workers=2, output_dir=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
@@ -382,7 +382,7 @@ class TestCompareAndExport:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("gflsim.experiment.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr("gflsim.experiment._run_task", no_pool)
         with pytest.raises(ConfigError, match=error):
             compare(small_config(workers=2, output_dir=str(tmp_path / "out"), **change))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from audit import ConservationAudit, audit_motion
 from conftest import FixedPolicy, ReferenceWorld, distance_norm, pose
 from gflsim.fuzzy import region_codes
 from gflsim.policies import make_policy
@@ -25,14 +26,12 @@ from gflsim.world import (
     MotionPlan,
     State,
     StationSpec,
-    ConservationAudit,
     TerminalSpec,
     UnitRecord,
     World,
     WorldConfig,
     acceleration_for,
     accelerated_state,
-    audit_motion,
 )
 
 
