@@ -36,7 +36,6 @@ from .fuzzy import (
 from .policies import HandoffPolicy, PolicyKind, make_policy
 from .schema import ConfigError, _check, _schema, check_fields
 from .world import (
-    _RANGE_KEYS,
     HANDOFF_INITIATED,
     Event,
     HistoryWindow,
@@ -112,14 +111,13 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _build(cls, section: str, kw: dict, keys: Optional[dict] = None):
-    """``cls(**kw)``, its :class:`ConfigError` renamed to the config file's
-    key: prefixed with ``section`` and, where the field has another name, by ``keys``."""
+def _build(cls, section: str, kw: dict):
+    """``cls(**kw)``, its :class:`ConfigError` prefixed with ``section``:
+    the config file's key."""
     try:
         return cls(**kw)
     except ConfigError as exc:
-        name, _, rest = str(exc).partition(":")
-        raise ConfigError(f"{section}.{(keys or {}).get(name, name)}:{rest}") from exc
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _variable(raw: dict, path: str, default: LinguisticVariable) -> LinguisticVariable:
@@ -147,18 +145,10 @@ def _fuzzy(raw: dict) -> FuzzyConfig:
 
 def _world(raw: dict) -> WorldConfig:
     kw = dict(raw)
-    if "arena" in kw:
-        kw["arena_width"], kw["arena_height"] = kw.pop("arena")
-    for name, key in _RANGE_KEYS.items():
-        if key in kw:
-            kw[name] = kw.pop(key)
-    if "stations" in raw:
-        kw["stations"] = tuple(StationSpec(*st["center"], st["radius"], st["capacity"])
-                               for st in raw["stations"])
-    if "terminals" in raw:
-        kw["terminals"] = tuple(TerminalSpec(*entry.pop("position"), **{"heading": 0.0, **entry})
-                                for entry in raw["terminals"])
-    return _build(WorldConfig, "world", kw, _RANGE_KEYS)
+    for key, spec in (("stations", StationSpec), ("terminals", TerminalSpec)):
+        if key in raw:
+            kw[key] = tuple(spec(**entry) for entry in raw[key])
+    return _build(WorldConfig, "world", kw)
 
 
 def read_config_dict(path: str | Path) -> dict:

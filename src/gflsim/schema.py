@@ -95,9 +95,10 @@ def _check(value, node: dict, path: str):
 
 def check_fields(obj, *section: str) -> dict:
     """Check each field of dataclass ``obj`` against the same-named entry of
-    the schema node at ``section`` (object keys, through array items), and
-    return that node's entries.  Entries that describe JSON objects are
-    skipped: in code those are typed values that check themselves."""
+    the schema node at ``section`` (object keys, through array items), store
+    the checked value (numbers as floats, arrays as tuples, as a file gives
+    them), and return that node's entries.  Entries that describe JSON objects
+    are skipped: in code those are typed values that check themselves."""
     node = _schema()
     for key in section:
         node = node["properties"][key]
@@ -106,5 +107,5 @@ def check_fields(obj, *section: str) -> dict:
     for f in dataclasses.fields(obj):
         entry = entries.get(f.name)
         if entry is not None and not {"properties", "$ref"} & entry.get("items", entry).keys():
-            _check(getattr(obj, f.name), entry, f.name)
+            object.__setattr__(obj, f.name, _check(getattr(obj, f.name), entry, f.name))
     return entries

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fuzzy import _ABOVE_TH, _BELOW_MIN, _MID
-from .schema import ConfigError, _check, check_fields
+from .schema import ConfigError, check_fields
 
 __all__ = [
     "DomainError",
@@ -74,8 +74,7 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class StationSpec:
-    x: float
-    y: float
+    center: tuple[float, float]
     radius: float
     capacity: int
 
@@ -87,9 +86,8 @@ class StationSpec:
 class TerminalSpec:
     """Explicit terminal placement, overriding randomized initialization."""
 
-    x: float
-    y: float
-    heading: float
+    position: tuple[float, float]
+    heading: float = 0.0
     kind: str = "steady"       # "steady" | "accelerated"
     speed: float = 10.0        # steady plans
     distance: float = 3000.0   # accelerated plans: total path length
@@ -99,15 +97,15 @@ class TerminalSpec:
         check_fields(self, "world", "terminals")
 
 
-# Station table for the shipped seven-cell scenario: (x, y, radius, capacity).
+# Station table for the shipped seven-cell scenario: (center, radius, capacity).
 DEFAULT_STATIONS: tuple[StationSpec, ...] = (
-    StationSpec(2598.0, 500.0, 1400.0, 6),
-    StationSpec(866.0, 500.0, 1000.0, 4),
-    StationSpec(3464.0, 2000.0, 1200.0, 5),
-    StationSpec(1732.0, 2000.0, 800.0, 3),
-    StationSpec(1.0, 2000.0, 900.0, 3),
-    StationSpec(2598.0, 3500.0, 600.0, 2),
-    StationSpec(866.0, 3500.0, 1300.0, 5),
+    StationSpec((2598.0, 500.0), 1400.0, 6),
+    StationSpec((866.0, 500.0), 1000.0, 4),
+    StationSpec((3464.0, 2000.0), 1200.0, 5),
+    StationSpec((1732.0, 2000.0), 800.0, 3),
+    StationSpec((1.0, 2000.0), 900.0, 3),
+    StationSpec((2598.0, 3500.0), 600.0, 2),
+    StationSpec((866.0, 3500.0), 1300.0, 5),
 )
 
 
@@ -165,8 +163,7 @@ class MobileTerminal:
 
 @dataclass(frozen=True)
 class WorldConfig:
-    arena_width: float = 6000.0
-    arena_height: float = 6000.0
+    arena: tuple[float, float] = (6000.0, 6000.0)
     stations: tuple[StationSpec, ...] = DEFAULT_STATIONS
     mt_count: int = 50
     total_time: int = 75
@@ -176,31 +173,32 @@ class WorldConfig:
     dwell: int = 2
     initial_energy: float = 100.0
     eq2_verbatim: bool = False
-    steady_speed_range: tuple[float, float] = (5.0, 30.0)
-    accel_distance_range: tuple[float, float] = (1500.0, 4500.0)
+    steady_speed: tuple[float, float] = (5.0, 30.0)
+    accel_distance: tuple[float, float] = (1500.0, 4500.0)
     accelerated_fraction: float = 0.5
     accel_duration: Optional[float] = None  # defaults to total_time
     terminals: Optional[tuple[TerminalSpec, ...]] = None
 
     def __post_init__(self) -> None:
-        keys = check_fields(self, "world")
-        for name in ("arena_width", "arena_height"):
-            _check(getattr(self, name), keys["arena"]["items"], name)
-        for name, key in _RANGE_KEYS.items():
-            lo, hi = _check(getattr(self, name), keys[key], name)
+        check_fields(self, "world")
+        for name in ("steady_speed", "accel_distance"):
+            lo, hi = getattr(self, name)
             if hi < lo:
                 raise ConfigError(f"{name}: low must not exceed high")
         if not self.s_min < self.s_th:
             raise ConfigError(f"s_min: must be < s_th, got {self.s_min} and {self.s_th}")
-        extent = max(self.arena_width, self.arena_height)
         for i, st in enumerate(self.stations):
-            if st.radius > extent:
+            if st.radius > max(self.arena):
                 raise ConfigError(f"stations[{i}].radius: exceeds the arena extent")
+        for i, spec in enumerate(self.terminals or ()):
+            if not all(0.0 <= p <= side for p, side in zip(spec.position, self.arena)):
+                raise ConfigError(f"terminals[{i}].position: outside the arena {self.arena}, "
+                                  f"got {spec.position}")
         # Accelerated plans keep acceleration, speed and path finite over the
         # horizon; acceleration grows with distance, so the longest random plan is the worst.
-        plans = [("accel_distance_range", self.accel_distance_range[1], self.total_time)
+        plans = [("accel_distance", self.accel_distance[1], self.total_time)
                  if self.accel_duration is None else
-                 ("accel_duration", self.accel_distance_range[1], self.accel_duration)]
+                 ("accel_duration", self.accel_distance[1], self.accel_duration)]
         plans += [(f"terminals[{i}].duration", spec.distance, spec.duration)
                   for i, spec in enumerate(self.terminals or ()) if spec.kind == "accelerated"]
         for path, distance, duration in plans:
@@ -212,9 +210,6 @@ class WorldConfig:
                 raise ConfigError(f"{path}: acceleration {a} overflows over "
                                   f"{self.total_time} time units")
 
-
-# WorldConfig range fields and the config keys that hold them.
-_RANGE_KEYS = {"steady_speed_range": "steady_speed", "accel_distance_range": "accel_distance"}
 
 _INT_FIELDS = frozenset({"state", "serving", "target", "dwell"})
 
@@ -406,7 +401,7 @@ class World:
 
     @classmethod
     def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
-        stations = [BaseStation(i, s.x, s.y, s.radius, s.capacity)
+        stations = [BaseStation(i, *s.center, s.radius, s.capacity)
                     for i, s in enumerate(cfg.stations)]
         if cfg.terminals is not None:
             terminals = [cls._terminal_from_spec(i, spec, cfg)
@@ -421,19 +416,19 @@ class World:
     def _terminal_from_spec(ident: int, spec: TerminalSpec, cfg: WorldConfig) -> MobileTerminal:
         plan = (MotionPlan.steady(spec.speed) if spec.kind == "steady"
                 else MotionPlan.accelerated(spec.distance, spec.duration))
-        return MobileTerminal(ident, spec.x, spec.y, spec.heading, plan, energy=cfg.initial_energy)
+        return MobileTerminal(ident, *spec.position, spec.heading, plan, energy=cfg.initial_energy)
 
     @staticmethod
     def _random_terminal(ident: int, cfg: WorldConfig, rng: np.random.Generator) -> MobileTerminal:
-        x = rng.uniform(0.0, cfg.arena_width)
-        y = rng.uniform(0.0, cfg.arena_height)
+        x = rng.uniform(0.0, cfg.arena[0])
+        y = rng.uniform(0.0, cfg.arena[1])
         heading = rng.uniform(0.0, 2.0 * math.pi)
         if rng.random() < cfg.accelerated_fraction:
-            dx = rng.uniform(*cfg.accel_distance_range)
+            dx = rng.uniform(*cfg.accel_distance)
             duration = cfg.total_time if cfg.accel_duration is None else cfg.accel_duration
             plan = MotionPlan.accelerated(dx, duration)
         else:
-            plan = MotionPlan.steady(rng.uniform(*cfg.steady_speed_range))
+            plan = MotionPlan.steady(rng.uniform(*cfg.steady_speed))
         return MobileTerminal(ident, x, y, heading, plan, energy=cfg.initial_energy)
 
     def _move(self, t: int) -> None:
@@ -446,7 +441,7 @@ class World:
         moving = step != 0.0
         px = self._x + step * self._cos
         py = self._y + step * self._sin
-        width, height = self.cfg.arena_width, self.cfg.arena_height
+        width, height = self.cfg.arena
         # Inside the arena, _fold(p, 0.0, extent) is (0.0 + p, 1.0).
         self._x = np.where(moving, px + 0.0, self._x)
         self._y = np.where(moving, py + 0.0, self._y)

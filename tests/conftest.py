@@ -202,7 +202,7 @@ class ReferenceWorld:
         t, cfg = self.t, self.cfg
         snaps = []
         for mt in self.mts:
-            reference_advance(mt, t, (cfg.arena_width, cfg.arena_height), cfg.eq2_verbatim)
+            reference_advance(mt, t, cfg.arena, cfg.eq2_verbatim)
             ratios = tuple(reference_ratio(mt.x, mt.y, bs) for bs in self.stations)
             chans = tuple((bs.capacity - bs.occupied) / bs.capacity for bs in self.stations)
             snaps.append(Snapshot(

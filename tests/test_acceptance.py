@@ -183,10 +183,10 @@ def test_criterion_1_defuzzification_oracle():
 def _micro_world(state, with_target, with_channel, covered=True):
     """One terminal in a two-station world, posed in the requested state."""
     cfg = WorldConfig(
-        arena_width=4000.0, arena_height=4000.0,
-        stations=(StationSpec(1000.0, 1000.0, 800.0, 2),
-                  StationSpec(1600.0, 1000.0, 800.0, 2)),
-        terminals=(TerminalSpec(x=1300.0, y=1000.0, heading=0.0, speed=0.0),),
+        arena=(4000.0, 4000.0),
+        stations=(StationSpec((1000.0, 1000.0), 800.0, 2),
+                  StationSpec((1600.0, 1000.0), 800.0, 2)),
+        terminals=(TerminalSpec(position=(1300.0, 1000.0), heading=0.0, speed=0.0),),
         total_time=10,
     )
     w = World.build(cfg)

@@ -24,7 +24,7 @@ from gflsim.experiment import (
     ExperimentConfig, FuzzyConfig, config_from_dict, default_config, run)
 from gflsim.fuzzy import LinguisticVariable, triangle
 from gflsim.schema import ConfigError, _check, _schema
-from gflsim.world import StationSpec, WorldConfig
+from gflsim.world import StationSpec, TerminalSpec, WorldConfig
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -44,12 +44,12 @@ def _locations(node, path=()):
 LOCATIONS = [path for path in _locations(DEFAULT) if path]
 SECTIONS = ("world", "fuzzy", "evolver")
 # Keys whose value is a dataclass field of the same name: the top-level keys
-# but runs, the scalar keys of world, the evolver keys, fuzzy.resolution and
-# fuzzy.consequents (with their items).
+# but runs, the world keys but stations, the evolver keys, fuzzy.resolution
+# and fuzzy.consequents (with their items).
 FIELD_LOCATIONS = [
     path for path in LOCATIONS
     if path[0] not in SECTIONS + ("runs",)
-    or path[0] == "world" and len(path) == 2 and not isinstance(DEFAULT["world"][path[1]], list)
+    or path[0] == "world" and len(path) > 1 and path[1] != "stations"
     or path[0] == "evolver" and len(path) == 2
     or path[:2] in {("fuzzy", "resolution"), ("fuzzy", "consequents")}
 ]
@@ -190,9 +190,9 @@ def test_config_built_in_code_agrees_with_jsonschema(change):
     (ExperimentConfig, {"policies": ()}, "policies"),
     (ExperimentConfig, {"seeds": ()}, "seeds"),
     (ExperimentConfig, {"policies": ("fls", "wizard")}, "policies[1]"),
-    (StationSpec, {"x": 0.0, "y": 0.0, "radius": 500.0, "capacity": 0}, "capacity"),
-    (WorldConfig, {"arena_width": 0.0}, "arena_width"),
-    (WorldConfig, {"steady_speed_range": (30.0, 5.0)}, "steady_speed_range"),
+    (StationSpec, {"center": (0.0, 0.0), "radius": 500.0, "capacity": 0}, "capacity"),
+    (WorldConfig, {"arena": (0.0, 6000.0)}, "arena[0]"),
+    (WorldConfig, {"steady_speed": (30.0, 5.0)}, "steady_speed"),
     (WorldConfig, {"mt_count": 2.5}, "mt_count"),
     (WorldConfig, {"total_time": 0}, "total_time"),
     (WorldConfig, {"accel_duration": 1e-150, "total_time": 1200}, "accel_duration"),
@@ -204,11 +204,52 @@ def test_config_built_in_code_agrees_with_jsonschema(change):
         triangle("d", 20, 30, 30)))}, "velocity.terms"),
     (FuzzyConfig, {"output": LinguisticVariable("output", 0.0, 1.0, (
         triangle("a", 0, 0, 1), triangle("b", 0, 1, 1)))}, "output.terms"),
+    (StationSpec, {"center": (math.nan, 0.0), "radius": 100.0, "capacity": 1}, "center[0]"),
+    (StationSpec, {"center": ("a", 0.0), "radius": 100.0, "capacity": 1}, "center[0]"),
+    (TerminalSpec, {"position": (math.inf, 0.0)}, "position[0]"),
 ])
 def test_values_a_file_cannot_hold_are_rejected_in_code(cls, kw, key):
     # Each of these once ran, or failed later without naming the key.
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         cls(**kw)
+
+
+@pytest.mark.parametrize("position", [[7000, 100], [-50, 100]])
+def test_terminal_outside_the_arena_is_rejected(position):
+    # Once accepted: a terminal past the far wall jumped back inside in its
+    # first unit, and one before the near wall stayed outside for ever.
+    key = "terminals[0].position: outside the arena"
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
+        WorldConfig(terminals=(TerminalSpec(position=tuple(position), speed=10.0),))
+    doc = {"world": {"terminals": [{"position": position, "speed": 10}]}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = Path(tmp) / "bad.json"
+        config.write_text(json.dumps(doc))
+        code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code == 2
+    assert f"world.{key}" in err.getvalue()
+
+
+def test_config_built_in_code_holds_what_a_file_holds():
+    # Numbers are stored as floats and arrays as tuples however they were
+    # given, so the config equals, and hashes as, the file's.
+    built = WorldConfig(steady_speed=[5, 30], s_th=1)
+    loaded = config_from_dict({"world": {"steady_speed": [5, 30], "s_th": 1}}).world
+    assert (built.steady_speed, built.s_th) == ((5.0, 30.0), 1.0)
+    assert built == loaded and hash(built) == hash(loaded)
+
+
+@pytest.mark.parametrize("section, cls", [
+    ((), ExperimentConfig), (("world",), WorldConfig), (("world", "stations"), StationSpec),
+    (("world", "terminals"), TerminalSpec), (("evolver",), EvolverConfig)])
+def test_every_schema_key_is_a_field_of_the_same_name(section, cls):
+    # One name per setting: no table translates a file's key to a field.
+    node = _schema()
+    for key in section:
+        node = node["properties"][key]
+        node = node.get("items", node)
+    assert set(node["properties"]) - {"runs"} == {f.name for f in dataclasses.fields(cls)}
 
 
 def test_numpy_integer_seeds_accepted():

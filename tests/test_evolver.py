@@ -748,14 +748,14 @@ class TestFitness:
 def live_scenarios(draw):
     """A small world with random stations, thresholds and dwell."""
     stations = tuple(
-        StationSpec(draw(st.floats(0.0, 2000.0)), draw(st.floats(0.0, 2000.0)),
+        StationSpec((draw(st.floats(0.0, 2000.0)), draw(st.floats(0.0, 2000.0))),
                     draw(st.floats(300.0, 1400.0)), draw(st.integers(1, 3)))
         for _ in range(draw(st.integers(1, 5)))
     )
     s_min = draw(st.floats(0.0, 0.9))
     s_th = min(1.0, s_min + draw(st.floats(0.01, 1.0)))
     return WorldConfig(
-        arena_width=2000.0, arena_height=2000.0, stations=stations,
+        arena=(2000.0, 2000.0), stations=stations,
         mt_count=draw(st.integers(1, 8)), total_time=20,
         s_min=s_min, s_th=s_th, dwell=draw(st.integers(1, 4)),
     )

@@ -168,7 +168,7 @@ class TestLoadConfig:
         assert tuple(s.radius for s in cfg.world.stations) == (
             1400, 1000, 1200, 800, 900, 600, 1300)
         assert tuple(s.capacity for s in cfg.world.stations) == (6, 4, 5, 3, 3, 2, 5)
-        assert (cfg.world.stations[4].x, cfg.world.stations[4].y) == (1.0, 2000.0)
+        assert cfg.world.stations[4].center == (1.0, 2000.0)
         assert cfg.world.total_time == 75 and cfg.world.mt_count == 50
         assert cfg.runs == 10
         assert cfg == default_config()
@@ -301,8 +301,8 @@ class TestRun:
         cfg = small_config()
         world = dataclasses.replace(
             cfg.world,
-            stations=(StationSpec(50.0, 50.0, 10.0, 2),),
-            terminals=(TerminalSpec(x=3000.0, y=3000.0, heading=0.0, speed=0.0),),
+            stations=(StationSpec((50.0, 50.0), 10.0, 2),),
+            terminals=(TerminalSpec(position=(3000.0, 3000.0), heading=0.0, speed=0.0),),
         )
         res = run(dataclasses.replace(cfg, world=world), "fls", 0)
         assert res.metrics.number_of_handoffs == 0
@@ -316,7 +316,7 @@ class TestRun:
         cfg = small_config()
         world = dataclasses.replace(
             cfg.world,
-            terminals=(TerminalSpec(x=2598.0, y=500.0, heading=heading,
+            terminals=(TerminalSpec(position=(2598.0, 500.0), heading=heading,
                                     kind="steady", speed=25.0),),
             total_time=60,
         )

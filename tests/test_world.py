@@ -36,9 +36,9 @@ from gflsim.world import (
 
 
 def lone_terminal(x: float, y: float, heading: float = 0.0, speed: float = 0.0,
-                  stations=(StationSpec(866.0, 500.0, 1000.0, 4),), **spec_kw) -> World:
+                  stations=(StationSpec((866.0, 500.0), 1000.0, 4),), **spec_kw) -> World:
     """A world of one terminal in a 6000 x 6000 arena."""
-    terminal = TerminalSpec(x=x, y=y, heading=heading, speed=speed, **spec_kw)
+    terminal = TerminalSpec(position=(x, y), heading=heading, speed=speed, **spec_kw)
     return World.build(WorldConfig(stations=tuple(stations), terminals=(terminal,)))
 
 
@@ -140,7 +140,8 @@ class TestGeometry:
     def test_free_channels_norm(self):
         # Recorded free-channel fraction: (capacity - occupied) / capacity.
         for capacity, occupied, free in ((6, 0, 1.0), (2, 2, 0.0), (5, 2, 0.6)):
-            w = lone_terminal(866.0, 500.0, stations=(StationSpec(866.0, 500.0, 1000.0, capacity),))
+            station = StationSpec((866.0, 500.0), 1000.0, capacity)
+            w = lone_terminal(866.0, 500.0, stations=(station,))
             w.stations[0].occupied = occupied
             assert w.step(FixedPolicy(0.0)).chan[0, 0] == free
 
@@ -170,14 +171,14 @@ class TestSelectTarget:
         assert self.attempt(5900.0, 5900.0, DEFAULT_STATIONS) == []
 
     def test_tie_breaks_to_lowest_id(self):
-        twins = [StationSpec(0.0, 0.0, 100.0, 2), StationSpec(0.0, 0.0, 100.0, 2)]
+        twins = [StationSpec((0.0, 0.0), 100.0, 2), StationSpec((0.0, 0.0), 100.0, 2)]
         assert self.attempt(0.0, 0.0, twins) == [(CONNECTED, 0)]
-        assert self.handoff(twins + [StationSpec(0.0, 0.0, 50.0, 2)], 2) == [
+        assert self.handoff(twins + [StationSpec((0.0, 0.0), 50.0, 2)], 2) == [
             (HANDOFF_INITIATED, 0)]
 
     def test_channel_filter(self):
-        twins = [StationSpec(0.0, 0.0, 100.0, 1), StationSpec(0.0, 10.0, 100.0, 1),
-                 StationSpec(0.0, 0.0, 50.0, 1)]
+        twins = [StationSpec((0.0, 0.0), 100.0, 1), StationSpec((0.0, 10.0), 100.0, 1),
+                 StationSpec((0.0, 0.0), 50.0, 1)]
         assert self.handoff(twins, 2, full=0) == [(HANDOFF_INITIATED, 1)]
         w = lone_terminal(0.0, 0.0, stations=twins)
         w.stations[0].occupied = 1
@@ -185,17 +186,17 @@ class TestSelectTarget:
         assert [(e.kind, e.new_bs) for e in w.events] == [(BLOCKED, 0)]
 
     def test_exclusion(self):
-        twins = [StationSpec(0.0, 0.0, 100.0, 2), StationSpec(0.0, 0.0, 90.0, 2)]
+        twins = [StationSpec((0.0, 0.0), 100.0, 2), StationSpec((0.0, 0.0), 90.0, 2)]
         assert self.handoff(twins, 0) == [(HANDOFF_INITIATED, 1)]
 
 
 def two_station_world(**world_kw) -> World:
     """One terminal parked inside station 0, with station 1 overlapping."""
     cfg = WorldConfig(
-        arena_width=4000.0, arena_height=4000.0,
-        stations=(StationSpec(1000.0, 1000.0, 800.0, 2),
-                  StationSpec(1600.0, 1000.0, 800.0, 2)),
-        terminals=(TerminalSpec(x=1300.0, y=1000.0, heading=0.0, kind="steady", speed=0.0),),
+        arena=(4000.0, 4000.0),
+        stations=(StationSpec((1000.0, 1000.0), 800.0, 2),
+                  StationSpec((1600.0, 1000.0), 800.0, 2)),
+        terminals=(TerminalSpec(position=(1300.0, 1000.0), heading=0.0, kind="steady", speed=0.0),),
         mt_count=1, total_time=10,
         **world_kw,
     )
@@ -310,8 +311,8 @@ class TestEnergy:
     def test_spec_values(self):
         # d/r + epsilon: 700/1400 + 0.1 = 0.6; at the center only epsilon
         cfg = WorldConfig(
-            stations=(StationSpec(0.0, 0.0, 1400.0, 2),),
-            terminals=(TerminalSpec(x=700.0, y=0.0, heading=0.0, speed=0.0),),
+            stations=(StationSpec((0.0, 0.0), 1400.0, 2),),
+            terminals=(TerminalSpec(position=(700.0, 0.0), heading=0.0, speed=0.0),),
             total_time=5,
         )
         w = World.build(cfg)
@@ -521,19 +522,19 @@ def scenarios(draw):
     and fast terminals near the walls, plus a number of units to step."""
     coord = st.floats(0.0, 2000.0, allow_nan=False)
     stations = draw(st.lists(st.builds(
-        StationSpec, coord, coord, st.floats(100.0, 1500.0), st.integers(1, 3)),
+        StationSpec, st.tuples(coord, coord), st.floats(100.0, 1500.0), st.integers(1, 3)),
         min_size=1, max_size=4))
     if draw(st.booleans()):
         stations.append(stations[0])  # a twin: ties go to the lower id
     near_wall = st.sampled_from([0.0, 1e-9, 5.0, 1995.0, 2000.0 - 1e-9, 2000.0])
     spot = st.one_of(coord, near_wall)
     heading = st.floats(-10.0, 10.0, allow_nan=False)
-    steady = st.builds(TerminalSpec, spot, spot, heading, st.just("steady"),
+    steady = st.builds(TerminalSpec, st.tuples(spot, spot), heading, st.just("steady"),
                        st.sampled_from([0.0, 3.5, 40.0, 950.0, 4100.0]))
-    accelerated = st.builds(TerminalSpec, spot, spot, heading, st.just("accelerated"),
+    accelerated = st.builds(TerminalSpec, st.tuples(spot, spot), heading, st.just("accelerated"),
                             distance=st.floats(10.0, 9000.0), duration=st.floats(1.0, 40.0))
     terminals = draw(st.lists(st.one_of(steady, accelerated), min_size=1, max_size=8))
-    cfg = WorldConfig(arena_width=2000.0, arena_height=2000.0, stations=tuple(stations),
+    cfg = WorldConfig(arena=(2000.0, 2000.0), stations=tuple(stations),
                       terminals=tuple(terminals), eq2_verbatim=draw(st.booleans()),
                       dwell=draw(st.integers(1, 3)), epsilon=draw(st.sampled_from([0.0, 0.1])),
                       initial_energy=draw(st.sampled_from([3.0, 100.0])))
@@ -650,10 +651,10 @@ class TestDecisionTable:
         # occupancy climbs within the first unit and most turns read the
         # table at an occupancy other than the unit's start.  Such a read
         # settles its row alone; every read equals the scalar step's decide.
-        terminals = tuple(TerminalSpec(1000.0 + 10.0 * i, 1000.0, 0.0, speed=5.0)
+        terminals = tuple(TerminalSpec((1000.0 + 10.0 * i, 1000.0), 0.0, speed=5.0)
                           for i in range(30))
-        cfg = WorldConfig(arena_width=2000.0, arena_height=2000.0, terminals=terminals,
-                          stations=(StationSpec(1000.0, 1000.0, 900.0, 37),))
+        cfg = WorldConfig(arena=(2000.0, 2000.0), terminals=terminals,
+                          stations=(StationSpec((1000.0, 1000.0), 900.0, 37),))
         for kind in ("fls", "flah"):
             live, scalar = make_policy(kind), make_policy(kind)
             # Rows start at the occupancy the station has when the unit begins.
