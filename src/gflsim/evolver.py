@@ -325,7 +325,8 @@ class _WindowPrep:
         cell ``system.n_cells`` and weight 0.0; every covered pair fires in one
         array pass (a two-input system ignores the channel input)."""
         m, s = np.nonzero(rec.ratio > 0.0)
-        w = system.fire((rec.velocity[m], np.minimum(rec.ratio[m, s], 1.0), rec.chan[m, s]))
+        inputs = (rec.velocity[m], np.minimum(rec.ratio[m, s], 1.0), rec.chan[m, s])
+        w = system.fire(inputs[: len(system.input_vars)])
         fired = w > 0.0
         # A stable sort of the unfired flags puts each site's fired cells first, ascending.
         order = np.argsort(~fired, axis=1, kind="stable")[:, : fired.sum(axis=1).max(initial=0)]

@@ -144,6 +144,9 @@ def _fuzzy(raw: dict) -> FuzzyConfig:
 
 
 def _world(raw: dict) -> WorldConfig:
+    if "terminals" in raw and raw.get("mt_count", len(raw["terminals"])) != len(raw["terminals"]):
+        raise ConfigError(f"world.mt_count: {raw['mt_count']} does not match the "
+                          f"{len(raw['terminals'])} listed terminals")
     kw = dict(raw)
     for key, spec in (("stations", StationSpec), ("terminals", TerminalSpec)):
         if key in raw:

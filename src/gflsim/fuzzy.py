@@ -335,13 +335,26 @@ class FuzzySystem:
 
     def fire(self, inputs: Sequence) -> np.ndarray:
         """Min-AND firing weight per grid cell, row-major over levels, at
-        broadcast arrays of crisp values of the leading ``len(inputs)``
-        variables; the cells on a new last axis."""
+        broadcast arrays of crisp values, one per input variable; the cells
+        on a new last axis."""
+        if len(inputs) != len(self.input_vars):
+            raise FuzzyDefinitionError(f"expected {len(self.input_vars)} inputs, "
+                                       f"got {len(inputs)}")
         w = np.ones(1)
         for var, x in zip(self.input_vars, inputs):
             w = np.minimum(w[..., :, None], var.degrees(x)[..., None, :])
             w = w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],))
         return w
+
+    def term_strengths(self, consequents: Sequence[int], fired: np.ndarray) -> np.ndarray:
+        """Strength per output term (on the last axis) of :meth:`fire`'s cell weights under
+        ``consequents``: the largest weight of a cell whose consequent is the term, else 0."""
+        genes = tuple(consequents)  # keyed with their types: 2.0 == 2, yet 2.0 is rejected
+        order, first, term = _term_groups(genes, tuple(map(type, genes)), self.n_cells,
+                                          self.n_output_terms)
+        strengths = np.zeros(fired.shape[:-1] + (self.n_output_terms,))
+        strengths[..., term] = np.maximum.reduceat(fired[..., order], first, axis=-1)
+        return strengths
 
     def crisp_from_strengths(self, strengths) -> float:
         """Exact centroid of one strength row; ``NoActivationError`` if all are zero."""
@@ -412,36 +425,15 @@ class FuzzySystem:
         """The consequents as an array, if each grid cell has one term number 1..n_output_terms."""
         return check_genes(consequents, self.n_cells, self.n_output_terms)
 
-    def lead_strengths(self, consequents: Sequence[int], inputs: Sequence) -> np.ndarray:
-        """Strength ``A[..., q, k]`` the inputs but the last give output term k + 1 through
-        the cells of the last input's level q, at broadcast arrays of those inputs: the
-        largest weight of such a cell, 0 if none.  The last input clips it (:meth:`strengths`)."""
-        if len(inputs) != len(self.input_vars) - 1:
-            raise FuzzyDefinitionError(f"expected {len(self.input_vars) - 1} leading inputs, "
-                                       f"got {len(inputs)}")
-        genes = tuple(consequents)  # keyed with their types: 2.0 == 2, yet 2.0 is rejected
-        lead_cell, first, slot = _lead_groups(genes, tuple(map(type, genes)), self.n_cells,
-                                              self.levels[-1], self.n_output_terms)
-        w = self.fire(inputs)
-        lead = np.zeros(w.shape[:-1] + (self.levels[-1] * self.n_output_terms,))
-        lead[..., slot] = np.maximum.reduceat(w[..., lead_cell], first, axis=-1)
-        return lead.reshape(w.shape[:-1] + (self.levels[-1], self.n_output_terms))
-
-    def strengths(self, lead: np.ndarray, last) -> np.ndarray:
-        """Strengths max_q min(d_q, A[..., q, k]) at values of the last input, d_q its degree in
-        level q: min and max only select, so the grid's min-max strengths bit for bit."""
-        return np.minimum(self.input_vars[-1].degrees(last)[..., None], lead).max(axis=-2)
-
 
 @lru_cache(maxsize=64)
-def _lead_groups(consequents: tuple, types: tuple, n_cells: int, last: int, n_terms: int):
-    """Cells grouped by (last input's level, consequent): the leading cell of each in group
-    order, and each nonempty group's first position and flat (level, output term) slot.
-    Only a cache miss checks the consequents (:func:`check_genes`): no bad grid is cached."""
-    key = np.arange(n_cells) % last * n_terms + check_genes(consequents, n_cells, n_terms) - 1
-    order = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    groups = order // last, first, key[order[first]]
+def _term_groups(consequents: tuple, types: tuple, n_cells: int, n_terms: int):
+    """Cells ordered by consequent, and each used term's first position and index.  Only a
+    cache miss checks the consequents (:func:`check_genes`): no bad grid is cached."""
+    genes = check_genes(consequents, n_cells, n_terms)
+    order = np.argsort(genes, kind="stable")
+    first = np.flatnonzero(np.diff(genes[order], prepend=0))
+    groups = order, first, genes[order[first]] - 1
     for a in groups:
         a.setflags(write=False)
     return groups

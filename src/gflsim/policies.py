@@ -85,29 +85,28 @@ class HandoffPolicy:
               s_min: float, s_th: float) -> Callable[[int, float], int]:
         """One unit's decision table over rows of inputs: ``region(r, chan)``, the region
         code (``fuzzy.region_codes``) of row ``r``'s value at channel input ``chan``.
-        Every row is settled at once at its own ``chan_norm``; another channel input
-        settles that row alone from the same lead strengths, by the exact centroid.  A
-        two-input (FLAH) system ignores channels, so each row has one code."""
+        Every row is settled at once at its own ``chan_norm``; a read at another channel
+        input is the region of :meth:`decide` there.  A two-input (FLAH) system ignores
+        channels, so each row has one code."""
         system = self.system
         inputs = (velocity, dist_norm, chan_norm)[: len(system.input_vars)]
-        lead = system.lead_strengths(self.genes, inputs[:-1])
-        codes = system.settle(system.strengths(lead, inputs[-1]), s_min, s_th).tolist()
+        strengths = system.term_strengths(self.genes, system.fire(inputs))
+        codes = system.settle(strengths, s_min, s_th).tolist()
         if len(inputs) == 2:
             return lambda r, chan: codes[r]
-        start = chan_norm.tolist()
+        vel, dist, start = velocity.tolist(), dist_norm.tolist(), chan_norm.tolist()
 
         def region(r: int, chan: float) -> int:
             if chan == start[r]:
                 return codes[r]
-            value = system.crisp_from_strengths(system.strengths(lead[r], chan))
-            return int(region_codes(value, s_min, s_th))
+            return int(region_codes(self.decide(vel[r], dist[r], chan), s_min, s_th))
         return region
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
         """Crisp signal in [0, 1]; a two-input (FLAH) system ignores channels."""
-        inputs = (velocity, dist_norm, chan_norm)[: len(self.system.input_vars)]
-        lead = self.system.lead_strengths(self.genes, inputs[:-1])
-        return self.system.crisp_from_strengths(self.system.strengths(lead, inputs[-1]))
+        system = self.system
+        inputs = (velocity, dist_norm, chan_norm)[: len(system.input_vars)]
+        return system.crisp_from_strengths(system.term_strengths(self.genes, system.fire(inputs)))
 
     def on_epoch(self, window, now: int) -> None:
         """Run one evolution pass when the invocation period has elapsed and

@@ -181,6 +181,8 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "world")
+        if self.terminals is not None:  # scripted terminals are the whole population
+            object.__setattr__(self, "mt_count", len(self.terminals))
         for name in ("steady_speed", "accel_distance"):
             lo, hi = getattr(self, name)
             if hi < lo:
@@ -409,7 +411,7 @@ class World:
         else:
             if rng is None:
                 raise DomainError("randomized terminal placement needs an rng")
-            terminals = [cls._random_terminal(i, cfg, rng) for i in range(cfg.mt_count)]
+            terminals = cls._draw_terminals(cfg, rng)
         return cls(cfg, stations, terminals)
 
     @staticmethod
@@ -419,17 +421,19 @@ class World:
         return MobileTerminal(ident, *spec.position, spec.heading, plan, energy=cfg.initial_energy)
 
     @staticmethod
-    def _random_terminal(ident: int, cfg: WorldConfig, rng: np.random.Generator) -> MobileTerminal:
-        x = rng.uniform(0.0, cfg.arena[0])
-        y = rng.uniform(0.0, cfg.arena[1])
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        if rng.random() < cfg.accelerated_fraction:
-            dx = rng.uniform(*cfg.accel_distance)
-            duration = cfg.total_time if cfg.accel_duration is None else cfg.accel_duration
-            plan = MotionPlan.accelerated(dx, duration)
-        else:
-            plan = MotionPlan.steady(rng.uniform(*cfg.steady_speed))
-        return MobileTerminal(ident, x, y, heading, plan, energy=cfg.initial_energy)
+    def _draw_terminals(cfg: WorldConfig, rng: np.random.Generator) -> list[MobileTerminal]:
+        """Five draws per terminal, in order: x, y, heading, plan kind and plan size, each
+        ``lo + (hi - lo) * u`` from its word ``u``, as the scalar ``Generator.uniform``."""
+        u = rng.random((cfg.mt_count, 5))
+        accelerated = u[:, 3] < cfg.accelerated_fraction
+        lo, hi = np.where(accelerated, np.array([cfg.accel_distance]).T,
+                          np.array([cfg.steady_speed]).T)
+        rows = np.stack([cfg.arena[0] * u[:, 0], cfg.arena[1] * u[:, 1], 2.0 * math.pi * u[:, 2],
+                         lo + (hi - lo) * u[:, 4]], axis=1).tolist()
+        duration = cfg.total_time if cfg.accel_duration is None else cfg.accel_duration
+        return [MobileTerminal(i, x, y, heading, MotionPlan.accelerated(size, duration) if acc
+                               else MotionPlan.steady(size), energy=cfg.initial_energy)
+                for i, ((x, y, heading, size), acc) in enumerate(zip(rows, accelerated.tolist()))]
 
     def _move(self, t: int) -> None:
         """Move every terminal one step along its plan, reflecting

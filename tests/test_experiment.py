@@ -132,10 +132,12 @@ def _schema_properties(node: dict, schema: dict, path: str):
 
 
 def _base_document() -> dict:
-    """The shipped config plus one terminal, so every schema key has a place."""
+    """The shipped config plus one terminal, so every schema key has a place;
+    ``mt_count`` counts that terminal."""
     raw = json.loads((REPO / "configs" / "default.json").read_text())
     raw["world"]["terminals"] = [{"position": [10, 20], "heading": 0.5, "kind": "accelerated",
                                   "speed": 5, "distance": 100, "duration": 10}]
+    raw["world"]["mt_count"] = 1
     return raw
 
 
@@ -236,10 +238,13 @@ class TestLoadConfig:
         leaves = {p for p, node in _schema_properties(schema, schema, "")
                   if not {"properties", "$ref"} & set(node.get("items", node))}
         assert leaves == set(NON_DEFAULT)
-        base = _base_document()
-        before = config_from_dict(base)
+        scripted = _base_document()
+        # A terminal list sets the terminal count, so mt_count is read without one.
+        drawn = copy.deepcopy(scripted)
+        del drawn["world"]["terminals"]
         for path, value in NON_DEFAULT.items():
-            assert config_from_dict(_with(base, path, value)) != before, path
+            base = drawn if path == "world.mt_count" else scripted
+            assert config_from_dict(_with(base, path, value)) != config_from_dict(base), path
 
     def test_schema_defaults_are_the_parser_defaults(self):
         schema = json.loads(SCHEMA.read_text())
@@ -508,6 +513,10 @@ class TestCli:
          "world.terminals[0].speed"),
         ('{"world": {"terminals": [{"position": [0, 1], "duration": 0}]}}',
          "world.terminals[0].duration"),
+        ('{"world": {"terminals": [{"position": [0, 1]}, {"position": [2, 3]}], "mt_count": 1}}',
+         "world.mt_count: 1 does not match the 2 listed terminals"),
+        ('{"world": {"terminals": [{"position": [0, 1]}], "mt_count": 50}}',
+         "world.mt_count: 50 does not match the 1 listed terminals"),
         ('{"world": []}', "world:"),
         ('{"evolver": "fast"}', "evolver:"),
         ('{"world": {"steady_speed": [0, 1e999]}}', "world.steady_speed[1]"),

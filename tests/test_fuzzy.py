@@ -211,8 +211,12 @@ class TestEvaluateRules:
             assert reference_strengths(DEFAULT_CONSEQUENTS, degs) == tuple(ref)
 
     def test_arity_checked(self):
-        with pytest.raises(FuzzyDefinitionError, match="expected 2 leading inputs, got 3"):
-            default_system().lead_strengths(DEFAULT_CONSEQUENTS, (10.0, 0.5, 0.5))
+        # One input per variable: extra inputs are not ignored, nor missing ones left out.
+        system = default_system()
+        with pytest.raises(FuzzyDefinitionError, match="expected 3 inputs, got 2"):
+            system.fire((10.0, 0.5))
+        with pytest.raises(FuzzyDefinitionError, match="expected 3 inputs, got 4"):
+            system.fire((10.0, 0.5, 0.5, 0.5))
 
 
 class TestRegionCodes:
@@ -246,32 +250,34 @@ class TestDefuzzify:
         with pytest.raises(NoActivationError):
             default_system().crisp_from_strengths((0.0,) * 5)
 
-    def test_lead_strengths_reject_a_consequent_outside_the_output_terms(self):
-        system, inputs = default_system(), (np.array([3.0]), np.array([0.3]))
+    def test_term_strengths_reject_a_consequent_outside_the_output_terms(self):
+        system = default_system()
+        fired = system.fire((np.array([3.0]), np.array([0.3]), np.array([0.6])))
         for bad in (6, 0):
             genes = list(DEFAULT_CONSEQUENTS)
             genes[7] = bad
             with pytest.raises(ValueError, match=f"consequent {bad} at index 7 is outside 1..5"):
-                system.lead_strengths(genes, inputs)
+                system.term_strengths(genes, fired)
         with pytest.raises(ValueError, match="expected 27 consequents"):
-            system.lead_strengths(DEFAULT_CONSEQUENTS + (1,), inputs)
+            system.term_strengths(DEFAULT_CONSEQUENTS + (1,), fired)
 
-    def test_lead_strengths_check_a_grid_on_every_call_until_it_passes(self):
-        # The check runs on a miss of the lead-group cache, which keeps no
+    def test_term_strengths_check_a_grid_on_every_call_until_it_passes(self):
+        # The check runs on a miss of the term-group cache, which keeps no
         # rejected grid, so the same bad grid fails every time.
-        system, inputs = default_system(), (np.array([3.0]), np.array([0.3]))
+        system = default_system()
+        fired = system.fire((np.array([3.0]), np.array([0.3]), np.array([0.6])))
         genes = DEFAULT_CONSEQUENTS[:7] + (9,) + DEFAULT_CONSEQUENTS[8:]
         for _ in range(2):
             with pytest.raises(ValueError, match="consequent 9 at index 7 is outside 1..5"):
-                system.lead_strengths(genes, inputs)
-        fuzzy._lead_groups.cache_clear()
-        first = system.lead_strengths(DEFAULT_CONSEQUENTS, inputs)
-        assert fuzzy._lead_groups.cache_info().misses == 1
-        assert (system.lead_strengths(DEFAULT_CONSEQUENTS, inputs) == first).all()
-        assert fuzzy._lead_groups.cache_info().hits == 1
+                system.term_strengths(genes, fired)
+        fuzzy._term_groups.cache_clear()
+        first = system.term_strengths(DEFAULT_CONSEQUENTS, fired)
+        assert fuzzy._term_groups.cache_info().misses == 1
+        assert (system.term_strengths(DEFAULT_CONSEQUENTS, fired) == first).all()
+        assert fuzzy._term_groups.cache_info().hits == 1
         # 2.0 == 2, so a whole float would find the checked grid by value alone.
         with pytest.raises(ValueError, match="consequent 2.0 at index 0 is not an integer"):
-            system.lead_strengths((2.0,) + DEFAULT_CONSEQUENTS[1:], inputs)
+            system.term_strengths((2.0,) + DEFAULT_CONSEQUENTS[1:], fired)
 
     def test_check_consequents_rejects_non_integer_and_empty_vectors(self):
         system = default_system()
@@ -434,8 +440,8 @@ class TestAlwaysActivated:
         xs = [np.array(r) for r in rows]
         fired = system.fire(xs)
         assert (fired.max(axis=-1) > 0.0).all()
-        # The lead strengths clipped by the last input are the grid's min-max strengths.
-        strengths = system.strengths(system.lead_strengths(genes, xs[:-1]), xs[-1])
+        # The largest fired weight per output term: the grid's min-max strengths.
+        strengths = system.term_strengths(genes, fired)
         want = np.zeros((8, 5))
         for cell, g in enumerate(genes):
             want[:, g - 1] = np.maximum(want[:, g - 1], fired[:, cell])

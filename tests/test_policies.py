@@ -184,6 +184,20 @@ class TestTable:
                                     (20.0, 0.9, 1 / 6))]
             assert got == want
 
+    def test_a_read_at_another_channel_input_is_one_decide(self):
+        # The read's region is that of decide's value there, which reads
+        # ``_AT_MIN`` only if the two are the same value.
+        policy = make_policy("fls")
+        value = policy.decide(20.0, 0.9, 0.25)
+        region = policy.table(np.array([3.0, 20.0]), np.array([0.3, 0.9]), np.array([1.0, 0.5]),
+                              value, value + 0.1)
+        decide, calls = policy.decide, []
+        policy.decide = lambda *inputs: calls.append(inputs) or decide(*inputs)
+        assert region(1, 0.25) == fuzzy._AT_MIN
+        assert calls == [(20.0, 0.9, 0.25)]
+        region(0, 1.0)  # the start input reads the settled code
+        assert len(calls) == 1
+
     def test_construction_rejects_a_consequent_outside_the_output_terms(self):
         two = fuzzy.LinguisticVariable("rss_threshold", 0.0, 1.0, (
             fuzzy.triangle("low", 0.0, 0.0, 1.0), fuzzy.triangle("high", 0.0, 1.0, 1.0)))

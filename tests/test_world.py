@@ -23,6 +23,7 @@ from gflsim.world import (
     HANDOFF_INITIATED,
     DomainError,
     HistoryWindow,
+    MobileTerminal,
     MotionPlan,
     State,
     StationSpec,
@@ -444,6 +445,36 @@ class TestWorldBuild:
         b = World.build(cfg, np.random.default_rng(3))
         assert [(mt.x, mt.y, mt.heading, mt.plan) for mt in a.mts] == \
                [(mt.x, mt.y, mt.heading, mt.plan) for mt in b.mts]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("duration", [None, 30.0])
+    def test_drawn_terminals_take_five_scalar_draws_each(self, fraction, duration):
+        # Per terminal in order: x, y, heading, plan kind and plan size, each
+        # one word of the stream, as scalar uniform and random calls take them.
+        cfg = WorldConfig(arena=(5000.0, 3000.0), mt_count=40, accelerated_fraction=fraction,
+                          accel_duration=duration)
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = []
+            for i in range(cfg.mt_count):
+                x, y = ref.uniform(0.0, 5000.0), ref.uniform(0.0, 3000.0)
+                heading = ref.uniform(0.0, 2.0 * math.pi)
+                if ref.random() < fraction:
+                    plan = MotionPlan.accelerated(ref.uniform(*cfg.accel_distance),
+                                                  cfg.total_time if duration is None else duration)
+                else:
+                    plan = MotionPlan.steady(ref.uniform(*cfg.steady_speed))
+                want.append(MobileTerminal(i, x, y, heading, plan, energy=cfg.initial_energy))
+            assert list(World.build(cfg, rng).mts) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_scripted_terminals_set_the_terminal_count(self):
+        # mt_count counts the terminals a world holds, so a scripted list overrides it.
+        one = (TerminalSpec((1.0, 1.0)),)
+        cfg = WorldConfig(terminals=one, mt_count=7)
+        assert cfg.mt_count == 1 == len(World.build(cfg).mts)
+        assert dataclasses.replace(cfg, terminals=one * 3).mt_count == 3
+        assert WorldConfig(terminals=()).mt_count == 0
 
     def test_needs_a_station_and_steps_without_terminals(self):
         with pytest.raises(DomainError, match="station"):
