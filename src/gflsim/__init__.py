@@ -46,7 +46,6 @@ from .fuzzy import (
 )
 from .policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
 from .world import (
-    BaseStation,
     DomainError,
     Event,
     HistoryWindow,

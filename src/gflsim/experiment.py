@@ -251,12 +251,10 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     world.verify_channels()
 
     handoffs = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)
-    final = world.mts
-    mt_units = len(final) * config.world.total_time
+    mt_units = len(world.mts) * config.world.total_time
     connection_pct = 100.0 * world.connected_units / mt_units if mt_units else 0.0
     e0 = config.world.initial_energy
-    wastage = [100.0 * (e0 - mt.energy) / e0 for mt in final]
-    energy_pct = float(np.mean(wastage)) if wastage else 0.0
+    energy_pct = float(np.mean(100.0 * (e0 - world._energy) / e0)) if mt_units else 0.0
     metrics = RunMetrics(handoffs, connection_pct, energy_pct)
     return RunResult(
         policy=kind.value, seed=seed, metrics=metrics,
@@ -294,7 +292,9 @@ class MetricsReport:
 
 
 def _summarize(values: Sequence[float]) -> Summary:
-    return Summary(max=max(values), min=min(values), avg=sum(values) / len(values))
+    # The mean of equal floats can round past them ([0.1] * 3 gives 0.10000000000000002).
+    lo, hi = min(values), max(values)
+    return Summary(max=hi, min=lo, avg=min(max(sum(values) / len(values), lo), hi))
 
 
 def compare(config: ExperimentConfig,

@@ -34,7 +34,6 @@ __all__ = [
     "Event",
     "StationSpec",
     "TerminalSpec",
-    "BaseStation",
     "MotionPlan",
     "MobileTerminal",
     "WorldConfig",
@@ -107,16 +106,6 @@ DEFAULT_STATIONS: tuple[StationSpec, ...] = (
     StationSpec((2598.0, 3500.0), 600.0, 2),
     StationSpec((866.0, 3500.0), 1300.0, 5),
 )
-
-
-@dataclass
-class BaseStation:
-    ident: int
-    x: float
-    y: float
-    radius: float
-    capacity: int
-    occupied: int = 0
 
 
 @dataclass(frozen=True)
@@ -196,21 +185,23 @@ class WorldConfig:
             if not all(0.0 <= p <= side for p, side in zip(spec.position, self.arena)):
                 raise ConfigError(f"terminals[{i}].position: outside the arena {self.arena}, "
                                   f"got {spec.position}")
-        # Accelerated plans keep acceleration, speed and path finite over the
-        # horizon; acceleration grows with distance, so the longest random plan is the worst.
-        plans = [("accel_distance", self.accel_distance[1], self.total_time)
+        # Plans keep acceleration, speed and path finite over the horizon; the path grows
+        # with a steady speed or an accelerated distance, so the largest random plan is the worst.
+        plans = [("steady_speed", self.steady_speed[1], None),
+                 ("accel_distance", self.accel_distance[1], self.total_time)
                  if self.accel_duration is None else
                  ("accel_duration", self.accel_distance[1], self.accel_duration)]
-        plans += [(f"terminals[{i}].duration", spec.distance, spec.duration)
-                  for i, spec in enumerate(self.terminals or ()) if spec.kind == "accelerated"]
-        for path, distance, duration in plans:
-            try:
-                a = acceleration_for(distance, duration)
+        plans += [(f"terminals[{i}].speed", spec.speed, None) if spec.kind == "steady" else
+                  (f"terminals[{i}].duration", spec.distance, spec.duration)
+                  for i, spec in enumerate(self.terminals or ())]
+        horizon = self.total_time
+        for path, size, duration in plans:  # duration None: a steady speed
+            try:  # the plan's speed at the horizon
+                v = size if duration is None else acceleration_for(size, duration) * horizon
             except DomainError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
-            if not math.isfinite(a * self.total_time * self.total_time):
-                raise ConfigError(f"{path}: acceleration {a} overflows over "
-                                  f"{self.total_time} time units")
+            if not math.isfinite(v * horizon):
+                raise ConfigError(f"{path}: {size} overflows the path over {horizon} time units")
 
 
 _INT_FIELDS = frozenset({"state", "serving", "target", "dwell"})
@@ -330,9 +321,6 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # Plain-int states: lists and numpy arrays compare with them faster than with IntEnums.
 _CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(State.DISCONNECT)
-# Terminal fields a World keeps as float arrays and as int lists (-1 for None).
-_FLOAT_COLUMNS = ("x", "y", "heading", "speed", "energy", "odometer")
-_INT_COLUMNS = ("state", "serving", "target", "dwell")
 
 
 class _Terminals(Sequence):
@@ -345,48 +333,66 @@ class _Terminals(Sequence):
         self._world = world
 
     def __len__(self) -> int:
-        return len(self._world._ids)
+        return len(self._world._x)
 
     def __getitem__(self, m: int) -> MobileTerminal:
-        return self._world.terminal(range(len(self))[m])
+        return self._world.terminal(m)
 
 
 class World:
-    """Mutable simulation state stepped one time unit at a time.  Terminal
-    ``m`` is column ``m`` of float arrays (position, heading with its cached
-    cosine and sine, speed, energy, odometer) and of the int lists the state
-    machine walks (state, serving, target, dwell); ``mts`` views them."""
+    """Mutable simulation state stepped one time unit at a time, made by
+    ``build``.  Terminal ``m`` is column ``m`` of float arrays (position,
+    heading with its cached cosine and sine, speed, energy, odometer, and
+    its plan's size and duration) and of the int lists the state machine
+    walks (state, serving, target, dwell; -1 for no station); ``mts`` views
+    them.  ``stations`` is the config's station tuple and ``occupied`` the
+    channels each one holds, a list the step updates in place."""
 
-    def __init__(self, cfg: WorldConfig, stations: Sequence[BaseStation],
-                 terminals: Sequence[MobileTerminal]) -> None:
-        if not stations:
+    @classmethod
+    def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
+        """The world at t = 0, its terminals disconnected and at rest: the
+        scripted ``cfg.terminals``, or ``cfg.mt_count`` drawn from ``rng``."""
+        if not cfg.stations:
             raise DomainError("a world needs at least one station")
-        for kind, items, names in (("terminal", terminals, _FLOAT_COLUMNS),
-                                   ("station", stations, ("x", "y", "radius"))):
-            for item in items:
-                for name in names:
-                    if not math.isfinite(getattr(item, name)):
-                        raise DomainError(f"{kind} {item.ident}: non-finite {name} "
-                                          f"{getattr(item, name)!r}")
-        self.cfg = cfg
-        self.stations = list(stations)
-        self.t = 0
-        self.events: list[Event] = []
-        self.connected_units = 0  # MT-units spent connected or in handover
-        self._ids = [mt.ident for mt in terminals]
-        self._plans = [mt.plan for mt in terminals]
-        for name in _FLOAT_COLUMNS:
-            setattr(self, "_" + name, np.array([getattr(mt, name) for mt in terminals], float))
-        for name in _INT_COLUMNS:
-            setattr(self, "_" + name, [-1 if getattr(mt, name) is None else int(getattr(mt, name))
-                                       for mt in terminals])
-        self._cos = np.array([math.cos(h) for h in self._heading.tolist()])
-        self._sin = np.array([math.sin(h) for h in self._heading.tolist()])
-        self._accelerated = np.array([p.kind != "steady" for p in self._plans], bool)
-        self._accel = np.array([p.accel if p.kind != "steady" else 0.0 for p in self._plans])
-        self._plan_speed = np.array([p.speed for p in self._plans], float)
-        self._bx, self._by, self._radius = (
-            np.array([getattr(bs, k) for bs in self.stations], float) for k in ("x", "y", "radius"))
+        if cfg.terminals is not None:
+            accelerated = np.array([s.kind != "steady" for s in cfg.terminals], bool)
+            x, y, heading, size, duration = np.array(
+                [(*s.position, s.heading, s.speed if s.kind == "steady" else s.distance,
+                  s.duration) for s in cfg.terminals], float).reshape(-1, 5).T.copy()
+        else:
+            if rng is None:
+                raise DomainError("randomized terminal placement needs an rng")
+            # Five draws per terminal, in order: x, y, heading, plan kind and plan size, each
+            # ``lo + (hi - lo) * u`` from its word ``u``, as the scalar ``Generator.uniform``.
+            u = rng.random((cfg.mt_count, 5))
+            accelerated = u[:, 3] < cfg.accelerated_fraction
+            lo, hi = np.where(accelerated, np.array([cfg.accel_distance]).T,
+                              np.array([cfg.steady_speed]).T)
+            x, y = cfg.arena[0] * u[:, 0], cfg.arena[1] * u[:, 1]
+            heading, size = 2.0 * math.pi * u[:, 2], lo + (hi - lo) * u[:, 4]
+            duration = np.full(cfg.mt_count, float(
+                cfg.total_time if cfg.accel_duration is None else cfg.accel_duration))
+        world, m = cls.__new__(cls), len(x)
+        world.cfg, world.t, world.events = cfg, 0, []
+        world.connected_units = 0  # MT-units spent connected or in handover
+        world.stations, world.occupied = cfg.stations, [0] * len(cfg.stations)
+        world._capacity = [s.capacity for s in cfg.stations]
+        world._bx, world._by = np.array([s.center for s in cfg.stations], float).T
+        world._radius = np.array([s.radius for s in cfg.stations], float)
+        world._x, world._y, world._heading = x, y, heading
+        world._cos = np.array([math.cos(h) for h in heading.tolist()])
+        world._sin = np.array([math.sin(h) for h in heading.tolist()])
+        world._speed, world._odometer = np.zeros(m), np.zeros(m)
+        world._energy = np.full(m, cfg.initial_energy)
+        world._state, world._dwell = [_DISCONNECT] * m, [0] * m
+        world._serving, world._target = [-1] * m, [-1] * m
+        # A plan's size is its speed if steady, else its distance; only an accelerated plan
+        # reads its duration.  The acceleration is ``acceleration_for``'s, elementwise.
+        world._accelerated, world._size, world._duration = accelerated, size, duration
+        world._accel = np.zeros(m)
+        d = duration[accelerated]
+        world._accel[accelerated] = 2.0 * size[accelerated] / (d * d)
+        return world
 
     @property
     def mts(self) -> Sequence[MobileTerminal]:
@@ -394,54 +400,23 @@ class World:
 
     def terminal(self, m: int) -> MobileTerminal:
         """A detached copy of terminal ``m`` as it stands."""
-        sv, tg = self._serving[m], self._target[m]
+        m = range(len(self._x))[m]  # the terminal's id, and an IndexError past the end
+        sv, tg, size = self._serving[m], self._target[m], float(self._size[m])
+        plan = (MotionPlan.accelerated(size, self._duration[m]) if self._accelerated[m]
+                else MotionPlan.steady(size))
         return MobileTerminal(
-            self._ids[m], float(self._x[m]), float(self._y[m]), float(self._heading[m]),
-            self._plans[m], float(self._speed[m]), float(self._energy[m]),
-            State(self._state[m]), None if sv < 0 else sv, None if tg < 0 else tg,
-            self._dwell[m], float(self._odometer[m]))
-
-    @classmethod
-    def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
-        stations = [BaseStation(i, *s.center, s.radius, s.capacity)
-                    for i, s in enumerate(cfg.stations)]
-        if cfg.terminals is not None:
-            terminals = [cls._terminal_from_spec(i, spec, cfg)
-                         for i, spec in enumerate(cfg.terminals)]
-        else:
-            if rng is None:
-                raise DomainError("randomized terminal placement needs an rng")
-            terminals = cls._draw_terminals(cfg, rng)
-        return cls(cfg, stations, terminals)
-
-    @staticmethod
-    def _terminal_from_spec(ident: int, spec: TerminalSpec, cfg: WorldConfig) -> MobileTerminal:
-        plan = (MotionPlan.steady(spec.speed) if spec.kind == "steady"
-                else MotionPlan.accelerated(spec.distance, spec.duration))
-        return MobileTerminal(ident, *spec.position, spec.heading, plan, energy=cfg.initial_energy)
-
-    @staticmethod
-    def _draw_terminals(cfg: WorldConfig, rng: np.random.Generator) -> list[MobileTerminal]:
-        """Five draws per terminal, in order: x, y, heading, plan kind and plan size, each
-        ``lo + (hi - lo) * u`` from its word ``u``, as the scalar ``Generator.uniform``."""
-        u = rng.random((cfg.mt_count, 5))
-        accelerated = u[:, 3] < cfg.accelerated_fraction
-        lo, hi = np.where(accelerated, np.array([cfg.accel_distance]).T,
-                          np.array([cfg.steady_speed]).T)
-        rows = np.stack([cfg.arena[0] * u[:, 0], cfg.arena[1] * u[:, 1], 2.0 * math.pi * u[:, 2],
-                         lo + (hi - lo) * u[:, 4]], axis=1).tolist()
-        duration = cfg.total_time if cfg.accel_duration is None else cfg.accel_duration
-        return [MobileTerminal(i, x, y, heading, MotionPlan.accelerated(size, duration) if acc
-                               else MotionPlan.steady(size), energy=cfg.initial_energy)
-                for i, ((x, y, heading, size), acc) in enumerate(zip(rows, accelerated.tolist()))]
+            m, float(self._x[m]), float(self._y[m]), float(self._heading[m]), plan,
+            float(self._speed[m]), float(self._energy[m]), State(self._state[m]),
+            None if sv < 0 else sv, None if tg < 0 else tg, self._dwell[m],
+            float(self._odometer[m]))
 
     def _move(self, t: int) -> None:
         """Move every terminal one step along its plan, reflecting
         specularly off the arena walls."""
         a, acc = self._accel, self._accelerated
         self._speed = np.where(acc, np.sqrt(2.0 * a * t) if self.cfg.eq2_verbatim else a * t,
-                               self._plan_speed)
-        step = np.where(acc, 0.5 * a * t * t - 0.5 * a * (t - 1.0) * (t - 1.0), self._plan_speed)
+                               self._size)
+        step = np.where(acc, 0.5 * a * t * t - 0.5 * a * (t - 1.0) * (t - 1.0), self._size)
         moving = step != 0.0
         px = self._x + step * self._cos
         py = self._y + step * self._sin
@@ -478,8 +453,7 @@ class World:
         # A terminal reads its own row only: the ratio of its serving station
         # (held since the unit began) or of its candidate.
         own = ratio[rows, before[1]]
-        occupied = [bs.occupied for bs in self.stations]
-        capacity = [bs.capacity for bs in self.stations]
+        occupied, capacity = self.occupied, self._capacity
         held, cap = np.array(occupied, dtype=np.int64), np.array(capacity, dtype=np.int64)
         # Deciding terminals (connected in cell, or disconnected under a
         # candidate) have fixed inputs but for the channel one, which follows
@@ -493,7 +467,7 @@ class World:
         turn = iter(range(len(deciding)))
         own, cand = own.tolist(), cand.tolist()
         changes: list[tuple[int, int, int]] = []  # (terminal, station, +1 or -1)
-        ids, events = self._ids, self.events
+        events = self.events
 
         def hold(m: int, s: int, d: int) -> None:
             occupied[s] += d
@@ -511,10 +485,10 @@ class World:
             hold(m, sv, -1)
             if tg >= 0:
                 hold(m, tg, -1)
-            events.append(Event(t, ids[m], CONNECTION_CUT, sv, None if tg < 0 else tg))
+            events.append(Event(t, m, CONNECTION_CUT, sv, None if tg < 0 else tg))
             state[m], serving[m], target[m], dwell[m] = _DISCONNECT, -1, -1, 0
 
-        for m in range(len(ids)):
+        for m in range(len(state)):
             st, sv = state[m], serving[m]
             if st != _DISCONNECT and own[m] <= 0.0:
                 # Out of the serving cell: forced cut, whatever the fuzzy value.
@@ -532,13 +506,13 @@ class World:
                     if tg >= 0:
                         hold(m, tg, 1)
                         state[m], target[m], dwell[m] = _HANDOVER, tg, cfg.dwell
-                        events.append(Event(t, ids[m], HANDOFF_INITIATED, sv, tg))
+                        events.append(Event(t, m, HANDOFF_INITIATED, sv, tg))
             elif st == _HANDOVER:
                 dwell[m] -= 1
                 if dwell[m] == 0:
                     hold(m, sv, -1)
                     state[m], serving[m], target[m] = _CONNECT, target[m], -1
-                    events.append(Event(t, ids[m], HANDOFF_COMPLETED, sv, serving[m]))
+                    events.append(Event(t, m, HANDOFF_COMPLETED, sv, serving[m]))
             elif cand[m] >= 0 and region(cand[m]) >= _MID:
                 # Disconnected, a value above s_min for the deepest covering
                 # station: connect, or without a free channel, a blocked attempt.
@@ -546,11 +520,9 @@ class World:
                 if occupied[c] < capacity[c]:
                     hold(m, c, 1)
                     state[m], serving[m] = _CONNECT, c
-                    events.append(Event(t, ids[m], CONNECTED, None, c))
+                    events.append(Event(t, m, CONNECTED, None, c))
                 else:
-                    events.append(Event(t, ids[m], BLOCKED, None, c))
-        for bs, n in zip(self.stations, occupied):
-            bs.occupied = n
+                    events.append(Event(t, m, BLOCKED, None, c))
 
         # Channels each terminal saw: the start plus the changes made before its turn.
         delta = np.zeros(ratio.shape, dtype=np.int64)
@@ -572,7 +544,7 @@ class World:
         """Raise if occupied counts drift from the serving/target census."""
         census = np.bincount([s for s in self._serving + self._target if s >= 0],
                              minlength=len(self.stations)).tolist()
-        for bs, n in zip(self.stations, census):
-            if bs.occupied != n or not 0 <= bs.occupied <= bs.capacity:
-                raise RuntimeError(f"channel accounting broken at station {bs.ident}: "
-                                   f"occupied={bs.occupied}, census={n}")
+        for s, (n, held, cap) in enumerate(zip(census, self.occupied, self._capacity)):
+            if held != n or not 0 <= held <= cap:
+                raise RuntimeError(f"channel accounting broken at station {s}: "
+                                   f"occupied={held}, census={n}")

@@ -32,10 +32,9 @@ class ConservationAudit:
     def __init__(self, world: World, tol: float = 1e-9) -> None:
         self.tol = tol
         self._t, self._seen = world.t, len(world.events)
-        self._column = {ident: m for m, ident in enumerate(world._ids)}
         self._held = np.array([world._serving, world._target], dtype=np.int64).reshape(2, -1)
         self._energy, self._last = world._energy.copy(), world._energy.copy()
-        self._cap = np.array([bs.capacity for bs in world.stations])
+        self._cap = np.array([s.capacity for s in world.stations])
 
     def unit(self, world: World) -> None:
         """Check the world after its next step."""
@@ -44,7 +43,7 @@ class ConservationAudit:
             raise ValueError(f"audit of t={self._t} fed t={t}: feed it after every step")
         self._t = t
         for ev in world.events[self._seen:]:
-            m = self._column[ev.mt_id]
+            m = ev.mt_id  # terminal ids are their columns
             if ev.kind == HANDOFF_INITIATED:
                 held[:, m] = ev.old_bs, ev.new_bs
             elif ev.kind in (CONNECTED, HANDOFF_COMPLETED):
@@ -54,7 +53,7 @@ class ConservationAudit:
         self._seen = len(world.events)
 
         census = np.bincount(held[held >= 0], minlength=len(self._cap))
-        occ = np.array([bs.occupied for bs in world.stations])
+        occ = np.array(world.occupied)
         for s in np.flatnonzero((occ != census) | (occ < 0) | (occ > self._cap)).tolist():
             raise AssertionError(f"t={t} station {s}: occupied {occ[s]}, "
                                  f"event census {census[s]}, capacity {self._cap[s]}")
@@ -68,9 +67,9 @@ class ConservationAudit:
         self._energy = np.maximum(self._energy - spent, 0.0)
         now = world._energy
         for m in np.flatnonzero(now > self._last).tolist():
-            raise AssertionError(f"t={t} mt={world._ids[m]}: energy rose from {self._last[m]} to {now[m]}")
+            raise AssertionError(f"t={t} mt={m}: energy rose from {self._last[m]} to {now[m]}")
         for m in np.flatnonzero(~(np.abs(self._energy - now) <= self.tol)).tolist():
-            raise AssertionError(f"t={t} mt={world._ids[m]}: recomputed energy {self._energy[m]} "
+            raise AssertionError(f"t={t} mt={m}: recomputed energy {self._energy[m]} "
                                  f"!= world's {now[m]}")
         self._last = now.copy()
 

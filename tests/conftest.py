@@ -3,7 +3,7 @@ scalar reference world step."""
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import itertools
 import math
 from typing import NamedTuple, Optional
@@ -18,7 +18,6 @@ from gflsim.world import (
     CONNECTION_CUT,
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
-    BaseStation,
     Event,
     MobileTerminal,
     State,
@@ -184,6 +183,18 @@ def random_window(rng: np.random.Generator, n_units: int = 4, n_mts: int = 4,
     return make_window(units)
 
 
+@dataclasses.dataclass
+class ReferenceStation:
+    """A station of the reference world: its spec and its held channels."""
+
+    ident: int
+    x: float
+    y: float
+    radius: float
+    capacity: int
+    occupied: int = 0
+
+
 class ReferenceWorld:
     """The scalar world step: one terminal at a time, each moved, measured
     with ``math.hypot``, sent through the state machine and charged for
@@ -191,7 +202,8 @@ class ReferenceWorld:
 
     def __init__(self, world: World) -> None:
         self.cfg = world.cfg
-        self.stations = [copy.copy(bs) for bs in world.stations]
+        self.stations = [ReferenceStation(i, *s.center, s.radius, s.capacity, n)
+                         for i, (s, n) in enumerate(zip(world.stations, world.occupied))]
         self.mts = list(world.mts)
         self.t = world.t
         self.events: list[Event] = []
@@ -294,13 +306,13 @@ def reference_advance(mt: MobileTerminal, t_now: int, arena: tuple[float, float]
         mt.heading = math.atan2(sy * sin_h, sx * cos_h)
 
 
-def reference_ratio(x: float, y: float, bs: BaseStation) -> float:
+def reference_ratio(x: float, y: float, bs: ReferenceStation) -> float:
     """Signed boundary distance over the radius: positive inside coverage."""
     return (bs.radius - math.hypot(x - bs.x, y - bs.y)) / bs.radius
 
 
 def reference_target(x: float, y: float, stations, exclude: Optional[int] = None,
-                     require_channel: bool = True) -> Optional[BaseStation]:
+                     require_channel: bool = True) -> Optional[ReferenceStation]:
     """Covering station with the deepest normalized coverage, optionally
     with a free channel; ties resolve to the lowest station id."""
     best, best_dn = None, 0.0

@@ -194,15 +194,15 @@ def _micro_world(state, with_target, with_channel, covered=True):
         pose(w, 0, x=3900.0, y=3900.0)
     if state != State.DISCONNECT:
         pose(w, 0, state=state, serving=0)
-        w.stations[0].occupied += 1
+        w.occupied[0] += 1
         if state == State.HANDOVER:
             pose(w, 0, target=1, dwell=2)
-            w.stations[1].occupied += 1
+            w.occupied[1] += 1
     if state != State.HANDOVER and not with_target:
-        w.stations[1].occupied = w.stations[1].capacity
+        w.occupied[1] = w.stations[1].capacity
     if state == State.DISCONNECT and not with_channel:
-        w.stations[0].occupied = w.stations[0].capacity
-        w.stations[1].occupied = w.stations[1].capacity
+        w.occupied[0] = w.stations[0].capacity
+        w.occupied[1] = w.stations[1].capacity
     return w
 
 

@@ -207,6 +207,17 @@ def test_config_built_in_code_agrees_with_jsonschema(change):
     (StationSpec, {"center": (math.nan, 0.0), "radius": 100.0, "capacity": 1}, "center[0]"),
     (StationSpec, {"center": ("a", 0.0), "radius": 100.0, "capacity": 1}, "center[0]"),
     (TerminalSpec, {"position": (math.inf, 0.0)}, "position[0]"),
+    (StationSpec, {"center": (0.0, 0.0), "radius": 500.0, "capacity": 10**30}, "capacity"),
+    # A world takes every value from its config, so these stop a non-finite
+    # position, heading, plan, energy or station geometry before any world.
+    (TerminalSpec, {"position": (0.0, -math.inf)}, "position[1]"),
+    (TerminalSpec, {"position": (0.0, 0.0), "heading": math.nan}, "heading"),
+    (TerminalSpec, {"position": (0.0, 0.0), "speed": math.inf}, "speed"),
+    (TerminalSpec, {"position": (0.0, 0.0), "distance": math.nan}, "distance"),
+    (TerminalSpec, {"position": (0.0, 0.0), "duration": math.inf}, "duration"),
+    (WorldConfig, {"initial_energy": math.inf}, "initial_energy"),
+    (StationSpec, {"center": (0.0, math.inf), "radius": 100.0, "capacity": 1}, "center[1]"),
+    (StationSpec, {"center": (0.0, 0.0), "radius": math.nan, "capacity": 1}, "radius"),
 ])
 def test_values_a_file_cannot_hold_are_rejected_in_code(cls, kw, key):
     # Each of these once ran, or failed later without naming the key.

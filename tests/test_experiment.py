@@ -15,6 +15,7 @@ from gflsim.experiment import (
     ConfigError,
     ExperimentConfig,
     Summary,
+    _summarize,
     compare,
     config_from_dict,
     default_config,
@@ -25,7 +26,7 @@ from gflsim.experiment import (
     load_report,
     run,
 )
-from gflsim.world import StationSpec, TerminalSpec, World
+from gflsim.world import StationSpec, TerminalSpec, World, WorldConfig
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = REPO / "src" / "gflsim" / "config.schema.json"
@@ -277,6 +278,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^" + re.escape(key) + ": "):
             config_from_dict({"world": world})
 
+    @pytest.mark.parametrize("world, key", [
+        ({"steady_speed": [1e308, 1e308]}, "world.steady_speed"),
+        ({"steady_speed": [0, 1e307], "total_time": 100}, "world.steady_speed"),
+        ({"terminals": [{"position": [0, 1], "speed": 1e307}], "total_time": 100},
+         "world.terminals[0].speed"),
+        ({"terminals": [{"position": [0, 1], "kind": "accelerated"},
+                        {"position": [0, 1], "speed": 1e307}], "total_time": 100},
+         "world.terminals[1].speed"),
+    ])
+    def test_steady_plans_stay_finite(self, world, key):
+        # Steady speed times the horizon is the odometer's last value, so an
+        # overflow there once ran on with a RuntimeWarning.
+        with pytest.raises(ConfigError, match="^" + re.escape(key) + ": "):
+            config_from_dict({"world": world})
+        fast = WorldConfig(mt_count=10, total_time=20, steady_speed=(1e306, 1e306))
+        assert run(small_config(world=fast), "fls", 0).sim_time == 20
+
     def test_uncovered_terms_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"fuzzy": {"velocity": {
@@ -402,6 +420,22 @@ class TestCompareAndExport:
                 s: Summary = getattr(report.rows[kind], metric)
                 assert s.max == s.min == s.avg
 
+    def test_mean_of_equal_values_stays_between_them(self, tmp_path):
+        # sum / len of equal floats can round past them.
+        assert sum([0.1] * 3) / 3 > 0.1
+        assert _summarize([0.1] * 3) == Summary(max=0.1, min=0.1, avg=0.1)
+        # Scripted terminals and static policies give every seed the same
+        # metrics; ten of them once summed past their value and failed the run.
+        terminals = tuple(TerminalSpec(position, speed=speed) for position, speed in (
+            ((2598.0, 500.0), 12.0), ((866.0, 500.0), 20.0), ((3464.0, 2000.0), 7.0)))
+        world = WorldConfig(terminals=terminals, total_time=30)
+        cfg = small_config(world=world, policies=("fls", "flah"), seeds=tuple(range(10)),
+                           output_dir=str(tmp_path))
+        report = compare(cfg)
+        assert load_report(tmp_path / "report.csv", "csv") == report
+        for row in report.rows.values():
+            assert row.energy_wastage_pct.min == row.energy_wastage_pct.avg
+
     def test_summary_order_invariant(self, tmp_path):
         cfg = small_config(policies=("fls",), seeds=(0, 1, 2),
                            output_dir=str(tmp_path))
@@ -520,6 +554,9 @@ class TestCli:
         ('{"world": []}', "world:"),
         ('{"evolver": "fast"}', "evolver:"),
         ('{"world": {"steady_speed": [0, 1e999]}}', "world.steady_speed[1]"),
+        ('{"world": {"steady_speed": [1e308, 1e308]}}', "world.steady_speed"),
+        ('{"world": {"stations": [{"center": [0, 0], "radius": 500, '
+         '"capacity": 1000000000000000000000000000000}]}}', "world.stations[0].capacity"),
         ('{"world": {"epsilon": NaN}}', "world.epsilon"),
         ('{"fuzzy": {"distance": {"terms": [{"label": "a", "points": [0, "0", 0.4]},'
          ' {"label": "b", "points": [0.2, 0.5, 0.8]}, {"label": "c", "points": [0.6, 1, 1]}]}}}',

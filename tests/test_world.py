@@ -4,13 +4,17 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from audit import ConservationAudit, audit_motion
+import gflsim.experiment
+import gflsim.world
 from conftest import FixedPolicy, ReferenceWorld, distance_norm, pose
+from gflsim.experiment import config_from_dict, default_config, run
 from gflsim.fuzzy import region_codes
 from gflsim.policies import make_policy
 from gflsim.schema import ConfigError
@@ -143,7 +147,7 @@ class TestGeometry:
         for capacity, occupied, free in ((6, 0, 1.0), (2, 2, 0.0), (5, 2, 0.6)):
             station = StationSpec((866.0, 500.0), 1000.0, capacity)
             w = lone_terminal(866.0, 500.0, stations=(station,))
-            w.stations[0].occupied = occupied
+            w.occupied[0] = occupied
             assert w.step(FixedPolicy(0.0)).chan[0, 0] == free
 
 
@@ -161,7 +165,7 @@ class TestSelectTarget:
         w = lone_terminal(0.0, 0.0, stations=stations)
         connect(w, 0, serving)
         if full >= 0:
-            w.stations[full].occupied = w.stations[full].capacity
+            w.occupied[full] = w.stations[full].capacity
         w.step(FixedPolicy(0.3))
         return [(e.kind, e.new_bs) for e in w.events]
 
@@ -182,7 +186,7 @@ class TestSelectTarget:
                  StationSpec((0.0, 0.0), 50.0, 1)]
         assert self.handoff(twins, 2, full=0) == [(HANDOFF_INITIATED, 1)]
         w = lone_terminal(0.0, 0.0, stations=twins)
-        w.stations[0].occupied = 1
+        w.occupied[0] = 1
         w.step(FixedPolicy(0.5))
         assert [(e.kind, e.new_bs) for e in w.events] == [(BLOCKED, 0)]
 
@@ -206,7 +210,7 @@ def two_station_world(**world_kw) -> World:
 
 def connect(world: World, mt_idx: int, station: int) -> None:
     pose(world, mt_idx, state=State.CONNECT, serving=station)
-    world.stations[station].occupied += 1
+    world.occupied[station] += 1
 
 
 class TestStateMachine:
@@ -216,7 +220,7 @@ class TestStateMachine:
         w.step(FixedPolicy(0.1))
         mt = w.mts[0]
         assert mt.state == State.DISCONNECT and mt.serving is None
-        assert w.stations[0].occupied == 0
+        assert w.occupied[0] == 0
         assert [e.kind for e in w.events] == [CONNECTION_CUT]
 
     def test_mid_value_initiates_handover_and_completes_after_dwell(self):
@@ -226,21 +230,21 @@ class TestStateMachine:
         mt = w.mts[0]
         assert mt.state == State.HANDOVER and mt.dwell == 2
         assert (mt.serving, mt.target) == (0, 1)
-        assert w.stations[0].occupied == 1 and w.stations[1].occupied == 1
+        assert w.occupied[0] == 1 and w.occupied[1] == 1
         assert [e.kind for e in w.events] == [HANDOFF_INITIATED]
         w.step(FixedPolicy(0.9))
         assert w.mts[0].state == State.HANDOVER and w.mts[0].dwell == 1
         w.step(FixedPolicy(0.9))
         mt = w.mts[0]
         assert mt.state == State.CONNECT and mt.serving == 1 and mt.target is None
-        assert w.stations[0].occupied == 0 and w.stations[1].occupied == 1
+        assert w.occupied[0] == 0 and w.occupied[1] == 1
         completed = [e for e in w.events if e.kind == HANDOFF_COMPLETED]
         assert len(completed) == 1 and completed[0].t == 3
 
     def test_mid_value_without_target_stays_connected(self):
         w = two_station_world()
         connect(w, 0, 0)
-        w.stations[1].occupied = 2  # target full
+        w.occupied[1] = 2  # target full
         w.step(FixedPolicy(0.3))
         assert w.mts[0].state == State.CONNECT and w.mts[0].serving == 0
         assert w.events == []
@@ -263,7 +267,7 @@ class TestStateMachine:
 
     def test_disconnected_blocked_when_candidate_full(self):
         w = two_station_world()
-        w.stations[0].occupied = 2
+        w.occupied[0] = 2
         w.step(FixedPolicy(0.5))
         assert w.mts[0].state == State.DISCONNECT
         assert [e.kind for e in w.events] == [BLOCKED]
@@ -287,17 +291,17 @@ class TestStateMachine:
         w.step(FixedPolicy(0.9))
         assert w.mts[0].state == State.DISCONNECT
         assert [e.kind for e in w.events] == [CONNECTION_CUT]
-        assert w.stations[0].occupied == 0
+        assert w.occupied[0] == 0
 
     def test_forced_cut_during_handover_releases_both(self):
         w = two_station_world()
         connect(w, 0, 0)
         pose(w, 0, state=State.HANDOVER, target=1, dwell=2)
-        w.stations[1].occupied += 1
+        w.occupied[1] += 1
         pose(w, 0, x=3900.0, y=3900.0)  # off both cells
         w.step(FixedPolicy(0.9))
         assert w.mts[0].state == State.DISCONNECT
-        assert w.stations[0].occupied == 0 and w.stations[1].occupied == 0
+        assert w.occupied[0] == 0 and w.occupied[1] == 0
         cut = [e for e in w.events if e.kind == CONNECTION_CUT]
         assert len(cut) == 1 and cut[0].old_bs == 0 and cut[0].new_bs == 1
 
@@ -325,7 +329,7 @@ class TestEnergy:
         w = two_station_world()
         connect(w, 0, 0)
         pose(w, 0, state=State.HANDOVER, target=1, dwell=2)
-        w.stations[1].occupied += 1
+        w.occupied[1] += 1
         w.step(FixedPolicy(0.9))
         ew = (300.0 / 800.0 + 0.1) + (300.0 / 800.0 + 0.1)
         assert w.mts[0].energy == pytest.approx(100.0 - ew)
@@ -404,7 +408,7 @@ class TestFullRuns:
     def test_audit_names_the_station_whose_occupancy_drifts(self):
         w, audit = self.audited_world()
         w.step(FixedPolicy(0.3))
-        w.stations[3].occupied += 1
+        w.occupied[3] += 1
         with pytest.raises(AssertionError, match=r"^t=3 station 3: occupied"):
             audit.unit(w)
 
@@ -465,8 +469,48 @@ class TestWorldBuild:
                 else:
                     plan = MotionPlan.steady(ref.uniform(*cfg.steady_speed))
                 want.append(MobileTerminal(i, x, y, heading, plan, energy=cfg.initial_energy))
-            assert list(World.build(cfg, rng).mts) == want
+            world = World.build(cfg, rng)
+            assert list(world.mts) == want
             assert rng.bit_generator.state == ref.bit_generator.state
+            # The step's acceleration column is the plans' own, bit for bit.
+            assert world._accel.tolist() == [
+                mt.plan.accel if mt.plan.kind == "accelerated" else 0.0 for mt in want]
+
+    def test_scripted_terminals_are_their_specs(self):
+        # Steady and accelerated specs of different durations, among them a
+        # steady one whose duration no plan reads, each at rest with the
+        # config's energy and its plan rebuilt from the plan columns.
+        specs = (TerminalSpec((10.0, 20.0), 0.5, speed=12.0),
+                 TerminalSpec((300.0, 40.0), -1.0, "accelerated", distance=2500.0, duration=30.0),
+                 TerminalSpec((5.0, 5999.0), 3.0, speed=0.0, duration=1e-200),
+                 TerminalSpec((6000.0, 0.0), 2.0, "accelerated", distance=4500.0),
+                 TerminalSpec((1.5, 2.5), kind="accelerated", distance=10.0, duration=0.3))
+        cfg = WorldConfig(terminals=specs, initial_energy=40.0)
+        want = [MobileTerminal(i, *spec.position, spec.heading,
+                               MotionPlan.steady(spec.speed) if spec.kind == "steady"
+                               else MotionPlan.accelerated(spec.distance, spec.duration),
+                               energy=cfg.initial_energy) for i, spec in enumerate(specs)]
+        world = World.build(cfg)
+        assert list(world.mts) == want and world.terminal(-1) == want[-1]
+        assert world._accel.tolist() == [
+            mt.plan.accel if mt.plan.kind == "accelerated" else 0.0 for mt in want]
+        assert world.stations is cfg.stations and world.occupied == [0] * len(cfg.stations)
+
+    def test_build_and_run_make_no_terminal_plan_or_station_object(self, monkeypatch):
+        # A world is columns from its config to the run's report.
+        scripted = WorldConfig(terminals=(TerminalSpec((100.0, 200.0), speed=5.0),
+                                          TerminalSpec((900.0, 500.0), kind="accelerated")))
+        drawn, config = WorldConfig(mt_count=20), default_config()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an object")
+        for module in (gflsim.world, gflsim.experiment):
+            for name in ("MobileTerminal", "MotionPlan", "StationSpec", "TerminalSpec"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert len(World.build(scripted).mts) == 2
+        assert len(World.build(drawn, np.random.default_rng(0)).mts) == 20
+        assert run(config, "fls", 0).sim_time == config.world.total_time
 
     def test_scripted_terminals_set_the_terminal_count(self):
         # mt_count counts the terminals a world holds, so a scripted list overrides it.
@@ -505,29 +549,41 @@ class TestWorldBuild:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             dataclasses.replace(WorldConfig(), **change)
 
+    @staticmethod
+    def rejected_before_build(world: dict, key: str) -> None:
+        # A world takes every value from its config, so a non-finite one stops
+        # at the key that holds it, in a config file and in code alike.
+        with pytest.raises(ConfigError, match=f"^world.{re.escape(key)}: expected finite"):
+            config_from_dict({"world": world})
+        specs = {"terminals": TerminalSpec, "stations": StationSpec}
+        with pytest.raises(ConfigError, match=f"^{re.escape(key.split('.')[-1])}: "):
+            World.build(WorldConfig(**{
+                name: tuple(specs[name](**spec) for spec in value) if name in specs else value
+                for name, value in world.items()}), np.random.default_rng(0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["x", "y", "heading", "speed", "energy", "odometer"])
+    @pytest.mark.parametrize("name", ["x", "y", "heading", "speed", "energy"])
     def test_non_finite_terminal_rejected(self, name, bad):
-        world = two_station_world()
-        mt = dataclasses.replace(world.terminal(0), **{name: bad})
-        with pytest.raises(DomainError, match=f"^terminal 0: non-finite {name} "):
-            World(world.cfg, world.stations, [mt])
+        world, key = {
+            "x": ({"terminals": [{"position": (bad, 0.0)}]}, "terminals[0].position[0]"),
+            "y": ({"terminals": [{"position": (0.0, bad)}]}, "terminals[0].position[1]"),
+            "heading": ({"terminals": [{"position": (0.0, 0.0), "heading": bad}]},
+                        "terminals[0].heading"),
+            "speed": ({"terminals": [{"position": (0.0, 0.0), "speed": bad}]},
+                      "terminals[0].speed"),
+            "energy": ({"initial_energy": bad}, "initial_energy"),
+        }[name]
+        self.rejected_before_build(world, key)
 
     @pytest.mark.parametrize("name", ["x", "y", "radius"])
     def test_non_finite_station_rejected(self, name):
-        world = two_station_world()
-        stations = [world.stations[0], dataclasses.replace(world.stations[1], **{name: math.nan})]
-        with pytest.raises(DomainError, match=f"^station 1: non-finite {name} "):
-            World(world.cfg, stations, [world.terminal(0)])
-
-    def test_connected_terminal_at_nan_rejected_before_a_step(self):
-        # A NaN position fails both the deciding mask (own > 0) and the
-        # forced-cut test (own <= 0), so a step would run out of decisions.
-        world = two_station_world()
-        mt = dataclasses.replace(world.terminal(0), x=math.nan, state=State.CONNECT, serving=0)
-        world.stations[0].occupied = 1
-        with pytest.raises(DomainError, match="^terminal 0: non-finite x nan"):
-            World(world.cfg, world.stations, [mt])
+        station = {"x": {"center": (math.nan, 0.0), "radius": 100.0},
+                   "y": {"center": (0.0, math.nan), "radius": 100.0},
+                   "radius": {"center": (0.0, 0.0), "radius": math.nan}}[name]
+        key = {"x": "center[0]", "y": "center[1]", "radius": "radius"}[name]
+        self.rejected_before_build(
+            {"stations": [{"center": (0.0, 0.0), "radius": 500.0, "capacity": 2},
+                          {**station, "capacity": 1}]}, f"stations[1].{key}")
 
     @pytest.mark.parametrize("speed", [math.nan, math.inf])
     def test_non_finite_steady_speed_rejected(self, speed):
@@ -622,8 +678,7 @@ class TestArrayStepMatchesReference:
                 assert np.array_equal(a, b) and np.shape(a) == np.shape(b), (rec.t, f.name)
             # Positions, energies and occupancy after the unit.
             assert list(world.mts) == ref.mts, rec.t
-            assert [bs.occupied for bs in world.stations] == \
-                [bs.occupied for bs in ref.stations], rec.t
+            assert world.occupied == [bs.occupied for bs in ref.stations], rec.t
         # One table read per scalar decide call, in the same order and at
         # the same inputs.
         assert live.calls == scalar.calls
@@ -670,7 +725,7 @@ class TestDecisionTable:
             w = two_station_world()
             connect(w, 0, 0)
             pose(w, 0, state=State.HANDOVER, target=1, dwell=2)
-            w.stations[1].occupied += 1
+            w.occupied[1] += 1
             w.step(make_policy(kind))
             assert w.events == []
             pose(w, 0, x=3900.0)
@@ -690,14 +745,14 @@ class TestDecisionTable:
             live, scalar = make_policy(kind), make_policy(kind)
             # Rows start at the occupancy the station has when the unit begins.
             reads = self.log_reads(live, lambda chan_norm: (
-                chan_norm == (37 - world.stations[0].occupied) / 37).all())
+                chan_norm == (37 - world.occupied[0]) / 37).all())
             world = World.build(cfg)
             ref = ReferenceWorld(world)
             for _ in range(8):
                 rec = world.step(live)
                 assert rec == ref.step(scalar) and world.events == ref.events
-            assert [bs.occupied for bs in world.stations] == [bs.occupied for bs in ref.stations]
-            assert world.stations[0].occupied > 16 and sum(reads) >= 20, kind
+            assert world.occupied == [bs.occupied for bs in ref.stations]
+            assert world.occupied[0] > 16 and sum(reads) >= 20, kind
 
     def test_two_input_table_settles_once_per_unit(self):
         # FLAH ignores channels: each unit settles its rows in one batch, one
@@ -715,7 +770,7 @@ class TestDecisionTable:
     def test_occupancy_outside_capacity_raises_naming_the_station(self, occupied):
         w = two_station_world()
         connect(w, 0, 1)
-        w.stations[1].occupied = occupied
+        w.occupied[1] = occupied
         with pytest.raises(RuntimeError, match="station 1: occupied=" + str(occupied)):
             w.step(FixedPolicy(0.9))
 
