@@ -48,7 +48,6 @@ from .policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_p
 from .world import (
     DomainError,
     Event,
-    HistoryWindow,
     MobileTerminal,
     MotionPlan,
     State,

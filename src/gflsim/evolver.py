@@ -39,6 +39,7 @@ words and hands the stream back where the operators would leave it.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -263,9 +264,6 @@ class _WindowPrep:
         M, S = first.ratio.shape
         st, sv, tg, dw = first.state, first.serving, first.target, first.dwell
         handing = st == _HANDOVER
-        if not ((dw >= 1) & (dw <= dwell))[handing].all():
-            raise ValueError(f"a window that opens in handover needs 1..{dwell} units of "
-                             f"dwell left (the replay's dwell), got {dw[handing].tolist()}")
         _, disc, conn, hand, _, _ = _layout(M, S, dwell)
         m = np.arange(M)
         self.start = np.select([st == _CONNECT, handing], [
@@ -281,6 +279,10 @@ class _WindowPrep:
         for rec in records:
             unit = reuse.get(rec.t)
             if unit is None or unit[0] is not rec:
+                left = rec.dwell[rec.state == _HANDOVER]
+                if not ((left >= 1) & (left <= dwell)).all():
+                    raise ValueError(f"unit {rec.t}: a handover needs 1..{dwell} units of dwell "
+                                     f"left (the replay's dwell), got {left.tolist()}")
                 cols, cells, weights = self._unit_sites(rec, system)
                 table = np.full((len(cols) << _SLOT_BITS, 2), -1, dtype=np.int64)
                 unit = (rec, cells, weights, table, _unit_steps(rec, cols, dwell))
@@ -601,16 +603,16 @@ def evolve(
 ) -> Chromosome:
     """Generational loop with elitism of one; returns the all-time best as a tuple.
 
-    ``window`` is the tuple of unit records that ``HistoryWindow.freeze``
-    returns.  ``population`` is the (population_size, genes) int64 array of
-    :func:`init_population`; it is evolved in place, so the caller's evolver
-    state persists across invocations.  Offspring are built select ->
-    crossover -> mutate; the incumbent best replaces the first offspring
-    unchanged, which makes the per-generation best fitness non-increasing.
-    A NaN fitness raises ``ValueError`` naming the chromosome's index.
-    Fitness is never below 0, so once the best reaches 0 the last
-    generation is built but not scored: no score of it could replace the
-    best, and no generation follows to select from it.
+    ``window`` is a tuple of consecutive unit records.  ``population`` is
+    the (population_size, genes) int64 array of :func:`init_population`; it
+    is evolved in place, so the caller's evolver state persists across
+    invocations.  Offspring are built select -> crossover -> mutate; the
+    incumbent best replaces the first offspring unchanged, which makes the
+    per-generation best fitness non-increasing.  A NaN fitness raises
+    ``ValueError`` naming the chromosome's index.  Fitness is never below 0,
+    so once the best reaches 0 the last generation is built but not scored:
+    no score of it could replace the best, and no generation follows to
+    select from it.
     """
     size = cfg.population_size
     if population.ndim != 2 or len(population) != size or not population.shape[1]:
@@ -653,8 +655,8 @@ def evolve(
 
 
 class RuleEvolver:
-    """Owns the population (an int64 array of one chromosome per row),
-    generator stream, and fitness for one policy."""
+    """Owns the population (an int64 array of one chromosome per row), generator
+    stream, fitness and ``window``, the last ``window_length`` unit records, of one policy."""
 
     def __init__(
         self,
@@ -667,6 +669,7 @@ class RuleEvolver:
         self.fitness = fitness
         self.rng = rng
         self.population = init_population(seed_chromosome, cfg, rng)
+        self.window: deque = deque(maxlen=cfg.window_length)
 
     def evolve(self, window, on_generation=None) -> Chromosome:
         return evolve(self.population, window, self.fitness, self.cfg, self.rng,

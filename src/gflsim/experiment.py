@@ -38,7 +38,6 @@ from .schema import ConfigError, _check, _schema, check_fields
 from .world import (
     HANDOFF_INITIATED,
     Event,
-    HistoryWindow,
     StationSpec,
     TerminalSpec,
     World,
@@ -244,10 +243,8 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     world = World.build(config.world, np.random.default_rng(world_ss))
     policy = _build_policy(config, kind,
                            np.random.default_rng(ga_ss) if kind.evolving else None)
-    window = HistoryWindow(config.evolver.window_length)
     for t in range(1, config.world.total_time + 1):
-        window.push(world.step(policy))
-        policy.on_epoch(window, t)
+        policy.on_epoch(world.step(policy), t)
     world.verify_channels()
 
     handoffs = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)

@@ -87,7 +87,12 @@ class HandoffPolicy:
         code (``fuzzy.region_codes``) of row ``r``'s value at channel input ``chan``.
         Every row is settled at once at its own ``chan_norm``; a read at another channel
         input is the region of :meth:`decide` there.  A two-input (FLAH) system ignores
-        channels, so each row has one code."""
+        channels, so each row has one code.  An evolving policy raises ``ValueError``
+        unless ``s_min`` and ``s_th`` are its replay's."""
+        fit = self.evolver and self.evolver.fitness  # the replay must settle as the world does
+        if fit and (fit.s_min, fit.s_th) != (s_min, s_th):
+            raise ValueError(f"{self.kind.value}: the world settles at (s_min, s_th) = "
+                             f"{(s_min, s_th)}, the replay at {(fit.s_min, fit.s_th)}")
         system = self.system
         inputs = (velocity, dist_norm, chan_norm)[: len(system.input_vars)]
         strengths = system.term_strengths(self.genes, system.fire(inputs))
@@ -108,18 +113,19 @@ class HandoffPolicy:
         inputs = (velocity, dist_norm, chan_norm)[: len(system.input_vars)]
         return system.crisp_from_strengths(system.term_strengths(self.genes, system.fire(inputs)))
 
-    def on_epoch(self, window, now: int) -> None:
-        """Run one evolution pass when the invocation period has elapsed and
-        the window is warm; installs the best consequent vector."""
-        if self.evolver is None:
+    def on_epoch(self, record, now: int) -> None:
+        """Keep unit ``now``'s record in the evolver's window; once the invocation period
+        has elapsed and the window is full, evolve on it and install the best consequent
+        vector.  A static policy keeps nothing."""
+        evolver = self.evolver
+        if evolver is None:
             return
-        if now - self.last_evolved < self.evolver.cfg.invocation_period:
-            return
-        if not window.warm:
+        window = evolver.window
+        window.append(record)
+        if now - self.last_evolved < evolver.cfg.invocation_period or len(window) < window.maxlen:
             return
         best_fit: list[float] = []
-        best = self.evolver.evolve(
-            window.freeze(), on_generation=lambda gen, fit: best_fit.append(fit))
+        best = evolver.evolve(tuple(window), on_generation=lambda gen, fit: best_fit.append(fit))
         self.genes = tuple(best)
         self.last_evolved = now
         self.evolution_log.append((now, best_fit[-1], self.genes))

@@ -98,14 +98,17 @@ def check_fields(obj, *section: str) -> dict:
     the schema node at ``section`` (object keys, through array items), store
     the checked value (numbers as floats, arrays as tuples, as a file gives
     them), and return that node's entries.  Entries that describe JSON objects
-    are skipped: in code those are typed values that check themselves."""
+    are not checked: in code those are typed values that check themselves, and
+    an array of them is stored as a tuple."""
     node = _schema()
     for key in section:
         node = node["properties"][key]
         node = node.get("items", node)
     entries = node["properties"]
     for f in dataclasses.fields(obj):
-        entry = entries.get(f.name)
+        entry, value = entries.get(f.name), getattr(obj, f.name)
         if entry is not None and not {"properties", "$ref"} & entry.get("items", entry).keys():
-            object.__setattr__(obj, f.name, _check(getattr(obj, f.name), entry, f.name))
+            object.__setattr__(obj, f.name, _check(value, entry, f.name))
+        elif isinstance(value, list):
+            object.__setattr__(obj, f.name, tuple(value))
     return entries

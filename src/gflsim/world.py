@@ -6,13 +6,12 @@ every terminal-station distance at once, runs the state machine terminal
 by terminal (update order is part of determinism), then charges energy.
 Distinct instances are independent and can run in parallel.  Each step
 emits an immutable record of the arrays a replay reads, the substrate for
-consequent evolution; nothing keeps records beyond the history window.
+consequent evolution; only an evolving policy keeps records, its last few.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -38,7 +37,6 @@ __all__ = [
     "MobileTerminal",
     "WorldConfig",
     "UnitRecord",
-    "HistoryWindow",
     "World",
     "acceleration_for",
     "accelerated_state",
@@ -245,33 +243,6 @@ class UnitRecord:
     def __reduce__(self):
         # Through the constructor, so unpickled arrays are read-only too.
         return UnitRecord, tuple(getattr(self, f.name) for f in fields(self))
-
-
-class HistoryWindow:
-    """Rolling buffer of the most recent per-unit records.
-
-    Holds exactly ``length`` records once warm; ``freeze`` returns them as
-    an immutable tuple for use during an evolution run.
-    """
-
-    def __init__(self, length: int = 4) -> None:
-        if length < 1:
-            raise DomainError(f"window length must be >= 1, got {length}")
-        self.length = length
-        self._records: deque[UnitRecord] = deque(maxlen=length)
-
-    def push(self, record: UnitRecord) -> None:
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def warm(self) -> bool:
-        return len(self._records) == self.length
-
-    def freeze(self) -> tuple[UnitRecord, ...]:
-        return tuple(self._records)
 
 
 def acceleration_for(distance: float, duration: float) -> float:

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import dataclasses
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from gflsim.world import (
     CONNECTION_CUT,
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
-    HistoryWindow,
     State,
     StationSpec,
     TerminalSpec,
@@ -326,12 +326,12 @@ def test_criterion_4_oracle_fitness_equivalence():
     checked = 0
     for seed in (101, 202):
         world = World.build(cfg, np.random.default_rng(seed))
-        window = HistoryWindow(4)
+        window = deque(maxlen=4)
         for _ in range(cfg.total_time):
-            window.push(world.step(fls))
-            if not window.warm:
+            window.append(world.step(fls))
+            if len(window) < window.maxlen:
                 continue
-            frozen = window.freeze()
+            frozen = tuple(window)
             t0, t1 = frozen[0].t, frozen[-1].t
             live = sum(
                 1 for e in world.events

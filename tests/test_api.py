@@ -1,6 +1,6 @@
 """Public API surface: every exported name resolves, the methods the
-benchmark tracer wraps stay defined, and every source file parses on the
-oldest supported Python."""
+benchmark tracer wraps stay defined, the README's library example runs,
+and every source file parses on the oldest supported Python."""
 
 import ast
 import importlib
@@ -64,3 +64,11 @@ def test_cold_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_readme_library_use_runs(capsys):
+    # The documented loop must keep up with the API it drives.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.rstrip().endswith(" events")

@@ -251,6 +251,19 @@ def test_config_built_in_code_holds_what_a_file_holds():
     assert built == loaded and hash(built) == hash(loaded)
 
 
+@pytest.mark.parametrize("key, spec, entry", [
+    ("stations", StationSpec((0.0, 0.0), 100.0, 1), {"center": [0, 0], "radius": 100,
+                                                     "capacity": 1}),
+    ("terminals", TerminalSpec((1.0, 1.0), speed=10.0), {"position": [1, 1], "speed": 10})],
+    ids=["stations", "terminals"])
+def test_an_array_of_specs_built_in_code_is_a_tuple(key, spec, entry):
+    # A list of specs once stayed a list: unhashable, and unequal to the file's tuple.
+    built = WorldConfig(**{key: [spec]})
+    loaded = config_from_dict({"world": {key: [entry]}}).world
+    assert getattr(built, key) == (spec,)
+    assert built == loaded and hash(built) == hash(loaded)
+
+
 @pytest.mark.parametrize("section, cls", [
     ((), ExperimentConfig), (("world",), WorldConfig), (("world", "stations"), StationSpec),
     (("world", "terminals"), TerminalSpec), (("evolver",), EvolverConfig)])

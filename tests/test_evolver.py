@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from gflsim.policies import make_policy
 from gflsim.world import (
     CONNECTION_CUT,
     HANDOFF_INITIATED,
-    HistoryWindow,
     State,
     StationSpec,
     UnitRecord,
@@ -477,6 +477,12 @@ class TestFitness:
             with pytest.raises(ValueError, match="dwell"):
                 make_fitness().batch([SEED_GENES], wnd)
         assert make_fitness()(SEED_GENES, make_window([[snap._replace(dwell=2)]])) == 0.0
+        # A longer world dwell shows in whichever unit records a handover,
+        # not only in the one a window opens on.
+        wnd = make_window([[make_snapshot()], [make_snapshot()], [snap._replace(dwell=3)]])
+        with pytest.raises(ValueError, match=r"unit 3: .*1\.\.2 units of dwell left.*\[3\]"):
+            make_fitness().batch([SEED_GENES], wnd)
+        assert ReplayFitness(default_system(), S_MIN, S_TH, dwell=3)(SEED_GENES, wnd) >= 0.0
 
     def test_threshold_at_an_exact_centroid_matches_reference(self, rng):
         # With s_min at a decision's exact centroid the estimate lands on the
@@ -664,14 +670,14 @@ class TestFitness:
         world = World.build(WorldConfig(mt_count=3, total_time=2000),
                             np.random.default_rng(3))
         fit = make_fitness()
-        window = HistoryWindow(4)
+        window = deque(maxlen=4)
         policy = FixedPolicy(0.3)
         largest = 0
         most_slots = 0
         for _ in range(2000):
-            window.push(world.step(policy))
-            if window.warm:
-                fit.window_support(window.freeze())
+            window.append(world.step(policy))
+            if len(window) == window.maxlen:
+                fit.window_support(tuple(window))
                 units = fit._last_prep[1].units
                 largest = max(largest, len(units))
                 # Each site has a block of 2**_SLOT_BITS slots in its unit's
@@ -689,10 +695,10 @@ class TestFitness:
                 n_stations = len(world.stations)
                 width = n_stations * n_stations * fit.dwell + 5 * (n_stations + 1)
                 assert sum(a.nbytes for unit in steps for a in unit) == (
-                    window.length * 3 * len(world.mts) * width * np.dtype(np.int32).itemsize)
-        assert largest == window.length
+                    window.maxlen * 3 * len(world.mts) * width * np.dtype(np.int32).itemsize)
+        assert largest == window.maxlen
         n_stations = len(world.stations)
-        assert most_slots <= window.length * 3 * n_stations << _SLOT_BITS
+        assert most_slots <= window.maxlen * 3 * n_stations << _SLOT_BITS
 
     def test_repeated_batch_on_evolve_long_windows_settles_almost_nothing(self):
         # Windows and populations of gfls runs at the evolve_long sizes (20
@@ -708,11 +714,12 @@ class TestFitness:
         for seed in range(2):
             policy = make_policy("gfls", evolver_cfg=ga, rng=np.random.default_rng(seed))
             world = World.build(cfg, np.random.default_rng(seed))
-            window = HistoryWindow(ga.window_length)
+            window = deque(maxlen=ga.window_length)
             for t in range(1, cfg.total_time + 1):
-                window.push(world.step(policy))
-                if window.warm and t % 2 == 0:
-                    frozen = window.freeze()
+                record = world.step(policy)
+                window.append(record)
+                if len(window) == window.maxlen and t % 2 == 0:
+                    frozen = tuple(window)
                     fit = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell)
                     settle = fit.system.settle_levels
                     for batch in ("first", "again"):
@@ -726,7 +733,7 @@ class TestFitness:
                     del fit.system.settle_levels  # the GA's own replays settle uncounted
                     assert list(fits) == expected
                     rows["pairs"] += len(policy.evolver.population) * len(fit._prep(frozen).block)
-                policy.on_epoch(window, t)
+                policy.on_epoch(record, t)
         assert rows["first"] > 10_000
         assert rows["again"] * 100 <= rows["pairs"], rows
 
@@ -773,12 +780,12 @@ class TestReplayMatchesLive:
         policy = make_policy(kind)
         fitness = ReplayFitness(policy.system, cfg.s_min, cfg.s_th, cfg.dwell)
         world = World.build(cfg, np.random.default_rng(seed))
-        window = HistoryWindow(length)
+        window = deque(maxlen=length)
         for _ in range(cfg.total_time):
-            window.push(world.step(policy))
-            if not window.warm:
+            window.append(world.step(policy))
+            if len(window) < length:
                 continue
-            frozen = window.freeze()
+            frozen = tuple(window)
             t0, t1 = frozen[0].t, frozen[-1].t
             live = sum(1 for e in world.events if t0 <= e.t <= t1
                        and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
@@ -798,13 +805,14 @@ class TestReplayMatchesLive:
             policy = make_policy(kind, evolver_cfg=ga, rng=np.random.default_rng(seed))
             fitness = policy.evolver.fitness
             world = World.build(cfg, np.random.default_rng(100 + seed))
-            window = HistoryWindow(ga.window_length)
+            window = deque(maxlen=ga.window_length)
             grids = []
             for t in range(1, cfg.total_time + 1):
                 grids.append(policy.genes)
-                window.push(world.step(policy))
-                if window.warm and len(set(grids[-ga.window_length:])) == 1:
-                    frozen = window.freeze()
+                record = world.step(policy)
+                window.append(record)
+                if len(window) == window.maxlen and len(set(grids[-ga.window_length:])) == 1:
+                    frozen = tuple(window)
                     t0, t1 = frozen[0].t, frozen[-1].t
                     live = sum(1 for e in world.events if t0 <= e.t <= t1
                                and e.kind in (HANDOFF_INITIATED, CONNECTION_CUT))
@@ -813,7 +821,7 @@ class TestReplayMatchesLive:
                     assert fitness.batch([grids[-1]], frozen)[0] == live, (seed, t)
                     checked += 1
                     evolved += grids[-1] != grids[0]
-                policy.on_epoch(window, t)
+                policy.on_epoch(record, t)
         assert checked >= 60
         assert evolved >= 30
 

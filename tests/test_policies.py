@@ -1,5 +1,8 @@
 """Policy wiring: grid projection, decision delegation, and evolution hooks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,7 @@ from gflsim import fuzzy
 from gflsim.evolver import EvolverConfig, ReplayFitness, mutate_random_reset, one_point_crossover
 from gflsim.fuzzy import DEFAULT_CONSEQUENTS, default_system
 from gflsim.policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_policy
-from gflsim.world import HistoryWindow, World, WorldConfig
+from gflsim.world import World, WorldConfig
 
 from conftest import FixedPolicy, random_window, reference_value
 
@@ -222,6 +225,22 @@ class TestTable:
         with pytest.raises(ValueError, match="consequent 3.5 at index 11 is not an integer"):
             HandoffPolicy(PolicyKind.FLS, default_system(), tuple(genes))
 
+    @pytest.mark.parametrize("kind", ["gfls", "gflah"])
+    def test_evolving_table_rejects_thresholds_its_replay_does_not_use(self, kind):
+        # The GA would score rules settled at other thresholds than the live
+        # world's: at (0.3, 0.6) against the default (0.2, 0.45) a replay
+        # counted 17 events where the world logged 18.
+        policy = make_policy(kind, rng=np.random.default_rng(1))
+        rows = (np.array([10.0]), np.array([0.5]), np.array([0.5]))
+        with pytest.raises(ValueError, match=r"\(0\.3, 0\.6\), the replay at \(0\.2, 0\.45\)"):
+            policy.table(*rows, 0.3, 0.6)
+        assert callable(policy.table(*rows, 0.2, 0.45))
+        cfg = WorldConfig(total_time=8, s_min=0.3, s_th=0.6)
+        world = World.build(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="s_min, s_th"):
+            world.step(policy)
+        make_policy("fls").table(*rows, 0.3, 0.6)  # a static policy replays nothing
+
     def test_empty_batch(self):
         for kind in ("fls", "flah"):
             region = make_policy(kind).table(np.zeros(0), np.zeros(0), np.zeros(0), 0.2, 0.45)
@@ -229,38 +248,63 @@ class TestTable:
 
 
 class TestOnEpoch:
-    def test_static_policies_never_change(self, rng):
-        policy = make_policy("fls")
-        wnd = HistoryWindow(4)
-        before = policy.genes
-        for t in range(1, 10):
-            policy.on_epoch(wnd, t)
-        assert policy.genes == before
-        assert policy.evolution_log == []
-
-    def _warm_window(self, seed=0, units=4):
+    @staticmethod
+    def _records(seed=0, units=4):
         cfg = WorldConfig(total_time=units)
         world = World.build(cfg, np.random.default_rng(seed))
-        window = HistoryWindow(units)
-        for _ in range(units):
-            window.push(world.step(FixedPolicy(0.3)))
-        return window
+        return [world.step(FixedPolicy(0.3)) for _ in range(units)]
+
+    def test_static_policies_never_change(self):
+        records = self._records()
+        policy = make_policy("fls")
+        before = policy.genes
+        for t in range(1, 10):
+            policy.on_epoch(records[(t - 1) % 4], t)
+        assert policy.genes == before
+        assert policy.evolution_log == []
+        kept = weakref.ref(records[0])
+        del records
+        gc.collect()
+        assert kept() is None
+
+    def test_window_keeps_the_last_window_length_records(self):
+        records = self._records(units=6)
+        policy = make_policy("gfls", rng=np.random.default_rng(1),
+                             evolver_cfg=EvolverConfig(invocation_period=1000))
+        for t, record in enumerate(records, 1):
+            policy.on_epoch(record, t)
+            assert tuple(policy.evolver.window) == tuple(records[max(0, t - 4):t])
+        assert policy.last_evolved == 0
 
     def test_waits_for_period_and_warmth(self):
-        policy = make_policy("gfls", rng=np.random.default_rng(1),
-                             evolver_cfg=EvolverConfig(generations=1))
-        cold = HistoryWindow(4)
-        policy.on_epoch(cold, 4)
-        assert policy.last_evolved == 0
+        # Period 1, window 4: the period passes every unit, the window fills
+        # at unit 4.  Period 4, window 2: the window is full from unit 2, the
+        # period passes at unit 4.
+        records = self._records()
+        for period, length in ((1, 4), (4, 2)):
+            policy = make_policy("gfls", rng=np.random.default_rng(1), evolver_cfg=EvolverConfig(
+                generations=1, invocation_period=period, window_length=length))
+            for t, record in enumerate(records[:3], 1):
+                policy.on_epoch(record, t)
+                assert policy.last_evolved == 0
+            policy.on_epoch(records[3], 4)
+            assert policy.last_evolved == 4
+            assert len(policy.evolution_log) == 1
+            t, fit_val, genes = policy.evolution_log[0]
+            assert t == 4 and len(genes) == 27
 
-        warm = self._warm_window()
-        policy.on_epoch(warm, 3)  # period (4) not yet elapsed
-        assert policy.last_evolved == 0
-        policy.on_epoch(warm, 4)
-        assert policy.last_evolved == 4
-        assert len(policy.evolution_log) == 1
-        t, fit_val, genes = policy.evolution_log[0]
-        assert t == 4 and len(genes) == 27
+    def test_evolves_on_a_tuple_that_later_records_leave_alone(self):
+        records = self._records(units=6)
+        policy = make_policy("gfls", rng=np.random.default_rng(1), evolver_cfg=EvolverConfig(
+            generations=0, invocation_period=1000, window_length=2))
+        evolve, seen = policy.evolver.evolve, []
+        policy.evolver.evolve = lambda window, **kw: seen.append(window) or evolve(window, **kw)
+        policy.last_evolved = -1000  # the period has passed at unit 1
+        for t, record in enumerate(records, 1):
+            policy.on_epoch(record, t)
+        assert tuple(policy.evolver.window) == (records[4], records[5])
+        assert seen == [(records[0], records[1])]
+        assert type(seen[0]) is tuple
 
     def test_infinite_period_disables_evolution(self):
         # A period past the last unit stands in for an infinite one, which
@@ -268,9 +312,9 @@ class TestOnEpoch:
         policy = make_policy("gfls", rng=np.random.default_rng(1),
                              evolver_cfg=EvolverConfig(generations=0,
                                                        invocation_period=1000))
-        warm = self._warm_window()
+        records = self._records()
         for t in range(1, 80):
-            policy.on_epoch(warm, t)
+            policy.on_epoch(records[(t - 1) % 4], t)
         assert policy.genes == DEFAULT_CONSEQUENTS
 
     def test_disabled_ga_reproduces_fls_event_log(self):
@@ -290,11 +334,13 @@ class TestOnEpoch:
     def test_installed_grid_never_loses_to_incumbent(self):
         policy = make_policy("gfls", rng=np.random.default_rng(3),
                              evolver_cfg=EvolverConfig(generations=6))
-        warm = self._warm_window(seed=8)
-        frozen = warm.freeze()
+        records = self._records(seed=8)
         fitness = policy.evolver.fitness
         incumbent = policy.genes
-        policy.on_epoch(warm, 4)
+        for t, record in enumerate(records, 1):
+            policy.on_epoch(record, t)
+        assert policy.last_evolved == 4
+        frozen = tuple(records)
         assert fitness(policy.genes, frozen) <= fitness(incumbent, frozen)
 
 

@@ -26,7 +26,6 @@ from gflsim.world import (
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
     DomainError,
-    HistoryWindow,
     MobileTerminal,
     MotionPlan,
     State,
@@ -420,26 +419,6 @@ class TestFullRuns:
         pose(w, 7, energy=w.mts[7].energy + delta)
         with pytest.raises(AssertionError, match=rf"^t=3 mt=7: {message}"):
             audit.unit(w)
-
-
-class TestHistoryWindow:
-    def test_warm_after_length_records(self):
-        win = HistoryWindow(4)
-        w, records = TestFullRuns().run_world(0.5)
-        for i, rec in enumerate(records[:6]):
-            win.push(rec)
-            assert win.warm == (i >= 3)
-            assert len(win) == min(i + 1, 4)
-
-    def test_freeze_is_stable(self):
-        win = HistoryWindow(2)
-        _, records = TestFullRuns().run_world(0.5)
-        win.push(records[0])
-        win.push(records[1])
-        frozen = win.freeze()
-        win.push(records[2])
-        assert frozen == (records[0], records[1])
-        assert win.freeze() == (records[1], records[2])
 
 
 class TestWorldBuild:
