@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(key: world.eq2_verbatim)")
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool size for replicate runs "
-                             "(key: workers; default: one per CPU)")
+                             "(key: workers; default: one per CPU this process may use)")
     return parser
 
 

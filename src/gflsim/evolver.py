@@ -227,7 +227,7 @@ def _unit_steps(rec, cols: np.ndarray, dwell: int) -> tuple[np.ndarray, np.ndarr
     # Deepest covering station, channels ignored, and per serving station
     # the deepest other covering one with a free channel; argmax takes the
     # first maximum, i.e. the lowest station id.
-    scores = np.where(covered, np.minimum(rec.ratio, 1.0), -1.0)
+    scores = np.where(covered, rec.ratio, -1.0)
     cand = scores.argmax(axis=1)
     m = np.flatnonzero(scores.max(axis=1) > 0.0)
     site = np.full(M * width, -1, dtype=np.int32)
@@ -327,7 +327,7 @@ class _WindowPrep:
         cell ``system.n_cells`` and weight 0.0; every covered pair fires in one
         array pass (a two-input system ignores the channel input)."""
         m, s = np.nonzero(rec.ratio > 0.0)
-        inputs = (rec.velocity[m], np.minimum(rec.ratio[m, s], 1.0), rec.chan[m, s])
+        inputs = (rec.velocity[m], rec.ratio[m, s], rec.chan[m, s])
         w = system.fire(inputs[: len(system.input_vars)])
         fired = w > 0.0
         # A stable sort of the unfired flags puts each site's fired cells first, ascending.

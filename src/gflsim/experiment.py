@@ -96,7 +96,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(10))
     output_dir: str = "results"
     output_format: str = "csv"
-    workers: Optional[int] = None  # None -> one per CPU
+    workers: Optional[int] = None  # None -> one per CPU this process may use
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -304,8 +304,8 @@ def compare(config: ExperimentConfig,
     (policy, seed).
     """
     tasks = [(config, kind, seed) for kind in config.policies for seed in config.seeds]
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    workers = min(workers, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers or cpus or 1, len(tasks))
     if workers > 1:
         # Imported here: the pool stack is most of a cold import's cost.
         from concurrent.futures import ProcessPoolExecutor

@@ -157,17 +157,22 @@ class LinguisticVariable:
 
     @cached_property
     def _term_edges(self) -> tuple[np.ndarray, ...]:
+        """Per term, :func:`_degrees`'s universe bounds and edges."""
         a, b, c, z = np.array([t._edges() for t in self.terms]).T
-        return a, b - a, z, z - c
+        return np.full(len(a), self.lo), np.full(len(a), self.hi), a, b - a, z, z - c
 
     def degrees(self, xs) -> np.ndarray:
-        """Degree per term of each value, taken at the nearest point of the
-        universe; terms on a new last axis.  :meth:`MembershipFunction.degree`'s
-        arithmetic: a shoulder's 0/0 or x/0 loses the min, and NaN has degree 0."""
-        a, rise, z, fall = self._term_edges
-        x = np.minimum(np.maximum(np.asarray(xs, dtype=float), self.lo), self.hi)[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.minimum(np.fmax(np.fmin((x - a) / rise, (z - x) / fall), 0.0), 1.0)
+        """Degree per term of each value (:func:`_degrees`); terms on a new last axis."""
+        return _degrees(np.asarray(xs, dtype=float)[..., None], *self._term_edges)
+
+
+def _degrees(x, lo, hi, a, rise, z, fall) -> np.ndarray:
+    """Degree of each ``x`` in its column's term, taken at the nearest point of [lo, hi].
+    :meth:`MembershipFunction.degree`'s arithmetic: a shoulder's 0/0 or x/0 loses the min,
+    and NaN has degree 0."""
+    x = np.minimum(np.maximum(x, lo), hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.minimum(np.fmax(np.fmin((x - a) / rise, (z - x) / fall), 0.0), 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -340,11 +345,19 @@ class FuzzySystem:
         if len(inputs) != len(self.input_vars):
             raise FuzzyDefinitionError(f"expected {len(self.input_vars)} inputs, "
                                        f"got {len(inputs)}")
-        w = np.ones(1)
-        for var, x in zip(self.input_vars, inputs):
-            w = np.minimum(w[..., :, None], var.degrees(x)[..., None, :])
-            w = w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],))
-        return w
+        edges, term_input, cells = self._input_terms
+        x = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in inputs)), axis=-1)
+        degrees = _degrees(x[..., term_input], *edges)  # every input term in one pass
+        return np.minimum.reduce(degrees[..., cells], axis=-2)
+
+    @cached_property
+    def _input_terms(self) -> tuple:
+        """Every input term's :func:`_degrees` arguments, stacked; each term's input; and,
+        one row per input, each grid cell's term."""
+        n, first = len(self.levels), np.cumsum((0,) + self.levels[:-1])
+        edges = [np.concatenate(e) for e in zip(*(v._term_edges for v in self.input_vars))]
+        cells = np.indices(self.levels).reshape(n, -1) + first[:, None]
+        return edges, np.repeat(np.arange(n), self.levels), cells
 
     def term_strengths(self, consequents: Sequence[int], fired: np.ndarray) -> np.ndarray:
         """Strength per output term (on the last axis) of :meth:`fire`'s cell weights under

@@ -2,7 +2,8 @@
 energy accounting, and the connect/handover/disconnect state machine.
 
 A world keeps its terminals as arrays.  A step moves them and measures
-every terminal-station distance at once, runs the state machine terminal
+every terminal-station distance at once, exactly (``math.hypot``) wherever
+coverage, a decision or the energy reads it, runs the state machine terminal
 by terminal (update order is part of determinism), then charges energy.
 Distinct instances are independent and can run in parallel.  Each step
 emits an immutable record of the arrays a replay reads, the substrate for
@@ -212,8 +213,8 @@ class UnitRecord:
 
     Per terminal (M,), at its decision point: ``velocity``, and the
     pre-transition ``state``, ``serving`` and ``target`` (-1 when unset)
-    and ``dwell``.  Per pair (M, S): ``ratio``, the signed boundary
-    distance over the radius (negative outside coverage), and ``chan``,
+    and ``dwell``.  Per pair (M, S): ``ratio``, the coverage depth
+    ``max((radius - distance) / radius, 0)`` (0 outside coverage), and ``chan``,
     the free-channel fraction the terminal saw just before its own
     transition.  Windows and replay caches share records, so the arrays
     are copied in and cannot be written.
@@ -281,13 +282,6 @@ def _fold(p: float, lo: float, hi: float) -> tuple[float, float]:
     if q <= span:
         return lo + q, 1.0
     return lo + (2.0 * span - q), -1.0
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` elementwise.  ``np.hypot`` rounds about 0.6% of
-    arena-scale pairs differently, which would change event logs."""
-    pairs = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.fromiter(pairs, float, x.size).reshape(x.shape)
 
 
 # Plain-int states: lists and numpy arrays compare with them faster than with IntEnums.
@@ -412,16 +406,21 @@ class World:
         self.t += 1
         t, cfg = self.t, self.cfg
         self._move(t)
-        dist = _hypot(self._x[:, None] - self._bx, self._y[:, None] - self._by)
-        ratio = (self._radius - dist) / self._radius
-        # Coverage depth (-1 outside) and the deepest covering station (lowest id on ties).
-        score = np.where(ratio > 0.0, np.minimum(ratio, 1.0), -1.0)
-        rows = np.arange(len(score))
-        best = score.argmax(axis=1)
-        cand = np.where(score[rows, best] > 0.0, best, -1)
         state, serving, target, dwell = self._state, self._serving, self._target, self._dwell
         before = [np.array(col, dtype=np.int64) for col in (state, serving, target, dwell)]
-        # A terminal reads its own row only: the ratio of its serving station
+        # ``math.hypot`` wherever a distance is read: at or inside a cell, and to a handover's
+        # held target (a terminal its serving station does not cover is cut).  ``np.hypot``
+        # rounds 0.6% of pairs differently, within an ulp: beyond the band both are outside.
+        dx, dy = self._x[:, None] - self._bx, self._y[:, None] - self._by
+        dist, rows = np.hypot(dx, dy), np.arange(len(dx))
+        exact = dist <= self._radius * (1.0 + 2.0**-40)
+        exact[rows, before[2]] |= before[2] >= 0
+        dist[exact] = np.fromiter(map(math.hypot, dx[exact].tolist(), dy[exact].tolist()), float)
+        # Coverage depth, 0 outside, and the deepest covering station (lowest id on ties).
+        ratio = np.maximum((self._radius - dist) / self._radius, 0.0)
+        best = ratio.argmax(axis=1)
+        cand = np.where(ratio[rows, best] > 0.0, best, -1)
+        # A terminal reads its own row only: the depth of its serving station
         # (held since the unit began) or of its candidate.
         own = ratio[rows, before[1]]
         occupied, capacity = self.occupied, self._capacity
@@ -432,7 +431,7 @@ class World:
         conn = (before[0] == _CONNECT) & (own > 0.0)
         deciding = np.flatnonzero(conn | ((before[0] == _DISCONNECT) & (cand >= 0)))
         at = np.where(conn, before[1], cand)[deciding]
-        dn = np.minimum(np.maximum(np.where(conn, own, ratio[rows, cand]), 0.0), 1.0)[deciding]
+        dn = np.where(conn, own, ratio[rows, cand])[deciding]
         read = policy.table(self._speed[deciding], dn, (cap[at] - held[at]) / cap[at],
                             cfg.s_min, cfg.s_th)
         turn = iter(range(len(deciding)))
@@ -470,7 +469,7 @@ class World:
                     cut(m)
                 elif r != _ABOVE_TH:
                     # Target: the deepest other covering station with a free channel.
-                    depth = score[m].tolist()
+                    depth = ratio[m].tolist()
                     free = [s for s, d in enumerate(depth)
                             if d > 0.0 and s != sv and occupied[s] < capacity[s]]
                     tg = max(free, key=depth.__getitem__, default=-1)

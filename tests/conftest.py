@@ -307,8 +307,8 @@ def reference_advance(mt: MobileTerminal, t_now: int, arena: tuple[float, float]
 
 
 def reference_ratio(x: float, y: float, bs: ReferenceStation) -> float:
-    """Signed boundary distance over the radius: positive inside coverage."""
-    return (bs.radius - math.hypot(x - bs.x, y - bs.y)) / bs.radius
+    """Coverage depth: the boundary distance over the radius, 0 outside coverage."""
+    return max((bs.radius - math.hypot(x - bs.x, y - bs.y)) / bs.radius, 0.0)
 
 
 def reference_target(x: float, y: float, stations, exclude: Optional[int] = None,

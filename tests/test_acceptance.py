@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import dataclasses
+import hashlib
 import math
 import time
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,3 +417,19 @@ def test_criterion_7_conservation_audits(full_comparison):
         audit_motion(world.mts, world.t)
     print(f"\nACCEPTANCE 7 PASS: channel, energy, and motion audits clean at every "
           f"unit of {len(results)} replayed runs")
+
+
+def test_default_outputs_match_their_digests(full_comparison):
+    """Every file of the default comparison against ``tests/default_outputs.sha256``.
+
+    Only a declared behaviour change may regenerate the digests, with
+    ``gflsim --out DIR`` and then ``cd DIR && LC_ALL=C sha256sum * >
+    <repo>/tests/default_outputs.sha256``; any other change keeps every byte.
+    """
+    listed = (Path(__file__).parent / "default_outputs.sha256").read_text().splitlines()
+    want = dict(line.split()[::-1] for line in listed)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in Path(full_comparison[0].output_dir).iterdir()}
+    assert sorted(got) == sorted(want)
+    assert [name for name in sorted(want) if got[name] != want[name]] == []
+    print(f"\nOUTPUTS PASS: {len(want)} files of the default comparison match their digests")

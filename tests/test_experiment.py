@@ -493,6 +493,22 @@ class TestCompareAndExport:
             assert (tmp_path / "serial" / name).read_bytes() == \
                    (tmp_path / "parallel" / name).read_bytes()
 
+    def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
+        # One worker per CPU this process may use: pinned to one of eight, no pool starts.
+        import concurrent.futures
+        import os
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = small_config(seeds=(0, 1), workers=None, output_dir=str(tmp_path / "out"))
+        assert compare(cfg).policies == ("fls",)
+        with pytest.raises(AssertionError, match="process pool"):
+            compare(dataclasses.replace(cfg, workers=2))
+
 
 class TestCli:
     def write_small_config(self, tmp_path, **extra) -> Path:

@@ -218,6 +218,37 @@ class TestEvaluateRules:
         with pytest.raises(FuzzyDefinitionError, match="expected 3 inputs, got 4"):
             system.fire((10.0, 0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("n_inputs", [2, 3])
+    def test_fire_is_the_outer_min_of_per_variable_degrees(self, n_inputs):
+        # One degrees pass over every input term equals, bit for bit, each variable's
+        # degrees and their outer min: with NaN, infinities, breakpoints, values outside
+        # the universes, and scalars broadcast against arrays of two shapes.
+        full = default_system()
+        system = FuzzySystem(full.input_vars[:n_inputs], full.output_var)
+        rng = np.random.default_rng(n_inputs)
+
+        def outer_min(inputs):
+            w = np.ones(1)
+            for var, x in zip(system.input_vars, inputs):
+                w = np.minimum(w[..., :, None], var.degrees(x)[..., None, :])
+                w = w.reshape(w.shape[:-2] + (-1,))
+            return w
+
+        for trial in range(300):
+            inputs = []
+            for var in system.input_vars:
+                shape = [(), (6,), (4, 6), (4, 1)][rng.integers(4)]
+                span = var.hi - var.lo
+                x = rng.uniform(var.lo - span, var.hi + span, shape)
+                special = [math.nan, math.inf, -math.inf, var.lo, var.hi,
+                           *(p for t in var.terms for p in t.points)]
+                x = np.where(rng.random(shape) < 0.3, rng.choice(special, shape), x)
+                inputs.append(float(x) if shape == () and trial % 2 else x)
+            got, want = system.fire(tuple(inputs)), outer_min(inputs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(FuzzyDefinitionError, match=f"expected {n_inputs} inputs"):
+            system.fire(tuple(inputs) + (0.5,))
+
 
 class TestRegionCodes:
     def test_codes_at_and_around_the_thresholds(self):

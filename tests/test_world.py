@@ -126,7 +126,7 @@ class TestAdvance:
 
 
 class TestGeometry:
-    # Boundary ratio of the one station (866, 500), radius 1000, as recorded.
+    # Coverage depth at the one station (866, 500), radius 1000, as recorded.
     def ratio_at(self, x: float, y: float) -> float:
         return lone_terminal(x, y).step(FixedPolicy(0.0)).ratio[0, 0]
 
@@ -138,7 +138,7 @@ class TestGeometry:
         assert self.ratio_at(1866.0, 500.0) == 0.0
 
     def test_distance_outside(self):
-        assert self.ratio_at(2866.0, 500.0) == -1.0
+        assert self.ratio_at(2866.0, 500.0) == 0.0
         assert distance_norm(-1.0) == 0.0
 
     def test_free_channels_norm(self):
@@ -674,6 +674,83 @@ class TestArrayStepMatchesReference:
         w = two_station_world()
         w.step(FixedPolicy(w.cfg.s_min))
         assert w.events == [] and w.mts[0].state == State.DISCONNECT
+
+
+def boundary_spots(rng: np.random.Generator, station: StationSpec, count: int,
+                   inside: bool) -> list[tuple[float, float]]:
+    """A seeded search for spots at ``station``'s radius where ``np.hypot`` and
+    ``math.hypot`` put the distance on opposite sides of it: inside coverage by
+    ``math.hypot`` if ``inside``, else outside."""
+    (cx, cy), radius = station.center, station.radius
+    spots: list[tuple[float, float]] = []
+    while len(spots) < count:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        x, y0 = cx + radius * math.cos(theta), cy + radius * math.sin(theta)
+        for y in (y0 + k * math.ulp(y0) for k in range(-4, 5)):
+            by_math = math.hypot(x - cx, y - cy) < radius
+            if by_math == inside and by_math != (float(np.hypot(x - cx, y - cy)) < radius):
+                spots.append((x, y))
+                break
+    return spots
+
+
+class TestBoundaryBand:
+    """The step takes ``np.hypot`` for every pair and ``math.hypot`` where a distance
+    is read; at spots where the two round differently, it equals the scalar step."""
+
+    STATIONS = (StationSpec((1000.0, 1000.0), 700.3, 40), StationSpec((1500.0, 1450.0), 300.7, 40))
+
+    def test_coverage_at_the_radius_equals_the_scalar_step(self):
+        rng = np.random.default_rng(2026)
+        spots = [(s, inside, spot) for s, station in enumerate(self.STATIONS)
+                 for inside in (True, False)
+                 for spot in boundary_spots(rng, station, 4, inside)]
+        cfg = WorldConfig(arena=(2000.0, 2000.0), stations=self.STATIONS,
+                          terminals=tuple(TerminalSpec(spot, speed=0.0) for *_, spot in spots))
+        for kind in ("fls", "flah"):
+            world = World.build(cfg)
+            for m in range(1, len(spots), 2):  # every other one starts served at its edge
+                connect(world, m, spots[m][0])
+            ref, live, scalar = ReferenceWorld(world), make_policy(kind), make_policy(kind)
+            for _ in range(3):
+                rec = world.step(live)
+                assert rec == ref.step(scalar) and world.events == ref.events, kind
+                assert list(world.mts) == ref.mts and world.occupied == [
+                    bs.occupied for bs in ref.stations], kind
+                assert [rec.ratio[m, s] > 0.0 for m, (s, *_) in enumerate(spots)] == [
+                    inside for _, inside, _ in spots]
+            assert any(e.kind == CONNECTION_CUT for e in world.events), kind
+
+    def test_handover_to_a_target_out_of_coverage_charges_math_hypot_energy(self):
+        # Terminals deep in station 0 in handover to station 1, which no longer
+        # covers them, at spots where np.hypot would charge another energy.
+        (sx, sy), serving_radius = self.STATIONS[0].center, self.STATIONS[0].radius
+        (tx, ty), radius = self.STATIONS[1].center, self.STATIONS[1].radius
+        rng, energy, eps = np.random.default_rng(7), 8.0, WorldConfig().epsilon
+
+        def charged(x: float, y: float, hypot) -> float:
+            spent = math.hypot(x - sx, y - sy) / serving_radius + eps
+            return energy - (spent + (float(hypot(x - tx, y - ty)) / radius + eps))
+
+        spots: list[tuple[float, float]] = []
+        while len(spots) < 6:
+            x, y = rng.uniform(700.0, 1300.0, 2).tolist()
+            if (math.hypot(x - tx, y - ty) > radius
+                    and 0.0 < charged(x, y, math.hypot) != charged(x, y, np.hypot)):
+                spots.append((x, y))
+        cfg = WorldConfig(arena=(2000.0, 2000.0), stations=self.STATIONS, initial_energy=energy,
+                          terminals=tuple(TerminalSpec(spot, speed=0.0) for spot in spots))
+        world = World.build(cfg)
+        for m in range(len(spots)):
+            connect(world, m, 0)
+            pose(world, m, state=State.HANDOVER, target=1, dwell=2)
+            world.occupied[1] += 1
+        ref = ReferenceWorld(world)
+        world.step(FixedPolicy(0.9))
+        ref.step(FixedPolicy(0.9))
+        assert world.events == ref.events == []
+        assert list(world.mts) == ref.mts
+        assert [mt.energy for mt in world.mts] == [charged(*spot, math.hypot) for spot in spots]
 
 
 class TestDecisionTable:
