@@ -48,6 +48,7 @@ from .policies import HandoffPolicy, PolicyKind, derive_flah_consequents, make_p
 from .world import (
     DomainError,
     Event,
+    EventLog,
     MobileTerminal,
     MotionPlan,
     State,

@@ -38,6 +38,7 @@ from .schema import ConfigError, _check, _schema, check_fields
 from .world import (
     HANDOFF_INITIATED,
     Event,
+    EventLog,
     StationSpec,
     TerminalSpec,
     World,
@@ -212,7 +213,7 @@ class RunResult:
     policy: str
     seed: int
     metrics: RunMetrics
-    events: tuple[Event, ...]
+    events: EventLog
     evolution: tuple[tuple[int, float, tuple[int, ...]], ...]
     sim_time: int
 
@@ -247,7 +248,7 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
         policy.on_epoch(world.step(policy), t)
     world.verify_channels()
 
-    handoffs = sum(1 for e in world.events if e.kind == HANDOFF_INITIATED)
+    handoffs = world.events.kind_count(HANDOFF_INITIATED)
     mt_units = len(world.mts) * config.world.total_time
     connection_pct = 100.0 * world.connected_units / mt_units if mt_units else 0.0
     e0 = config.world.initial_energy
@@ -255,7 +256,7 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     metrics = RunMetrics(handoffs, connection_pct, energy_pct)
     return RunResult(
         policy=kind.value, seed=seed, metrics=metrics,
-        events=tuple(world.events), evolution=tuple(policy.evolution_log),
+        events=world.events, evolution=tuple(policy.evolution_log),
         sim_time=world.t,
     )
 

@@ -363,10 +363,10 @@ class FuzzySystem:
         """Strength per output term (on the last axis) of :meth:`fire`'s cell weights under
         ``consequents``: the largest weight of a cell whose consequent is the term, else 0."""
         genes = tuple(consequents)  # keyed with their types: 2.0 == 2, yet 2.0 is rejected
-        order, first, term = _term_groups(genes, tuple(map(type, genes)), self.n_cells,
-                                          self.n_output_terms)
-        strengths = np.zeros(fired.shape[:-1] + (self.n_output_terms,))
-        strengths[..., term] = np.maximum.reduceat(fired[..., order], first, axis=-1)
+        cells, unused = _term_groups(genes, tuple(map(type, genes)), self.n_cells,
+                                     self.n_output_terms)
+        strengths = fired[..., cells].max(axis=-1)
+        strengths[..., unused] = 0.0
         return strengths
 
     def crisp_from_strengths(self, strengths) -> float:
@@ -389,9 +389,9 @@ class FuzzySystem:
         k = np.empty(m.shape, dtype=np.int64)
         for j, v in enumerate(vs):
             k[:, j] = np.searchsorted(v, m[:, j])
-        sub = np.arange(len(vs))
-        den = (cum_v[sub, k] + m * (count - k)) @ sign
-        num = (cum_vx[sub, k] + m * tail_x[sub, k]) @ sign
+        flat = k + np.arange(len(vs)) * cum_v.shape[1]  # entry [j, k] of each table
+        den = (cum_v.take(flat) + m * (count - k)) @ sign
+        num = (cum_vx.take(flat) + m * tail_x.take(flat)) @ sign
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
 
@@ -441,15 +441,16 @@ class FuzzySystem:
 
 @lru_cache(maxsize=64)
 def _term_groups(consequents: tuple, types: tuple, n_cells: int, n_terms: int):
-    """Cells ordered by consequent, and each used term's first position and index.  Only a
-    cache miss checks the consequents (:func:`check_genes`): no bad grid is cached."""
+    """Per output term, its cells repeated to the largest group's size (cells 0 for a term
+    no cell names), and the terms no cell names.  Only a cache miss checks the
+    consequents (:func:`check_genes`): no bad grid is cached."""
     genes = check_genes(consequents, n_cells, n_terms)
-    order = np.argsort(genes, kind="stable")
-    first = np.flatnonzero(np.diff(genes[order], prepend=0))
-    groups = order, first, genes[order[first]] - 1
-    for a in groups:
+    groups = [np.flatnonzero(genes == term) for term in range(1, n_terms + 1)]
+    cells = np.array([np.resize(g, max(map(len, groups))) for g in groups])
+    unused = np.flatnonzero([not len(g) for g in groups])
+    for a in (cells, unused):
         a.setflags(write=False)
-    return groups
+    return cells, unused
 
 
 # Consequents for the shipped 3x3x3 grid, velocity-major then distance then

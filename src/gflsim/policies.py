@@ -82,13 +82,13 @@ class HandoffPolicy:
         self.evolution_log: list[tuple[int, float, tuple[int, ...]]] = []
 
     def table(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
-              s_min: float, s_th: float) -> Callable[[int, float], int]:
-        """One unit's decision table over rows of inputs: ``region(r, chan)``, the region
-        code (``fuzzy.region_codes``) of row ``r``'s value at channel input ``chan``.
-        Every row is settled at once at its own ``chan_norm``; a read at another channel
-        input is the region of :meth:`decide` there.  A two-input (FLAH) system ignores
-        channels, so each row has one code.  An evolving policy raises ``ValueError``
-        unless ``s_min`` and ``s_th`` are its replay's."""
+              s_min: float, s_th: float) -> tuple[list, Callable[[int, float], int]]:
+        """One unit's decision table over rows of inputs: ``(codes, reread)``, where
+        ``codes[r]`` is the region code (``fuzzy.region_codes``) of row ``r``'s value at its
+        own ``chan_norm``, every row settled at once, and ``reread(r, chan)`` the region of
+        :meth:`decide` for row ``r`` at channel input ``chan``.  A two-input (FLAH) system
+        ignores channels, so its ``reread`` gives the row's code.  An evolving policy raises
+        ``ValueError`` unless ``s_min`` and ``s_th`` are its replay's."""
         fit = self.evolver and self.evolver.fitness  # the replay must settle as the world does
         if fit and (fit.s_min, fit.s_th) != (s_min, s_th):
             raise ValueError(f"{self.kind.value}: the world settles at (s_min, s_th) = "
@@ -98,14 +98,10 @@ class HandoffPolicy:
         strengths = system.term_strengths(self.genes, system.fire(inputs))
         codes = system.settle(strengths, s_min, s_th).tolist()
         if len(inputs) == 2:
-            return lambda r, chan: codes[r]
-        vel, dist, start = velocity.tolist(), dist_norm.tolist(), chan_norm.tolist()
-
-        def region(r: int, chan: float) -> int:
-            if chan == start[r]:
-                return codes[r]
-            return int(region_codes(self.decide(vel[r], dist[r], chan), s_min, s_th))
-        return region
+            return codes, lambda r, chan: codes[r]
+        vel, dist = velocity.tolist(), dist_norm.tolist()
+        return codes, lambda r, chan: int(region_codes(self.decide(vel[r], dist[r], chan),
+                                                       s_min, s_th))
 
     def decide(self, velocity: float, dist_norm: float, chan_norm: float) -> float:
         """Crisp signal in [0, 1]; a two-input (FLAH) system ignores channels."""

@@ -13,6 +13,7 @@ consequent evolution; only an evolving policy keeps records, its last few.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -32,6 +33,8 @@ __all__ = [
     "CONNECTED",
     "BLOCKED",
     "Event",
+    "EVENT_KINDS",
+    "EventLog",
     "StationSpec",
     "TerminalSpec",
     "MotionPlan",
@@ -55,11 +58,10 @@ class State(IntEnum):
     HANDOVER = 2
 
 
-HANDOFF_INITIATED = "HandoffInitiated"
-HANDOFF_COMPLETED = "HandoffCompleted"
-CONNECTION_CUT = "ConnectionCut"
-CONNECTED = "Connected"
-BLOCKED = "Blocked"
+# Event kinds, in the order of the codes an ``EventLog`` row holds.
+EVENT_KINDS = (HANDOFF_INITIATED, HANDOFF_COMPLETED, CONNECTION_CUT, CONNECTED, BLOCKED) = (
+    "HandoffInitiated", "HandoffCompleted", "ConnectionCut", "Connected", "Blocked")
+_INITIATED, _COMPLETED, _CUT, _CONNECTED, _BLOCKED = range(len(EVENT_KINDS))
 
 
 class Event(NamedTuple):
@@ -68,6 +70,68 @@ class Event(NamedTuple):
     kind: str
     old_bs: Optional[int]
     new_bs: Optional[int]
+
+
+class EventLog(Sequence):
+    """A read-only event log: per unit with events, its time and an ``array('q')`` of rows
+    ``(terminal, kind code, old station, new station)`` end to end, -1 for no station and
+    the code an index of ``EVENT_KINDS``.  Items are :class:`Event` rows, made on each
+    read, and the log equals a list or tuple of the same rows."""
+
+    __slots__ = ("_units",)
+
+    def __init__(self, units=()) -> None:
+        self._units = list(units)  # (t, rows); ``World.step`` appends its unit's
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows in self._units) // 4
+
+    def __iter__(self):
+        for t, rows in self._units:
+            it = iter(rows)
+            for m, k, o, n in zip(it, it, it, it):
+                yield Event(t, m, EVENT_KINDS[k], None if o < 0 else o, None if n < 0 else n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]  # an IndexError past either end
+        for t, rows in self._units:
+            if i < len(rows) // 4:
+                return next(iter(EventLog([(t, rows[4 * i:4 * i + 4])])))
+            i -= len(rows) // 4
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EventLog, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EventLog({list(self)!r})"
+
+    def kind_count(self, kind: str) -> int:
+        """Events of ``kind``, counted in the kind column."""
+        code = EVENT_KINDS.index(kind)
+        return sum(rows[1::4].count(code) for _, rows in self._units)
+
+    def __getstate__(self) -> array:
+        # One array of the blocks, each led by its time and row count, in the narrowest
+        # int type that holds them (no value is below -1).
+        flat = array("q")
+        for t, rows in self._units:
+            flat += array("q", (t, len(rows) // 4)) + rows
+        top = max(flat, default=0)
+        return array(next(c for c in "bhiq" if top < 1 << 8 * array(c).itemsize - 1), flat)
+
+    def __setstate__(self, flat: array) -> None:
+        self._units, i = [], 0
+        while i < len(flat):
+            t, n = flat[i], 4 * flat[i + 1]
+            self._units.append((t, array("q", flat[i + 2:i + 2 + n])))
+            i += 2 + n
 
 
 @dataclass(frozen=True)
@@ -300,7 +364,9 @@ class _Terminals(Sequence):
     def __len__(self) -> int:
         return len(self._world._x)
 
-    def __getitem__(self, m: int) -> MobileTerminal:
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            return [self._world.terminal(i) for i in range(len(self))[m]]
         return self._world.terminal(m)
 
 
@@ -308,10 +374,11 @@ class World:
     """Mutable simulation state stepped one time unit at a time, made by
     ``build``.  Terminal ``m`` is column ``m`` of float arrays (position,
     heading with its cached cosine and sine, speed, energy, odometer, and
-    its plan's size and duration) and of the int lists the state machine
-    walks (state, serving, target, dwell; -1 for no station); ``mts`` views
-    them.  ``stations`` is the config's station tuple and ``occupied`` the
-    channels each one holds, a list the step updates in place."""
+    its plan's size and duration) and of the ``array('q')`` columns the state
+    machine walks (state, serving, target, dwell; -1 for no station); ``mts``
+    views them.  ``stations`` is the config's station tuple, ``occupied`` the
+    channels each one holds, a list the step updates in place, and ``events``
+    the :class:`EventLog` the step appends each unit's events to."""
 
     @classmethod
     def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
@@ -338,7 +405,7 @@ class World:
             duration = np.full(cfg.mt_count, float(
                 cfg.total_time if cfg.accel_duration is None else cfg.accel_duration))
         world, m = cls.__new__(cls), len(x)
-        world.cfg, world.t, world.events = cfg, 0, []
+        world.cfg, world.t, world.events = cfg, 0, EventLog()
         world.connected_units = 0  # MT-units spent connected or in handover
         world.stations, world.occupied = cfg.stations, [0] * len(cfg.stations)
         world._capacity = [s.capacity for s in cfg.stations]
@@ -349,8 +416,8 @@ class World:
         world._sin = np.array([math.sin(h) for h in heading.tolist()])
         world._speed, world._odometer = np.zeros(m), np.zeros(m)
         world._energy = np.full(m, cfg.initial_energy)
-        world._state, world._dwell = [_DISCONNECT] * m, [0] * m
-        world._serving, world._target = [-1] * m, [-1] * m
+        world._state, world._dwell = array("q", [_DISCONNECT]) * m, array("q", [0]) * m
+        world._serving, world._target = array("q", [-1]) * m, array("q", [-1]) * m
         # A plan's size is its speed if steady, else its distance; only an accelerated plan
         # reads its duration.  The acceleration is ``acceleration_for``'s, elementwise.
         world._accelerated, world._size, world._duration = accelerated, size, duration
@@ -401,13 +468,15 @@ class World:
     def step(self, policy) -> UnitRecord:
         """Advance one time unit under ``policy``: anything whose ``table(velocity, dist_norm,
         chan_norm, s_min, s_th)`` over deciding terminals, at the unit's start occupancy, gives
-        ``region(row, chan)``: the region code (``fuzzy.region_codes``) of a row's value at
-        channel input ``chan``.  Each row is read once, in terminal order, at its turn's input."""
+        ``(codes, reread)``: each row's region code (``fuzzy.region_codes``) there, and
+        ``reread(row, chan)``, a row's code at channel input ``chan``.  Each row is read once,
+        in terminal order: from ``codes`` if its station holds the occupancy it held at the
+        unit's start, else through ``reread`` at the channel input of its turn."""
         self.t += 1
         t, cfg = self.t, self.cfg
         self._move(t)
         state, serving, target, dwell = self._state, self._serving, self._target, self._dwell
-        before = [np.array(col, dtype=np.int64) for col in (state, serving, target, dwell)]
+        before = [np.frombuffer(col, np.int64).copy() for col in (state, serving, target, dwell)]
         # ``math.hypot`` wherever a distance is read: at or inside a cell, and to a handover's
         # held target (a terminal its serving station does not cover is cut).  ``np.hypot``
         # rounds 0.6% of pairs differently, within an ulp: beyond the band both are outside.
@@ -424,7 +493,17 @@ class World:
         # (held since the unit began) or of its candidate.
         own = ratio[rows, before[1]]
         occupied, capacity = self.occupied, self._capacity
-        held, cap = np.array(occupied, dtype=np.int64), np.array(capacity, dtype=np.int64)
+        changes: list[tuple[int, int, int]] = []  # (terminal, station, +1 or -1)
+
+        def check(s: int) -> None:
+            if not 0 <= occupied[s] <= capacity[s]:
+                raise RuntimeError(f"channel accounting broken at station {s}: "
+                                   f"occupied={occupied[s]}, capacity={capacity[s]}")
+
+        for s in range(len(occupied)):
+            check(s)
+        start = occupied[:]
+        held, cap = np.array(start, dtype=np.int64), np.array(capacity, dtype=np.int64)
         # Deciding terminals (connected in cell, or disconnected under a
         # candidate) have fixed inputs but for the channel one, which follows
         # the occupancy at their turn; the table starts from the unit's.
@@ -432,39 +511,46 @@ class World:
         deciding = np.flatnonzero(conn | ((before[0] == _DISCONNECT) & (cand >= 0)))
         at = np.where(conn, before[1], cand)[deciding]
         dn = np.where(conn, own, ratio[rows, cand])[deciding]
-        read = policy.table(self._speed[deciding], dn, (cap[at] - held[at]) / cap[at],
-                            cfg.s_min, cfg.s_th)
-        turn = iter(range(len(deciding)))
-        own, cand = own.tolist(), cand.tolist()
-        changes: list[tuple[int, int, int]] = []  # (terminal, station, +1 or -1)
-        events = self.events
+        codes, reread = policy.table(self._speed[deciding], dn, (cap[at] - held[at]) / cap[at],
+                                     cfg.s_min, cfg.s_th)
+        # Only a terminal that holds a station or has a candidate acts.
+        acting = np.flatnonzero((before[0] != _DISCONNECT) | (cand >= 0))
+        turns = zip(acting.tolist(), *(a[acting].tolist() for a in (*before[:2], cand, own)))
+        log = array("q")  # one (terminal, kind code, old, new) row per event
 
         def hold(m: int, s: int, d: int) -> None:
             occupied[s] += d
             changes.append((m, s, d))
-
-        def region(s: int) -> int:
-            o, c = occupied[s], capacity[s]
-            if not 0 <= o <= c:
-                raise RuntimeError(f"channel accounting broken at station {s}: "
-                                   f"occupied={o}, capacity={c}")
-            return read(next(turn), (c - o) / c)
+            check(s)
 
         def cut(m: int) -> None:
             sv, tg = serving[m], target[m]
             hold(m, sv, -1)
             if tg >= 0:
                 hold(m, tg, -1)
-            events.append(Event(t, m, CONNECTION_CUT, sv, None if tg < 0 else tg))
+            log.extend((m, _CUT, sv, tg))
             state[m], serving[m], target[m], dwell[m] = _DISCONNECT, -1, -1, 0
 
-        for m in range(len(state)):
-            st, sv = state[m], serving[m]
-            if st != _DISCONNECT and own[m] <= 0.0:
+        i = -1  # the table row of the last deciding turn
+        for m, st, sv, c, inside in turns:
+            if st == _DISCONNECT:
+                # Under a candidate, a value above s_min: connect, or without
+                # a free channel, a blocked attempt.
+                i, o = i + 1, occupied[c]
+                if (codes[i] if o == start[c] else
+                        reread(i, (capacity[c] - o) / capacity[c])) >= _MID:
+                    if o < capacity[c]:
+                        hold(m, c, 1)
+                        state[m], serving[m] = _CONNECT, c
+                        log.extend((m, _CONNECTED, -1, c))
+                    else:
+                        log.extend((m, _BLOCKED, -1, c))
+            elif inside <= 0.0:
                 # Out of the serving cell: forced cut, whatever the fuzzy value.
                 cut(m)
             elif st == _CONNECT:
-                r = region(sv)
+                i, o = i + 1, occupied[sv]
+                r = codes[i] if o == start[sv] else reread(i, (capacity[sv] - o) / capacity[sv])
                 if r == _BELOW_MIN:
                     cut(m)
                 elif r != _ABOVE_TH:
@@ -476,23 +562,15 @@ class World:
                     if tg >= 0:
                         hold(m, tg, 1)
                         state[m], target[m], dwell[m] = _HANDOVER, tg, cfg.dwell
-                        events.append(Event(t, m, HANDOFF_INITIATED, sv, tg))
-            elif st == _HANDOVER:
+                        log.extend((m, _INITIATED, sv, tg))
+            else:  # in handover
                 dwell[m] -= 1
                 if dwell[m] == 0:
                     hold(m, sv, -1)
                     state[m], serving[m], target[m] = _CONNECT, target[m], -1
-                    events.append(Event(t, m, HANDOFF_COMPLETED, sv, serving[m]))
-            elif cand[m] >= 0 and region(cand[m]) >= _MID:
-                # Disconnected, a value above s_min for the deepest covering
-                # station: connect, or without a free channel, a blocked attempt.
-                c = cand[m]
-                if occupied[c] < capacity[c]:
-                    hold(m, c, 1)
-                    state[m], serving[m] = _CONNECT, c
-                    events.append(Event(t, m, CONNECTED, None, c))
-                else:
-                    events.append(Event(t, m, BLOCKED, None, c))
+                    log.extend((m, _COMPLETED, sv, serving[m]))
+        if log:
+            self.events._units.append((t, log))
 
         # Channels each terminal saw: the start plus the changes made before its turn.
         delta = np.zeros(ratio.shape, dtype=np.int64)
@@ -501,7 +579,7 @@ class World:
         chan = (cap - (held + np.cumsum(delta, axis=0) - delta)) / cap
 
         # Energy: d/r + epsilon per held station, floored at zero.
-        st, sv, tg = (np.array(col, dtype=np.int64) for col in (state, serving, target))
+        st, sv, tg = (np.frombuffer(col, np.int64) for col in (state, serving, target))
         spent = dist[rows, sv] / self._radius[sv] + cfg.epsilon
         spent = np.where(st == _HANDOVER,
                          spent + (dist[rows, tg] / self._radius[tg] + cfg.epsilon), spent)

@@ -36,7 +36,7 @@ class FixedPolicy:
 
     def table(self, velocity, dist_norm, chan_norm, s_min, s_th):
         code = int(region_codes(self.value, s_min, s_th))
-        return lambda r, chan: code
+        return [code] * len(velocity), lambda r, chan: code
 
 
 def distance_norm(ratio: float) -> float:

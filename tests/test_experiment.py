@@ -460,6 +460,15 @@ class TestCompareAndExport:
             export_events(res.events, fmt, path)
             assert load_events(path, fmt) == res.events
 
+    def test_event_log_exports_as_its_event_tuple(self, tmp_path):
+        res = run(default_config(), "fls", 0)  # every kind, with and without stations
+        assert len({e.kind for e in res.events}) == 5
+        for fmt in ("csv", "json"):
+            log, rows = tmp_path / f"log.{fmt}", tmp_path / f"rows.{fmt}"
+            export_events(res.events, fmt, log)
+            export_events(tuple(res.events), fmt, rows)
+            assert log.read_bytes() == rows.read_bytes()
+
     def test_empty_event_log_is_header_only(self, tmp_path):
         path = tmp_path / "events.csv"
         export_events((), "csv", path)

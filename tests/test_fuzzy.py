@@ -565,3 +565,69 @@ class TestCentroidEstimate:
         with pytest.raises(NoActivationError):
             system.crisp_from_strengths([0.0] * 5)
 
+
+def reduceat_strengths(system: FuzzySystem, genes, fired: np.ndarray) -> np.ndarray:
+    """The older ``term_strengths``: cells sorted by consequent, one ``maximum.reduceat``
+    per used term, scattered into zeros."""
+    genes = np.asarray(genes)
+    order = np.argsort(genes, kind="stable")
+    first = np.flatnonzero(np.diff(genes[order], prepend=0))
+    strengths = np.zeros(fired.shape[:-1] + (system.n_output_terms,))
+    strengths[..., genes[order[first]] - 1] = np.maximum.reduceat(fired[..., order], first,
+                                                                  axis=-1)
+    return strengths
+
+
+def gathered_estimates(system: FuzzySystem, strengths: np.ndarray) -> np.ndarray:
+    """The older ``centroid_estimates``, which reads its tables by 2-D gathers."""
+    terms, sign, vs, count, cum_v, cum_vx, tail_x = fuzzy._overlap_sums(
+        system.output_var, system.resolution)
+    m = strengths[:, terms].min(axis=2)
+    k = np.empty(m.shape, dtype=np.int64)
+    for j, v in enumerate(vs):
+        k[:, j] = np.searchsorted(v, m[:, j])
+    sub = np.arange(len(vs))
+    den = (cum_v[sub, k] + m * (count - k)) @ sign
+    num = (cum_vx[sub, k] + m * tail_x[sub, k]) @ sign
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchTheirOlderForms:
+    """``term_strengths`` and ``centroid_estimates`` equal, bit for bit, the
+    ``reduceat`` and 2-D gather forms they replaced."""
+
+    GRIDS = (DEFAULT_CONSEQUENTS, (3,) * 27, (1, 5) * 13 + (1,), tuple(range(1, 6)) * 5 + (2, 2))
+
+    @pytest.mark.parametrize("genes", GRIDS)
+    def test_term_strengths(self, genes, rng):
+        system = default_system()
+        fired = rng.random((300, 27)) * (rng.random((300, 27)) < 0.3)
+        fired[:20] = 0.0  # all-zero rows
+        fired[20:40] = rng.integers(0, 3, size=(20, 27)) / 2  # ties
+        inputs = (rng.uniform(-5, 40, 100), rng.uniform(-0.2, 1.2, 100), rng.random(100))
+        for batch in (fired, system.fire(inputs), fired.reshape(10, 30, 27)):
+            assert same_bits(system.term_strengths(genes, batch),
+                             reduceat_strengths(system, genes, batch))
+        for row in (*fired[:3], fired[50], system.fire((12.0, 0.4, 0.7))):  # scalar inputs
+            got = system.term_strengths(genes, row)
+            assert got.shape == (5,) and same_bits(got, reduceat_strengths(system, genes, row))
+        unused = sorted(set(range(1, 6)) - set(genes))
+        assert (system.term_strengths(genes, fired)[:, np.array(unused, int) - 1] == 0.0).all()
+
+    @pytest.mark.parametrize("output", [default_output, trapezoid_output,
+                                        three_way_output, shifted_output])
+    def test_centroid_estimates(self, output, rng):
+        system = FuzzySystem((default_velocity(),), output())
+        rows = rng.random((2000, 5)) * (rng.random((2000, 5)) < 0.6)
+        rows[:50] = rng.integers(0, 3, size=(50, 5)) / 2  # ties, full strengths, zero rows
+        rows[50:60] = 0.0
+        rows[60:100, :2] = 0.0  # terms unused
+        rows[100:140] = rng.random((40, 1))  # one strength in every term
+        for batch in (rows, rows[:1], rows[50:51], rows[:0]):
+            assert same_bits(system.centroid_estimates(batch), gathered_estimates(system, batch))
+        assert np.isnan(system.centroid_estimates(rows[50:60])).all()

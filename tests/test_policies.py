@@ -158,29 +158,29 @@ class TestTable:
             ordered = sorted(set(values.values()))
             s_min = ordered[pick % len(ordered)]
             s_th = next((v for v in ordered if v > s_min), s_min + 0.25)
-        got = {}
-        for (r, o) in values:  # a fresh table per read: each row is read once a unit
-            region = policy.table(velocity, dist, chan[np.arange(len(rows)), start],
-                                  s_min, s_th)
-            got[r, o] = region(r, chan[r, o])
+        codes, reread = policy.table(velocity, dist, chan[np.arange(len(rows)), start],
+                                     s_min, s_th)
+        # A row's code is its region at its start level; a re-read, at any level.
+        assert codes == [region_of(values[r, start[r]], s_min, s_th) for r in range(len(rows))]
+        got = {(r, o): reread(r, chan[r, o]) for (r, o) in values}
         for (r, o), v in values.items():
             assert got[r, o] == region_of(v, s_min, s_th), (r, o, v, s_min, s_th)
         if exact and values:
             assert fuzzy._AT_MIN in got.values()
 
     def test_start_inputs_settle_in_one_batch_and_other_reads_alone(self):
-        # FLS settles every row at its start channel input at once; a read at
-        # another input settles that row alone.  FLAH, which ignores channels,
-        # settles each row once and answers every read from it.
+        # FLS settles every row at its start channel input at once; a re-read
+        # at another input settles that row alone.  FLAH, which ignores
+        # channels, settles each row once and answers every re-read from it.
         velocity, dist, start = np.array([3.0, 20.0]), np.array([0.3, 0.9]), np.array([1.0, 0.5])
         for kind, alone in (("fls", 2), ("flah", 0)):
             policy = make_policy(kind)
             settle, crisp = policy.system.settle, policy.system.crisp_from_strengths
             settled, exact = [], []
             policy.system.settle = lambda rows, *th: settled.append(len(rows)) or settle(rows, *th)
-            region = policy.table(velocity, dist, start, 0.2, 0.45)
+            codes, reread = policy.table(velocity, dist, start, 0.2, 0.45)
             policy.system.crisp_from_strengths = lambda s: exact.append(len(s)) or crisp(s)
-            got = [region(0, 1.0), region(1, 0.5), region(0, 0.0), region(1, 1 / 6)]
+            got = [*codes, reread(0, 0.0), reread(1, 1 / 6)]
             assert settled == [2] and exact == [5] * alone
             want = [region_of(policy.decide(v, d, c), 0.2, 0.45)
                     for v, d, c in ((3.0, 0.3, 1.0), (20.0, 0.9, 0.5), (3.0, 0.3, 0.0),
@@ -188,18 +188,18 @@ class TestTable:
             assert got == want
 
     def test_a_read_at_another_channel_input_is_one_decide(self):
-        # The read's region is that of decide's value there, which reads
-        # ``_AT_MIN`` only if the two are the same value.
+        # The re-read's region is that of decide's value there, which reads
+        # ``_AT_MIN`` only if the two are the same value.  Settling the start
+        # codes calls no decide.
         policy = make_policy("fls")
         value = policy.decide(20.0, 0.9, 0.25)
-        region = policy.table(np.array([3.0, 20.0]), np.array([0.3, 0.9]), np.array([1.0, 0.5]),
-                              value, value + 0.1)
         decide, calls = policy.decide, []
         policy.decide = lambda *inputs: calls.append(inputs) or decide(*inputs)
-        assert region(1, 0.25) == fuzzy._AT_MIN
+        codes, reread = policy.table(np.array([3.0, 20.0]), np.array([0.3, 0.9]),
+                                     np.array([1.0, 0.5]), value, value + 0.1)
+        assert len(codes) == 2 and calls == []
+        assert reread(1, 0.25) == fuzzy._AT_MIN
         assert calls == [(20.0, 0.9, 0.25)]
-        region(0, 1.0)  # the start input reads the settled code
-        assert len(calls) == 1
 
     def test_construction_rejects_a_consequent_outside_the_output_terms(self):
         two = fuzzy.LinguisticVariable("rss_threshold", 0.0, 1.0, (
@@ -234,7 +234,8 @@ class TestTable:
         rows = (np.array([10.0]), np.array([0.5]), np.array([0.5]))
         with pytest.raises(ValueError, match=r"\(0\.3, 0\.6\), the replay at \(0\.2, 0\.45\)"):
             policy.table(*rows, 0.3, 0.6)
-        assert callable(policy.table(*rows, 0.2, 0.45))
+        codes, reread = policy.table(*rows, 0.2, 0.45)
+        assert len(codes) == 1 and callable(reread)
         cfg = WorldConfig(total_time=8, s_min=0.3, s_th=0.6)
         world = World.build(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="s_min, s_th"):
@@ -243,8 +244,9 @@ class TestTable:
 
     def test_empty_batch(self):
         for kind in ("fls", "flah"):
-            region = make_policy(kind).table(np.zeros(0), np.zeros(0), np.zeros(0), 0.2, 0.45)
-            assert callable(region)
+            codes, reread = make_policy(kind).table(np.zeros(0), np.zeros(0), np.zeros(0),
+                                                    0.2, 0.45)
+            assert codes == [] and callable(reread)
 
 
 class TestOnEpoch:

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from gflsim.world import (
     CONNECTED,
     CONNECTION_CUT,
     DEFAULT_STATIONS,
+    EVENT_KINDS,
     HANDOFF_COMPLETED,
     HANDOFF_INITIATED,
     DomainError,
+    Event,
+    EventLog,
     MobileTerminal,
     MotionPlan,
     State,
@@ -610,14 +614,17 @@ def scenarios(draw):
 class SignalPolicy:
     """A value that depends on every decide input, hitting s_min and s_th
     exactly at some of them.  As the scalar step's hook it logs each decide
-    call; as the array step's hook it logs each read of its table, with the
-    row's inputs and the read's channel input, and classifies the same
-    values with ``region_codes``."""
+    call.  As the array step's hook it logs, per table, each row's start
+    inputs and its effective read: the row at its start channel input,
+    replaced by its re-read (the row at the re-read's channel input) when it
+    has one, and the rows re-read, in order.  Both classify the same values
+    with ``region_codes``."""
 
     def __init__(self, cfg: WorldConfig, salt: int) -> None:
         self.values = (cfg.s_min, 0.05, cfg.s_th, 0.3, 0.9)
         self.salt = salt
         self.calls: list[tuple] = []
+        self.tables: list[tuple[list, list, list]] = []  # (start rows, reads, rows re-read)
 
     def value(self, velocity, dist_norm, chan_norm) -> float:
         key = hash((velocity, dist_norm, chan_norm, self.salt))
@@ -630,14 +637,19 @@ class SignalPolicy:
     def table(self, velocity, dist_norm, chan_norm, s_min, s_th):
         assert all(a.dtype == float and a.shape == velocity.shape
                    for a in (velocity, dist_norm, chan_norm))
-        velocity, dist_norm = velocity.tolist(), dist_norm.tolist()
-        read = iter(range(len(velocity)))
+        starts = list(zip(velocity.tolist(), dist_norm.tolist(), chan_norm.tolist()))
+        reads, reread_rows = list(starts), []
+        self.tables.append((starts, reads, reread_rows))
 
-        def region(r, chan):
-            assert r == next(read), "rows are read once each, in order"
-            self.calls.append((velocity[r], dist_norm[r], chan))
-            return int(region_codes(self.value(velocity[r], dist_norm[r], chan), s_min, s_th))
-        return region
+        def region(row) -> int:
+            return int(region_codes(self.value(*row), s_min, s_th))
+
+        def reread(r, chan):
+            assert not reread_rows or r > reread_rows[-1], "rows are re-read once each, in order"
+            reread_rows.append(r)
+            reads[r] = (*starts[r][:2], chan)
+            return region(reads[r])
+        return [region(row) for row in starts], reread
 
 
 class TestArrayStepMatchesReference:
@@ -649,6 +661,7 @@ class TestArrayStepMatchesReference:
         ref = ReferenceWorld(world)
         live, scalar = SignalPolicy(cfg, salt), SignalPolicy(cfg, salt)
         for _ in range(units):
+            n = len(scalar.calls)
             rec = world.step(live)
             want = ref.step(scalar)
             assert world.events == ref.events
@@ -658,9 +671,15 @@ class TestArrayStepMatchesReference:
             # Positions, energies and occupancy after the unit.
             assert list(world.mts) == ref.mts, rec.t
             assert world.occupied == [bs.occupied for bs in ref.stations], rec.t
-        # One table read per scalar decide call, in the same order and at
-        # the same inputs.
-        assert live.calls == scalar.calls
+            # One effective read per scalar decide call, in the same order and
+            # at the same inputs; a row is re-read exactly when its station's
+            # occupancy at its turn is not the unit's start occupancy, which
+            # is when its channel input differs from the start one.
+            starts, reads, reread_rows = live.tables[-1]
+            assert reads == scalar.calls[n:], rec.t
+            assert reread_rows == [r for r, (row, read) in enumerate(zip(starts, reads))
+                                   if read[2] != row[2]], rec.t
+        assert len(live.tables) == units
         assert world.connected_units == ref.connected_units
         world.verify_channels()
 
@@ -759,14 +778,25 @@ class TestDecisionTable:
 
     @staticmethod
     def log_reads(policy, starts_ok=lambda chan_norm: True) -> list:
-        """Wrap ``policy.table``: each table's start inputs must pass ``starts_ok``,
-        and each read logs whether its channel input differs from its row's start."""
+        """Wrap ``policy.table``: each table's start inputs must pass ``starts_ok``, and
+        each read logs False for a start code and, for a re-read, True (its channel
+        input must differ from its row's start)."""
         reads, table = [], policy.table
+
+        class Codes(list):
+            def __getitem__(self, r):
+                reads.append(False)
+                return super().__getitem__(r)
 
         def logged(velocity, dist_norm, chan_norm, *thresholds):
             assert starts_ok(chan_norm)
-            region = table(velocity, dist_norm, chan_norm, *thresholds)
-            return lambda r, chan: reads.append(chan != chan_norm[r]) or region(r, chan)
+            codes, reread = table(velocity, dist_norm, chan_norm, *thresholds)
+
+            def logged_reread(r, chan):
+                assert chan != chan_norm[r]
+                reads.append(True)
+                return reread(r, chan)
+            return Codes(codes), logged_reread
 
         policy.table = logged
         return reads
@@ -810,6 +840,45 @@ class TestDecisionTable:
             assert world.occupied == [bs.occupied for bs in ref.stations]
             assert world.occupied[0] > 16 and sum(reads) >= 20, kind
 
+    def test_walk_heavy_units_equal_the_scalar_step(self):
+        # Forty terminals stream east through a two-channel cell, which a
+        # one-channel cell overlaps, the leading ones first in turn order.
+        # In the first unit every turn after the first connect sees another
+        # occupancy than the unit's start, so most reads are re-reads;
+        # later, cells fill, terminals leave them and are cut, and others connect.
+        terminals = tuple(TerminalSpec((1590.0 - 30.0 * i, 1000.0 + 40.0 * (i % 5)), 0.0,
+                                       speed=100.0) for i in range(40))
+        cfg = WorldConfig(arena=(2000.0, 2000.0), terminals=terminals, stations=(
+            StationSpec((1000.0, 1000.0), 600.0, 2), StationSpec((1150.0, 1000.0), 300.0, 1)))
+        for kind in ("fls", "flah"):
+            live, scalar = make_policy(kind), make_policy(kind)
+            reads = self.log_reads(live)
+            world = World.build(cfg)
+            ref = ReferenceWorld(world)
+            for u in range(12):
+                rec = world.step(live)
+                assert rec == ref.step(scalar) and world.events == ref.events, kind
+                assert list(world.mts) == ref.mts, kind
+                assert world.occupied == [bs.occupied for bs in ref.stations], kind
+                if u == 0:
+                    assert sum(reads) > len(reads) / 2 > 15, kind
+            assert sum(reads) > 50, kind
+            kinds = {e.kind for e in world.events}
+            assert {CONNECTED, BLOCKED, CONNECTION_CUT} <= kinds, kind
+
+    def test_two_input_table_never_calls_decide(self):
+        # FLAH ignores channels: its re-reads give the start codes.
+        terminals = tuple(TerminalSpec((1000.0 + 10.0 * i, 1000.0), speed=0.0)
+                          for i in range(20))
+        cfg = WorldConfig(arena=(2000.0, 2000.0), terminals=terminals,
+                          stations=(StationSpec((1000.0, 1000.0), 900.0, 3),))
+        policy, world = make_policy("flah"), World.build(cfg)
+        reads = self.log_reads(policy)
+        policy.decide = None  # a call raises TypeError
+        for _ in range(3):
+            world.step(policy)
+        assert any(reads) and world.occupied == [3]
+
     def test_two_input_table_settles_once_per_unit(self):
         # FLAH ignores channels: each unit settles its rows in one batch, one
         # row per read, and reads at any occupancy settle nothing more.
@@ -829,6 +898,15 @@ class TestDecisionTable:
         w.occupied[1] = occupied
         with pytest.raises(RuntimeError, match="station 1: occupied=" + str(occupied)):
             w.step(FixedPolicy(0.9))
+
+    def test_a_hold_outside_capacity_raises_naming_the_station(self):
+        # The unit starts within capacity, but station 1 does not count the
+        # channel its terminal holds: the cut releases it below zero.
+        w = two_station_world()
+        connect(w, 0, 1)
+        w.occupied[1] = 0
+        with pytest.raises(RuntimeError, match="station 1: occupied=-1, capacity=2"):
+            w.step(FixedPolicy(0.1))
 
 
 class TestRecords:
@@ -852,7 +930,69 @@ class TestRecords:
         later = w.step(FixedPolicy(0.9))
         assert rec == kept and later.ratio[0, 0] != rec.ratio[0, 0]
 
+    def test_terminal_slices_are_lists_of_terminals(self):
+        w = World.build(WorldConfig(mt_count=6), np.random.default_rng(3))
+        for s in (slice(1, 3), slice(None, None, -1), slice(4, 1, -2), slice(-2, None),
+                  slice(3, 3), slice(10, 20), slice(2, 5, -1)):
+            assert w.mts[s] == [w.terminal(i) for i in range(len(w.mts))[s]], s
+        assert len(w.mts[1:3]) == 2 and w.mts[4:1] == []
+
     def test_terminal_count_builds_no_terminal(self, monkeypatch):
         w = two_station_world()
         monkeypatch.setattr(World, "terminal", None)
         assert len(w.mts) == 1
+
+
+class TestEventLog:
+    """``World.events`` and ``RunResult.events``: per-unit int blocks read as ``Event`` rows."""
+
+    @staticmethod
+    def result():
+        res = run(default_config(), "fls", 0)
+        assert {e.kind for e in res.events} == set(EVENT_KINDS)
+        return res
+
+    def test_equals_a_list_and_a_tuple_of_its_events(self):
+        log = self.result().events
+        rows = list(log)
+        assert all(type(e) is Event for e in rows)
+        assert log == rows and rows == log and log == tuple(rows) and tuple(rows) == log
+        assert log == EventLog(log._units) and hash(log) == hash(tuple(rows))
+        assert log != rows[:-1] and log != rows[::-1] and log != [] and log != ()
+        assert (log == 5) is False and (log == set(rows)) is False
+        assert EventLog() == [] == EventLog() and EventLog() == ()
+
+    def test_length_indexes_slices_and_iteration(self):
+        log = self.result().events
+        rows = list(log)
+        assert len(log) == len(rows) > 100 and list(iter(log)) == rows
+        assert [log[i] for i in range(-len(rows), len(rows))] == rows + rows
+        assert log[-1] == rows[-1] and log[0] == rows[0]
+        for s in (slice(3, 10), slice(None, None, -3), slice(-5, None), slice(7, 7)):
+            assert log[s] == rows[s]
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        with pytest.raises(TypeError):
+            log[0] = rows[0]
+        assert not hasattr(log, "append") and not hasattr(log, "__dict__")
+
+    def test_pickle_round_trip(self):
+        log = self.result().events
+        back = pickle.loads(pickle.dumps(log))
+        assert type(back) is EventLog and back == log == list(back)
+        assert len(pickle.dumps(log)) < len(pickle.dumps(tuple(log)))
+        # Ids that need wider ints than the default run's, and an empty log.
+        wide = EventLog([(3, array("q", [70_000, 4, -1, 2, 5, 2, 40_000, -1])),
+                         (2 ** 40, array("q", [1, 0, 0, 1]))])
+        for log in (wide, EventLog()):
+            back = pickle.loads(pickle.dumps(log))
+            assert back == log and back._units == log._units
+
+    def test_kind_counts_from_the_kind_column(self):
+        res = self.result()
+        for kind in EVENT_KINDS:
+            assert res.events.kind_count(kind) == sum(e.kind == kind for e in res.events) > 0
+        assert res.metrics.number_of_handoffs == res.events.kind_count(HANDOFF_INITIATED)
+        with pytest.raises(ValueError):
+            res.events.kind_count("Teleported")
