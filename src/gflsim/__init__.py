@@ -50,7 +50,6 @@ from .world import (
     Event,
     EventLog,
     MobileTerminal,
-    MotionPlan,
     State,
     StationSpec,
     TerminalSpec,

@@ -250,9 +250,9 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
 
     handoffs = world.events.kind_count(HANDOFF_INITIATED)
     mt_units = len(world.mts) * config.world.total_time
-    connection_pct = 100.0 * world.connected_units / mt_units if mt_units else 0.0
+    connection_pct = 100.0 * world.connected_units / mt_units
     e0 = config.world.initial_energy
-    energy_pct = float(np.mean(100.0 * (e0 - world._energy) / e0)) if mt_units else 0.0
+    energy_pct = float(np.mean(100.0 * (e0 - world._energy) / e0))
     metrics = RunMetrics(handoffs, connection_pct, energy_pct)
     return RunResult(
         policy=kind.value, seed=seed, metrics=metrics,

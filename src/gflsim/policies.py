@@ -82,17 +82,20 @@ class HandoffPolicy:
         self.evolution_log: list[tuple[int, float, tuple[int, ...]]] = []
 
     def table(self, velocity: np.ndarray, dist_norm: np.ndarray, chan_norm: np.ndarray,
-              s_min: float, s_th: float) -> tuple[list, Callable[[int, float], int]]:
-        """One unit's decision table over rows of inputs: ``(codes, reread)``, where
-        ``codes[r]`` is the region code (``fuzzy.region_codes``) of row ``r``'s value at its
-        own ``chan_norm``, every row settled at once, and ``reread(r, chan)`` the region of
-        :meth:`decide` for row ``r`` at channel input ``chan``.  A two-input (FLAH) system
-        ignores channels, so its ``reread`` gives the row's code.  An evolving policy raises
-        ``ValueError`` unless ``s_min`` and ``s_th`` are its replay's."""
-        fit = self.evolver and self.evolver.fitness  # the replay must settle as the world does
-        if fit and (fit.s_min, fit.s_th) != (s_min, s_th):
-            raise ValueError(f"{self.kind.value}: the world settles at (s_min, s_th) = "
-                             f"{(s_min, s_th)}, the replay at {(fit.s_min, fit.s_th)}")
+              cfg) -> tuple[list, Callable[[int, float], int]]:
+        """One unit's decision table over rows of inputs, settled at the world config
+        ``cfg``'s thresholds: ``(codes, reread)``, where ``codes[r]`` is the region code
+        (``fuzzy.region_codes``) of row ``r``'s value at its own ``chan_norm``, every row
+        settled at once, and ``reread(r, chan)`` the region of :meth:`decide` for row ``r``
+        at channel input ``chan``.  A two-input (FLAH) system ignores channels, so its
+        ``reread`` gives the row's code.  An evolving policy raises ``ValueError`` unless
+        ``cfg``'s ``s_min``, ``s_th`` and ``dwell`` are its replay's."""
+        s_min, s_th = cfg.s_min, cfg.s_th
+        fit = self.evolver and self.evolver.fitness  # the replay must run as the world does
+        if fit and (fit.s_min, fit.s_th, fit.dwell) != (s_min, s_th, cfg.dwell):
+            raise ValueError(f"{self.kind.value}: the world runs at (s_min, s_th, dwell) = "
+                             f"{(s_min, s_th, cfg.dwell)}, the replay at "
+                             f"{(fit.s_min, fit.s_th, fit.dwell)}")
         system = self.system
         inputs = (velocity, dist_norm, chan_norm)[: len(system.input_vars)]
         strengths = system.term_strengths(self.genes, system.fire(inputs))

@@ -97,18 +97,19 @@ def check_fields(obj, *section: str) -> dict:
     """Check each field of dataclass ``obj`` against the same-named entry of
     the schema node at ``section`` (object keys, through array items), store
     the checked value (numbers as floats, arrays as tuples, as a file gives
-    them), and return that node's entries.  Entries that describe JSON objects
-    are not checked: in code those are typed values that check themselves, and
-    an array of them is stored as a tuple."""
+    them), and return that node's entries.  Values of entries that describe JSON
+    objects are not checked: in code those are typed values that check
+    themselves, and an array of them is stored as a tuple, its item count checked."""
     node = _schema()
     for key in section:
         node = node["properties"][key]
         node = node.get("items", node)
     entries = node["properties"]
     for f in dataclasses.fields(obj):
-        entry, value = entries.get(f.name), getattr(obj, f.name)
-        if entry is not None and not {"properties", "$ref"} & entry.get("items", entry).keys():
+        entry, value = entries.get(f.name) or {}, getattr(obj, f.name)
+        if entry and not {"properties", "$ref"} & entry.get("items", entry).keys():
             object.__setattr__(obj, f.name, _check(value, entry, f.name))
-        elif isinstance(value, list):
-            object.__setattr__(obj, f.name, tuple(value))
+        elif isinstance(value, (list, tuple)):
+            counts = {k: v for k, v in entry.items() if k in ("minItems", "maxItems")}
+            object.__setattr__(obj, f.name, _check(tuple(value), counts, f.name))
     return entries

@@ -37,7 +37,6 @@ __all__ = [
     "EventLog",
     "StationSpec",
     "TerminalSpec",
-    "MotionPlan",
     "MobileTerminal",
     "WorldConfig",
     "UnitRecord",
@@ -171,46 +170,26 @@ DEFAULT_STATIONS: tuple[StationSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MotionPlan:
-    kind: str
-    speed: float = 0.0      # steady: units per time
-    distance: float = 0.0   # accelerated: total path length
-    duration: float = 0.0   # accelerated: total time
+class MobileTerminal(NamedTuple):
+    """Terminal ``ident`` as it stands, read from the world's columns: pose, instantaneous
+    ``velocity``, energy, the state machine (None for no station), the path length so far,
+    and its plan as :class:`TerminalSpec` gives it, 0.0 in a field its kind does not read."""
 
-    def __post_init__(self) -> None:
-        if self.kind != "steady":
-            acceleration_for(self.distance, self.duration)  # validates
-        elif not 0 <= self.speed < math.inf:
-            raise DomainError(f"steady speed must be finite and >= 0, got {self.speed}")
-
-    @classmethod
-    def steady(cls, speed: float) -> "MotionPlan":
-        return cls("steady", speed=float(speed))
-
-    @classmethod
-    def accelerated(cls, distance: float, duration: float) -> "MotionPlan":
-        return cls("accelerated", distance=float(distance), duration=float(duration))
-
-    @property
-    def accel(self) -> float:
-        return acceleration_for(self.distance, self.duration)
-
-
-@dataclass
-class MobileTerminal:
     ident: int
     x: float
     y: float
     heading: float
-    plan: MotionPlan
-    speed: float = 0.0
-    energy: float = 100.0
-    state: State = State.DISCONNECT
-    serving: Optional[int] = None
-    target: Optional[int] = None
-    dwell: int = 0
-    odometer: float = 0.0  # cumulative path length, survives wall reflections
+    velocity: float
+    energy: float
+    state: State
+    serving: Optional[int]
+    target: Optional[int]
+    dwell: int
+    odometer: float  # cumulative path length, survives wall reflections
+    kind: str
+    speed: float
+    distance: float
+    duration: float
 
 
 @dataclass(frozen=True)
@@ -244,6 +223,15 @@ class WorldConfig:
         for i, st in enumerate(self.stations):
             if st.radius > max(self.arena):
                 raise ConfigError(f"stations[{i}].radius: exceeds the arena extent")
+        # One unit's largest energy spend: two held stations, each at most ``reach`` radii
+        # from its terminal, plus epsilon each.
+        i = min(range(len(self.stations)), key=lambda i: self.stations[i].radius)
+        reach = 1.0 + math.hypot(*self.arena) / self.stations[i].radius
+        if not math.isfinite(2.0 * reach):
+            raise ConfigError(f"stations[{i}].radius: {self.stations[i].radius} overflows "
+                              f"one unit's energy spend in the arena {self.arena}")
+        if not math.isfinite(2.0 * (reach + self.epsilon)):
+            raise ConfigError(f"epsilon: {self.epsilon} overflows one unit's energy spend")
         for i, spec in enumerate(self.terminals or ()):
             if not all(0.0 <= p <= side for p, side in zip(spec.position, self.arena)):
                 raise ConfigError(f"terminals[{i}].position: outside the arena {self.arena}, "
@@ -354,7 +342,7 @@ _CONNECT, _HANDOVER, _DISCONNECT = int(State.CONNECT), int(State.HANDOVER), int(
 
 class _Terminals(Sequence):
     """Read-only view of a world's terminals: ``len`` builds nothing and
-    item ``m`` is ``World.terminal(m)``."""
+    item ``m`` is a :class:`MobileTerminal` row made from column ``m``."""
 
     __slots__ = ("_world",)
 
@@ -366,8 +354,16 @@ class _Terminals(Sequence):
 
     def __getitem__(self, m):
         if isinstance(m, slice):
-            return [self._world.terminal(i) for i in range(len(self))[m]]
-        return self._world.terminal(m)
+            return [self[i] for i in range(len(self))[m]]
+        w = self._world
+        m = range(len(w._x))[m]  # the terminal's id, and an IndexError past the end
+        sv, tg, size = w._serving[m], w._target[m], float(w._size[m])
+        plan = (("accelerated", 0.0, size, float(w._duration[m])) if w._accelerated[m]
+                else ("steady", size, 0.0, 0.0))
+        return MobileTerminal(
+            m, float(w._x[m]), float(w._y[m]), float(w._heading[m]), float(w._speed[m]),
+            float(w._energy[m]), State(w._state[m]), None if sv < 0 else sv,
+            None if tg < 0 else tg, w._dwell[m], float(w._odometer[m]), *plan)
 
 
 class World:
@@ -384,8 +380,6 @@ class World:
     def build(cls, cfg: WorldConfig, rng: Optional[np.random.Generator] = None) -> "World":
         """The world at t = 0, its terminals disconnected and at rest: the
         scripted ``cfg.terminals``, or ``cfg.mt_count`` drawn from ``rng``."""
-        if not cfg.stations:
-            raise DomainError("a world needs at least one station")
         if cfg.terminals is not None:
             accelerated = np.array([s.kind != "steady" for s in cfg.terminals], bool)
             x, y, heading, size, duration = np.array(
@@ -430,18 +424,6 @@ class World:
     def mts(self) -> Sequence[MobileTerminal]:
         return _Terminals(self)
 
-    def terminal(self, m: int) -> MobileTerminal:
-        """A detached copy of terminal ``m`` as it stands."""
-        m = range(len(self._x))[m]  # the terminal's id, and an IndexError past the end
-        sv, tg, size = self._serving[m], self._target[m], float(self._size[m])
-        plan = (MotionPlan.accelerated(size, self._duration[m]) if self._accelerated[m]
-                else MotionPlan.steady(size))
-        return MobileTerminal(
-            m, float(self._x[m]), float(self._y[m]), float(self._heading[m]), plan,
-            float(self._speed[m]), float(self._energy[m]), State(self._state[m]),
-            None if sv < 0 else sv, None if tg < 0 else tg, self._dwell[m],
-            float(self._odometer[m]))
-
     def _move(self, t: int) -> None:
         """Move every terminal one step along its plan, reflecting
         specularly off the arena walls."""
@@ -467,11 +449,12 @@ class World:
 
     def step(self, policy) -> UnitRecord:
         """Advance one time unit under ``policy``: anything whose ``table(velocity, dist_norm,
-        chan_norm, s_min, s_th)`` over deciding terminals, at the unit's start occupancy, gives
-        ``(codes, reread)``: each row's region code (``fuzzy.region_codes``) there, and
-        ``reread(row, chan)``, a row's code at channel input ``chan``.  Each row is read once,
-        in terminal order: from ``codes`` if its station holds the occupancy it held at the
-        unit's start, else through ``reread`` at the channel input of its turn."""
+        chan_norm, cfg)`` over deciding terminals, at the unit's start occupancy and with the
+        world's config (its ``s_min``, ``s_th`` and ``dwell``), gives ``(codes, reread)``: each
+        row's region code (``fuzzy.region_codes``) there, and ``reread(row, chan)``, a row's
+        code at channel input ``chan``.  Each row is read once, in terminal order: from
+        ``codes`` if its station holds the occupancy it held at the unit's start, else through
+        ``reread`` at the channel input of its turn."""
         self.t += 1
         t, cfg = self.t, self.cfg
         self._move(t)
@@ -512,7 +495,7 @@ class World:
         at = np.where(conn, before[1], cand)[deciding]
         dn = np.where(conn, own, ratio[rows, cand])[deciding]
         codes, reread = policy.table(self._speed[deciding], dn, (cap[at] - held[at]) / cap[at],
-                                     cfg.s_min, cfg.s_th)
+                                     cfg)
         # Only a terminal that holds a station or has a candidate acts.
         acting = np.flatnonzero((before[0] != _DISCONNECT) | (cand >= 0))
         turns = zip(acting.tolist(), *(a[acting].tolist() for a in (*before[:2], cand, own)))

@@ -15,6 +15,7 @@ from gflsim.world import (
     HANDOFF_INITIATED,
     MobileTerminal,
     World,
+    acceleration_for,
     accelerated_state,
 )
 
@@ -83,10 +84,10 @@ def audit_motion(terminals: Sequence[MobileTerminal], t: int,
     that is the planned distance.
     """
     for mt in terminals:
-        if mt.plan.kind != "accelerated":
+        if mt.kind != "accelerated":
             continue
-        expected, _ = accelerated_state(mt.plan.accel, t)
-        if t == mt.plan.duration:
-            expected = mt.plan.distance
+        expected, _ = accelerated_state(acceleration_for(mt.distance, mt.duration), t)
+        if t == mt.duration:
+            expected = mt.distance
         if abs(mt.odometer - expected) > rel_tol * max(expected, 1.0):
             raise AssertionError(f"mt={mt.ident}: traversed {mt.odometer}, expected {expected}")

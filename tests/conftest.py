@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import types
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from gflsim.world import (
     UnitRecord,
     World,
     _fold,
+    acceleration_for,
     accelerated_state,
 )
 
@@ -34,8 +36,8 @@ class FixedPolicy:
     def __init__(self, value: float) -> None:
         self.value = value
 
-    def table(self, velocity, dist_norm, chan_norm, s_min, s_th):
-        code = int(region_codes(self.value, s_min, s_th))
+    def table(self, velocity, dist_norm, chan_norm, cfg):
+        code = int(region_codes(self.value, cfg.s_min, cfg.s_th))
         return [code] * len(velocity), lambda r, chan: code
 
 
@@ -198,27 +200,32 @@ class ReferenceStation:
 class ReferenceWorld:
     """The scalar world step: one terminal at a time, each moved, measured
     with ``math.hypot``, sent through the state machine and charged for
-    energy before the next one moves.  Starts from a copy of a World."""
+    energy before the next one moves.  Starts from a copy of a World: its
+    terminals as mutable copies of their rows, read back as rows by ``mts``."""
 
     def __init__(self, world: World) -> None:
         self.cfg = world.cfg
         self.stations = [ReferenceStation(i, *s.center, s.radius, s.capacity, n)
                          for i, (s, n) in enumerate(zip(world.stations, world.occupied))]
-        self.mts = list(world.mts)
+        self.copies = [types.SimpleNamespace(**row._asdict()) for row in world.mts]
         self.t = world.t
         self.events: list[Event] = []
         self.connected_units = world.connected_units
+
+    @property
+    def mts(self) -> list[MobileTerminal]:
+        return [MobileTerminal(**vars(copy)) for copy in self.copies]
 
     def step(self, policy) -> UnitRecord:
         self.t += 1
         t, cfg = self.t, self.cfg
         snaps = []
-        for mt in self.mts:
+        for mt in self.copies:
             reference_advance(mt, t, cfg.arena, cfg.eq2_verbatim)
             ratios = tuple(reference_ratio(mt.x, mt.y, bs) for bs in self.stations)
             chans = tuple((bs.capacity - bs.occupied) / bs.capacity for bs in self.stations)
             snaps.append(Snapshot(
-                mt.speed, ratios, chans, mt.state,
+                mt.velocity, ratios, chans, mt.state,
                 -1 if mt.serving is None else mt.serving,
                 -1 if mt.target is None else mt.target, mt.dwell))
             self._apply_rules(mt, policy, ratios, chans, t)
@@ -234,7 +241,7 @@ class ReferenceWorld:
             return
         if mt.state == State.CONNECT:
             sv = mt.serving
-            value = policy.decide(mt.speed, distance_norm(ratios[sv]), chans[sv])
+            value = policy.decide(mt.velocity, distance_norm(ratios[sv]), chans[sv])
             if value < cfg.s_min:
                 self._cut(mt, t)
             elif value < cfg.s_th:
@@ -255,7 +262,7 @@ class ReferenceWorld:
         cand = reference_target(mt.x, mt.y, self.stations, require_channel=False)
         if cand is None:
             return
-        value = policy.decide(mt.speed, distance_norm(ratios[cand.ident]), chans[cand.ident])
+        value = policy.decide(mt.velocity, distance_norm(ratios[cand.ident]), chans[cand.ident])
         if value > cfg.s_min:
             if cand.occupied < cand.capacity:
                 cand.occupied += 1
@@ -264,14 +271,14 @@ class ReferenceWorld:
             else:
                 self.events.append(Event(t, mt.ident, BLOCKED, None, cand.ident))
 
-    def _cut(self, mt: MobileTerminal, t: int) -> None:
+    def _cut(self, mt: types.SimpleNamespace, t: int) -> None:
         self.stations[mt.serving].occupied -= 1
         if mt.target is not None:
             self.stations[mt.target].occupied -= 1
         self.events.append(Event(t, mt.ident, CONNECTION_CUT, mt.serving, mt.target))
         mt.serving, mt.target, mt.dwell, mt.state = None, None, 0, State.DISCONNECT
 
-    def _energy_step(self, mt: MobileTerminal) -> None:
+    def _energy_step(self, mt: types.SimpleNamespace) -> None:
         if mt.state == State.DISCONNECT:
             return
         eps = self.cfg.epsilon
@@ -283,18 +290,18 @@ class ReferenceWorld:
         mt.energy = max(0.0, mt.energy - ew)
 
 
-def reference_advance(mt: MobileTerminal, t_now: int, arena: tuple[float, float],
+def reference_advance(mt: types.SimpleNamespace, t_now: int, arena: tuple[float, float],
                       eq2_verbatim: bool = False) -> None:
-    """Move one terminal by one unit, reflecting specularly off arena walls."""
-    if mt.plan.kind == "steady":
-        step = mt.plan.speed * 1.0
-        mt.speed = mt.plan.speed
+    """Move one terminal's mutable copy by one unit, reflecting specularly off arena walls."""
+    if mt.kind == "steady":
+        step = mt.speed * 1.0
+        mt.velocity = mt.speed
     else:
-        a = mt.plan.accel
+        a = acceleration_for(mt.distance, mt.duration)
         x1, v = accelerated_state(a, t_now, verbatim=eq2_verbatim)
         x0, _ = accelerated_state(a, t_now - 1.0)
         step = x1 - x0
-        mt.speed = v
+        mt.velocity = v
     if step == 0.0:
         return
     cos_h, sin_h = math.cos(mt.heading), math.sin(mt.heading)

@@ -218,11 +218,40 @@ def test_config_built_in_code_agrees_with_jsonschema(change):
     (WorldConfig, {"initial_energy": math.inf}, "initial_energy"),
     (StationSpec, {"center": (0.0, math.inf), "radius": 100.0, "capacity": 1}, "center[1]"),
     (StationSpec, {"center": (0.0, 0.0), "radius": math.nan, "capacity": 1}, "radius"),
+    # One unit's energy spend must stay finite: it once overflowed to inf and
+    # drained every connected terminal at once.
+    (WorldConfig, {"epsilon": 1e308}, "epsilon"),
+    (WorldConfig, {"stations": (StationSpec((0.0, 0.0), 500.0, 1),
+                                StationSpec((0.0, 0.0), 1e-310, 1))}, "stations[1].radius"),
 ])
 def test_values_a_file_cannot_hold_are_rejected_in_code(cls, kw, key):
     # Each of these once ran, or failed later without naming the key.
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         cls(**kw)
+
+
+@pytest.mark.parametrize("world, key", [
+    ({"epsilon": 1e308}, "epsilon"),
+    ({"epsilon": 9e307}, "epsilon"),
+    ({"arena": [1e308, 1e308], "stations": [{"center": [0, 0], "radius": 1, "capacity": 1}]},
+     "stations[0].radius"),
+])
+def test_an_energy_spend_that_overflows_exits_2(world, key):
+    # Under error::RuntimeWarning the overflow once exited 1 with a numpy
+    # message; without it, the run drained every connected terminal.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = Path(tmp) / "bad.json"
+        config.write_text(json.dumps({"world": world}))
+        code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code == 2
+    assert f"config error: world.{key}: " in err.getvalue()
+
+
+def test_an_epsilon_whose_energy_spend_stays_finite_runs():
+    world = WorldConfig(mt_count=10, total_time=5, epsilon=8.9e307)
+    result = run(dataclasses.replace(default_config(), world=world), "fls", 0)
+    assert result.metrics.energy_wastage_pct > 0.0
 
 
 @pytest.mark.parametrize("position", [[7000, 100], [-50, 100]])

@@ -1,6 +1,7 @@
 """Policy wiring: grid projection, decision delegation, and evolution hooks."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -14,6 +15,11 @@ from gflsim.policies import HandoffPolicy, PolicyKind, derive_flah_consequents, 
 from gflsim.world import World, WorldConfig
 
 from conftest import FixedPolicy, random_window, reference_value
+
+
+def world_cfg(s_min: float = 0.2, s_th: float = 0.45, dwell: int = 2) -> types.SimpleNamespace:
+    """The settings a ``table`` reads from its world's config."""
+    return types.SimpleNamespace(s_min=s_min, s_th=s_th, dwell=dwell)
 
 
 class TestPolicyKind:
@@ -159,7 +165,7 @@ class TestTable:
             s_min = ordered[pick % len(ordered)]
             s_th = next((v for v in ordered if v > s_min), s_min + 0.25)
         codes, reread = policy.table(velocity, dist, chan[np.arange(len(rows)), start],
-                                     s_min, s_th)
+                                     world_cfg(s_min, s_th))
         # A row's code is its region at its start level; a re-read, at any level.
         assert codes == [region_of(values[r, start[r]], s_min, s_th) for r in range(len(rows))]
         got = {(r, o): reread(r, chan[r, o]) for (r, o) in values}
@@ -178,7 +184,7 @@ class TestTable:
             settle, crisp = policy.system.settle, policy.system.crisp_from_strengths
             settled, exact = [], []
             policy.system.settle = lambda rows, *th: settled.append(len(rows)) or settle(rows, *th)
-            codes, reread = policy.table(velocity, dist, start, 0.2, 0.45)
+            codes, reread = policy.table(velocity, dist, start, world_cfg())
             policy.system.crisp_from_strengths = lambda s: exact.append(len(s)) or crisp(s)
             got = [*codes, reread(0, 0.0), reread(1, 1 / 6)]
             assert settled == [2] and exact == [5] * alone
@@ -196,7 +202,7 @@ class TestTable:
         decide, calls = policy.decide, []
         policy.decide = lambda *inputs: calls.append(inputs) or decide(*inputs)
         codes, reread = policy.table(np.array([3.0, 20.0]), np.array([0.3, 0.9]),
-                                     np.array([1.0, 0.5]), value, value + 0.1)
+                                     np.array([1.0, 0.5]), world_cfg(value, value + 0.1))
         assert len(codes) == 2 and calls == []
         assert reread(1, 0.25) == fuzzy._AT_MIN
         assert calls == [(20.0, 0.9, 0.25)]
@@ -232,20 +238,32 @@ class TestTable:
         # counted 17 events where the world logged 18.
         policy = make_policy(kind, rng=np.random.default_rng(1))
         rows = (np.array([10.0]), np.array([0.5]), np.array([0.5]))
-        with pytest.raises(ValueError, match=r"\(0\.3, 0\.6\), the replay at \(0\.2, 0\.45\)"):
-            policy.table(*rows, 0.3, 0.6)
-        codes, reread = policy.table(*rows, 0.2, 0.45)
+        with pytest.raises(ValueError, match=r"\(0\.3, 0\.6, 2\), the replay at \(0\.2, 0\.45, 2\)"):
+            policy.table(*rows, world_cfg(0.3, 0.6))
+        codes, reread = policy.table(*rows, world_cfg())
         assert len(codes) == 1 and callable(reread)
         cfg = WorldConfig(total_time=8, s_min=0.3, s_th=0.6)
         world = World.build(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="s_min, s_th"):
             world.step(policy)
-        make_policy("fls").table(*rows, 0.3, 0.6)  # a static policy replays nothing
+        make_policy("fls").table(*rows, world_cfg(0.3, 0.6))  # a static policy replays nothing
+
+    @pytest.mark.parametrize("kind", ["gfls", "gflah"])
+    def test_evolving_table_rejects_a_dwell_its_replay_does_not_use(self, kind):
+        # A replay at dwell 2 scores a dwell-1 world's units wrongly: on the last
+        # 8 units of this 40-unit world under fls, which held 30 live handoffs
+        # plus cuts, it counted 26.  The world says so at its first step.
+        world = World.build(WorldConfig(total_time=40, dwell=1), np.random.default_rng(0))
+        policy = make_policy(kind, dwell=2, rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match=r"\(0\.2, 0\.45, 1\), the replay at "
+                                             r"\(0\.2, 0\.45, 2\)"):
+            world.step(policy)
+        assert world.t == 1 and world.events == []
 
     def test_empty_batch(self):
         for kind in ("fls", "flah"):
             codes, reread = make_policy(kind).table(np.zeros(0), np.zeros(0), np.zeros(0),
-                                                    0.2, 0.45)
+                                                    world_cfg())
             assert codes == [] and callable(reread)
 
 

@@ -31,7 +31,6 @@ from gflsim.world import (
     Event,
     EventLog,
     MobileTerminal,
-    MotionPlan,
     State,
     StationSpec,
     TerminalSpec,
@@ -48,6 +47,15 @@ def lone_terminal(x: float, y: float, heading: float = 0.0, speed: float = 0.0,
     """A world of one terminal in a 6000 x 6000 arena."""
     terminal = TerminalSpec(position=(x, y), heading=heading, speed=speed, **spec_kw)
     return World.build(WorldConfig(stations=tuple(stations), terminals=(terminal,)))
+
+
+def at_rest(ident: int, x: float, y: float, heading: float, energy: float, kind: str,
+            size: float, duration: float) -> MobileTerminal:
+    """The row of a terminal as built: disconnected and at rest, its plan's size a steady
+    speed or an accelerated distance, and a plan field its kind does not read 0.0."""
+    plan = (size, 0.0, 0.0) if kind == "steady" else (0.0, size, duration)
+    return MobileTerminal(ident, x, y, heading, 0.0, energy, State.DISCONNECT, None, None, 0,
+                          0.0, kind, *plan)
 
 
 class TestKinematics:
@@ -69,8 +77,6 @@ class TestKinematics:
         # The square of the duration overflows the quotient or underflows to 0.
         with pytest.raises(DomainError, match="not finite"):
             acceleration_for(4500.0, duration)
-        with pytest.raises(DomainError, match="not finite"):
-            MotionPlan.accelerated(4500.0, duration)
 
     def test_accelerated_state_default_speed(self):
         x, v = accelerated_state(1.6, 75)
@@ -92,8 +98,6 @@ class TestKinematics:
         for _ in range(10):
             w.step(FixedPolicy(0.0))
         assert (w.mts[0].x, w.mts[0].odometer) == (200.0, 200.0)
-        with pytest.raises(DomainError):
-            MotionPlan.steady(-1.0)
 
 
 class TestAdvance:
@@ -126,7 +130,8 @@ class TestAdvance:
         for _ in range(75):
             w.step(FixedPolicy(0.0))
         assert w.mts[0].odometer == pytest.approx(4500.0, rel=1e-12)
-        assert w.mts[0].speed == pytest.approx(1.6 * 75)
+        assert w.mts[0].velocity == pytest.approx(1.6 * 75)
+        assert (w.mts[0].kind, w.mts[0].speed, w.mts[0].distance) == ("accelerated", 0.0, 4500.0)
 
 
 class TestGeometry:
@@ -430,8 +435,7 @@ class TestWorldBuild:
         cfg = WorldConfig()
         a = World.build(cfg, np.random.default_rng(3))
         b = World.build(cfg, np.random.default_rng(3))
-        assert [(mt.x, mt.y, mt.heading, mt.plan) for mt in a.mts] == \
-               [(mt.x, mt.y, mt.heading, mt.plan) for mt in b.mts]
+        assert list(a.mts) == list(b.mts)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("duration", [None, 30.0])
@@ -447,36 +451,38 @@ class TestWorldBuild:
                 x, y = ref.uniform(0.0, 5000.0), ref.uniform(0.0, 3000.0)
                 heading = ref.uniform(0.0, 2.0 * math.pi)
                 if ref.random() < fraction:
-                    plan = MotionPlan.accelerated(ref.uniform(*cfg.accel_distance),
-                                                  cfg.total_time if duration is None else duration)
+                    plan = ("accelerated", ref.uniform(*cfg.accel_distance),
+                            cfg.total_time if duration is None else duration)
                 else:
-                    plan = MotionPlan.steady(ref.uniform(*cfg.steady_speed))
-                want.append(MobileTerminal(i, x, y, heading, plan, energy=cfg.initial_energy))
+                    plan = ("steady", ref.uniform(*cfg.steady_speed), 0.0)
+                want.append(at_rest(i, x, y, heading, cfg.initial_energy, *plan))
             world = World.build(cfg, rng)
             assert list(world.mts) == want
             assert rng.bit_generator.state == ref.bit_generator.state
             # The step's acceleration column is the plans' own, bit for bit.
             assert world._accel.tolist() == [
-                mt.plan.accel if mt.plan.kind == "accelerated" else 0.0 for mt in want]
+                acceleration_for(mt.distance, mt.duration) if mt.kind == "accelerated" else 0.0
+                for mt in want]
 
     def test_scripted_terminals_are_their_specs(self):
         # Steady and accelerated specs of different durations, among them a
         # steady one whose duration no plan reads, each at rest with the
-        # config's energy and its plan rebuilt from the plan columns.
+        # config's energy and its plan read from the plan columns.
         specs = (TerminalSpec((10.0, 20.0), 0.5, speed=12.0),
                  TerminalSpec((300.0, 40.0), -1.0, "accelerated", distance=2500.0, duration=30.0),
                  TerminalSpec((5.0, 5999.0), 3.0, speed=0.0, duration=1e-200),
                  TerminalSpec((6000.0, 0.0), 2.0, "accelerated", distance=4500.0),
                  TerminalSpec((1.5, 2.5), kind="accelerated", distance=10.0, duration=0.3))
         cfg = WorldConfig(terminals=specs, initial_energy=40.0)
-        want = [MobileTerminal(i, *spec.position, spec.heading,
-                               MotionPlan.steady(spec.speed) if spec.kind == "steady"
-                               else MotionPlan.accelerated(spec.distance, spec.duration),
-                               energy=cfg.initial_energy) for i, spec in enumerate(specs)]
+        want = [at_rest(i, *spec.position, spec.heading, cfg.initial_energy, spec.kind,
+                        spec.speed if spec.kind == "steady" else spec.distance, spec.duration)
+                for i, spec in enumerate(specs)]
         world = World.build(cfg)
-        assert list(world.mts) == want and world.terminal(-1) == want[-1]
+        assert list(world.mts) == want and world.mts[-1] == want[-1]
+        assert world.mts[2].duration == 0.0  # a steady plan reads no duration
         assert world._accel.tolist() == [
-            mt.plan.accel if mt.plan.kind == "accelerated" else 0.0 for mt in want]
+            acceleration_for(mt.distance, mt.duration) if mt.kind == "accelerated" else 0.0
+            for mt in want]
         assert world.stations is cfg.stations and world.occupied == [0] * len(cfg.stations)
 
     def test_build_and_run_make_no_terminal_plan_or_station_object(self, monkeypatch):
@@ -488,7 +494,7 @@ class TestWorldBuild:
         def refuse(*args, **kwargs):
             raise AssertionError("built an object")
         for module in (gflsim.world, gflsim.experiment):
-            for name in ("MobileTerminal", "MotionPlan", "StationSpec", "TerminalSpec"):
+            for name in ("MobileTerminal", "StationSpec", "TerminalSpec"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert len(World.build(scripted).mts) == 2
@@ -501,16 +507,16 @@ class TestWorldBuild:
         cfg = WorldConfig(terminals=one, mt_count=7)
         assert cfg.mt_count == 1 == len(World.build(cfg).mts)
         assert dataclasses.replace(cfg, terminals=one * 3).mt_count == 3
-        assert WorldConfig(terminals=()).mt_count == 0
+        with pytest.raises(ConfigError, match="^terminals: expected at least 1 items, got 0"):
+            dataclasses.replace(cfg, terminals=())
 
-    def test_needs_a_station_and_steps_without_terminals(self):
-        with pytest.raises(DomainError, match="station"):
-            World.build(WorldConfig(stations=()), np.random.default_rng(0))
-        w = World.build(WorldConfig(terminals=()))
-        rec = w.step(FixedPolicy(0.5))
-        assert rec.ratio.shape == (0, len(DEFAULT_STATIONS)) and w.events == []
-        for kind in ("fls", "flah"):
-            assert w.step(make_policy(kind)).t == w.t and w.events == []
+    @pytest.mark.parametrize("key", ["stations", "terminals"])
+    def test_needs_a_station_and_a_terminal(self, key):
+        # A config built in code holds as many items as a file must.
+        with pytest.raises(ConfigError, match=f"^{key}: expected at least 1 items, got 0"):
+            WorldConfig(**{key: ()})
+        with pytest.raises(ConfigError, match=f"^world.{key}: expected at least 1 items"):
+            config_from_dict({"world": {key: []}})
 
     @pytest.mark.parametrize("dwell", [0, -3])
     def test_non_positive_dwell_rejected(self, dwell):
@@ -568,22 +574,15 @@ class TestWorldBuild:
             {"stations": [{"center": (0.0, 0.0), "radius": 500.0, "capacity": 2},
                           {**station, "capacity": 1}]}, f"stations[1].{key}")
 
-    @pytest.mark.parametrize("speed", [math.nan, math.inf])
-    def test_non_finite_steady_speed_rejected(self, speed):
-        with pytest.raises(DomainError, match="steady speed"):
-            MotionPlan.steady(speed)
-        with pytest.raises(DomainError, match="steady speed"):
-            MotionPlan("steady", speed=speed)
-
     def test_requires_rng_without_explicit_terminals(self):
         with pytest.raises(DomainError):
             World.build(WorldConfig())
 
-    def test_motion_plan_validation(self):
-        with pytest.raises(DomainError):
-            MotionPlan.steady(-1.0)
-        with pytest.raises(DomainError):
-            MotionPlan.accelerated(0.0, 10.0)
+    def test_terminal_plan_validation(self):
+        with pytest.raises(ConfigError, match="^speed: must be >= 0"):
+            TerminalSpec((0.0, 0.0), speed=-1.0)
+        with pytest.raises(ConfigError, match="^distance: must be > 0"):
+            TerminalSpec((0.0, 0.0), kind="accelerated", distance=0.0, duration=10.0)
 
 
 @st.composite
@@ -634,9 +633,10 @@ class SignalPolicy:
         self.calls.append((velocity, dist_norm, chan_norm))
         return self.value(velocity, dist_norm, chan_norm)
 
-    def table(self, velocity, dist_norm, chan_norm, s_min, s_th):
+    def table(self, velocity, dist_norm, chan_norm, cfg):
         assert all(a.dtype == float and a.shape == velocity.shape
                    for a in (velocity, dist_norm, chan_norm))
+        s_min, s_th = cfg.s_min, cfg.s_th
         starts = list(zip(velocity.tolist(), dist_norm.tolist(), chan_norm.tolist()))
         reads, reread_rows = list(starts), []
         self.tables.append((starts, reads, reread_rows))
@@ -788,9 +788,9 @@ class TestDecisionTable:
                 reads.append(False)
                 return super().__getitem__(r)
 
-        def logged(velocity, dist_norm, chan_norm, *thresholds):
+        def logged(velocity, dist_norm, chan_norm, cfg):
             assert starts_ok(chan_norm)
-            codes, reread = table(velocity, dist_norm, chan_norm, *thresholds)
+            codes, reread = table(velocity, dist_norm, chan_norm, cfg)
 
             def logged_reread(r, chan):
                 assert chan != chan_norm[r]
@@ -934,13 +934,30 @@ class TestRecords:
         w = World.build(WorldConfig(mt_count=6), np.random.default_rng(3))
         for s in (slice(1, 3), slice(None, None, -1), slice(4, 1, -2), slice(-2, None),
                   slice(3, 3), slice(10, 20), slice(2, 5, -1)):
-            assert w.mts[s] == [w.terminal(i) for i in range(len(w.mts))[s]], s
+            assert w.mts[s] == [w.mts[i] for i in range(len(w.mts))[s]], s
         assert len(w.mts[1:3]) == 2 and w.mts[4:1] == []
+        assert w.mts[-1] == w.mts[5] and [mt.ident for mt in w.mts] == list(range(6))
+        for i in (6, -7):
+            with pytest.raises(IndexError):
+                w.mts[i]
+
+    def test_terminals_are_immutable_rows(self):
+        w = World.build(WorldConfig(mt_count=6), np.random.default_rng(3))
+        for mt in (w.mts[0], *w.mts[2:4]):
+            assert type(mt) is MobileTerminal
+            with pytest.raises(AttributeError):
+                mt.x = 0.0
+        with pytest.raises(TypeError):
+            w.mts[0] = w.mts[1]
 
     def test_terminal_count_builds_no_terminal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a terminal row")
         w = two_station_world()
-        monkeypatch.setattr(World, "terminal", None)
+        monkeypatch.setattr(gflsim.world, "MobileTerminal", refuse)
         assert len(w.mts) == 1
+        with pytest.raises(AssertionError, match="built a terminal row"):
+            w.mts[0]
 
 
 class TestEventLog:
