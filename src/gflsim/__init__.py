@@ -21,7 +21,6 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     FuzzyConfig,
-    MetricsReport,
     RunMetrics,
     RunResult,
     compare,

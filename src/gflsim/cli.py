@@ -70,15 +70,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 def _print_report(report, out) -> None:
     width = max(len(m) for m in REPORT_FIELDS) + 2
-    header = "metric".ljust(width) + "".join(p.rjust(12) for p in report.policies)
-    print(header, file=out)
+    print("metric".ljust(width) + "".join(p.rjust(12) for p in report), file=out)
     for metric in REPORT_FIELDS:
         for stat in ("max", "min", "avg"):
-            cells = []
-            for kind in report.policies:
-                value = getattr(getattr(report.rows[kind], metric), stat)
-                cells.append(f"{value:12.2f}")
-            print(f"{metric}.{stat}".ljust(width) + "".join(cells), file=out)
+            cells = "".join(f"{getattr(metrics[metric], stat):12.2f}" for metrics in report.values())
+            print(f"{metric}.{stat}".ljust(width) + cells, file=out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

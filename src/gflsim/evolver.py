@@ -259,8 +259,10 @@ class _WindowPrep:
     and their weights, fixed by the recorded inputs."""
 
     def __init__(self, records, fitness: "ReplayFitness") -> None:
-        system, dwell = fitness.system, fitness.dwell
-        first = records[0]
+        # A handover with more units left than the window has cannot complete in it, so the
+        # tables are built at a dwell capped just past the window, and dwell left clipped to it.
+        system, first = fitness.system, records[0]
+        self.dwell = dwell = min(fitness.dwell, len(records) + 1)
         M, S = first.ratio.shape
         st, sv, tg, dw = first.state, first.serving, first.target, first.dwell
         handing = st == _HANDOVER
@@ -274,15 +276,16 @@ class _WindowPrep:
         # of the previous window keep their sites, region table and
         # transition tables; the record identity guards against unrelated
         # windows that reuse unit numbers.
-        reuse = fitness._last_prep[1].units if fitness._last_prep else {}
+        last = fitness._last_prep and fitness._last_prep[1]
+        reuse = last.units if last and last.dwell == dwell else {}
         units = []
         for rec in records:
             unit = reuse.get(rec.t)
             if unit is None or unit[0] is not rec:
                 left = rec.dwell[rec.state == _HANDOVER]
-                if not ((left >= 1) & (left <= dwell)).all():
-                    raise ValueError(f"unit {rec.t}: a handover needs 1..{dwell} units of dwell "
-                                     f"left (the replay's dwell), got {left.tolist()}")
+                if not ((left >= 1) & (left <= fitness.dwell)).all():
+                    raise ValueError(f"unit {rec.t}: a handover needs 1..{fitness.dwell} units "
+                                     f"of dwell left (the replay's dwell), got {left.tolist()}")
                 cols, cells, weights = self._unit_sites(rec, system)
                 table = np.full((len(cols) << _SLOT_BITS, 2), -1, dtype=np.int64)
                 unit = (rec, cells, weights, table, _unit_steps(rec, cols, dwell))

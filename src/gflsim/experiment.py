@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,8 +56,6 @@ __all__ = [
     "RunResult",
     "run",
     "Summary",
-    "PolicyMetrics",
-    "MetricsReport",
     "compare",
     "export_report",
     "load_report",
@@ -101,6 +100,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        # A terminal-unit costs at most one handoff or one cut, so this bounds a window's fitness.
+        ev = self.evolver
+        if not math.isfinite((ev.weight_handoff + ev.weight_cut) * self.world.mt_count
+                             * ev.window_length):
+            name = "weight_handoff" if ev.weight_handoff >= ev.weight_cut else "weight_cut"
+            raise ConfigError(f"evolver.{name}: {getattr(ev, name)} overflows the fitness of a "
+                              f"window of {ev.window_length} units and {self.world.mt_count} "
+                              "terminals")
 
     @property
     def runs(self) -> int:
@@ -276,19 +283,6 @@ class Summary:
             raise ValueError(f"summary needs min <= avg <= max, got {self}")
 
 
-@dataclass(frozen=True)
-class PolicyMetrics:
-    number_of_handoffs: Summary
-    connection_time_pct: Summary
-    energy_wastage_pct: Summary
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    policies: tuple[str, ...]
-    rows: dict
-
-
 def _summarize(values: Sequence[float]) -> Summary:
     # The mean of equal floats can round past them ([0.1] * 3 gives 0.10000000000000002).
     lo, hi = min(values), max(values)
@@ -296,13 +290,14 @@ def _summarize(values: Sequence[float]) -> Summary:
 
 
 def compare(config: ExperimentConfig,
-            results_out: Optional[dict] = None) -> MetricsReport:
+            results_out: Optional[dict] = None) -> dict[str, dict[str, Summary]]:
     """Run every configured policy over the shared seed list and aggregate.
 
-    Writes the report plus per-run event logs (and evolved-grid logs for
-    the evolving policies) to the configured output directory.  Pass
-    ``results_out`` to also receive every :class:`RunResult` keyed by
-    (policy, seed).
+    Returns the report, ``{policy: {metric: Summary}}`` in the config's policy
+    order and ``REPORT_FIELDS`` order, and writes it plus per-run event logs
+    (and evolved-grid logs for the evolving policies) to the configured output
+    directory.  Pass ``results_out`` to also receive every :class:`RunResult`
+    keyed by (policy, seed).
     """
     tasks = [(config, kind, seed) for kind in config.policies for seed in config.seeds]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -320,15 +315,10 @@ def compare(config: ExperimentConfig,
     if results_out is not None:
         results_out.update(by_key)
 
-    rows = {}
-    for kind in config.policies:
-        per_seed = [by_key[(kind, s)].metrics for s in config.seeds]
-        rows[kind] = PolicyMetrics(
-            number_of_handoffs=_summarize([m.number_of_handoffs for m in per_seed]),
-            connection_time_pct=_summarize([m.connection_time_pct for m in per_seed]),
-            energy_wastage_pct=_summarize([m.energy_wastage_pct for m in per_seed]),
-        )
-    report = MetricsReport(policies=tuple(config.policies), rows=rows)
+    report = {kind: {metric: _summarize([getattr(by_key[(kind, s)].metrics, metric)
+                                         for s in config.seeds])
+                     for metric in REPORT_FIELDS}
+              for kind in config.policies}
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,28 +339,20 @@ def _format_number(v) -> str:
     return repr(float(v))
 
 
-def export_report(report: MetricsReport, fmt: str, path: str | Path) -> None:
-    """Write a report as CSV (policy,metric,max,min,avg) or JSON; lossless."""
+def export_report(report: dict[str, dict[str, Summary]], fmt: str, path: str | Path) -> None:
+    """Write a report, ``{policy: {metric: Summary}}``, as CSV rows
+    (policy,metric,max,min,avg) or as JSON of that mapping; lossless."""
     path = Path(path)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["policy", "metric", "max", "min", "avg"])
-            for kind in report.policies:
-                pm = report.rows[kind]
-                for metric in REPORT_FIELDS:
-                    s: Summary = getattr(pm, metric)
-                    writer.writerow([kind, metric,
-                                     _format_number(s.max), _format_number(s.min),
-                                     _format_number(s.avg)])
+            for kind, metrics in report.items():
+                for metric, s in metrics.items():
+                    writer.writerow([kind, metric, *map(_format_number, (s.max, s.min, s.avg))])
     elif fmt == "json":
-        payload = {
-            kind: {
-                metric: dataclasses.asdict(getattr(report.rows[kind], metric))
-                for metric in REPORT_FIELDS
-            }
-            for kind in report.policies
-        }
+        payload = {kind: {metric: dataclasses.asdict(s) for metric, s in metrics.items()}
+                   for kind, metrics in report.items()}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -378,33 +360,28 @@ def export_report(report: MetricsReport, fmt: str, path: str | Path) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def load_report(path: str | Path, fmt: str) -> MetricsReport:
+def load_report(path: str | Path, fmt: str) -> dict[str, dict[str, Summary]]:
+    """A report file read back as ``{policy: {metric: Summary}}``, in file
+    order; raises ``ValueError`` naming a policy whose metrics are not
+    ``REPORT_FIELDS``."""
     path = Path(path)
-    rows: dict = {}
-    order: list[str] = []
     if fmt == "csv":
+        report: dict = {}
         with open(path, newline="") as fh:
-            cells: dict[str, dict[str, Summary]] = {}
             for rec in csv.DictReader(fh):
-                kind, metric = rec["policy"], rec["metric"]
-                if kind not in cells:
-                    cells[kind] = {}
-                    order.append(kind)
-                cells[kind][metric] = Summary(
-                    max=json.loads(rec["max"]), min=json.loads(rec["min"]),
-                    avg=json.loads(rec["avg"]),
-                )
-        for kind in order:
-            rows[kind] = PolicyMetrics(**cells[kind])
+                report.setdefault(rec["policy"], {})[rec["metric"]] = Summary(
+                    *(json.loads(rec[stat]) for stat in ("max", "min", "avg")))
     elif fmt == "json":
         with open(path) as fh:
-            payload = json.load(fh)
-        order = list(payload)
-        for kind, metrics in payload.items():
-            rows[kind] = PolicyMetrics(**{m: Summary(**v) for m, v in metrics.items()})
+            report = {kind: {metric: Summary(**v) for metric, v in metrics.items()}
+                      for kind, metrics in json.load(fh).items()}
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    return MetricsReport(policies=tuple(order), rows=rows)
+    for kind, metrics in report.items():
+        if set(metrics) != set(REPORT_FIELDS):
+            raise ValueError(f"{path}: policy {kind!r} has the metrics {list(metrics)}, "
+                             f"expected {list(REPORT_FIELDS)}")
+    return report
 
 
 def export_events(events: Sequence[Event], fmt: str, path: str | Path) -> None:

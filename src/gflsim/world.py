@@ -220,11 +220,16 @@ class WorldConfig:
                 raise ConfigError(f"{name}: low must not exceed high")
         if not self.s_min < self.s_th:
             raise ConfigError(f"s_min: must be < s_th, got {self.s_min} and {self.s_th}")
+        width, height = self.arena
         for i, st in enumerate(self.stations):
             if st.radius > max(self.arena):
                 raise ConfigError(f"stations[{i}].radius: exceeds the arena extent")
-        # One unit's largest energy spend: two held stations, each at most ``reach`` radii
-        # from its terminal, plus epsilon each.
+            (x, y), r = st.center, st.radius
+            if math.hypot(x - min(max(x, 0.0), width), y - min(max(y, 0.0), height)) >= r:
+                raise ConfigError(f"stations[{i}].center: the cell of radius {r} covers no "
+                                  f"point of the arena {self.arena}, got {st.center}")
+        # One unit's largest energy spend: two held stations, each less than ``reach`` radii
+        # from its terminal (its cell covers a point of the arena), plus epsilon each.
         i = min(range(len(self.stations)), key=lambda i: self.stations[i].radius)
         reach = 1.0 + math.hypot(*self.arena) / self.stations[i].radius
         if not math.isfinite(2.0 * reach):
@@ -232,12 +237,22 @@ class WorldConfig:
                               f"one unit's energy spend in the arena {self.arena}")
         if not math.isfinite(2.0 * (reach + self.epsilon)):
             raise ConfigError(f"epsilon: {self.epsilon} overflows one unit's energy spend")
+        if not math.isfinite(100.0 * self.initial_energy):  # the energy wastage percentage
+            raise ConfigError(f"initial_energy: {self.initial_energy} overflows a percentage")
+        # Every terminal-station offset is within (W + r, H + r) for the largest radius r.
+        r = max(st.radius for st in self.stations)
+        if not math.isfinite(math.hypot(width + r, height + r)):
+            raise ConfigError(f"arena: {self.arena} with a cell of radius {r} overflows "
+                              "the distance from a terminal to a station")
+        if not math.isfinite(2.0 * max(self.arena)):  # a reflection folds over twice a side
+            raise ConfigError(f"arena: {self.arena} overflows a reflection off its walls")
         for i, spec in enumerate(self.terminals or ()):
             if not all(0.0 <= p <= side for p, side in zip(spec.position, self.arena)):
                 raise ConfigError(f"terminals[{i}].position: outside the arena {self.arena}, "
                                   f"got {spec.position}")
-        # Plans keep acceleration, speed and path finite over the horizon; the path grows
-        # with a steady speed or an accelerated distance, so the largest random plan is the worst.
+        # Plans keep acceleration, speed, path and a step past a wall finite over the horizon;
+        # each grows with a steady speed or an accelerated distance, so the largest random
+        # plan is the worst.
         plans = [("steady_speed", self.steady_speed[1], None),
                  ("accel_distance", self.accel_distance[1], self.total_time)
                  if self.accel_duration is None else
@@ -253,6 +268,8 @@ class WorldConfig:
                 raise ConfigError(f"{path}: {exc}") from exc
             if not math.isfinite(v * horizon):
                 raise ConfigError(f"{path}: {size} overflows the path over {horizon} time units")
+            if not math.isfinite(max(self.arena) + v):  # a step is at most v
+                raise ConfigError(f"{path}: {size} overflows a step off the arena {self.arena}")
 
 
 _INT_FIELDS = frozenset({"state", "serving", "target", "dwell"})
@@ -305,10 +322,10 @@ def acceleration_for(distance: float, duration: float) -> float:
     if duration <= 0:
         raise DomainError(f"duration must be > 0, got {duration}")
     square = duration * duration
-    a = 2.0 * distance / square if square > 0.0 else math.inf
-    if not math.isfinite(a):
+    a = 2.0 * distance / square if 0.0 < square < math.inf else math.nan
+    if not 0.0 < a < math.inf:
         raise DomainError(f"acceleration for distance {distance} over duration {duration} "
-                          "is not finite")
+                          "is not finite and positive")
     return a
 
 

@@ -356,9 +356,9 @@ def test_criterion_4_oracle_fitness_equivalence():
 
 def test_criterion_5_directional_comparison(full_comparison):
     _, report, _, elapsed = full_comparison
-    ho = {k: report.rows[k].number_of_handoffs.avg for k in report.policies}
-    conn = {k: report.rows[k].connection_time_pct.avg for k in report.policies}
-    energy = {k: report.rows[k].energy_wastage_pct.avg for k in report.policies}
+    ho = {k: row["number_of_handoffs"].avg for k, row in report.items()}
+    conn = {k: row["connection_time_pct"].avg for k, row in report.items()}
+    energy = {k: row["energy_wastage_pct"].avg for k, row in report.items()}
 
     assert ho["gfls"] < ho["fls"], f"gfls {ho['gfls']} !< fls {ho['fls']}"
     assert ho["gflah"] < ho["flah"], f"gflah {ho['gflah']} !< flah {ho['flah']}"
@@ -367,7 +367,7 @@ def test_criterion_5_directional_comparison(full_comparison):
 
     print("\nACCEPTANCE 5 PASS: 10-seed means "
           f"({elapsed:.1f}s for 4 policies x 10 seeds)")
-    for k in report.policies:
+    for k in report:
         print(f"  {k:6s} handoffs={ho[k]:6.1f}  connection={conn[k]:5.2f}%  "
               f"energy={energy[k]:5.2f}%")
 

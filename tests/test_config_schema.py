@@ -12,6 +12,7 @@ import math
 import operator
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gflsim.cli import main as cli_main
 from gflsim.evolver import EvolverConfig
 from gflsim.experiment import (
-    ExperimentConfig, FuzzyConfig, config_from_dict, default_config, run)
+    ALL_POLICIES, ExperimentConfig, FuzzyConfig, config_from_dict, default_config, run)
 from gflsim.fuzzy import LinguisticVariable, triangle
 from gflsim.schema import ConfigError, _check, _schema
 from gflsim.world import StationSpec, TerminalSpec, WorldConfig
@@ -91,6 +92,18 @@ def one_key_changed(draw, values, locations=LOCATIONS, rename=True):
     return doc, _dotted(path), value
 
 
+def _cli(doc, *args: str) -> tuple[int, str]:
+    """The CLI's exit status on config ``doc``, written to a file, and what it printed
+    to stderr; its outputs go to a temporary directory."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out"), *args])
+    return code, err.getvalue()
+
+
 def _passes_check(doc) -> bool:
     try:
         _check(doc, _schema(), "")
@@ -138,13 +151,9 @@ def test_check_agrees_with_jsonschema(change):
 def test_malformed_key_exits_2_naming_it(change):
     doc, path, _ = change
     assume(not VALIDATOR.is_valid(doc))
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        config = Path(tmp) / "bad.json"
-        config.write_text(json.dumps(doc))
-        code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out")])
+    code, err = _cli(doc)
     assert code == 2
-    assert path in err.getvalue()
+    assert path in err
 
 
 def _outcome(build):
@@ -223,6 +232,14 @@ def test_config_built_in_code_agrees_with_jsonschema(change):
     (WorldConfig, {"epsilon": 1e308}, "epsilon"),
     (WorldConfig, {"stations": (StationSpec((0.0, 0.0), 500.0, 1),
                                 StationSpec((0.0, 0.0), 1e-310, 1))}, "stations[1].radius"),
+    # Each distance, step, position and percentage the run computes stays finite.
+    (WorldConfig, {"stations": (StationSpec((-600.0, 0.0), 500.0, 1),)}, "stations[0].center"),
+    (WorldConfig, {"arena": (1e308, 1.0), "stations": (StationSpec((0.0, 0.0), 1e308, 1),)},
+     "arena"),
+    (WorldConfig, {"arena": (1e308, 1e308)}, "arena"),
+    (WorldConfig, {"arena": (8e307, 8e307), "steady_speed": (5.0, 1e308)}, "steady_speed"),
+    (WorldConfig, {"initial_energy": 1e307}, "initial_energy"),
+    (ExperimentConfig, {"evolver": EvolverConfig(weight_cut=1e308)}, "evolver.weight_cut"),
 ])
 def test_values_a_file_cannot_hold_are_rejected_in_code(cls, kw, key):
     # Each of these once ran, or failed later without naming the key.
@@ -239,13 +256,9 @@ def test_values_a_file_cannot_hold_are_rejected_in_code(cls, kw, key):
 def test_an_energy_spend_that_overflows_exits_2(world, key):
     # Under error::RuntimeWarning the overflow once exited 1 with a numpy
     # message; without it, the run drained every connected terminal.
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        config = Path(tmp) / "bad.json"
-        config.write_text(json.dumps({"world": world}))
-        code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out")])
+    code, err = _cli({"world": world})
     assert code == 2
-    assert f"config error: world.{key}: " in err.getvalue()
+    assert f"config error: world.{key}: " in err
 
 
 def test_an_epsilon_whose_energy_spend_stays_finite_runs():
@@ -261,14 +274,9 @@ def test_terminal_outside_the_arena_is_rejected(position):
     key = "terminals[0].position: outside the arena"
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
         WorldConfig(terminals=(TerminalSpec(position=tuple(position), speed=10.0),))
-    doc = {"world": {"terminals": [{"position": position, "speed": 10}]}}
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        config = Path(tmp) / "bad.json"
-        config.write_text(json.dumps(doc))
-        code = cli_main(["--config", str(config), "--out", str(Path(tmp) / "out")])
+    code, err = _cli({"world": {"terminals": [{"position": position, "speed": 10}]}})
     assert code == 2
-    assert f"world.{key}" in err.getvalue()
+    assert f"world.{key}" in err
 
 
 def test_config_built_in_code_holds_what_a_file_holds():
@@ -309,3 +317,133 @@ def test_numpy_integer_seeds_accepted():
     cfg = dataclasses.replace(default_config(), seeds=(np.int64(2), np.int32(0)))
     small = dataclasses.replace(cfg.world, mt_count=2, total_time=2)
     assert run(dataclasses.replace(cfg, world=small), "fls", cfg.seeds[0]).seed == 2
+
+
+# --------------------------------------------------------------------------
+# Valid configs never crash: a config is rejected naming its key, or runs
+# under every policy to finite metrics.
+# --------------------------------------------------------------------------
+
+def _small(world=(), evolver=(), policy="fls", total_time=3) -> dict:
+    """A config of one run under ``policy``: 10 terminals over ``total_time`` units."""
+    return {"world": {"mt_count": 10, "total_time": total_time, **dict(world)},
+            "evolver": dict(evolver), "policies": [policy], "runs": 1}
+
+
+_COVERING = {"center": [1000, 1000], "radius": 1500, "capacity": 5}
+
+
+@pytest.mark.parametrize("doc, key", [
+    (_small({"accel_duration": 1e200}, total_time=8), "world.accel_duration"),
+    (_small(evolver={"weight_handoff": 1e308, "weight_cut": 1e308}, policy="gfls", total_time=8),
+     "evolver.weight_handoff"),
+    (_small({"stations": [_COVERING, {"center": [1e308, 0], "radius": 0.001, "capacity": 1}]}),
+     "world.stations[1].center"),
+    (_small({"stations": [_COVERING, {"center": [-1.7e308, 0], "radius": 1, "capacity": 1}]}),
+     "world.stations[1].center"),
+    (_small({"stations": [_COVERING, {"center": [1.7e308, 1.7e308], "radius": 1000,
+                                      "capacity": 1}]}), "world.stations[1].center"),
+    (_small({"arena": [1.7e308, 1], "stations": [{"center": [-9e307, 0], "radius": 1e308,
+                                                  "capacity": 5}]}), "world.arena"),
+    ({"world": {"arena": [8e307, 8e307], "total_time": 1,
+                "terminals": [{"position": [8e307, 1], "speed": 1.7e308}]}},
+     "world.terminals[0].speed"),
+    ({"world": {"arena": [1e308, 1e308], "total_time": 3,
+                "terminals": [{"position": [0, 5], "heading": math.pi, "speed": 1}]}},
+     "world.arena"),
+    (_small({"epsilon": 4.4e307, "initial_energy": 1.1e308}, total_time=5), "world.initial_energy"),
+    (_small({"dwell": 10**22}, total_time=8), "world.dwell"),
+    (_small(evolver={"window_length": 10**22}, policy="gfls"), "evolver.window_length"),
+], ids=["accel_duration", "weights", "far_small_cell", "far_left_cell", "far_corner_cell",
+        "arena_and_radius", "step_past_a_wall", "wall_reflection", "initial_energy",
+        "dwell_past_int64", "window_past_ssize_t"])
+def test_a_valid_config_that_overflowed_exits_2_naming_its_key(doc, key):
+    # Each passed the schema's bounds of its day, then exited 1 on an overflow in numpy, in a
+    # percentage or in an int64 column, or ran (the wall reflection) with a terminal at NaN.
+    code, err = _cli(doc)
+    assert code == 2, err
+    assert f"config error: {key}: " in err
+
+
+def test_a_dwell_far_past_the_replay_window_runs():
+    # The replay's tables once grew with the dwell and overflowed their int32 slots.
+    assert _cli(_small({"dwell": 10**9}, policy="gfls", total_time=8)) == (0, "")
+
+
+EXTREMES = (1e-300, 1e150, 1.7e308, -1.7e308)
+# Keys that size a run, capped and (but for the lists) always drawn: at most 12
+# terminals, 8 units and a GA of a few chromosomes; runs only sizes the seed list.
+CAPS = {"world.mt_count": 12, "world.terminals": 12, "world.total_time": 8,
+        "evolver.population_size": 4, "evolver.tournament_size": 4, "evolver.generations": 2,
+        "runs": 3}
+ALWAYS = {"world", "evolver", *CAPS} - {"world.terminals", "runs"}
+
+
+def _numbers(node: dict, integer: bool, cap):
+    """Numbers at and near each bound of ``node``, at 0, 1 and 2, at EXTREMES or, for
+    an integer, at 10**9, 2**31 - 1 and 10**150; or anywhere between the bounds."""
+    lo = node.get("minimum", node.get("exclusiveMinimum", -1.7e308))
+    hi = node.get("maximum", cap or (10**150 if integer else 1.7e308))
+    near = [lo, lo + 1, lo + 2, hi - 1, hi, 0, 1, 2]
+    near += [10**9, 2**31 - 1, 10**150] if integer else [
+        math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf), *EXTREMES]
+    near = sorted({int(v) if integer else float(v) for v in near if lo <= v <= hi
+                   and (v > lo or "exclusiveMinimum" not in node)})
+    between = (st.integers(int(lo), min(int(hi), 2**31)) if integer else
+               st.floats(lo, hi, exclude_min="exclusiveMinimum" in node))
+    return st.one_of(st.sampled_from(near), between)
+
+
+@st.composite
+def _object(draw, node: dict, path: str) -> dict:
+    """Required and ALWAYS keys, and each other key one time in four."""
+    out = {}
+    for key, sub in node.get("properties", {}).items():
+        at = f"{path}.{key}" if path else key
+        if key in node.get("required", ()) or at in ALWAYS or draw(st.integers(0, 3)) == 0:
+            out[key] = draw(_drawn(sub, at))
+    return out
+
+
+def _drawn(node: dict, path: str = ""):
+    """Values of schema ``node`` at key ``path``, walking its keywords."""
+    if "$ref" in node:  # the node's own keywords over its target's
+        base = _schema()["$defs"][node["$ref"].rsplit("/", 1)[-1]]
+        node = {**base, "properties": {key: {**sub, **node.get("properties", {}).get(key, {})}
+                                       for key, sub in base["properties"].items()}}
+    if "enum" in node:
+        return st.sampled_from(node["enum"])
+    types = node["type"] if isinstance(node["type"], list) else [node["type"]]
+    options = {
+        "null": lambda: st.none(),
+        "boolean": st.booleans,
+        "string": lambda: st.sampled_from(["a", "b"]),
+        "integer": lambda: _numbers(node, True, CAPS.get(path)),
+        "number": lambda: _numbers(node, False, None),
+        "array": lambda: st.lists(_drawn(node["items"], path), min_size=node.get("minItems", 0),
+                                  max_size=node.get("maxItems", CAPS.get(path, 4)),
+                                  unique=node.get("uniqueItems", False)),
+        "object": lambda: _object(node, path),
+    }
+    return st.one_of([options[t]() for t in types])
+
+
+def _counted(raw: dict) -> dict:
+    """``raw`` with ``world.mt_count`` the number of listed terminals, if any."""
+    if "terminals" in raw["world"]:
+        raw["world"]["mt_count"] = len(raw["world"]["terminals"])
+    return raw
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_drawn(_schema()).map(_counted))
+def test_a_config_drawn_from_the_schema_is_rejected_or_runs_to_finite_metrics(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for policy in ALL_POLICIES:
+            metrics = run(cfg, policy, cfg.seeds[0]).metrics
+            assert all(map(math.isfinite, dataclasses.astuple(metrics))), (policy, metrics)

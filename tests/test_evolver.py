@@ -467,6 +467,21 @@ class TestFitness:
             assert opens_in_handover(windows) >= 5
             assert cut_in_handover(windows) >= 1
 
+    @pytest.mark.parametrize("dwell", [6, 10, 10**9])
+    def test_dwell_past_the_window_matches_reference_replay(self, rng, dwell):
+        # The tables are built at a dwell of the window's length + 1 at most: a handover with
+        # more units left cannot complete inside the window.  A dwell of 10**9 once overflowed
+        # the int32 table slots.  A shorter window of the same records reads a lower cap.
+        fit = ReplayFitness(default_system(), S_MIN, S_TH, dwell=dwell)
+        for n_stations in (2, 3, 5):
+            wnd = random_window(rng, n_units=4, n_mts=6, n_stations=n_stations, dwell=dwell)
+            for part in (wnd, wnd[:2], wnd):
+                pop = [random_genes(27, rng) for _ in range(10)]
+                assert list(fit.batch(pop, part)) == [
+                    reference_replay(g, part, dwell=dwell) for g in pop]
+                assert fit._last_prep[1].dwell == min(dwell, len(part) + 1)
+        assert fit.dwell == dwell
+
     def test_window_opening_above_the_replay_dwell_rejected(self):
         # The replay's codes hold 1..dwell units of handover left; a window
         # recorded under a longer dwell (or none) cannot be continued.

@@ -12,6 +12,7 @@ import pytest
 from gflsim.cli import main as cli_main
 from gflsim.evolver import EvolverConfig
 from gflsim.experiment import (
+    REPORT_FIELDS,
     ConfigError,
     ExperimentConfig,
     Summary,
@@ -414,10 +415,10 @@ class TestCompareAndExport:
     def test_single_seed_collapses_summary(self, tmp_path):
         cfg = small_config(policies=("fls", "flah"), output_dir=str(tmp_path))
         report = compare(cfg)
-        for kind in report.policies:
+        for kind in report:
             for metric in ("number_of_handoffs", "connection_time_pct",
                            "energy_wastage_pct"):
-                s: Summary = getattr(report.rows[kind], metric)
+                s: Summary = report[kind][metric]
                 assert s.max == s.min == s.avg
 
     def test_mean_of_equal_values_stays_between_them(self, tmp_path):
@@ -432,15 +433,16 @@ class TestCompareAndExport:
         cfg = small_config(world=world, policies=("fls", "flah"), seeds=tuple(range(10)),
                            output_dir=str(tmp_path))
         report = compare(cfg)
-        assert load_report(tmp_path / "report.csv", "csv") == report
-        for row in report.rows.values():
-            assert row.energy_wastage_pct.min == row.energy_wastage_pct.avg
+        loaded = load_report(tmp_path / "report.csv", "csv")
+        assert loaded == report and list(loaded) == list(report)
+        for row in report.values():
+            assert row["energy_wastage_pct"].min == row["energy_wastage_pct"].avg
 
     def test_summary_order_invariant(self, tmp_path):
         cfg = small_config(policies=("fls",), seeds=(0, 1, 2),
                            output_dir=str(tmp_path))
         report = compare(cfg)
-        s = report.rows["fls"].number_of_handoffs
+        s = report["fls"]["number_of_handoffs"]
         assert s.min <= s.avg <= s.max
 
     def test_report_round_trip_csv_and_json(self, tmp_path):
@@ -450,7 +452,21 @@ class TestCompareAndExport:
         for fmt in ("csv", "json"):
             path = tmp_path / f"report.{fmt}"
             export_report(report, fmt, path)
-            assert load_report(path, fmt) == report
+            loaded = load_report(path, fmt)
+            assert loaded == report and list(loaded) == list(report)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + rows[2:],  # fls loses connection_time_pct
+        lambda rows: rows + ["fls,blocked_pct,1.0,0.0,0.5"],
+    ], ids=["missing", "unknown"])
+    def test_load_report_rejects_a_policy_without_the_three_metrics(self, tmp_path, edit):
+        rows = [f"{kind},{metric},2,1,1.5" for kind in ("fls", "flah") for metric in REPORT_FIELDS]
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join(["policy,metric,max,min,avg"] + rows) + "\n")
+        assert list(load_report(path, "csv")) == ["fls", "flah"]
+        path.write_text("\n".join(["policy,metric,max,min,avg"] + edit(rows)) + "\n")
+        with pytest.raises(ValueError, match="policy 'fls' has the metrics"):
+            load_report(path, "csv")
 
     def test_events_round_trip(self, tmp_path):
         cfg = small_config()
@@ -514,7 +530,7 @@ class TestCompareAndExport:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = small_config(seeds=(0, 1), workers=None, output_dir=str(tmp_path / "out"))
-        assert compare(cfg).policies == ("fls",)
+        assert list(compare(cfg)) == ["fls"]
         with pytest.raises(AssertionError, match="process pool"):
             compare(dataclasses.replace(cfg, workers=2))
 

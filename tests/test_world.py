@@ -78,6 +78,13 @@ class TestKinematics:
         with pytest.raises(DomainError, match="not finite"):
             acceleration_for(4500.0, duration)
 
+    @pytest.mark.parametrize("distance, duration", [(4500.0, 1e200), (5e-324, 1e10)])
+    def test_acceleration_must_be_positive(self, distance, duration):
+        # The square of the duration overflows, or the quotient underflows to 0: such a
+        # terminal once never moved, and ``World.build``'s own square overflowed.
+        with pytest.raises(DomainError, match="not finite and positive"):
+            acceleration_for(distance, duration)
+
     def test_accelerated_state_default_speed(self):
         x, v = accelerated_state(1.6, 75)
         assert x == pytest.approx(4500.0)
