@@ -15,12 +15,12 @@ direct-mapped block of gene key and region rows), and settles a batch's
 misses, once per row and key, in one ``FuzzySystem.settle_levels`` call on
 strength rows of indices into the window's fired weights, with centroid
 sums per window.
-Then it steps the population through per-unit transition tables, built
-once per unit and reused by the next, overlapping window: a terminal's
-state is one code (disconnected, connected to s, or handing over s -> t
-with d units of dwell left), and per (terminal, code, region) the tables
-give the site to read, the next code and the cost.  ``batch`` and
-``window_support`` are all ``evolve`` asks of a fitness, and it skips
+Then it steps the population through per-unit transition tables, built for
+a window's new units in one stacked pass and reused by the next, overlapping
+window: a terminal's state is one code (disconnected, connected to s, or handing
+over s -> t with d units of dwell left), and per (terminal, code, region) an int32
+table gives the site to read and a packed int64 one the next code and the cost.
+``batch`` and ``window_support`` are all ``evolve`` asks of a fitness, and it skips
 ``batch`` for its last generation once the best fitness is at the floor, 0.
 
 The population is one (population_size, genes) int64 array, which
@@ -172,17 +172,19 @@ _MAX_KEY_DIGITS = 27
 # where wrap-around is defined; key -1 marks an empty row.
 _SLOT_BITS = 7
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_UNCLAIMED = np.iinfo(np.intp).max  # past any miss index of a batch
 
 
-# Layout of a unit's transition tables (int32): each terminal has a row of
+# Layout of a unit's transition tables: each terminal has a row of
 # W = S*S*dwell + 5*(S + 1) slots, and a code's value indexes them:
 #   - one slot per handover code, which decides nothing: its value is its
 #     slot + 1 and its site is the padding column, whose region is -1;
 #   - five slots each for disconnected and connected to s, one per region
 #     -1..3, whose value is their region-0 slot.
 # In a unit, a terminal at value c reads region r from column ``site[c]``
-# and moves to ``next[c + r]``, counting ``cost[c + r]``: a handoff in the
-# bits from ``_HANDOFF_SHIFT`` up and a cut in those below.
+# (int32) and takes ``step[c + r]`` (int64): the next code in the low 32
+# bits and the cost in the high ones, a handoff in the cost's bits from
+# ``_HANDOFF_SHIFT`` up and a cut in those below.
 _HANDOFF_SHIFT = 30
 _CUT, _HANDOFF = 1, 1 << _HANDOFF_SHIFT
 
@@ -194,6 +196,9 @@ def _layout(n_mts: int, n_stations: int, dwell: int):
     written, of a unit where all stations cover all terminals, with no free channel."""
     S, n_hand = n_stations, n_stations * n_stations * dwell
     width = n_hand + 5 * (S + 1)
+    if n_mts * width >= 2**31:
+        raise ValueError(f"replay tables of {n_mts} terminals, {S} stations and dwell {dwell} "
+                         f"need {n_mts * width} slots; int32 codes index at most 2**31")
     rows = np.arange(n_mts, dtype=np.int32) * width
     hand = rows[:, None, None, None] + 1 + np.arange(n_hand, dtype=np.int32).reshape(S, S, dwell)
     disc = rows + n_hand + 1
@@ -215,48 +220,73 @@ def _layout(n_mts: int, n_stations: int, dwell: int):
     return width, disc, conn, hand, nxt, cost
 
 
-def _unit_steps(rec, cols: np.ndarray, dwell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Site, next and cost tables of one unit whose sites, in order, sit at
-    the flat (terminal, station) columns ``cols``."""
-    M, S = rec.ratio.shape
+def _build_units(records, system: FuzzySystem, dwell: int) -> list:
+    """Per record, the unit ``(record, cells, weights, table, (site, step))``, all built in
+    one pass over (units, M, S) stacks.  A unit's sites are its covered (terminal, station)
+    pairs in terminal-major order, with fired cells (ascending) and weights padded with cell
+    ``system.n_cells`` and weight 0.0 (a two-input system ignores the channel input);
+    ``table`` is its empty block of region rows, and its sites are its own."""
+    U, (M, S) = len(records), records[0].ratio.shape
     width, disc, conn, hand, nxt, cost = _layout(M, S, dwell)
-    nxt, cost = nxt.copy(), cost.copy()  # the cached ones are shared
-    local = np.full((M, S), -1, dtype=np.int32)
-    local.flat[cols] = np.arange(len(cols))
-    covered = rec.ratio > 0.0
+    velocity, ratio, chan = (np.stack([getattr(rec, key) for rec in records])
+                             for key in ("velocity", "ratio", "chan"))
+    covered = ratio > 0.0
+    u, m, s = np.nonzero(covered)
+    w = system.fire((velocity[u, m], ratio[u, m, s], chan[u, m, s])[: len(system.input_vars)])
+    fired = w > 0.0
+    n_fired = fired.sum(axis=1)
+    # A stable sort of the unfired flags puts each site's fired cells first, ascending.
+    order = np.argsort(~fired, axis=1, kind="stable")[:, : n_fired.max(initial=0)]
+    cells = np.where(np.take_along_axis(fired, order, axis=1), order, system.n_cells)
+    weights = np.where(cells < system.n_cells, np.take_along_axis(w, order, axis=1), 0.0)
+    # Each site's number in its unit, -1 outside coverage.
+    local = np.where(covered, np.cumsum(covered.reshape(U, -1), axis=1).reshape(U, M, S) - 1, -1)
     # Deepest covering station, channels ignored, and per serving station
     # the deepest other covering one with a free channel; argmax takes the
     # first maximum, i.e. the lowest station id.
-    scores = np.where(covered, rec.ratio, -1.0)
-    cand = scores.argmax(axis=1)
-    m = np.flatnonzero(scores.max(axis=1) > 0.0)
-    site = np.full(M * width, -1, dtype=np.int32)
-    site[disc[m]] = local[m, cand[m]]
-    site[conn] = local  # -1 outside coverage: a forced cut reads no region
+    scores = np.where(covered, ratio, -1.0)
+    cand = scores.argmax(axis=2)
+    u, m = np.nonzero(scores.max(axis=2) > 0.0)
+    c = cand[u, m]
+    site = np.full((U, M * width), -1, dtype=np.int32)
+    site[u, disc[m]] = local[u, m, c]
+    site[:, conn] = local  # -1 outside coverage: a forced cut reads no region
+    step = np.empty((U, M * width), dtype="<i8")
+    step[:] = nxt | cost.astype(np.int64) << 32
     # Disconnected connects from region 2 up if its candidate has a channel.
-    m = m[rec.chan[m, cand[m]] > 0.0]
-    nxt[disc[m, None] + np.arange(2, 4)] = conn[m, cand[m], None]
+    free = chan[u, m, c] > 0.0
+    u, m, c = u[free], m[free], c[free]
+    step[u[:, None], disc[m, None] + np.arange(2, 4)] = conn[m, c, None]
     # Connected to s hands off at regions 1 and 2 if s has a target.
-    scores = np.where(rec.chan > 0.0, scores, -1.0)
-    scores = np.where(np.eye(S, dtype=bool), -1.0, scores[:, None, :])
-    m, s = np.nonzero(scores.max(axis=2) > 0.0)
-    at = conn[m, s, None] + np.arange(1, 3)
-    nxt[at] = hand[m, s, scores[m, s].argmax(axis=1), -1, None]
-    cost[at] = _HANDOFF
+    scores = np.where(chan > 0.0, scores, -1.0)
+    scores = np.where(np.eye(S, dtype=bool), -1.0, scores[:, :, None, :])
+    u, m, s = np.nonzero(scores.max(axis=3) > 0.0)
+    step[u[:, None], conn[m, s, None] + np.arange(1, 3)] = (
+        hand[m, s, scores[u, m, s].argmax(axis=1), -1, None] + (np.int64(_HANDOFF) << 32))
     # A handover is cut when s stops covering.
-    m, s = np.nonzero(~covered)
-    nxt[hand[m, s] - 1] = disc[m, None, None]
-    cost[hand[m, s] - 1] = _CUT
-    return site, nxt, cost
+    u, m, s = np.nonzero(~covered)
+    step[u[:, None, None], hand[m, s] - 1] = disc[m, None, None] + (np.int64(_CUT) << 32)
+    ends = np.cumsum(covered.sum(axis=(1, 2))).tolist()
+    tables = np.split(np.full((ends[-1] << _SLOT_BITS, 2), -1, dtype=np.int64),
+                      [end << _SLOT_BITS for end in ends[:-1]])
+    units = []
+    for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        n = int(n_fired[lo:hi].max(initial=0))  # the unit's most fired cells
+        # Copies, so a unit that outlives the others of its stack frees it.
+        units.append((records[i], cells[lo:hi, :n], weights[lo:hi, :n], tables[i],
+                      (site[i].copy(), step[i].copy())))
+    return units
 
 
 class _WindowPrep:
     """Per-window replay arrays: the decision sites of each unit, the
     window's region table (its units' tables end to end, a block of rows
-    per site that starts at ``block``) and each unit's transition tables,
-    whose sites are the window's site indices.  A site is one (time unit,
-    terminal, station) decision point: its positively-firing grid cells
-    and their weights, fixed by the recorded inputs."""
+    per site that starts at ``block``) and each unit's transition tables
+    (an int32 site table and a packed int64 next|cost table), whose sites
+    are the window's site indices.  A site is one (time unit, terminal,
+    station) decision point: its positively-firing grid cells and their
+    weights, fixed by the recorded inputs.  The units the last window did
+    not have are built together, in one :func:`_build_units` pass."""
 
     def __init__(self, records, fitness: "ReplayFitness") -> None:
         # A handover with more units left than the window has cannot complete in it, so the
@@ -278,29 +308,29 @@ class _WindowPrep:
         # windows that reuse unit numbers.
         last = fitness._last_prep and fitness._last_prep[1]
         reuse = last.units if last and last.dwell == dwell else {}
-        units = []
-        for rec in records:
-            unit = reuse.get(rec.t)
-            if unit is None or unit[0] is not rec:
-                left = rec.dwell[rec.state == _HANDOVER]
-                if not ((left >= 1) & (left <= fitness.dwell)).all():
-                    raise ValueError(f"unit {rec.t}: a handover needs 1..{fitness.dwell} units "
-                                     f"of dwell left (the replay's dwell), got {left.tolist()}")
-                cols, cells, weights = self._unit_sites(rec, system)
-                table = np.full((len(cols) << _SLOT_BITS, 2), -1, dtype=np.int64)
-                unit = (rec, cells, weights, table, _unit_steps(rec, cols, dwell))
-            units.append(unit)
+        units = [reuse.get(rec.t) for rec in records]
+        new = [i for i, rec in enumerate(records) if not units[i] or units[i][0] is not rec]
+        for rec in (records[i] for i in new):
+            left = rec.dwell[rec.state == _HANDOVER]
+            if not ((left >= 1) & (left <= fitness.dwell)).all():
+                raise ValueError(f"unit {rec.t}: a handover needs 1..{fitness.dwell} units "
+                                 f"of dwell left (the replay's dwell), got {left.tolist()}")
+        built = _build_units([records[i] for i in new], system, dwell) if new else ()
+        for i, unit in zip(new, built):
+            units[i] = unit
         counts = np.array([len(cells) for _, cells, *_ in units])
         firsts = np.cumsum(counts) - counts
         n_sites = int(counts.sum())
         # Each unit's tables with the window's site indices; a code that
         # reads no site reads the padding column, the last of the regions.
-        self.steps = [(np.where(site >= 0, site + first, n_sites), nxt, cost)
-                      for (*_, (site, nxt, cost)), first in zip(units, firsts.tolist())]
+        self.steps = [(np.where(site >= 0, site + first, n_sites), step)
+                      for (*_, (site, step)), first in zip(units, firsts.tolist())]
         # Each unit keeps its sites' blocks of the window's table, so the
         # regions a batch stores stay with the unit.
         self.table = np.concatenate([table for *_, table, _ in units])
         self.block = np.arange(n_sites) << _SLOT_BITS
+        # Scratch for a batch's claims on the table's rows, kept unclaimed between batches.
+        self.claim = np.full(len(self.table), _UNCLAIMED, dtype=np.intp)
         self.units = {rec.t: (rec, cells, weights, table, steps) for (rec, cells, weights, _, steps),
                       table in zip(units, np.split(self.table, firsts[1:] << _SLOT_BITS))}
         # Fired cells and weights (as indices into ``levels``, ascending) per
@@ -317,27 +347,13 @@ class _WindowPrep:
         self.padded_level = level_of[:-1].reshape(padded_w.shape)
         self.level_sums = system.level_sums(levels)
         self.powers = _DIGIT_BASE ** np.arange(maxf, dtype=np.int64)
-        # Sites share a few fired-cell sets, so keys are found per set.
-        self.cell_sets, self.set_of = np.unique(self.padded_idx, axis=0, return_inverse=True)
-        # (A 1-d np.unique would import numpy.ma, about 1 MB, in numpy 2.4.)
+        # Sites share a few fired-cell sets, so keys are found per set, each
+        # set a padded row read as one string of bytes.
+        cell_sets, self.set_of = np.unique(self.padded_idx.view(f"V{8 * maxf}").ravel(),
+                                           return_inverse=True)
+        self.cell_sets = cell_sets.view(np.int64).reshape(-1, maxf)
         fired = np.bincount(self.cell_sets.ravel(), minlength=system.n_cells + 1)[:-1]
         self.support = tuple(np.flatnonzero(fired).tolist())
-
-    @staticmethod
-    def _unit_sites(rec, system: FuzzySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sites of one unit: flat (terminal, station) columns in terminal-major
-        order, and per site its fired cells (ascending) and weights, padded with
-        cell ``system.n_cells`` and weight 0.0; every covered pair fires in one
-        array pass (a two-input system ignores the channel input)."""
-        m, s = np.nonzero(rec.ratio > 0.0)
-        inputs = (rec.velocity[m], rec.ratio[m, s], rec.chan[m, s])
-        w = system.fire(inputs[: len(system.input_vars)])
-        fired = w > 0.0
-        # A stable sort of the unfired flags puts each site's fired cells first, ascending.
-        order = np.argsort(~fired, axis=1, kind="stable")[:, : fired.sum(axis=1).max(initial=0)]
-        cells = np.where(np.take_along_axis(fired, order, axis=1), order, system.n_cells)
-        weights = np.where(cells < system.n_cells, np.take_along_axis(w, order, axis=1), 0.0)
-        return m * rec.ratio.shape[1] + s, cells, weights
 
 
 class ReplayFitness:
@@ -346,9 +362,9 @@ class ReplayFitness:
     :meth:`batch` is the replay; calling the instance scores one chromosome
     as a population of one.  One pass finds the region of every
     (chromosome, site) pair in the window's region table and settles the
-    misses together; then each (chromosome, terminal) pair takes a few
-    gathers per unit through that unit's transition tables (site, next code
-    and packed cost).  ``dwell`` must be at least 1.
+    misses together; then each (chromosome, terminal) pair takes two
+    gathers per unit through that unit's transition tables (its site, then
+    its packed next code and cost).  ``dwell`` must be at least 1.
     """
 
     def __init__(
@@ -413,10 +429,11 @@ class ReplayFitness:
         reg_all = self._window_regions(prep, digits)
         regions, rows = reg_all.ravel(), np.arange(P)[:, None] * reg_all.shape[1]
         state, acc = prep.start, np.zeros((P, len(prep.start)), dtype=np.int64)
-        for site, nxt, cost in prep.steps:
+        for site, step in prep.steps:
             at = state + regions.take(rows + site.take(state))
-            state = nxt.take(at)
-            acc += cost.take(at)
+            halves = step.take(at).view("<i4")  # next code, cost
+            state = halves[:, ::2]
+            acc += halves[:, 1::2]
         ho = (acc >> _HANDOFF_SHIFT).sum(axis=1)
         cuts = (acc & (_HANDOFF - 1)).sum(axis=1)
         return self.weight_handoff * ho + self.weight_cut * cuts
@@ -455,15 +472,17 @@ class ReplayFitness:
         if not len(p_miss):
             return out
         # One writer per row, the first miss to reach it in row-major order:
-        # numpy leaves the order of repeated-index assignments open.  The
-        # writers and the misses whose key is not their writer's are settled;
-        # the rest take their writer's region.
-        miss_keys = keys[p_miss, g_miss]
-        taken, first, writer = np.unique(slots[p_miss, g_miss], return_index=True,
-                                         return_inverse=True)
-        writer = first[writer]
-        own = miss_keys != miss_keys[writer]
-        own[first] = True
+        # numpy leaves the order of repeated-index assignments open, so each
+        # row's claim is the least miss index that reaches it.  The writers
+        # and the misses whose key is not their writer's are settled; the
+        # rest take their writer's region.
+        miss_keys, miss_slots = keys[p_miss, g_miss], slots[p_miss, g_miss]
+        index = np.arange(len(p_miss))
+        np.minimum.at(prep.claim, miss_slots, index)
+        writer = prep.claim[miss_slots]
+        prep.claim[miss_slots] = _UNCLAIMED
+        first = writer == index
+        own = first | (miss_keys != miss_keys[writer])
         p_own, g_own = p_miss[own], g_miss[own]
         # Strength rows as level indices: the largest fired one per output term.
         n_terms = self.system.n_output_terms
@@ -476,7 +495,7 @@ class ReplayFitness:
                                              self.s_min, self.s_th)
         got[~own] = got[writer[~own]]
         out[p_miss, g_miss] = got
-        prep.table[taken] = np.stack([miss_keys[first], got[first]], axis=1)
+        prep.table[miss_slots[first]] = np.stack([miss_keys[first], got[first]], axis=1)
         return out
 
 

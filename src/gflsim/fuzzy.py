@@ -383,8 +383,7 @@ class FuzzySystem:
         ulps; callers that compare against a threshold fall back to the
         exact value near it.  The tables are built on first use.
         """
-        terms, sign, vs, count, cum_v, cum_vx, tail_x = _overlap_sums(
-            self.output_var, self.resolution)
+        terms, sign, vs, count, cum_v, cum_vx, tail_x = self._sums
         m = strengths[:, terms].min(axis=2)
         k = np.empty(m.shape, dtype=np.int64)
         for j, v in enumerate(vs):
@@ -394,6 +393,11 @@ class FuzzySystem:
         num = (cum_vx.take(flat) + m * tail_x.take(flat)) @ sign
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
+
+    @cached_property
+    def _sums(self) -> tuple:
+        """:func:`_overlap_sums` here: its cache hashes the output variable per call."""
+        return _overlap_sums(self.output_var, self.resolution)
 
     def settle(self, strengths: np.ndarray, s_min: float, s_th: float) -> np.ndarray:
         """Region code per (rows, output terms) strength row: the estimate's, or where it
@@ -406,7 +410,7 @@ class FuzzySystem:
     def level_sums(self, levels: np.ndarray) -> tuple:
         """``levels`` (ascending strengths) and, flat over (overlapping term subset,
         level), the denominator and numerator terms of :meth:`centroid_estimates`."""
-        _, _, vs, count, cum_v, cum_vx, tail_x = _overlap_sums(self.output_var, self.resolution)
+        _, _, vs, count, cum_v, cum_vx, tail_x = self._sums
         sub, k = np.arange(len(vs))[:, None], np.array([np.searchsorted(v, levels) for v in vs])
         return (levels, (cum_v[sub, k] + levels * (count[:, None] - k)).ravel(),
                 (cum_vx[sub, k] + levels * tail_x[sub, k]).ravel())
@@ -415,7 +419,7 @@ class FuzzySystem:
                       s_th: float) -> np.ndarray:
         """:meth:`settle` of strength rows ``levels[rows]`` by gathers from ``sums``, the
         :meth:`level_sums` at ``levels``: a subset's least index gives its least level."""
-        terms, sign = _overlap_sums(self.output_var, self.resolution)[:2]
+        terms, sign = self._sums[:2]
         levels, den_at, num_at = sums
         at, values = np.arange(len(sign)) * len(levels), np.empty(len(rows))
         for lo in range(0, len(rows), _SETTLE_ROWS):

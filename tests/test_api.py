@@ -66,6 +66,18 @@ def test_cold_import_loads_no_process_pool():
     assert out.split() == []
 
 
+def test_a_default_gfls_run_leaves_numpy_ma_unimported():
+    # numpy.ma is about 1 MB of imports that nothing here needs; the replay's
+    # np.unique calls (on floats, ints and rows read as bytes) do not load it.
+    src = str(Path(gflsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from gflsim.experiment import config_from_dict, run; "
+            "run(config_from_dict({}), 'gfls', 0); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_readme_library_use_runs(capsys):
     # The documented loop must keep up with the API it drives.
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use\n", 1)[1]

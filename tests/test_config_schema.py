@@ -365,14 +365,28 @@ def test_a_valid_config_that_overflowed_exits_2_naming_its_key(doc, key):
     assert f"config error: {key}: " in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"world": {"total_time": 10**400}}, "world.total_time"),
+    ({"runs": 2147483647}, "runs"),
+    ({"world": {"mt_count": 2**31}}, "world.mt_count"),
+])
+def test_an_integer_past_its_maximum_exits_2_naming_its_key(doc, key):
+    # Each once passed the schema, then overflowed a float (total_time), or
+    # asked for a seed tuple or terminal arrays of many GiB.
+    code, err = _cli(doc, "--workers", "1")
+    assert code == 2, err
+    assert f"config error: {key}: must be <= " in err
+
+
 def test_a_dwell_far_past_the_replay_window_runs():
     # The replay's tables once grew with the dwell and overflowed their int32 slots.
     assert _cli(_small({"dwell": 10**9}, policy="gfls", total_time=8)) == (0, "")
 
 
 EXTREMES = (1e-300, 1e150, 1.7e308, -1.7e308)
-# Keys that size a run, capped and (but for the lists) always drawn: at most 12
-# terminals, 8 units and a GA of a few chromosomes; runs only sizes the seed list.
+# Keys that size a run, capped below any schema maximum and (but for the lists)
+# always drawn: at most 12 terminals, 8 units and a GA of a few chromosomes; runs
+# only sizes the seed list.
 CAPS = {"world.mt_count": 12, "world.terminals": 12, "world.total_time": 8,
         "evolver.population_size": 4, "evolver.tournament_size": 4, "evolver.generations": 2,
         "runs": 3}
@@ -383,7 +397,7 @@ def _numbers(node: dict, integer: bool, cap):
     """Numbers at and near each bound of ``node``, at 0, 1 and 2, at EXTREMES or, for
     an integer, at 10**9, 2**31 - 1 and 10**150; or anywhere between the bounds."""
     lo = node.get("minimum", node.get("exclusiveMinimum", -1.7e308))
-    hi = node.get("maximum", cap or (10**150 if integer else 1.7e308))
+    hi = min(node.get("maximum", math.inf), cap or (10**150 if integer else 1.7e308))
     near = [lo, lo + 1, lo + 2, hi - 1, hi, 0, 1, 2]
     near += [10**9, 2**31 - 1, 10**150] if integer else [
         math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf), *EXTREMES]

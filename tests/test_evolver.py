@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     FixedPolicy,
+    make_record,
     make_snapshot,
     make_window,
     random_window,
@@ -20,6 +22,7 @@ from conftest import (
 from gflsim import evolver, fuzzy
 from gflsim.evolver import (
     _SLOT_BITS,
+    _UNCLAIMED,
     EmptyHistoryError,
     EvolverConfig,
     ReplayFitness,
@@ -367,6 +370,27 @@ def reference_replay(genes, window, system=None, s_min=S_MIN, s_th=S_TH, dwell=2
     return float(events)
 
 
+def opening_records(rng, n_units, n_mts, n_stations, dwell, quiet=()):
+    """Records of units 1..n_units, each with the random opening states of a
+    ``random_window``'s first unit, so a window may open on any of them; the
+    units in ``quiet`` cover no terminal."""
+    records = []
+    for t in range(1, n_units + 1):
+        snaps = snapshots(random_window(rng, n_units=1, n_mts=n_mts, n_stations=n_stations,
+                                        dwell=dwell)[0])
+        if t in quiet:
+            snaps = [snap._replace(dist_ratio=(-0.5,) * n_stations) for snap in snaps]
+        records.append(make_record(t, snaps))
+    return tuple(records)
+
+
+def site_keys(prep, genes) -> np.ndarray:
+    """Memo key of every (chromosome, site) pair, as ``_window_regions`` finds them."""
+    digits = np.zeros((len(genes), prep.padded_idx.max(initial=0) + 1), dtype=np.int64)
+    digits[:, : genes.shape[1]] = genes - 1
+    return (digits[:, prep.cell_sets] @ prep.powers).take(prep.set_of, axis=1)
+
+
 def opens_in_handover(windows) -> int:
     """Terminals that open their window in handover."""
     return sum(int((w[0].state == State.HANDOVER).sum()) for w in windows)
@@ -655,7 +679,12 @@ class TestFitness:
                                 *reference_degrees(system, inputs))])
                             fired = np.flatnonzero(w > 0.0)
                             want[m * 4 + s] = (fired.tolist(), w[fired].tolist())
-                cols, cells, weights = evolver._WindowPrep._unit_sites(rec, system)
+                # The stacked build of one record; a covered pair's site is the one its
+                # connected code reads, numbered in terminal-major order.
+                (_, cells, weights, _, (site, _)), = evolver._build_units([rec], system, 2)
+                local = site[evolver._layout(6, 4, 2)[2].ravel()]
+                cols = np.flatnonzero(local >= 0)
+                assert (local[cols] == np.arange(len(cells))).all()
                 fired = cells < system.n_cells
                 assert (weights[~fired] == 0.0).all()
                 got = {col: (row[keep].tolist(), w[keep].tolist())
@@ -681,6 +710,94 @@ class TestFitness:
         assert np.isin(nxt, codes).all()
         assert (nxt // width == np.repeat(np.arange(n_mts), width)).all()
 
+    @pytest.mark.parametrize("dwell", [1, 2, 3, 4])
+    def test_window_prep_does_not_depend_on_how_its_units_were_built(self, dwell, rng,
+                                                                      monkeypatch):
+        # A cold fitness builds the window's units in one stack; a warm one
+        # reaches the window through overlapping windows shifted by 1, 2 or
+        # W - 1 units, so its units come from stacks of that many, each
+        # window's new units.  Unit 9, in the window, covers no terminal; a
+        # shift of 1 builds it alone.
+        W, T = 4, 6  # the window opens on record T, a multiple of each shift
+        stacks = []
+        build = evolver._build_units
+        monkeypatch.setattr(evolver, "_build_units",
+                            lambda records, *a: stacks.append(len(records)) or build(records, *a))
+        for system in (default_system(), flah_system(), wide_system()):
+            records = opening_records(rng, T + W, 6, 3, dwell, quiet={9})
+            window = records[T:]
+            pop = np.array([random_genes(system.n_cells, rng) for _ in range(20)])
+            expected = [reference_replay(g, window, system, dwell=dwell) for g in pop.tolist()]
+            cold = ReplayFitness(system, S_MIN, S_TH, dwell=dwell)
+            want = cold._prep(window)
+            assert list(cold.batch(pop, window)) == expected
+            for shift in (1, 2, W - 1):
+                stacks.clear()
+                warm = ReplayFitness(system, S_MIN, S_TH, dwell=dwell)
+                for lo in range(0, T + 1, shift):
+                    warm.window_support(records[lo:lo + W])
+                assert stacks == [W] + [shift] * (T // shift)
+                got = warm._prep(window)
+                assert np.array_equal(got.padded_idx, want.padded_idx)
+                assert np.array_equal(got.level_sums[0][got.padded_level],
+                                      want.level_sums[0][want.padded_level])
+                assert np.array_equal(site_keys(got, pop), site_keys(want, pop))
+                assert np.array_equal(got.start, want.start)
+                for t in (rec.t for rec in window):
+                    (*_, (site, step)), (*_, (cold_site, cold_step)) = got.units[t], want.units[t]
+                    assert np.array_equal(site, cold_site) and np.array_equal(step, cold_step)
+                for (site, step), (cold_site, cold_step) in zip(got.steps, want.steps, strict=True):
+                    assert np.array_equal(site, cold_site) and np.array_equal(step, cold_step)
+                assert list(warm.batch(pop, window)) == expected
+            assert len(want.units[9][1]) == 0
+
+    def test_a_population_past_a_block_keeps_each_first_writer(self, rng):
+        # 300 chromosomes, more than the 2**_SLOT_BITS rows of a site's block:
+        # a batch's miss indices run far past a block, and a row's claim must
+        # still go to the first of them.  The dict model is the one of
+        # test_first_miss_takes_each_slot, over two batches, the second half
+        # new; each batch leaves the claim scratch unclaimed.
+        fit, wnd = make_fitness(), random_window(rng, n_mts=6)
+        first = [random_genes(27, rng) for _ in range(300)]
+        prep = fit._prep(wnd)
+        settle, rows = fit.system.settle_levels, []
+        fit.system.settle_levels = lambda r, *a: rows.append(len(r)) or settle(r, *a)
+        table, counts = {}, []
+        for pop in (first, first[:150] + [random_genes(27, rng) for _ in range(150)]):
+            written, settled = {}, 0
+            for genes in pop:
+                for g, cells in enumerate(prep.padded_idx.tolist()):
+                    key = sum((genes[c] - 1) * 5 ** j for j, c in enumerate(cells) if c < 27)
+                    slot = (g << _SLOT_BITS) + (
+                        key * 0x9E3779B97F4A7C15 % 2**64 >> 64 - _SLOT_BITS)
+                    if table.get(slot) != key:
+                        settled += written.get(slot) != key
+                        written.setdefault(slot, key)
+            table.update(written)
+            counts.append(settled)
+            assert list(fit.batch(pop, wnd)) == [reference_replay(genes, wnd) for genes in pop]
+            assert table == {i: key for i, (key, _) in enumerate(prep.table.tolist())
+                             if key >= 0}
+            assert (prep.claim == _UNCLAIMED).all()
+        assert rows == counts
+        assert len(first) > 1 << _SLOT_BITS and counts[1] < counts[0]
+
+    def test_tables_past_int32_codes_rejected_before_allocating(self):
+        # A unit's codes index its M * width slots as int32.  The check comes
+        # first, so M terminals of about 2**31 / width slots allocate nothing.
+        S, dwell = 3, 2
+        width = S * S * dwell + 5 * (S + 1)
+        M = 2**31 // width + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"{M} terminals, {S} stations and dwell "
+                                                 rf"{dwell} need {M * width} slots"):
+                evolver._layout(M, S, dwell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_replay_holds_at_most_one_window_of_units(self):
         world = World.build(WorldConfig(mt_count=3, total_time=2000),
                             np.random.default_rng(3))
@@ -702,15 +819,18 @@ class TestFitness:
                 assert n_slots == len(fit._last_prep[1].table) == n_sites << _SLOT_BITS
                 assert fit._last_prep[1].table.shape[1] == 2
                 most_slots = max(most_slots, n_slots)
-                # The cached transition tables are the ones this window's
-                # steps read, one set per unit of the window and no more.
+                # The cached packed next|cost tables are the ones this window's
+                # steps read, one per unit of the window and no more: an int32
+                # site and an int64 next|cost, 3 * 4 bytes, per slot.
                 steps = [unit[4] for unit in units.values()]
-                assert all(ours[1] is cached[1] and ours[2] is cached[2]
+                assert all(ours[1] is cached[1]
                            for ours, cached in zip(fit._last_prep[1].steps, steps, strict=True))
                 n_stations = len(world.stations)
                 width = n_stations * n_stations * fit.dwell + 5 * (n_stations + 1)
                 assert sum(a.nbytes for unit in steps for a in unit) == (
                     window.maxlen * 3 * len(world.mts) * width * np.dtype(np.int32).itemsize)
+                # Each its own array, not a view that keeps its build's stack alive.
+                assert all(a.base is None for unit in steps for a in unit)
         assert largest == window.maxlen
         n_stations = len(world.stations)
         assert most_slots <= window.maxlen * 3 * n_stations << _SLOT_BITS
