@@ -6,6 +6,8 @@ means identical terminals for all of them) and an independent stream for
 the evolutionary search.  Replicate runs are independent and executed on
 a process pool by default; aggregation order is fixed by the config, so
 output files are byte-identical across repeats regardless of worker count.
+A run's result is a plain record, the ``RunResult`` NamedTuple of ``policy,
+seed, metrics, events, evolution``; ``RunMetrics``' fields are the report's metrics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +65,7 @@ __all__ = [
     "load_events",
 ]
 
-ALL_POLICIES = ("fls", "gfls", "flah", "gflah")
-
-REPORT_FIELDS = ("number_of_handoffs", "connection_time_pct", "energy_wastage_pct")
+ALL_POLICIES = tuple(kind.value for kind in PolicyKind)
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,6 @@ class ExperimentConfig:
             raise ConfigError(f"evolver.{name}: {getattr(ev, name)} overflows the fitness of a "
                               f"window of {ev.window_length} units and {self.world.mt_count} "
                               "terminals")
-
-    @property
-    def runs(self) -> int:
-        return len(self.seeds)
 
 
 def default_config() -> ExperimentConfig:
@@ -208,21 +204,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                             evolver=_build(EvolverConfig, "evolver", raw.get("evolver", {})), **kw)
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     number_of_handoffs: int
     connection_time_pct: float
     energy_wastage_pct: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+REPORT_FIELDS = RunMetrics._fields
+
+
+class RunResult(NamedTuple):
     policy: str
     seed: int
     metrics: RunMetrics
     events: EventLog
     evolution: tuple[tuple[int, float, tuple[int, ...]], ...]
-    sim_time: int
 
 
 def _build_policy(config: ExperimentConfig, kind: PolicyKind,
@@ -260,12 +256,8 @@ def run(config: ExperimentConfig, policy_kind: PolicyKind | str, seed: int) -> R
     connection_pct = 100.0 * world.connected_units / mt_units
     e0 = config.world.initial_energy
     energy_pct = float(np.mean(100.0 * (e0 - world._energy) / e0))
-    metrics = RunMetrics(handoffs, connection_pct, energy_pct)
-    return RunResult(
-        policy=kind.value, seed=seed, metrics=metrics,
-        events=world.events, evolution=tuple(policy.evolution_log),
-        sim_time=world.t,
-    )
+    return RunResult(kind.value, seed, RunMetrics(handoffs, connection_pct, energy_pct),
+                     world.events, tuple(policy.evolution_log))
 
 
 def _run_task(args: tuple[ExperimentConfig, str, int]) -> RunResult:
@@ -311,25 +303,23 @@ def compare(config: ExperimentConfig,
     else:
         results = [_run_task(t) for t in tasks]
 
-    by_key = {(r.policy, r.seed): r for r in results}
     if results_out is not None:
-        results_out.update(by_key)
+        results_out.update(((r.policy, r.seed), r) for r in results)
 
-    report = {kind: {metric: _summarize([getattr(by_key[(kind, s)].metrics, metric)
-                                         for s in config.seeds])
-                     for metric in REPORT_FIELDS}
-              for kind in config.policies}
+    # Both paths keep the task order: policy by policy, then seed by seed.
+    n = len(config.seeds)
+    report = {kind: {metric: _summarize(column) for metric, column in
+                     zip(REPORT_FIELDS, zip(*(r.metrics for r in results[i * n:(i + 1) * n])))}
+              for i, kind in enumerate(config.policies)}
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = config.output_format
     export_report(report, fmt, out_dir / f"report.{fmt}")
-    for kind in config.policies:
-        for seed in config.seeds:
-            result = by_key[(kind, seed)]
-            export_events(result.events, fmt, out_dir / f"events_{kind}_{seed}.{fmt}")
-            if result.evolution:
-                _export_evolution(result.evolution, out_dir / f"evolution_{kind}_{seed}.jsonl")
+    for r in results:
+        export_events(r.events, fmt, out_dir / f"events_{r.policy}_{r.seed}.{fmt}")
+        if r.evolution:
+            _export_evolution(r.evolution, out_dir / f"evolution_{r.policy}_{r.seed}.jsonl")
     return report
 
 

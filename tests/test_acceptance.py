@@ -261,13 +261,13 @@ def test_criterion_2_state_machine_equivalence(full_comparison):
 
     # every initiation in the full comparison completes exactly 2 units
     # later or is force-cut, never both
-    _, _, results, _ = full_comparison
-    checked = 0
+    cfg, _, results, _ = full_comparison
+    horizon, checked = cfg.world.total_time, 0
     for res in results.values():
         comps = {(e.t, e.mt_id) for e in res.events if e.kind == HANDOFF_COMPLETED}
         cuts = {(e.t, e.mt_id) for e in res.events if e.kind == CONNECTION_CUT}
         for e in res.events:
-            if e.kind != HANDOFF_INITIATED or e.t + 2 > res.sim_time:
+            if e.kind != HANDOFF_INITIATED or e.t + 2 > horizon:
                 continue
             done = (e.t + 2, e.mt_id) in comps
             cut = (e.t + 1, e.mt_id) in cuts or (e.t + 2, e.mt_id) in cuts

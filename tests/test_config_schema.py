@@ -369,10 +369,11 @@ def test_a_valid_config_that_overflowed_exits_2_naming_its_key(doc, key):
     ({"world": {"total_time": 10**400}}, "world.total_time"),
     ({"runs": 2147483647}, "runs"),
     ({"world": {"mt_count": 2**31}}, "world.mt_count"),
+    ({"evolver": {"population_size": 10**20}}, "evolver.population_size"),
 ])
 def test_an_integer_past_its_maximum_exits_2_naming_its_key(doc, key):
     # Each once passed the schema, then overflowed a float (total_time), or
-    # asked for a seed tuple or terminal arrays of many GiB.
+    # asked for a seed tuple, terminal arrays or a population of many GiB.
     code, err = _cli(doc, "--workers", "1")
     assert code == 2, err
     assert f"config error: {key}: must be <= " in err
@@ -460,4 +461,4 @@ def test_a_config_drawn_from_the_schema_is_rejected_or_runs_to_finite_metrics(ra
         warnings.simplefilter("error", RuntimeWarning)
         for policy in ALL_POLICIES:
             metrics = run(cfg, policy, cfg.seeds[0]).metrics
-            assert all(map(math.isfinite, dataclasses.astuple(metrics))), (policy, metrics)
+            assert all(map(math.isfinite, tuple(metrics))), (policy, metrics)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from gflsim.experiment import (
     REPORT_FIELDS,
     ConfigError,
     ExperimentConfig,
+    RunMetrics,
+    RunResult,
     Summary,
     _summarize,
     compare,
@@ -163,7 +166,7 @@ class TestLoadConfig:
         path = tmp_path / "blank.json"
         path.write_text("\n")
         cfg = load_config(path)
-        assert cfg.runs == 10
+        assert len(cfg.seeds) == 10
         assert cfg.seeds == tuple(range(10))
         assert len(cfg.world.stations) == 7
 
@@ -174,7 +177,7 @@ class TestLoadConfig:
         assert tuple(s.capacity for s in cfg.world.stations) == (6, 4, 5, 3, 3, 2, 5)
         assert cfg.world.stations[4].center == (1.0, 2000.0)
         assert cfg.world.total_time == 75 and cfg.world.mt_count == 50
-        assert cfg.runs == 10
+        assert len(cfg.seeds) == 10
         assert cfg == default_config()
 
     def test_threshold_order_enforced(self, tmp_path):
@@ -206,7 +209,7 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seeds": [11, 22]}))
         cfg = load_config(path)
-        assert cfg.seeds == (11, 22) and cfg.runs == 2
+        assert cfg.seeds == (11, 22) and len(cfg.seeds) == 2
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -294,7 +297,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^" + re.escape(key) + ": "):
             config_from_dict({"world": world})
         fast = WorldConfig(mt_count=10, total_time=20, steady_speed=(1e306, 1e306))
-        assert run(small_config(world=fast), "fls", 0).sim_time == 20
+        metrics = run(small_config(world=fast), "fls", 0).metrics
+        assert all(map(math.isfinite, metrics)), metrics
 
     def test_uncovered_terms_named(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -517,6 +521,22 @@ class TestCompareAndExport:
         for name in ("report.csv", "events_fls_0.csv", "events_flah_1.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                    (tmp_path / "parallel" / name).read_bytes()
+
+    def test_results_out_holds_each_pooled_run_as_a_plain_record(self, tmp_path):
+        cfg = small_config(policies=("gfls", "fls"), seeds=(3, 0), workers=2,
+                           evolver=EvolverConfig(generations=1),
+                           output_dir=str(tmp_path / "out"))
+        results = {}
+        compare(cfg, results)
+        assert list(results) == [(p, s) for p in cfg.policies for s in cfg.seeds]
+        for (policy, seed), result in results.items():
+            assert result == run(cfg, policy, seed)
+            back = pickle.loads(pickle.dumps(result))
+            assert type(back) is RunResult and back == result and back.events == result.events
+        assert results[("gfls", 3)].evolution and results[("fls", 0)].events
+        assert RunResult._fields == ("policy", "seed", "metrics", "events", "evolution")
+        assert REPORT_FIELDS == RunMetrics._fields == (
+            "number_of_handoffs", "connection_time_pct", "energy_wastage_pct")
 
     def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
         # One worker per CPU this process may use: pinned to one of eight, no pool starts.
